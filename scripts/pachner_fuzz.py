@@ -10,6 +10,7 @@ amplitude is a bug.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from dataclasses import dataclass
 
@@ -36,15 +37,21 @@ def _fixture(surface: str):
     raise SystemExit(f"unknown surface {surface!r}")
 
 
-def run(cfg: Config) -> None:
+def run(cfg: Config) -> bool:
+    """Fuzz every seed; True iff every checkpoint kept the amplitude."""
     A = builtin_by_name(cfg.algebra)
+    all_ok = True
     for seed in cfg.seeds:
         tri, signs, types = _fixture(cfg.surface)
         t0 = time.monotonic()
-        run_pachner_fuzz(tri, signs, types, A, seed=seed, n_moves=cfg.moves,
-                         check_every=cfg.check_every)
+        ok, log, _ = run_pachner_fuzz(tri, signs, types, A, seed=seed,
+                                      n_moves=cfg.moves,
+                                      check_every=cfg.check_every)
+        verdict = "pass" if ok else f"FAIL after move {len(log)}"
         print(f"seed {seed}: {cfg.moves} moves on {cfg.surface} with "
-              f"{cfg.algebra}: pass ({time.monotonic() - t0:.2f}s)")
+              f"{cfg.algebra}: {verdict} ({time.monotonic() - t0:.2f}s)")
+        all_ok = all_ok and ok
+    return all_ok
 
 
 def main() -> None:
@@ -56,9 +63,10 @@ def main() -> None:
     p.add_argument("--moves", type=int, default=200)
     p.add_argument("--check-every", type=int, default=25)
     args = p.parse_args()
-    run(Config(algebra=args.algebra, surface=args.surface,
-               seeds=tuple(args.seeds), moves=args.moves,
-               check_every=args.check_every))
+    ok = run(Config(algebra=args.algebra, surface=args.surface,
+                    seeds=tuple(args.seeds), moves=args.moves,
+                    check_every=args.check_every))
+    sys.exit(0 if ok else 1)
 
 
 if __name__ == "__main__":

@@ -89,7 +89,11 @@ class DerivedStructure:
     sigma: GradedTensor   # braiding A (x) A -> A (x) A
 
     def c(self, sign: int) -> GradedTensor:
-        return self.c_plus if sign == +1 else self.c_minus
+        if sign == +1:
+            return self.c_plus
+        if sign == -1:
+            return self.c_minus
+        raise ValueError(f"edge sign must be +1 or -1, not {sign!r}")
 
     def N_eps(self, eps: int) -> GradedTensor:
         """N_{+1} = id, N_{-1} = N."""

@@ -49,6 +49,23 @@ def _load_surface(spec: str):
         _fail(f"cannot load surface {spec!r}: {exc}")
 
 
+def _load_signs(path: str, tri):
+    """Read a {edge id: +1/-1} JSON file covering exactly the edges of tri."""
+    try:
+        with open(path) as fh:
+            signs = {int(k): v for k, v in json.load(fh).items()}
+    except (OSError, ValueError, AttributeError) as exc:
+        _fail(f"cannot load signs {path!r}: {exc}")
+    if set(signs) != set(tri.edges):
+        _fail(f"signs {path!r} must name exactly the surface's edges: "
+              f"missing {sorted(set(tri.edges) - set(signs))}, "
+              f"unknown {sorted(set(signs) - set(tri.edges))}")
+    for eid, s in sorted(signs.items()):
+        if isinstance(s, bool) or s not in (1, -1):
+            _fail(f"signs {path!r}: edge {eid} has sign {s!r}, not +1 or -1")
+    return {eid: int(s) for eid, s in signs.items()}
+
+
 def _parse_spin(surface: str, spin: str):
     """Resolve a built-in spin-surface selector.
 
@@ -153,12 +170,7 @@ def cmd_amplitude(algebra, surface, spin, signs_path, types_csv, raw,
         tri = _load_surface(surface)
         if signs_path is None:
             _fail("file surfaces need --signs")
-        try:
-            with open(signs_path) as fh:
-                raw_signs = json.load(fh)
-            signs = {int(k): int(v) for k, v in raw_signs.items()}
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            _fail(f"cannot load signs: {exc}")
+        signs = _load_signs(signs_path, tri)
         types = tuple(types_csv.split(",")) if types_csv else None
     try:
         if raw:
@@ -166,9 +178,9 @@ def cmd_amplitude(algebra, surface, spin, signs_path, types_csv, raw,
         else:
             tp = tuple(types) if types else ()
             if len(tp) != len(tri.boundaries):
-                _fail("admissible evaluation needs one type per boundary "
-                      "(use --raw for closed or untyped runs)"
-                      if tri.boundaries else "")
+                _fail(f"admissible evaluation needs one type per boundary: "
+                      f"{len(tp)} types for {len(tri.boundaries)} "
+                      f"boundaries (use --raw for untyped runs)")
             amp = evaluate(tri, signs, tp, A)
     except BudgetExceeded as exc:
         _fail(f"budget exceeded: {exc}")
@@ -286,8 +298,7 @@ def cmd_pachner_fuzz(algebra, surface, spin, signs_path, seed, moves,
         tri = _load_surface(surface)
         if signs_path is None:
             _fail("file surfaces need --signs")
-        with open(signs_path) as fh:
-            signs = {int(k): int(v) for k, v in json.load(fh).items()}
+        signs = _load_signs(signs_path, tri)
         types = None
     ok, log, checks = run_pachner_fuzz(tri, signs, types, A, seed, moves,
                                        check_every)

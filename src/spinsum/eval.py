@@ -8,25 +8,41 @@ second toward the right face).  The amplitude contracts this diagram and
 then flips the 3 legs per boundary component (ordered by boundary index,
 then position 0,1,2) from outputs to inputs through the pairing b.
 
-Contraction is the "blob" method: copairings are absorbed into a growing
-pure-output tensor by plain tensor product, each triangle tensor is
-applied by Koszul-permuting its three source legs to the end and
-contracting, and the surviving legs are Koszul-permuted into boundary
-order.  An independent exhaustive oracle assigns basis indices to every
-edge directly and multiplies explicit crossing signs of a fixed planar
+One executor, ``contract_network``, contracts the diagram for every
+algebra.  It grows a pure-output "blob" tensor along a schedule of
+('c', edge) / ('t', face) steps.  A copairing stays pending until a
+triangle consumes one of its legs.  Per triangle, t and the pending
+copairings it consumes are folded into a small fused table (blob-leg
+indices it matches -> indices of the copairings' free ends, coefficient),
+applied in one sweep over the blob; the free ends become new open legs.
+
+Koszul signs come in two parts.  The table part covers the crossings of
+the three slot legs with each other and with the free ends; a table row
+fixes all those parities, so it is folded into the row's coefficient.
+The entry part covers each odd matched blob leg crossing the odd blob
+legs after it; it is read off each blob key's parities.  When every leg
+parity is even all sign work is skipped.  One final ``permute_out`` puts
+the surviving legs into codomain order.  Budget: after each triangle at
+most max_open_legs open legs and max_entries stored entries, else
+``BudgetExceeded`` names the step, its action and the plan length.
+
+An independent exhaustive oracle assigns basis indices to every edge
+directly and multiplies explicit crossing signs of a fixed planar
 layering.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .algebra import DerivedStructure, GradedFrobeniusAlgebra, derive, \
     passes_invariance_predicates
 from .spin import Signs, is_admissible
 from .surface import MarkedTriangulation
-from .tensor import BudgetExceeded, GradedTensor, inversion_pairs
+from .tensor import BudgetExceeded, GradedTensor
 
 DEFAULT_MAX_OPEN_LEGS = 16
 DEFAULT_MAX_ENTRIES = 10**7
@@ -140,119 +156,93 @@ def is_valid_schedule(graph: DiagramGraph, plan) -> bool:
 def contract_graph(graph: DiagramGraph, D: DerivedStructure,
                    plan=None, max_open_legs=DEFAULT_MAX_OPEN_LEGS,
                    max_entries=DEFAULT_MAX_ENTRIES) -> GradedTensor:
-    """Contract the diagram to a pure-output tensor in codomain leg order."""
+    """Contract the diagram to a pure-output tensor in codomain leg order.
+
+    Runs ``contract_network`` with c_{s(e)} on every edge and t on every
+    face, along ``plan`` (checked) or the greedy plan.
+    """
     if plan is None:
         plan = plan_contraction(graph)
     elif not is_valid_schedule(graph, plan):
         raise ValueError("invalid contraction schedule")
-    if all(p == 0 for p in D.t.in_legs[0]):
-        return _contract_graph_ungraded(graph, D, plan, max_open_legs,
-                                        max_entries)
-    tri = graph.tri
-    blob = GradedTensor.scalar(D.mu.field, D.mu.field.one())
-    open_targets: list[WireTarget] = []
-    for kind, tid in plan:
-        if kind == "c":
-            blob = blob.tensor(D.c(graph.signs[tid]))
-            open_targets.extend(graph.wires[tid])
-        else:
-            slots_pos = []
-            for slot in range(3):
-                want = WireTarget("face", face=tid, slot=slot)
-                slots_pos.append(open_targets.index(want))
-            rest = [p for p in range(len(open_targets)) if p not in slots_pos]
-            order = rest + slots_pos
-            blob = blob.permute_out(order).contract_out_with(D.t)
-            open_targets = [open_targets[p] for p in rest]
-        blob.check_budget(max_open_legs + 1, max_entries)
-    # permute surviving legs into codomain order
-    want = [WireTarget("cod", boundary=bi, position=p)
-            for bi, p in graph.cod_order]
-    assert sorted(map(repr, open_targets)) == sorted(map(repr, want))
-    order = [open_targets.index(w) for w in want]
-    return blob.permute_out(order)
+    copairings = {eid: D.c(graph.signs[eid]) for eid in graph.wires}
+    return contract_network(graph, plan, copairings, D.t, max_open_legs,
+                            max_entries)
 
 
-def _contract_graph_ungraded(graph: DiagramGraph, D: DerivedStructure,
-                             plan, max_open_legs, max_entries) -> GradedTensor:
-    """Fused contraction for trivially graded algebras (no Koszul signs).
+def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
+                     max_open_legs=DEFAULT_MAX_OPEN_LEGS,
+                     max_entries=DEFAULT_MAX_ENTRIES) -> GradedTensor:
+    """The single contraction executor (see the module docstring).
 
-    A copairing is kept pending until a triangle consumes one of its
-    legs, so the blob never materializes the blob-times-copairing
-    product; per triangle a small fused table (matched open-leg indices
-    -> new-leg indices and coefficient) is precomputed and applied in one
-    sweep over the blob.  Sign-free because all leg parities are even,
-    so every permutation and crossing sign of the generic path is +1.
+    Puts ``copairings[eid]`` on each edge and t on each face; returns a
+    pure-output tensor in codomain leg order with t's leg parities.
     """
-    F = D.mu.field
-    tdat = D.t.data
-    leg = D.t.in_legs[0]
+    F = t.field
+    leg = t.in_legs[0]
+    graded = any(leg)
+    tdat = t.data
+    # the wire end (edge id, leg index) feeding each triangle slot
+    end_at = {(w.face, w.slot): (eid, li) for eid, ends in graph.wires.items()
+              for li, w in enumerate(ends) if w.kind == "face"}
     blob: dict[tuple, object] = {(): F.one()}
-    open_targets: list[WireTarget] = []
-    pending: dict[int, dict] = {}
-    for kind, tid in plan:
+    open_ends: list[tuple[int, int]] = []  # wire end of each blob leg
+    pending: dict[int, dict] = {}  # copairings no triangle has consumed yet
+    for step, (kind, tid) in enumerate(plan):
         if kind == "c":
-            pending[tid] = D.c(graph.signs[tid]).data
+            pending[tid] = copairings[tid].data
             continue
-        # classify the three legs of the triangle tensor
-        slot_src = []  # per slot: ('open', blob position) | ('pend', eid, li)
-        used: dict[int, list[tuple[int, int]]] = {}  # eid -> [(slot, li)]
+        matched = []  # (slot, blob position) of slots fed by open legs
+        used: dict[int, dict[int, int]] = {}  # eid -> {leg index: slot}
         for s in range(3):
-            want = WireTarget("face", face=tid, slot=s)
-            if want in open_targets:
-                slot_src.append(("open", open_targets.index(want)))
-                continue
-            hit = None
-            for eid in pending:
-                for li, tgt in enumerate(graph.wires[eid]):
-                    if tgt == want:
-                        hit = (eid, li)
-                        break
-                if hit:
-                    break
-            if hit is None:
+            end = end_at[tid, s]
+            if end[0] in pending:
+                used.setdefault(end[0], {})[end[1]] = s
+            elif end in open_ends:
+                matched.append((s, open_ends.index(end)))
+            else:
                 raise ValueError("invalid contraction schedule")
-            slot_src.append(("pend",) + hit)
-            used.setdefault(hit[0], []).append((s, hit[1]))
         used_eids = sorted(used)
         # new open legs: the unconsumed ends of the copairings used here
-        new_targets = []
-        free_ends = []  # (eid, li) in new-leg order
+        free_ends = [(eid, li) for eid in used_eids for li in (0, 1)
+                     if li not in used[eid]]
+        matched_pos = [p for _, p in matched]
+        rest = [p for p in range(len(open_ends)) if p not in matched_pos]
+        # per used copairing: values at its consumed ends -> its entries
+        opts = []
         for eid in used_eids:
-            taken = {li for _, li in used[eid]}
-            for li in range(2):
-                if li not in taken:
-                    free_ends.append((eid, li))
-                    new_targets.append(graph.wires[eid][li])
+            cons = used[eid]
+            by_fixed: dict[tuple, list] = {}
+            for ckey, cv in pending.pop(eid).items():
+                free = tuple(ckey[li] for li in (0, 1) if li not in cons)
+                by_fixed.setdefault(tuple(ckey[li] for li in cons),
+                                    []).append((free, cv))
+            opts.append((tuple(cons.values()), by_fixed))
+        if graded:
+            slot_sign, cross_idx = _slot_crossings(len(open_ends), matched,
+                                                   used, free_ends)
         # fused table: matched open-leg indices -> [(new indices, coeff)]
         fused: dict[tuple, list] = {}
         for tkey, tv in tdat.items():
             acc = [((), tv)]
-            ok = True
-            for eid in used_eids:
-                cdat = pending[eid]
-                fixed = {li: tkey[s] for s, li in used[eid]}
-                opts = []
-                for ckey, cv in cdat.items():
-                    if any(ckey[li] != want for li, want in fixed.items()):
-                        continue
-                    free = tuple(ckey[li] for li in range(2)
-                                 if li not in fixed)
-                    opts.append((free, cv))
-                if not opts:
-                    ok = False
+            for slots, by_fixed in opts:
+                hits = by_fixed.get(tuple(tkey[s] for s in slots))
+                if not hits:
                     break
                 acc = [(nk + free, F.mul(av, cv))
-                       for nk, av in acc for free, cv in opts]
-            if not ok:
-                continue
-            mk = tuple(tkey[s] for s in range(3) if slot_src[s][0] == "open")
-            bucket = fused.setdefault(mk, [])
-            bucket.extend(acc)
-        for eid in used_eids:
-            del pending[eid]
-        matched_pos = [src[1] for src in slot_src if src[0] == "open"]
-        rest = [p for p in range(len(open_targets)) if p not in matched_pos]
+                       for nk, av in acc for free, cv in hits]
+            else:
+                if graded:
+                    odd = leg[tkey[0]] | leg[tkey[1]] << 1 | leg[tkey[2]] << 2
+                    flip, idx = slot_sign[odd], cross_idx[odd]
+                    if flip or idx:
+                        acc = [(nk, F.neg(cv) if (flip + sum(
+                            leg[nk[i]] for i in idx)) & 1 else cv)
+                            for nk, cv in acc]
+                mk = tuple(tkey[s] for s, _ in matched)
+                fused.setdefault(mk, []).extend(acc)
+        if graded:
+            _apply_entry_sign(blob, fused, matched, rest, leg, F.neg)
         new_blob: dict[tuple, object] = {}
         for key, v in blob.items():
             hits = fused.get(tuple(key[p] for p in matched_pos))
@@ -272,26 +262,83 @@ def _contract_graph_ungraded(graph: DiagramGraph, D: DerivedStructure,
                     else:
                         new_blob[k2] = sv
         blob = new_blob
-        open_targets = [open_targets[p] for p in rest] + new_targets
-        if len(open_targets) > max_open_legs:
-            raise BudgetExceeded(
-                f"open legs {len(open_targets)} exceed bound {max_open_legs}")
+        open_ends = [open_ends[p] for p in rest] + free_ends
+        where = f"after plan[{step}] = {(kind, tid)!r} of {len(plan)} steps"
+        if len(open_ends) > max_open_legs:
+            raise BudgetExceeded(f"open legs {len(open_ends)} exceed bound "
+                                 f"{max_open_legs} {where}")
         if len(blob) > max_entries:
-            raise BudgetExceeded(
-                f"{len(blob)} stored coefficients exceed budget {max_entries}")
-    # copairings never consumed by a triangle (edges meeting no face)
-    for eid, cdat in pending.items():
-        blob = {k + ck: F.mul(v, cv) for k, v in blob.items()
-                for ck, cv in cdat.items()}
-        open_targets.extend(graph.wires[eid])
+            raise BudgetExceeded(f"{len(blob)} stored coefficients exceed "
+                                 f"budget {max_entries} {where}")
+    targets = [graph.wires[eid][li] for eid, li in open_ends]
     want = [WireTarget("cod", boundary=bi, position=p)
             for bi, p in graph.cod_order]
-    assert sorted(map(repr, open_targets)) == sorted(map(repr, want))
-    order = [open_targets.index(w) for w in want]
-    out = GradedTensor(F, tuple([leg] * len(order)), (), {})
+    if pending or sorted(map(repr, targets)) != sorted(map(repr, want)):
+        raise RuntimeError("contraction did not end on the codomain legs")
+    out = GradedTensor(F, tuple([leg] * len(targets)), (), blob)
+    return out.permute_out([targets.index(w) for w in want])
+
+
+def _slot_crossings(n_open, matched, used, free_ends):
+    """Sign tables of the table part of one triangle.
+
+    Legs start as: blob legs, then the used copairings' legs by (edge id,
+    leg index).  The slot legs move, in slot order, behind the free ends:
+    a matched one jumps over every free end, a consumed one over those
+    after it.
+    """
+    rank = [0, 0, 0]   # old position of each slot leg
+    cross = [0, 0, 0]  # free ends (bitmask) each slot leg jumps over
+    all_free = (1 << len(free_ends)) - 1
+    for s, p in matched:
+        rank[s] = p
+        cross[s] = all_free
+    for eid in sorted(used):
+        for li, s in used[eid].items():
+            rank[s] = n_open + 2 * eid + li
+            before = bisect.bisect_left(free_ends, (eid, li))
+            cross[s] = all_free >> before << before
+    inverted = (rank[0] > rank[1], rank[0] > rank[2], rank[1] > rank[2])
+    return _sign_tables(inverted, tuple(cross))
+
+
+@functools.lru_cache(maxsize=4096)
+def _sign_tables(inverted, cross):
+    """Per 3-bit mask of odd slots: the parity of the inverted pairs of
+    odd slots, and the free ends crossed by an odd number of them."""
+    pairs = [(a, b) for (a, b), inv in zip(((0, 1), (0, 2), (1, 2)),
+                                           inverted) if inv]
+    slot_sign, crossed = [], []
+    for odd in range(8):
+        slot_sign.append(sum(odd >> a & odd >> b & 1 for a, b in pairs) & 1)
+        mask = 0
+        for s in range(3):
+            if odd >> s & 1:
+                mask ^= cross[s]
+        crossed.append(tuple(i for i in range(mask.bit_length())
+                             if mask >> i & 1))
+    return tuple(slot_sign), tuple(crossed)
+
+
+def _apply_entry_sign(blob, fused, matched, rest, leg, neg):
+    """Negate, in place, the blob entries whose entry part is odd: those
+    with an odd number of odd rest legs behind an odd number of odd
+    matched legs."""
+    matched_pos = [p for _, p in matched]
+    if not matched_pos or not rest or min(matched_pos) > rest[-1]:
+        return  # no rest leg behind a matched one
+    sel_of = {}
+    for mk in fused:
+        odd_pos = sorted(p for p, x in zip(matched_pos, mk) if leg[x])
+        sel = tuple(r for r in rest if bisect.bisect_left(odd_pos, r) & 1)
+        if sel:
+            sel_of[mk] = sel
+    if not sel_of:
+        return
     for key, v in blob.items():
-        out.data[tuple(key[p] for p in order)] = v
-    return out
+        sel = sel_of.get(tuple(key[p] for p in matched_pos))
+        if sel and sum(leg[key[r]] for r in sel) & 1:
+            blob[key] = neg(v)
 
 
 def evaluate_raw(tri: MarkedTriangulation, signs: Signs,

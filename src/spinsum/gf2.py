@@ -101,11 +101,6 @@ def echelon_basis(vectors: Iterable[int]) -> list[int]:
 
 
 def _reduce(basis: list[int], v: int) -> int:
-    for b in basis:
-        if v.bit_length() == b.bit_length():
-            v ^= b
-        # bases kept sorted by leading bit descending; after xor retry below
-    # robust generic reduction
     changed = True
     while changed:
         changed = False

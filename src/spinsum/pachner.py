@@ -43,11 +43,6 @@ def _fresh_face_id(tri: MarkedTriangulation) -> int:
     return max(tri.triangles) + 1
 
 
-def _rotations_to_slot(si: int) -> int:
-    """Number of rotate_marking moves bringing slot si to slot 0."""
-    return si  # rotating once maps old slot 1 to slot 0
-
-
 # -- normalization ------------------------------------------------------
 def normalize_for_22(tri: MarkedTriangulation, signs: Signs, eid: int):
     if tri.is_boundary_edge(eid):

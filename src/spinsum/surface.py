@@ -495,11 +495,10 @@ class GenusGComplex:
     """A closed genus-g complex plus the bookkeeping its curves need."""
     tri: MarkedTriangulation
     g: int
-    circles: list[tuple[int, int, int]]  # surviving edge ids of each glued circle
+    # surviving edge ids of each glued circle; for g >= 2 the 2g-2 "chain"
+    # circles, then the g-1 "pair" circles of the documented schedule
+    circles: list[tuple[int, int, int]]
     glue_maps: list[GlueMap]
-    # For g >= 2: circles are ordered as the 2g-2 "chain" circles followed
-    # by the g-1 "pair" circles of the documented schedule.
-    n_chain: int = 0
 
 
 def genus_g_closed_detail(g: int) -> GenusGComplex:
@@ -511,7 +510,7 @@ def genus_g_closed_detail(g: int) -> GenusGComplex:
         return GenusGComplex(tri, 0, [tuple(b for _, b in gm.pairs)], [gm])
     if g == 1:
         tri, gm = glue_boundaries_with_map(build_cylinder(), 1, 2)
-        return GenusGComplex(tri, 1, [tuple(b for _, b in gm.pairs)], [gm], 0)
+        return GenusGComplex(tri, 1, [tuple(b for _, b in gm.pairs)], [gm])
     # g >= 2: cyclic chain of 2g-2 pairs of pants.  Boundary bookkeeping:
     # after each glue the remaining boundaries keep their relative order.
     n = 2 * g - 2
@@ -538,7 +537,7 @@ def genus_g_closed_detail(g: int) -> GenusGComplex:
         glue((k, 3), ((k + 1) % n, 1))
     for k in range(0, n, 2):
         glue((k, 2), (k + 1, 2))
-    return GenusGComplex(tri, g, circles, glue_maps, n_chain=n)
+    return GenusGComplex(tri, g, circles, glue_maps)
 
 
 def genus_g_closed(g: int) -> MarkedTriangulation:

@@ -202,33 +202,40 @@ class GradedTensor:
             out._add_to(k, v)
         return out
 
-    def sub(self, other: "GradedTensor") -> "GradedTensor":
-        return self.add(other.scale(self.field.neg(self.field.one())))
-
     # -- Koszul permutations --------------------------------------------
     def permute_out(self, new_order: Sequence[int]) -> "GradedTensor":
         """Reorder output legs; new_order[q] = old output position at new q."""
-        assert sorted(new_order) == list(range(self.n_out))
-        F = self.field
-        out = GradedTensor(F, tuple(self.out_legs[p] for p in new_order),
-                           self.in_legs, {})
-        no = self.n_out
-        legs = self.out_legs
+        return self._permute(new_order, 0, self.out_legs)
+
+    def permute_in(self, new_order: Sequence[int]) -> "GradedTensor":
+        """Reorder input legs; new_order[q] = old input position at new q."""
+        return self._permute(new_order, self.n_out, self.in_legs)
+
+    def _permute(self, new_order, start, legs) -> "GradedTensor":
+        """Reorder the legs whose indices are key[start:start + len(legs)]."""
+        n = len(legs)
+        assert sorted(new_order) == list(range(n))
+        moved = tuple(legs[p] for p in new_order)
+        out = (GradedTensor(self.field, self.out_legs, moved, {}) if start
+               else GradedTensor(self.field, moved, self.in_legs, {}))
+        end = start + n
+        picks = [start + p for p in new_order]
         data = out.data
         # keys stay distinct under a permutation: store directly
         if not any(any(leg) for leg in legs):
             for key, v in self.data.items():
-                data[tuple(key[p] for p in new_order) + key[no:]] = v
+                data[key[:start] + tuple(key[p] for p in picks)
+                     + key[end:]] = v
             return out
         # invmask[a] = positions b > a whose pair (a, b) is inverted
-        invmask = [0] * no
+        invmask = [0] * n
         for a, b in inversion_pairs(new_order):
             invmask[a] |= 1 << b
-        neg = F.neg
+        neg = self.field.neg
         for key, v in self.data.items():
             m = 0
-            for p in range(no):
-                if legs[p][key[p]]:
+            for p in range(n):
+                if legs[p][key[start + p]]:
                     m |= 1 << p
             s = 0
             mm = m
@@ -236,42 +243,8 @@ class GradedTensor:
                 low = mm & -mm
                 s ^= (m & invmask[low.bit_length() - 1]).bit_count() & 1
                 mm ^= low
-            newk = tuple(key[p] for p in new_order) + key[no:]
+            newk = key[:start] + tuple(key[p] for p in picks) + key[end:]
             data[newk] = neg(v) if s else v
-        return out
-
-    def permute_in(self, new_order: Sequence[int]) -> "GradedTensor":
-        """Reorder input legs; new_order[q] = old input position at new q."""
-        assert sorted(new_order) == list(range(self.n_in))
-        F = self.field
-        out = GradedTensor(F, self.out_legs,
-                           tuple(self.in_legs[p] for p in new_order), {})
-        no = self.n_out
-        ni = self.n_in
-        legs = self.in_legs
-        data = out.data
-        if not any(any(leg) for leg in legs):
-            for key, v in self.data.items():
-                o, i = key[:no], key[no:]
-                data[o + tuple(i[p] for p in new_order)] = v
-            return out
-        invmask = [0] * ni
-        for a, b in inversion_pairs(new_order):
-            invmask[a] |= 1 << b
-        neg = F.neg
-        for key, v in self.data.items():
-            o, i = key[:no], key[no:]
-            m = 0
-            for p in range(ni):
-                if legs[p][i[p]]:
-                    m |= 1 << p
-            s = 0
-            mm = m
-            while mm:
-                low = mm & -mm
-                s ^= (m & invmask[low.bit_length() - 1]).bit_count() & 1
-                mm ^= low
-            data[o + tuple(i[p] for p in new_order)] = neg(v) if s else v
         return out
 
     # -- blob-contraction helpers ---------------------------------------
@@ -293,25 +266,6 @@ class GradedTensor:
             if w is None:
                 continue
             out._add_to(o[:no - k] + i, F.mul(v, w))
-        return out
-
-    def apply_to_in(self, pos: int, M: "GradedTensor") -> "GradedTensor":
-        """Precompose one input leg with an even single-leg morphism M."""
-        assert M.n_out == 1 and M.n_in == 1
-        assert self.in_legs[pos] == M.out_legs[0]
-        F = self.field
-        new_in = list(self.in_legs)
-        new_in[pos] = M.in_legs[0]
-        out = GradedTensor(F, self.out_legs, tuple(new_in), {})
-        no = self.n_out
-        cols: dict[int, list] = {}
-        for (a, x), v in M.data.items():
-            cols.setdefault(a, []).append((x, v))
-        for key, v in self.data.items():
-            o, i = key[:no], key[no:]
-            for x, w in cols.get(i[pos], ()):
-                ni = i[:pos] + (x,) + i[pos + 1:]
-                out._add_to(o + ni, F.mul(v, w))
         return out
 
     def flip_out_to_in(self, b: "GradedTensor") -> "GradedTensor":

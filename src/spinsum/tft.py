@@ -9,7 +9,8 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import (DerivedStructure, GradedFrobeniusAlgebra, derive)
-from .eval import Amplitude, build_graph, contract_graph, evaluate_raw
+from .eval import (Amplitude, build_graph, contract_network, evaluate_raw,
+                   plan_contraction)
 from .fields import Field, mat_identity, mat_mul
 from .spin import NS, R_TYPE, Signs, nu_of
 from .surface import MarkedTriangulation
@@ -136,8 +137,12 @@ def state_space(A: GradedFrobeniusAlgebra, delta: str) -> StateSpace:
     D = derive(A)
     P = D.q(nu_of(delta))
     iota_t, pi_t, zleg = _split_idempotent(A.field, P, D.leg)
-    assert pi_t.compose(iota_t) == GradedTensor.identity(A.field, zleg)
-    assert iota_t.compose(pi_t) == P
+    if pi_t.compose(iota_t) != GradedTensor.identity(A.field, zleg):
+        raise RuntimeError(f"{delta} state space: pi o iota is not the "
+                           "identity")
+    if iota_t.compose(pi_t) != P:
+        raise RuntimeError(f"{delta} state space: iota o pi is not the "
+                           "idempotent")
     return StateSpace(delta, len(zleg), iota_t, pi_t, zleg)
 
 
@@ -324,24 +329,10 @@ def plus_part_state_sum(tri: MarkedTriangulation, A: GradedFrobeniusAlgebra):
         if not F.is_zero(cmat[i][j]):
             c_p.data[(i, j)] = cmat[i][j]
     t_p = b_p.compose(mu_p.tensor(GradedTensor.identity(F, zleg)))
-    # contract the closed dual graph of A_+ data
-    blob = GradedTensor.scalar(F, F.one())
-    from .eval import DiagramGraph, plan_contraction, WireTarget
     graph = build_graph(tri, {eid: -1 for eid in tri.edges})
-    open_targets = []
-    for kind, tid in plan_contraction(graph):
-        if kind == "c":
-            blob = blob.tensor(c_p)
-            open_targets.extend(graph.wires[tid])
-        else:
-            slots_pos = []
-            for slot in range(3):
-                slots_pos.append(open_targets.index(
-                    WireTarget("face", face=tid, slot=slot)))
-            rest = [p for p in range(len(open_targets)) if p not in slots_pos]
-            blob = blob.permute_out(rest + slots_pos).contract_out_with(t_p)
-            open_targets = [open_targets[p] for p in rest]
-    value = blob.scalar_value()
+    value = contract_network(graph, plan_contraction(graph),
+                             dict.fromkeys(graph.wires, c_p),
+                             t_p).scalar_value()
     two = F.add(F.one(), F.one())
     for _ in tri.vertices:
         value = F.mul(value, two)

@@ -1,9 +1,15 @@
+import itertools
+import random
+
 import pytest
 
-from spinsum.algebra import builtin_by_name, derive
-from spinsum.eval import (build_graph, contract_graph, evaluate, evaluate_raw,
+from spinsum.algebra import (GradedFrobeniusAlgebra, builtin_by_name, derive,
+                             passes_invariance_predicates)
+from spinsum.eval import (WireTarget, build_graph, contract_exhaustive,
+                          contract_graph, evaluate, evaluate_raw,
                           is_valid_schedule, plan_contraction)
-from spinsum.tensor import BudgetExceeded
+from spinsum.fields import QQ
+from spinsum.tensor import BudgetExceeded, GradedTensor
 from spinsum import tft
 
 
@@ -52,20 +58,49 @@ def test_budget_enforced(clifford):
         evaluate_raw(tri, signs, clifford, max_open_legs=4)
 
 
-def test_fused_and_generic_paths_agree():
-    """The trivially graded fast path and the sign-tracking generic path
-    must produce identical tensors."""
-    from spinsum.eval import _contract_graph_ungraded
-    A = builtin_by_name("group-z2")
-    D = derive(A)
-    tri, signs, _ = tft.pants_spin(("R", "R", "NS"), 1, -1)
+def test_budget_message_names_step_and_plan(clifford):
+    tri, signs, _ = tft.pants_spin(("NS", "NS", "NS"), 1, 1)
     graph = build_graph(tri, signs)
     plan = plan_contraction(graph)
-    fused = _contract_graph_ungraded(graph, D, plan, 18, 10**7)
-    # force the generic path by contracting via the graded machinery
-    from spinsum.tensor import GradedTensor
-    blob = GradedTensor.scalar(A.field, A.field.one())
-    from spinsum.eval import WireTarget
+    D = derive(clifford)
+    # replay: the first triangle after which more than 4 legs are open
+    n_open = 0
+    for step, (kind, tid) in enumerate(plan):
+        n_open += 2 if kind == "c" else -3
+        if kind == "t" and n_open > 4:
+            break
+    with pytest.raises(BudgetExceeded) as exc:
+        contract_graph(graph, D, plan, max_open_legs=4)
+    assert str(exc.value) == (f"open legs {n_open} exceed bound 4 after "
+                              f"plan[{step}] = ('t', {tid}) of {len(plan)} "
+                              f"steps")
+    with pytest.raises(BudgetExceeded, match=r"stored coefficients exceed "
+                       r"budget 1 after plan\[\d+\] = \('t', \d+\) of "
+                       rf"{len(plan)} steps"):
+        contract_graph(graph, D, plan, max_entries=1)
+
+
+def _random_face_schedule(graph, rng):
+    """Faces in random order, each right after its missing copairings
+    (shuffled); absorbing no copairing early keeps the reference blob,
+    which holds every absorbed copairing, small."""
+    faces = graph.tri.triangles
+    order = sorted(faces)
+    rng.shuffle(order)
+    absorbed, plan = set(), []
+    for fid in order:
+        missing = sorted({s.edge for s in faces[fid].slots} - absorbed)
+        rng.shuffle(missing)
+        plan += [("c", eid) for eid in missing] + [("t", fid)]
+        absorbed.update(missing)
+    return plan
+
+
+def _blob_reference(graph, D, plan):
+    """Generic blob contraction: absorb copairings by tensor product,
+    Koszul-permute each triangle's legs to the end and contract."""
+    F = D.mu.field
+    blob = GradedTensor.scalar(F, F.one())
     open_targets = []
     for kind, tid in plan:
         if kind == "c":
@@ -79,8 +114,56 @@ def test_fused_and_generic_paths_agree():
             open_targets = [open_targets[p] for p in rest]
     want = [WireTarget("cod", boundary=bi, position=p)
             for bi, p in graph.cod_order]
-    generic = blob.permute_out([open_targets.index(w) for w in want])
-    assert fused == generic
+    return blob.permute_out([open_targets.index(w) for w in want])
+
+
+@pytest.mark.parametrize("name", ("group-z2", "clifford"))
+def test_fused_and_generic_paths_agree(name):
+    """The fused executor and the generic blob machinery must produce
+    identical tensors, for random signs and random valid schedules."""
+    D = derive(builtin_by_name(name))
+    rng = random.Random(2024)
+    for tri in (tft.cylinder_spin("R", -1)[0],
+                tft.pants_spin(("R", "R", "NS"), 1, -1)[0]):
+        for _ in range(3):
+            signs = {eid: rng.choice((1, -1)) for eid in tri.edges}
+            graph = build_graph(tri, signs)
+            plan = _random_face_schedule(graph, rng)
+            assert is_valid_schedule(graph, plan)
+            assert contract_graph(graph, D, plan, 40) == \
+                _blob_reference(graph, D, plan)
+
+
+def _cl1_cl1():
+    """Cl_1 (x) Cl_1 as a super tensor product: basis 1, x, y, xy with
+    x^2 = y^2 = 1 and yx = -xy, parities (0, 1, 1, 0)."""
+    F = QQ
+    mu = [[[F.zero()] * 4 for _ in range(4)] for _ in range(4)]
+    for a, b, c, d in itertools.product((0, 1), repeat=4):
+        # (x^a y^b)(x^c y^d) = (-1)^(bc) x^(a+c) y^(b+d)
+        mu[(a ^ c) + 2 * (b ^ d)][a + 2 * b][c + 2 * d] = \
+            F.of(-1 if b and c else 1)
+    return GradedFrobeniusAlgebra(
+        F, 4, (0, 1, 1, 0),
+        tuple(tuple(tuple(row) for row in plane) for plane in mu),
+        tuple(map(F.of, (1, 0, 0, 0))), tuple(map(F.of, (4, 0, 0, 0))),
+        name="cl1-cl1")
+
+
+def test_dim4_graded_algebra_matches_exhaustive_oracle():
+    """A graded algebra with two odd basis vectors: the engine against
+    the independent oracle, for spin-structure and random signs."""
+    A = _cl1_cl1()
+    assert passes_invariance_predicates(A)
+    rng = random.Random(7)
+    nonzero = 0
+    for tri, signs in (tft.torus_spin("R", -1),
+                       tft.cylinder_spin("NS", 1)[:2]):
+        for signs in (signs, {e: rng.choice((1, -1)) for e in tri.edges}):
+            amp = evaluate_raw(tri, signs, A)
+            assert amp == contract_exhaustive(build_graph(tri, signs), A)
+            nonzero += not amp.tensor.is_zero()
+    assert nonzero >= 2
 
 
 def test_amplitude_equality_ignores_types(clifford):
