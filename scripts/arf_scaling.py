@@ -10,6 +10,7 @@ reports the multiset of amplitudes for each genus.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -27,8 +28,10 @@ class Config:
     max_genus: int
 
 
-def run(cfg: Config) -> None:
+def run(cfg: Config) -> bool:
+    """Tabulate every genus; True iff no class mismatches."""
     A = builtin_clifford()
+    total = 0
     for g in range(cfg.max_genus + 1):
         t0 = time.monotonic()
         detail = genus_g_closed_detail(g)
@@ -44,13 +47,15 @@ def run(cfg: Config) -> None:
         print(f"genus {g}: {len(amps)} classes, amplitudes {{{hist}}}, "
               f"{mismatches} mismatches with 2^(1-g)*Arf "
               f"({time.monotonic() - t0:.2f}s)")
+        total += mismatches
+    return total == 0
 
 
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--max-genus", type=int, default=2)
     args = p.parse_args()
-    run(Config(max_genus=args.max_genus))
+    sys.exit(0 if run(Config(max_genus=args.max_genus)) else 1)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ equal the amplitude of the underlying oriented surface.
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass
 
 from spinsum.algebra import BUILTIN_NAMES, builtin_by_name
@@ -25,7 +26,8 @@ class Config:
     surface: str
 
 
-def run(cfg: Config) -> None:
+def run(cfg: Config) -> bool:
+    """Print the comparison; True iff both sums agree."""
     A = builtin_by_name(cfg.algebra)
     tri = tft.torus_spin(NS, 1)[0] if cfg.surface == "torus" \
         else genus_g_closed(0)
@@ -38,6 +40,7 @@ def run(cfg: Config) -> None:
     print(f"  A+ state sum        : {plus}")
     print(f"  per-class amplitudes: {[str(v) for v in per_class]}")
     print(f"  agree: {weighted == plus}")
+    return weighted == plus
 
 
 def main() -> None:
@@ -46,7 +49,8 @@ def main() -> None:
     p.add_argument("--surface", default="torus",
                    choices=("torus", "sphere"))
     args = p.parse_args()
-    run(Config(algebra=args.algebra, surface=args.surface))
+    sys.exit(0 if run(Config(algebra=args.algebra, surface=args.surface))
+             else 1)
 
 
 if __name__ == "__main__":

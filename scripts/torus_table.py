@@ -10,6 +10,7 @@ the closed-form expression.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from dataclasses import dataclass
 
@@ -24,7 +25,9 @@ class Config:
     algebras: tuple[str, ...]
 
 
-def run(cfg: Config) -> None:
+def run(cfg: Config) -> bool:
+    """Print the table; True iff every amplitude equals its closed form."""
+    all_ok = True
     for name in cfg.algebras:
         A = builtin_by_name(name)
         print(f"== {name} ==")
@@ -35,9 +38,11 @@ def run(cfg: Config) -> None:
                 amp = evaluate_raw(tri, signs, A).scalar_value()
                 oracle = tft.torus_closed_form(A, delta, eps)
                 tag = "ok" if amp == oracle else "MISMATCH"
+                all_ok = all_ok and amp == oracle
                 print(f"  T({delta}{'+' if eps == 1 else '-'}) = {amp}"
                       f"   closed form {oracle}   [{tag}]")
         print(f"  ({time.monotonic() - t0:.2f}s)")
+    return all_ok
 
 
 def main() -> None:
@@ -46,7 +51,7 @@ def main() -> None:
                    choices=(*BUILTIN_NAMES, "all"))
     args = p.parse_args()
     names = BUILTIN_NAMES if args.algebra == "all" else (args.algebra,)
-    run(Config(algebras=tuple(names)))
+    sys.exit(0 if run(Config(algebras=tuple(names))) else 1)
 
 
 if __name__ == "__main__":

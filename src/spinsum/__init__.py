@@ -11,7 +11,7 @@ from .pachner import (PachnerMove, apply_pachner_move, normalize_marking,
 from .spin import (NS, R_TYPE, MarkingMove, apply_marking_move,
                    arf_invariant, classify_spin_structures,
                    curve_lift_sign, enumerate_admissible, is_admissible,
-                   quadratic_form, symplectic_basis)
+                   quadratic_form, quadratic_pairs, symplectic_basis)
 from .surface import (CurveSpec, CurveStep, Edge, MarkedTriangulation, Slot,
                       Triangle, build_cylinder, build_disk,
                       build_pair_of_pants, genus_g_closed,

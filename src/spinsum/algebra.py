@@ -315,7 +315,14 @@ def from_json(obj: dict) -> GradedFrobeniusAlgebra:
     z = F.zero()
     mu = [[[z] * n for _ in range(n)] for _ in range(n)]
     for k, i, j, v in obj["mu"]:
-        mu[int(k)][int(i)][int(j)] = F.of(v)
+        k, i, j = int(k), int(i), int(j)
+        if not all(0 <= x < n for x in (k, i, j)):
+            raise ValueError(f"mu entry [{k}, {i}, {j}] has an index outside "
+                             f"0..{n - 1}")
+        mu[k][i][j] = F.of(v)
+    for key in ("eta", "eps"):
+        if len(obj[key]) != n:
+            raise ValueError(f"{key} needs {n} entries, got {len(obj[key])}")
     eta = tuple(F.of(v) for v in obj["eta"])
     eps = tuple(F.of(v) for v in obj["eps"])
     A = GradedFrobeniusAlgebra(

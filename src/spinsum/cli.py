@@ -15,12 +15,11 @@ import click
 
 from . import algebra as algebra_io
 from . import surface as surface_io
-from .algebra import (BUILTIN_NAMES, builtin_by_name, derive,
-                      validate_predicates)
+from .algebra import BUILTIN_NAMES, builtin_by_name, validate_predicates
 from .eval import Amplitude, evaluate, evaluate_raw
 from .pachner import random_pachner_move
 from .spin import (NS, R_TYPE, arf_invariant, classify_spin_structures,
-                   is_admissible, quadratic_form, symplectic_basis)
+                   quadratic_pairs, symplectic_basis)
 from .surface import genus_g_closed_detail
 from .tensor import BudgetExceeded
 from .tft import (cylinder_closed_form, cylinder_spin, pants_closed_form,
@@ -38,14 +37,14 @@ def _load_algebra(spec: str):
         if spec in BUILTIN_NAMES:
             return builtin_by_name(spec)
         return algebra_io.load(spec)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         _fail(f"cannot load algebra {spec!r}: {exc}")
 
 
 def _load_surface(spec: str):
     try:
         return surface_io.load(spec)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         _fail(f"cannot load surface {spec!r}: {exc}")
 
 
@@ -229,7 +228,7 @@ def cmd_classify(surface, output):
     elif surface.startswith("genus-"):
         try:
             detail = genus_g_closed_detail(int(surface.split("-", 1)[1]))
-        except (ValueError, NotImplementedError) as exc:
+        except ValueError as exc:
             _fail(str(exc))
     tri = detail.tri if detail else _load_surface(surface)
     if not tri.is_closed():
@@ -238,14 +237,14 @@ def cmd_classify(surface, output):
         reps = classify_spin_structures(tri)
     except RuntimeError as exc:
         _fail(str(exc), code=1)
+    basis = symplectic_basis(detail) if detail is not None else None
     classes = []
     for signs in reps:
         entry = {"signs": {str(e): s for e, s in sorted(signs.items())}}
-        if detail is not None and detail.g <= 2:
-            basis = symplectic_basis(detail)
+        if basis is not None:
             entry["arf"] = arf_invariant(detail, signs, basis)
-            entry["q"] = [[quadratic_form(tri, signs, a),
-                           quadratic_form(tri, signs, b)] for a, b in basis]
+            entry["q"] = [list(qs) for qs in quadratic_pairs(tri, signs,
+                                                             basis)]
         classes.append(entry)
     _emit({"surface": surface, "genus": tri.genus(),
            "count": len(classes), "classes": classes}, output)

@@ -168,7 +168,8 @@ def mat_mul(F: Field, A, B):
     """Exact matrix product of two lists-of-rows."""
     n, m = len(A), len(B[0])
     k = len(B)
-    assert all(len(r) == k for r in A)
+    if any(len(r) != k for r in A):
+        raise ValueError(f"mat_mul: left rows must have length {k}")
     out = [[F.zero()] * m for _ in range(n)]
     for i in range(n):
         Ai = A[i]

@@ -10,17 +10,29 @@ vertex).  At boundary vertices the same holds with D shifted by one at
 the distinguished vertex in the NS case.
 
 Admissibility over all vertices is one linear system over GF(2) in the
-sign exponents, which enumeration and classification exploit.
+sign exponents, which the admissibility test, enumeration and
+classification all solve or evaluate.
+
+Curves and the Arf invariant.  On a closed surface, a primal spanning
+tree T and a spanning tree C of the dual graph on the edges outside T
+leave 2g edges.  Each closes a dual cycle (cross it, return through C)
+that visits every face at most once, so it is embedded and q reads off
+its edge signs; together they span H_1(S; GF(2)).  gamma_i . gamma_j is
+|shadow(gamma_i) & crossed(gamma_j)| mod 2, where the shadow pushes the
+cycle off to its left onto edges: a step from slot k to slot k+1 cuts
+off the corner on its right, so its left side runs along the edge in
+slot k+2, and a step to slot k-1 adds nothing.  The shadow stays in the
+strip of triangles the cycle crosses, so it is homologous to the cycle,
+and no vertex order is needed.  Symplectic Gram-Schmidt over GF(2) and
+q(x + y) = q(x) + q(y) + x . y then give Arf = (-1)^(sum_k q(a_k) q(b_k)).
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from . import gf2
-from .surface import (CurveSpec, CurveStep, Edge, GenusGComplex, L,
+from .surface import (CurveSpec, CurveStep, Edge, GenusGComplex,
                       MarkedTriangulation, R, Slot, Triangle)
 
 NS, R_TYPE = "NS", "R"
@@ -36,86 +48,43 @@ def nu_of(delta: str) -> int:
     raise ValueError(f"boundary type must be 'NS' or 'R', got {delta!r}")
 
 
-# -- vertex rules -------------------------------------------------------
-def _inner_counts(tri: MarkedTriangulation, v: int):
-    walk = tri.star_cycle(v)
-    D = sum(1 for _, _, _, entry in walk if entry == 0)
-    K = sum(1 for fid, ex, _, _ in walk
-            if tri.triangles[fid].slots[ex].side == R)
-    edges = [eid for _, _, eid, _ in walk]
-    return D, K, edges
-
-
-def _boundary_counts(tri: MarkedTriangulation, v: int):
-    entry_eid, records, exit_eid = tri.star_fan(v)
-    D_R = sum(1 for _, _, _, entry in records if entry == 0)
-    K = sum(1 for fid, ex, _, _ in records
-            if tri.triangles[fid].slots[ex].side == R)
-    edges = [entry_eid] + [eid for _, _, eid, _ in records]
-    return D_R, K, edges
-
-
-def inner_vertex_rule(tri: MarkedTriangulation, signs: Signs, v: int) -> bool:
-    if v not in tri.inner_vertices():
-        raise ValueError(f"vertex {v} is not inner")
-    D, K, edges = _inner_counts(tri, v)
-    prod = 1
-    for eid in edges:
-        prod *= signs[eid]
-    return prod == (-1) ** (D + K + 1)
-
-
-def boundary_vertex_rule(tri: MarkedTriangulation, signs: Signs, v: int,
-                         delta: str) -> bool:
-    bi = tri.boundary_index_of_vertex(v)
-    if bi is None:
-        raise ValueError(f"vertex {v} is not on a boundary")
-    nu_of(delta)
-    D_R, K, edges = _boundary_counts(tri, v)
-    D = D_R + (1 if delta == NS and tri.distinguished_vertex(bi) == v else 0)
-    prod = 1
-    for eid in edges:
-        prod *= signs[eid]
-    return prod == (-1) ** (D + K + 1)
-
-
-def is_admissible(tri: MarkedTriangulation, signs: Signs,
-                  types: tuple[str, ...] = ()) -> bool:
-    if len(types) != len(tri.boundaries):
-        raise ValueError("one boundary type per boundary component required")
-    for v in tri.inner_vertices():
-        if not inner_vertex_rule(tri, signs, v):
-            return False
-    for v in tri.all_boundary_vertices():
-        bi = tri.boundary_index_of_vertex(v)
-        if not boundary_vertex_rule(tri, signs, v, types[bi - 1]):
-            return False
-    return True
-
-
 # -- admissibility as an F2 system --------------------------------------
 def _edge_bits(tri: MarkedTriangulation) -> dict[int, int]:
     return {eid: k for k, eid in enumerate(sorted(tri.edges))}
 
 
 def _vertex_equations(tri: MarkedTriangulation, types: tuple[str, ...]):
-    """Yield (mask, rhs) rows over sign exponents (sign -1 <-> exponent 1)."""
+    """(mask, rhs) rows over sign exponents (sign -1 <-> exponent 1)."""
+    if len(types) != len(tri.boundaries):
+        raise ValueError("one boundary type per boundary component required")
+    for delta in types:
+        nu_of(delta)
     bits = _edge_bits(tri)
-    for v in sorted(tri.inner_vertices()):
-        D, K, edges = _inner_counts(tri, v)
-        mask = 0
-        for eid in edges:
-            mask ^= 1 << bits[eid]
-        yield mask, (D + K + 1) & 1
-    for v in sorted(tri.all_boundary_vertices()):
+    rows = []
+    for v in (sorted(tri.inner_vertices())
+              + sorted(tri.all_boundary_vertices())):
         bi = tri.boundary_index_of_vertex(v)
-        D_R, K, edges = _boundary_counts(tri, v)
-        D = D_R + (1 if types[bi - 1] == NS
-                   and tri.distinguished_vertex(bi) == v else 0)
+        if bi is None:
+            walk, edges, D = tri.star_cycle(v), [], 0
+        else:
+            entry_eid, walk, _ = tri.star_fan(v)
+            edges = [entry_eid]
+            D = int(types[bi - 1] == NS and tri.distinguished_vertex(bi) == v)
+        D += sum(1 for _, _, _, entry in walk if entry == 0)
+        K = sum(1 for fid, ex, _, _ in walk
+                if tri.triangles[fid].slots[ex].side == R)
         mask = 0
-        for eid in edges:
+        for eid in edges + [eid for _, _, eid, _ in walk]:
             mask ^= 1 << bits[eid]
-        yield mask, (D + K + 1) & 1
+        rows.append((mask, (D + K + 1) & 1))
+    return rows
+
+
+def is_admissible(tri: MarkedTriangulation, signs: Signs,
+                  types: tuple[str, ...] = ()) -> bool:
+    x = signs_to_vector(tri, signs)
+    return all(gf2.parity(x & mask) == rhs
+               for mask, rhs in _vertex_equations(tri, types))
 
 
 def _vector_to_signs(tri: MarkedTriangulation, x: int) -> Signs:
@@ -134,8 +103,6 @@ def signs_to_vector(tri: MarkedTriangulation, signs: Signs) -> int:
 
 def enumerate_admissible(tri: MarkedTriangulation,
                          types: tuple[str, ...] = ()) -> list[Signs]:
-    if len(types) != len(tri.boundaries):
-        raise ValueError("one boundary type per boundary component required")
     space = gf2.solve_affine(len(tri.edges), _vertex_equations(tri, types))
     if space is None:
         return []
@@ -227,258 +194,149 @@ def curve_lift_sign(tri: MarkedTriangulation, signs: Signs,
     return total
 
 
-def curve_from_dual_cycle(tri: MarkedTriangulation,
-                          steps: list[tuple[int, int, int]]) -> CurveSpec:
-    """Build a CurveSpec from (face, entry_slot, exit_slot) triples."""
-    out = []
-    for fid, k, ex in steps:
-        d = (ex - k) % 3
-        if d == 1:
-            eta = +1
-        elif d == 2:
-            eta = -1
+# -- tree-cotree cycles and the Arf invariant ---------------------------
+def _spanning_forest(links):
+    """Split (id, u, v) links into spanning-forest ids and leftover ids."""
+    parent: dict[int, int] = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    kept, rest = [], []
+    for lid, u, v in links:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            rest.append(lid)
         else:
-            raise ValueError(f"face {fid}: entry and exit slots coincide")
-        out.append(CurveStep(fid, k, eta))
-    return CurveSpec(tuple(out))
+            parent[ru] = rv
+            kept.append(lid)
+    return kept, rest
 
 
-# -- dual cycles around and across circles ------------------------------
-def _slot_of_edge(tri: MarkedTriangulation, fid: int, eid: int,
-                  exclude: int | None = None) -> int:
-    for si, slot in enumerate(tri.triangles[fid].slots):
-        if slot.edge == eid and si != exclude:
-            return si
-    raise ValueError(f"edge {eid} not in face {fid}")
+def _tree_cotree_cycles(tri: MarkedTriangulation) -> list[CurveSpec]:
+    """One embedded dual cycle per edge outside a tree and a cotree."""
+    if not tri.is_closed():
+        raise ValueError("symplectic basis requires a closed surface")
+    tree, _ = _spanning_forest(
+        (eid, e.src, e.dst) for eid, e in sorted(tri.edges.items()))
+    tree = set(tree)
+    dual = [(eid, tri.incidences(eid)[0][0], tri.incidences(eid)[1][0])
+            for eid in sorted(tri.edges) if eid not in tree]
+    cotree, leftover = _spanning_forest(dual)
+    # cross[f][h] = (slot in f, slot in h) of the cotree edge joining f, h
+    cross: dict[int, dict[int, tuple[int, int]]] = {}
+    for eid in cotree:
+        (f, sf), (h, sh) = tri.incidences(eid)
+        cross.setdefault(f, {})[h] = (sf, sh)
+        cross.setdefault(h, {})[f] = (sh, sf)
+    cycles = []
+    for eid in leftover:
+        (f1, s1), (f2, s2) = tri.incidences(eid)
+        toward = {f1: None}  # next face on the cotree path to f1
+        queue = [f1]
+        for f in queue:
+            for h in cross.get(f, ()):
+                if h not in toward:
+                    toward[h] = f
+                    queue.append(h)
+        steps, f, entry = [], f2, s2
+        while f != f1:
+            h = toward[f]
+            exit_, entry_next = cross[f][h]
+            steps.append(CurveStep(f, entry, _eta(entry, exit_)))
+            f, entry = h, entry_next
+        steps.append(CurveStep(f1, entry, _eta(entry, s1)))
+        cycles.append(CurveSpec(tuple(steps)))
+    return cycles
 
 
-def collar_cycle(tri: MarkedTriangulation, circle: tuple[int, ...],
-                 side: str = R) -> CurveSpec:
-    """Dual cycle running parallel to a simplicial circle on one side.
+def _eta(entry: int, exit_: int) -> int:
+    return +1 if (exit_ - entry) % 3 == 1 else -1
 
-    ``circle`` is a head-to-tail directed cycle of edge ids (a boundary
-    component's edge list, or the surviving edges of a glued boundary).
-    ``side`` selects the triangles used: 'L'/'R' relative to the stored
-    orientation of the circle edges.  The result crosses exactly the
-    star edges of the circle's vertices on that side.
+
+def _shadow_and_crossed(tri: MarkedTriangulation, curve: CurveSpec,
+                        bits: dict[int, int]) -> tuple[int, int]:
+    """Edge bitmasks of the curve pushed to its left and of its crossings."""
+    shadow = crossed = 0
+    for s in curve.steps:
+        slots = tri.triangles[s.face].slots
+        crossed ^= 1 << bits[slots[(s.entry_slot + s.eta) % 3].edge]
+        if s.eta == +1:
+            shadow ^= 1 << bits[slots[(s.entry_slot + 2) % 3].edge]
+    return shadow, crossed
+
+
+def _dot(form: tuple[int, ...], x: int, y: int) -> int:
+    row = 0
+    for i, r in enumerate(form):
+        if x >> i & 1:
+            row ^= r
+    return (row & y).bit_count() & 1
+
+
+@dataclass(frozen=True)
+class SymplecticBasis:
+    """Dual cycles, their GF(2) intersection form and symplectic pairs.
+
+    ``form[i]`` has bit j set iff cycles i and j cross an odd number of
+    times.  A vector is a bitmask of cycles to add up; ``pairs`` holds
+    vectors (a_k, b_k) with a_k . b_l = delta_kl and a_k . a_l =
+    b_k . b_l = 0.
     """
-    cset = set(circle)
-    # order circle edges head-to-tail
-    by_src = {tri.edges[e].src: e for e in circle}
-    e0 = circle[0]
-    ordered = [e0]
-    while len(ordered) < len(circle):
-        ordered.append(by_src[tri.edges[ordered[-1]].dst])
-    arcs: list[list[tuple[int, int, int]]] = []
-    for eid in ordered:
-        v = tri.edges[eid].dst  # walk the fan at the head vertex of eid
-        fans = _fan_arcs(tri, v, eid, by_src[v], cset)
-        # pick the arc on the requested side of the entering circle edge
-        arc = None
-        for cand in fans:
-            first_fid, first_entry = cand[0][0], cand[0][1]
-            sd = tri.triangles[first_fid].slots[first_entry].side
-            # the triangle sits on `sd` side of eid via that slot; the
-            # requested side refers to the circle edge's orientation
-            if sd == ("L" if side == "L" else "R"):
-                arc = cand
-                break
-        if arc is None:
-            raise ValueError(f"no fan arc on side {side} at vertex {v}")
-        if len(arc) < 2:
-            raise RuntimeError(
-                f"fan at vertex {v} is a single triangle; the collar "
-                "cannot be embedded (refine the triangulation)")
-        arcs.append(arc)
-    # Consecutive fans meet in the junction triangle beside their shared
-    # circle edge: fan k ends by "exiting" that edge and fan k+1 starts by
-    # "entering" it.  The collar never crosses the circle, so the two
-    # half-steps fuse into one traversal of the junction triangle.
-    steps: list[tuple[int, int, int]] = []
-    m = len(arcs)
-    for idx in range(m):
-        lf, lk, _ = arcs[idx][-1]
-        nf, _, nx = arcs[(idx + 1) % m][0]
-        if lf != nf:
-            raise RuntimeError(
-                "collar fans do not share their junction triangle")
-        steps.extend(arcs[idx][1:-1])
-        steps.append((lf, lk, nx))
-    return curve_from_dual_cycle(tri, steps)
+    cycles: tuple[CurveSpec, ...]
+    form: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+
+    def dot(self, x: int, y: int) -> int:
+        return _dot(self.form, x, y)
+
+    def q(self, qbits: int, x: int) -> int:
+        """q of the sum x, from q(cycle i) = bit i of qbits.
+
+        q(x + y) = q(x) + q(y) + x . y; summing the form over ordered
+        pairs of x counts each crossing pair twice.
+        """
+        twice = sum((r & x).bit_count() for i, r in enumerate(self.form)
+                    if x >> i & 1)
+        return ((qbits & x).bit_count() + twice // 2) & 1
 
 
-def _fan_arcs(tri: MarkedTriangulation, v: int, e_in: int, e_out: int,
-              cset: set[int]):
-    """Arcs of the star of v between circle edges e_in and e_out.
-
-    Returns candidate lists of (face, entry_slot, exit_slot) crossings
-    whose entry edge is e_in, whose exit edge is e_out, and which avoid
-    circle edges in between.  Works for inner vertices (star cycle) and
-    for boundary circles (where the star is a fan and the unique arc is
-    returned).
-    """
-    if v in tri.inner_vertices():
-        walk = tri.star_cycle(v)
-    else:
-        _, walk, _ = tri.star_fan(v)
-    n = len(walk)
-    arcs = []
-    for start in range(n):
-        fid, ex, eid, entry = walk[start]
-        entry_eid = tri.triangles[fid].slots[entry].edge if entry is not None else None
-        if entry_eid != e_in:
-            continue
-        arc = []
-        ok = True
-        for k in range(start, start + n):
-            fid, ex, eid, entry = walk[k % n]
-            if eid == e_out:
-                arc.append((fid, entry, ex))
-                break
-            if eid in cset:
-                ok = False
-                break
-            arc.append((fid, entry, ex))
-        else:
-            ok = False
-        if ok:
-            arcs.append(arc)
-    return arcs
-
-
-def crossing_cycle(tri: MarkedTriangulation, circles: list[tuple[int, ...]],
-                   cross: list[int], forbidden_faces: set[int] = frozenset()
-                   ) -> CurveSpec:
-    """Closed dual cycle crossing each edge in ``cross`` exactly once.
-
-    ``cross`` lists one chosen edge per circle to be crossed; all other
-    circle edges are avoided, as are ``forbidden_faces``.  Consecutive
-    chosen edges are connected by breadth-first search through the dual
-    graph (triangles joined along inner edges).
-    """
-    avoid = set()
-    for c in circles:
-        avoid |= set(c)
-    m = len(cross)
-    # dirs[k] is the side of cross[k] the curve lands on after crossing
-    # it; the segment toward the next crossing must therefore end on the
-    # opposite side of cross[k+1].  Which combination is realizable
-    # depends on the gluing, so all of them are tried.
-    for dirs in itertools.product((L, R), repeat=m):
-        segments = []
-        used: set[int] = set()
-        ok = True
-        for k in range(m):
-            e_from, e_to = cross[k], cross[(k + 1) % m]
-            start = (tri.sigma_L(e_from) if dirs[k] == L
-                     else tri.sigma_R(e_from))
-            goal = (tri.sigma_R(e_to) if dirs[(k + 1) % m] == L
-                    else tri.sigma_L(e_to))
-            if start is None or goal is None:
-                ok = False
-                break
-            seg = _dual_bfs(tri, start, goal, avoid, forbidden_faces | used)
-            if seg is None:
-                ok = False
-                break
-            segments.append(seg)
-            used |= {fid for fid, _, _ in seg}
-        if not ok:
-            continue
-        steps = []
-        for seg in segments:
-            steps.extend(seg)
-        if len({fid for fid, _, _ in steps}) != len(steps):
-            continue  # not embedded with this orientation choice
-        return curve_from_dual_cycle(tri, steps)
-    raise ValueError(f"no embedded dual cycle crossing edges {cross}")
-
-
-def _dual_bfs(tri: MarkedTriangulation, start: tuple[int, int],
-              goal: tuple[int, int], avoid_edges: set[int],
-              avoid_faces: set[int]):
-    """BFS in the dual graph from (face, entry_slot) to the goal face.
-
-    Returns a list of (face, entry_slot, exit_slot) steps where the last
-    step exits through the goal slot's edge.
-    """
-    sfid, sslot = start
-    gfid, gslot = goal
-    goal_eid = tri.triangles[gfid].slots[gslot].edge
-    q = deque([(sfid, sslot)])
-    prev: dict[tuple[int, int], tuple] = {(sfid, sslot): None}
-    while q:
-        fid, entry = q.popleft()
-        if fid == gfid:
-            # close the segment by exiting through the goal edge
-            ex = _slot_of_edge(tri, fid, goal_eid, exclude=entry)
-            path = [(fid, entry, ex)]
-            cur = prev[(fid, entry)]
-            while cur is not None:
-                pfid, pentry, pex = cur
-                path.append((pfid, pentry, pex))
-                cur = prev[(pfid, pentry)]
-            return list(reversed(path))
-        for ex in range(3):
-            if ex == entry:
-                continue
-            eid = tri.triangles[fid].slots[ex].edge
-            if eid in avoid_edges or tri.is_boundary_edge(eid):
-                continue
-            other = [(f, s) for f, s in tri.incidences(eid) if (f, s) != (fid, ex)]
-            if not other:
-                continue
-            nfid, nslot = other[0]
-            if nfid in avoid_faces or nfid == sfid:
-                continue
-            if (nfid, nslot) in prev:
-                continue
-            prev[(nfid, nslot)] = (fid, entry, ex)
-            q.append((nfid, nslot))
-    return None
-
-
-# -- Arf invariant ------------------------------------------------------
-def symplectic_basis(detail: GenusGComplex) -> list[tuple[CurveSpec, CurveSpec]]:
-    """(a_i, b_i) curve pairs for the built-in closed surfaces, g <= 2."""
-    tri, g = detail.tri, detail.g
-    if g == 0:
-        return []
-    if g == 1:
-        c1 = detail.circles[0]
-        a = collar_cycle(tri, c1, side=R)
-        b = crossing_cycle(tri, [c1], [c1[0]])
-        _check_crossings(tri, a, [c1], [0])
-        _check_crossings(tri, b, [c1], [1])
-        return [(a, b)]
-    if g == 2:
-        c1, c2, c3 = detail.circles  # two chain circles, one pair circle
-        a1 = collar_cycle(tri, c1, side=R)
-        a2 = collar_cycle(tri, c2, side=R)
-        b1 = crossing_cycle(tri, [c1, c2, c3], [c1[0], c3[0]])
-        faces_b1 = {s.face for s in b1.steps}
-        b2 = crossing_cycle(tri, [c1, c2, c3], [c2[0], c3[1]],
-                            forbidden_faces=faces_b1)
-        _check_crossings(tri, a1, [c1, c2, c3], [0, 0, 0])
-        _check_crossings(tri, a2, [c1, c2, c3], [0, 0, 0])
-        _check_crossings(tri, b1, [c1, c2, c3], [1, 0, 1])
-        _check_crossings(tri, b2, [c1, c2, c3], [0, 1, 1])
-        if faces_b1 & {s.face for s in b2.steps}:
-            raise RuntimeError("b-curves are not disjoint")
-        return [(a1, b1), (a2, b2)]
-    raise NotImplementedError(
-        "symplectic bases ship for the built-in surfaces up to genus 2; "
-        "supply curves explicitly for larger genus")
-
-
-def _check_crossings(tri: MarkedTriangulation, curve: CurveSpec,
-                     circles: list[tuple[int, ...]], expected: list[int]):
-    crossed = tri.curve_crossed_edges(curve)
-    for circ, want in zip(circles, expected):
-        got = sum(1 for e in crossed if e in set(circ))
-        if got != want:
-            raise RuntimeError(
-                f"curve crosses circle {circ} {got} times, expected {want}")
+def symplectic_basis(detail: GenusGComplex) -> SymplecticBasis:
+    """Tree-cotree cycles of a closed surface, reduced to symplectic pairs."""
+    tri = detail.tri
+    cycles = _tree_cotree_cycles(tri)
+    n = len(cycles)
+    if n != 2 * detail.g:
+        raise RuntimeError(f"tree-cotree gave {n} cycles, expected "
+                           f"{2 * detail.g}")
+    for k, c in enumerate(cycles):
+        errs = tri.validate_curve(c)
+        if errs:
+            raise RuntimeError(f"cycle {k} is malformed: " + "; ".join(errs))
+    bits = _edge_bits(tri)
+    sc = [_shadow_and_crossed(tri, c, bits) for c in cycles]
+    form = tuple(sum(((sh & cr).bit_count() & 1) << j
+                     for j, (_, cr) in enumerate(sc)) for sh, _ in sc)
+    if any(form[i] >> i & 1 or (form[i] >> j ^ form[j] >> i) & 1
+           for i in range(n) for j in range(n)):
+        raise RuntimeError("intersection form is not symmetric with zero "
+                           "diagonal")
+    # symplectic Gram-Schmidt over GF(2)
+    rest, pairs = [1 << i for i in range(n)], []
+    while rest:
+        a = rest.pop(0)
+        k = next((k for k, y in enumerate(rest) if _dot(form, a, y)), None)
+        if k is None:
+            raise RuntimeError("intersection form is degenerate")
+        b = rest.pop(k)
+        rest = [c ^ (a if _dot(form, c, b) else 0)
+                ^ (b if _dot(form, c, a) else 0) for c in rest]
+        pairs.append((a, b))
+    return SymplecticBasis(tuple(cycles), form, tuple(pairs))
 
 
 def quadratic_form(tri: MarkedTriangulation, signs: Signs,
@@ -487,8 +345,16 @@ def quadratic_form(tri: MarkedTriangulation, signs: Signs,
     return (1 + curve_lift_sign(tri, signs, curve)) // 2
 
 
+def quadratic_pairs(tri: MarkedTriangulation, signs: Signs,
+                    basis: SymplecticBasis) -> list[tuple[int, int]]:
+    """(q(a_k), q(b_k)) for the symplectic pairs of ``basis``."""
+    qbits = sum(quadratic_form(tri, signs, c) << i
+                for i, c in enumerate(basis.cycles))
+    return [(basis.q(qbits, a), basis.q(qbits, b)) for a, b in basis.pairs]
+
+
 def arf_invariant(detail: GenusGComplex, signs: Signs,
-                  basis: list[tuple[CurveSpec, CurveSpec]] | None = None) -> int:
+                  basis: SymplecticBasis | None = None) -> int:
     tri = detail.tri
     if not tri.is_closed():
         raise ValueError("Arf invariant requires a closed surface")
@@ -496,9 +362,7 @@ def arf_invariant(detail: GenusGComplex, signs: Signs,
         raise ValueError("Arf invariant requires admissible edge signs")
     if basis is None:
         basis = symplectic_basis(detail)
-    total = 0
-    for a, b in basis:
-        total += quadratic_form(tri, signs, a) * quadratic_form(tri, signs, b)
+    total = sum(qa * qb for qa, qb in quadratic_pairs(tri, signs, basis))
     return (-1) ** (total & 1)
 
 

@@ -230,7 +230,9 @@ class MarkedTriangulation:
         if start_eid is None:
             raise ValueError(f"vertex {v} is not on a boundary")
         hit = self.incidences(start_eid)
-        assert len(hit) == 1
+        if len(hit) != 1:
+            raise ValueError(f"boundary edge {start_eid} has {len(hit)} "
+                             f"incident slots, expected 1")
         fid, nsi = hit[0]
         records = []
         entry_slot = nsi
@@ -253,10 +255,6 @@ class MarkedTriangulation:
     # -- curves ---------------------------------------------------------
     def curve_exit_slot(self, step: CurveStep) -> int:
         return (step.entry_slot + step.eta) % 3
-
-    def curve_crossed_edges(self, curve: CurveSpec) -> list[int]:
-        return [self.triangles[s.face].slots[self.curve_exit_slot(s)].edge
-                for s in curve.steps]
 
     def validate_curve(self, curve: CurveSpec) -> list[str]:
         errs = []
@@ -492,13 +490,9 @@ def disjoint_union(t1: MarkedTriangulation, t2: MarkedTriangulation):
 
 @dataclass
 class GenusGComplex:
-    """A closed genus-g complex plus the bookkeeping its curves need."""
+    """A closed genus-g complex."""
     tri: MarkedTriangulation
     g: int
-    # surviving edge ids of each glued circle; for g >= 2 the 2g-2 "chain"
-    # circles, then the g-1 "pair" circles of the documented schedule
-    circles: list[tuple[int, int, int]]
-    glue_maps: list[GlueMap]
 
 
 def genus_g_closed_detail(g: int) -> GenusGComplex:
@@ -506,11 +500,9 @@ def genus_g_closed_detail(g: int) -> GenusGComplex:
         raise ValueError("genus must be nonnegative")
     if g == 0:
         two, *_ = disjoint_union(build_disk(), build_disk())
-        tri, gm = glue_boundaries_with_map(two, 1, 2)
-        return GenusGComplex(tri, 0, [tuple(b for _, b in gm.pairs)], [gm])
+        return GenusGComplex(glue_boundaries(two, 1, 2), 0)
     if g == 1:
-        tri, gm = glue_boundaries_with_map(build_cylinder(), 1, 2)
-        return GenusGComplex(tri, 1, [tuple(b for _, b in gm.pairs)], [gm])
+        return GenusGComplex(glue_boundaries(build_cylinder(), 1, 2), 1)
     # g >= 2: cyclic chain of 2g-2 pairs of pants.  Boundary bookkeeping:
     # after each glue the remaining boundaries keep their relative order.
     n = 2 * g - 2
@@ -520,24 +512,19 @@ def genus_g_closed_detail(g: int) -> GenusGComplex:
     for k in range(1, n):
         tri, _, _, _ = disjoint_union(tri, build_pair_of_pants())
         labels += [(k, 1), (k, 2), (k, 3)]
-    circles = []
-    glue_maps = []
 
     def glue(lbl_a, lbl_b):
         nonlocal tri
-        i = labels.index(lbl_a) + 1
-        j = labels.index(lbl_b) + 1
-        tri, gm = glue_boundaries_with_map(tri, i, j)
+        tri = glue_boundaries(tri, labels.index(lbl_a) + 1,
+                              labels.index(lbl_b) + 1)
         for lbl in (lbl_a, lbl_b):
             labels.remove(lbl)
-        circles.append(tuple(b for _, b in gm.pairs))
-        glue_maps.append(gm)
 
     for k in range(n):
         glue((k, 3), ((k + 1) % n, 1))
     for k in range(0, n, 2):
         glue((k, 2), (k + 1, 2))
-    return GenusGComplex(tri, g, circles, glue_maps)
+    return GenusGComplex(tri, g)
 
 
 def genus_g_closed(g: int) -> MarkedTriangulation:
@@ -566,7 +553,13 @@ def from_json(obj: dict) -> MarkedTriangulation:
     for b in obj.get("boundaries", []):
         es = [None] * 3
         for rec in b:
-            es[rec["position"]] = rec["edge"]
+            pos = rec["position"]
+            if type(pos) is not int or pos not in (0, 1, 2):
+                raise ValueError(f"boundary position {pos!r} is not 0, 1 "
+                                 f"or 2")
+            if es[pos] is not None:
+                raise ValueError(f"boundary position {pos} is given twice")
+            es[pos] = rec["edge"]
         bds.append(BoundaryComponent(tuple(es)))
     tri = MarkedTriangulation(edges, triangles, bds)
     errs = validate(tri)

@@ -114,11 +114,13 @@ class GradedTensor:
         return not self.data
 
     def scalar_value(self):
-        assert not self.out_legs and not self.in_legs
+        if self.out_legs or self.in_legs:
+            raise ValueError("scalar_value needs a tensor without legs")
         return self.data.get((), self.field.zero())
 
     def as_matrix(self):
-        assert self.n_out == 1 and self.n_in == 1
+        if self.n_out != 1 or self.n_in != 1:
+            raise ValueError("as_matrix needs one out and one in leg")
         n, m = len(self.out_legs[0]), len(self.in_legs[0])
         M = [[self.field.zero()] * m for _ in range(n)]
         for (i, j), v in self.data.items():
@@ -153,7 +155,8 @@ class GradedTensor:
         Valid without extra signs because all generator tensors are even;
         composition of morphisms never introduces Koszul signs.
         """
-        assert self.in_legs == other.out_legs, "leg mismatch in compose"
+        if self.in_legs != other.out_legs:
+            raise ValueError("leg mismatch in compose")
         F = self.field
         out = GradedTensor(F, self.out_legs, other.in_legs, {})
         no, ni = self.n_out, self.n_in
@@ -196,7 +199,8 @@ class GradedTensor:
         return out
 
     def add(self, other: "GradedTensor") -> "GradedTensor":
-        assert self.out_legs == other.out_legs and self.in_legs == other.in_legs
+        if self.out_legs != other.out_legs or self.in_legs != other.in_legs:
+            raise ValueError("leg mismatch in add")
         out = GradedTensor(self.field, self.out_legs, self.in_legs, dict(self.data))
         for k, v in other.data.items():
             out._add_to(k, v)
@@ -214,7 +218,8 @@ class GradedTensor:
     def _permute(self, new_order, start, legs) -> "GradedTensor":
         """Reorder the legs whose indices are key[start:start + len(legs)]."""
         n = len(legs)
-        assert sorted(new_order) == list(range(n))
+        if sorted(new_order) != list(range(n)):
+            raise ValueError(f"bad leg permutation {list(new_order)}")
         moved = tuple(legs[p] for p in new_order)
         out = (GradedTensor(self.field, self.out_legs, moved, {}) if start
                else GradedTensor(self.field, moved, self.in_legs, {}))
@@ -255,8 +260,10 @@ class GradedTensor:
         last k output legs of self (even consumer => no signs).
         """
         k = consumer.n_in
-        assert consumer.n_out == 0
-        assert self.out_legs[self.n_out - k:] == consumer.in_legs
+        if consumer.n_out != 0:
+            raise ValueError("consumer must have no output legs")
+        if self.out_legs[self.n_out - k:] != consumer.in_legs:
+            raise ValueError("leg mismatch in contract_out_with")
         F = self.field
         out = GradedTensor(F, self.out_legs[:self.n_out - k], self.in_legs, {})
         no = self.n_out
@@ -277,12 +284,15 @@ class GradedTensor:
         (-1)^(sum_{i<j} |a_i||x_j|) which equals (-1)^(sum_{i<j} |a_i||a_j|)
         on the support of the even pairing b.
         """
-        assert b.n_out == 0 and b.n_in == 2
-        assert self.n_in == 0
+        if b.n_out != 0 or b.n_in != 2:
+            raise ValueError("the pairing must have two input legs only")
+        if self.n_in != 0:
+            raise ValueError("flip_out_to_in needs a tensor without in legs")
         F = self.field
         m = self.n_out
         leg = b.in_legs[1]
-        assert all(l == leg for l in self.out_legs)
+        if any(l != leg for l in self.out_legs):
+            raise ValueError("output legs do not match the pairing")
         # columns of b: for fixed second argument a, nonzero b(x, a)
         cols: dict[int, list] = {}
         for (x, a), v in b.data.items():

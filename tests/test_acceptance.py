@@ -45,7 +45,7 @@ def test_torus_table_clifford(clifford):
 # -- 2. Arf scaling on closed genus-g surfaces ---------------------------
 def test_arf_scaling_genus_0_1_2(clifford):
     t0 = time.monotonic()
-    for g in (0, 1, 2):
+    for g in (0, 1, 2, 3):
         detail = genus_g_closed_detail(g)
         basis = symplectic_basis(detail)
         values = []
@@ -58,6 +58,10 @@ def test_arf_scaling_genus_0_1_2(clifford):
             assert sorted(values).count(Fraction(1, 2)) == 10
             assert sorted(values).count(Fraction(-1, 2)) == 6
             assert len(values) == 16
+        if g == 3:
+            assert values.count(Fraction(1, 4)) == 36
+            assert values.count(Fraction(-1, 4)) == 28
+            assert len(values) == 64
     assert time.monotonic() - t0 < 120
 
 

@@ -167,3 +167,83 @@ def test_amplitude_type_count_error_has_a_message(runner, torus_files):
                                "--types", "NS"])
     assert res.exit_code == 2
     assert "1 types for 0 boundaries" in res.output
+
+
+# -- algebra and surface files --------------------------------------------
+def _clifford_json():
+    from spinsum import algebra
+    return algebra.to_json(algebra.builtin_by_name("clifford"))
+
+
+def _validate_algebra_file(runner, tmp_path, obj):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(obj))
+    return runner.invoke(main, ["validate-algebra", "--file", str(path)])
+
+
+@pytest.mark.parametrize("index", (5, -1))
+def test_algebra_file_mu_index_out_of_range(runner, tmp_path, index):
+    # -1 would alias basis element 1 and give back the Clifford algebra
+    obj = _clifford_json()
+    entry = next(e for e in obj["mu"] if e[1] == 1)
+    entry[1] = index
+    res = _validate_algebra_file(runner, tmp_path, obj)
+    assert res.exit_code == 2
+    assert "index outside 0..1" in res.output
+
+
+def test_algebra_file_with_wrong_shape(runner, tmp_path):
+    obj = _clifford_json()
+    obj["mu"] = 5
+    res = _validate_algebra_file(runner, tmp_path, obj)
+    assert res.exit_code == 2
+    assert "cannot load algebra" in res.output
+
+
+@pytest.mark.parametrize("key", ("eta", "eps"))
+@pytest.mark.parametrize("length", (1, 3))
+def test_algebra_file_unit_and_counit_lengths(runner, tmp_path, key, length):
+    obj = _clifford_json()
+    obj[key] = (obj[key] * 2)[:length]
+    res = _validate_algebra_file(runner, tmp_path, obj)
+    assert res.exit_code == 2
+    assert f"{key} needs 2 entries, got {length}" in res.output
+
+
+@pytest.mark.parametrize("position,message", [
+    (3, "position 3 is not 0, 1 or 2"),
+    (-1, "position -1 is not 0, 1 or 2"),
+    (1, "position 1 is given twice"),
+])
+def test_surface_file_boundary_positions(runner, tmp_path, position,
+                                         message):
+    from spinsum import surface
+    obj = surface.to_json(surface.build_cylinder())
+    obj["boundaries"][0][0]["position"] = position
+    path = tmp_path / "cylinder.json"
+    path.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["classify", "--surface", str(path)])
+    assert res.exit_code == 2
+    assert message in res.output
+
+
+def test_surface_file_with_wrong_shape(runner, tmp_path):
+    from spinsum import surface
+    obj = surface.to_json(surface.build_cylinder())
+    obj["edges"] = []
+    path = tmp_path / "cylinder.json"
+    path.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["classify", "--surface", str(path)])
+    assert res.exit_code == 2
+    assert "cannot load surface" in res.output
+
+
+def test_classify_genus_three_reports_arf(runner):
+    res = runner.invoke(main, ["classify", "--surface", "genus-3"])
+    assert res.exit_code == 0
+    classes = json.loads(res.output)["classes"]
+    arfs = [c["arf"] for c in classes]
+    assert (len(classes), arfs.count(1), arfs.count(-1)) == (64, 36, 28)
+    for c in classes:
+        odd_pairs = sum(qa * qb for qa, qb in c["q"])
+        assert c["arf"] == (-1) ** odd_pairs

@@ -1,15 +1,17 @@
 import itertools
+import random
 
 import pytest
 
 from spinsum import gf2
+from spinsum.pachner import random_pachner_move
 from spinsum.spin import (NS, R_TYPE, MarkingMove, apply_marking_move,
                           arf_invariant, classify_spin_structures,
                           curve_lift_sign, enumerate_admissible,
                           glue_edge_signs, is_admissible,
                           leaf_exchange_vectors, nu_of, quadratic_form,
                           signs_to_vector, symplectic_basis)
-from spinsum.surface import (build_cylinder, genus_g_closed,
+from spinsum.surface import (GenusGComplex, build_cylinder,
                              genus_g_closed_detail, glue_boundaries_with_map)
 from spinsum import tft
 
@@ -104,7 +106,7 @@ def test_flip_boundary_edge_rejected():
 
 def test_torus_classes_separated_by_quadratic_form():
     detail = genus_g_closed_detail(1)
-    a, b = symplectic_basis(detail)[0]
+    a, b = symplectic_basis(detail).cycles
     qs = set()
     for signs in classify_spin_structures(detail.tri):
         qs.add((quadratic_form(detail.tri, signs, a),
@@ -114,7 +116,7 @@ def test_torus_classes_separated_by_quadratic_form():
 
 def test_curve_lift_sign_is_plus_minus_one():
     detail = genus_g_closed_detail(1)
-    a, b = symplectic_basis(detail)[0]
+    a, b = symplectic_basis(detail).cycles
     for signs in classify_spin_structures(detail.tri):
         for curve in (a, b):
             assert curve_lift_sign(detail.tri, signs, curve) in (1, -1)
@@ -146,3 +148,61 @@ def test_sphere_has_unique_class_with_arf_one():
     classes = classify_spin_structures(detail.tri)
     assert len(classes) == 1
     assert arf_invariant(detail, classes[0]) == 1
+
+
+def test_unknown_boundary_type_rejected():
+    tri, signs, _ = tft.cylinder_spin(NS, 1)
+    with pytest.raises(ValueError, match="boundary type"):
+        is_admissible(tri, signs, ("X", NS))
+    with pytest.raises(ValueError, match="one boundary type"):
+        is_admissible(tri, signs, (NS,))
+
+
+@pytest.mark.parametrize("g", (0, 1, 2, 3, 4))
+def test_symplectic_basis_form(g):
+    detail = genus_g_closed_detail(g)
+    basis = symplectic_basis(detail)
+    n = 2 * g
+    assert len(basis.cycles) == n and len(basis.pairs) == g
+    for c in basis.cycles:
+        assert detail.tri.validate_curve(c) == []
+        # embedded: every face is visited at most once
+        assert len({s.face for s in c.steps}) == len(c.steps)
+    for i in range(n):
+        assert not basis.form[i] >> i & 1
+        for j in range(n):
+            assert basis.form[i] >> j & 1 == basis.form[j] >> i & 1
+    for k, (a, b) in enumerate(basis.pairs):
+        for m, (c, d) in enumerate(basis.pairs):
+            assert basis.dot(a, d) == (k == m)
+            assert basis.dot(a, c) == basis.dot(b, d) == 0
+    # the pairs span every homology class
+    assert gf2.span_rank(x for ab in basis.pairs for x in ab) == n
+
+
+@pytest.mark.parametrize("g", (0, 1, 2, 3))
+def test_gauss_sum_equals_arf(g):
+    # sum over all 4^g classes x of (-1)^q(x) is 2^g Arf(q); it uses only
+    # the form and the cycles' q values, not the symplectic pairs
+    detail = genus_g_closed_detail(g)
+    basis = symplectic_basis(detail)
+    for signs in classify_spin_structures(detail.tri):
+        qbits = sum(quadratic_form(detail.tri, signs, c) << i
+                    for i, c in enumerate(basis.cycles))
+        total = sum((-1) ** basis.q(qbits, x) for x in range(1 << (2 * g)))
+        assert total == 2 ** g * arf_invariant(detail, signs, basis)
+
+
+@pytest.mark.parametrize("g", (1, 2, 3))
+def test_arf_invariant_along_pachner_walk(g):
+    detail = genus_g_closed_detail(g)
+    rng = random.Random(100 + g)
+    tri = detail.tri
+    for signs in rng.sample(classify_spin_structures(tri), 4):
+        arf = arf_invariant(detail, signs)
+        cur = tri
+        for step in range(1, 201):
+            cur, signs, _ = random_pachner_move(
+                cur, signs, rng, bias_faces=len(tri.triangles))
+            if step % 40 == 0:
+                assert arf_invariant(GenusGComplex(cur, g), signs) == arf

@@ -2,8 +2,8 @@ import pytest
 
 from spinsum.surface import (build_cylinder, build_disk, build_pair_of_pants,
                              disjoint_union, from_json, genus_g_closed,
-                             genus_g_closed_detail, glue_boundaries,
-                             glue_boundaries_with_map, to_json, validate)
+                             glue_boundaries, glue_boundaries_with_map,
+                             to_json, validate)
 
 
 def euler(tri):
@@ -65,17 +65,8 @@ def test_json_roundtrip():
     assert back.boundaries == tri.boundaries
 
 
-def test_genus_g_detail_circles():
-    detail = genus_g_closed_detail(2)
-    assert detail.g == 2
-    assert len(detail.circles) == 3
-    for circle in detail.circles:
-        for eid in circle:
-            assert eid in detail.tri.edges
-
-
 def test_genus_three_classification_unsupported_basis():
-    # surfaces above genus 2 still build and validate
+    # surfaces above genus 2 build and validate
     tri = genus_g_closed(3)
     assert validate(tri) == []
     assert tri.genus() == 3

@@ -97,3 +97,10 @@ def test_budget_errors():
         t.check_budget(5, 10**6)
     with pytest.raises(BudgetExceeded, match="coefficients"):
         t.check_budget(100, 3)
+
+
+def test_compose_leg_mismatch_raises():
+    t = GradedTensor.identity(QQ, EVEN_ODD, 1)
+    other = GradedTensor.identity(QQ, (0, 0, 1), 1)
+    with pytest.raises(ValueError, match="leg mismatch in compose"):
+        t.compose(other)
