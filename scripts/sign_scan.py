@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Statistical sign sum on a closed surface versus the plus-part value.
 
-Sums the raw amplitude over all 2^E edge-sign assignments (weighted so
-that non-admissible assignments contribute zero) and compares the
-result with the state sum built from the symmetrised algebra A+.  Both
-equal the amplitude of the underlying oriented surface.
+The weighted sum of the raw amplitude over all edge-sign assignments
+(non-admissible ones contribute zero) is computed as one contraction with
+the symmetrised copairing (c_+ + c_-)/2 on every edge, and compared with
+the state sum built from the symmetrised algebra A+.  Both equal the
+amplitude of the underlying oriented surface.  Any closed reference
+surface works: sphere, torus or genus-G.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 from spinsum.algebra import BUILTIN_NAMES, builtin_by_name
 from spinsum.eval import evaluate_raw
-from spinsum.spin import NS, classify_spin_structures
-from spinsum.surface import genus_g_closed
+from spinsum.spin import classify_spin_structures
+from spinsum.surface import named_closed_detail
 from spinsum import tft
 
 
@@ -29,8 +31,7 @@ class Config:
 def run(cfg: Config) -> bool:
     """Print the comparison; True iff both sums agree."""
     A = builtin_by_name(cfg.algebra)
-    tri = tft.torus_spin(NS, 1)[0] if cfg.surface == "torus" \
-        else genus_g_closed(0)
+    tri = named_closed_detail(cfg.surface).tri
     weighted = tft.statistical_sign_sum(tri, A)
     plus = tft.plus_part_state_sum(tri, A)
     per_class = sorted(evaluate_raw(tri, s, A).scalar_value()
@@ -47,10 +48,13 @@ def main() -> None:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--algebra", default="clifford", choices=BUILTIN_NAMES)
     p.add_argument("--surface", default="torus",
-                   choices=("torus", "sphere"))
+                   help="sphere | torus | genus-G")
     args = p.parse_args()
-    sys.exit(0 if run(Config(algebra=args.algebra, surface=args.surface))
-             else 1)
+    try:
+        ok = run(Config(algebra=args.algebra, surface=args.surface))
+    except ValueError as exc:
+        p.error(str(exc))
+    sys.exit(0 if ok else 1)
 
 
 if __name__ == "__main__":

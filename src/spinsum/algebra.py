@@ -103,6 +103,21 @@ class DerivedStructure:
         return self.q_plus if nu == +1 else self.q_minus
 
 
+def copairing(b: GradedTensor) -> GradedTensor:
+    """The copairing (2 out legs) inverse to a nondegenerate pairing b."""
+    F, leg = b.field, b.in_legs[0]
+    n = len(leg)
+    bmat = [[b.data.get((i, j), F.zero()) for j in range(n)] for i in range(n)]
+    if mat_rank(F, bmat) != n:
+        raise ValueError("pairing b is degenerate (no Frobenius structure)")
+    cmat = mat_inverse(F, bmat)
+    c = GradedTensor(F, (leg, leg), (), {})
+    for i, j in itertools.product(range(n), repeat=2):
+        if not F.is_zero(cmat[i][j]):
+            c.data[(i, j)] = cmat[i][j]
+    return c
+
+
 @functools.lru_cache(maxsize=None)
 def derive(A: GradedFrobeniusAlgebra) -> DerivedStructure:
     errs = A.basis_errors()
@@ -126,14 +141,7 @@ def derive(A: GradedFrobeniusAlgebra) -> DerivedStructure:
     ident = GradedTensor.identity(F, leg)
     sigma = GradedTensor.braiding(F, leg, leg)
     b = eps.compose(mu)  # b(x, y) = eps(xy)
-    bmat = [[b.data.get((i, j), F.zero()) for j in range(n)] for i in range(n)]
-    if mat_rank(F, bmat) != n:
-        raise ValueError("pairing b is degenerate (no Frobenius structure)")
-    cmat = mat_inverse(F, bmat)
-    c_minus = GradedTensor(F, (leg, leg), (), {})
-    for i, j in itertools.product(range(n), repeat=2):
-        if not F.is_zero(cmat[i][j]):
-            c_minus.data[(i, j)] = cmat[i][j]
+    c_minus = copairing(b)
     c_plus = sigma.compose(c_minus)
     # N = (b (x) id) o (id (x) sigma) o (id (x) c_minus)
     step1 = ident.tensor(c_minus)
@@ -310,7 +318,9 @@ def to_json(A: GradedFrobeniusAlgebra) -> dict:
 
 def from_json(obj: dict) -> GradedFrobeniusAlgebra:
     F = field_from_json(obj["field"])
-    n = int(obj["dim"])
+    n = obj["dim"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"dim must be a positive integer, got {n!r}")
     parity = tuple(int(p) for p in obj["parity"])
     z = F.zero()
     mu = [[[z] * n for _ in range(n)] for _ in range(n)]

@@ -20,7 +20,7 @@ from .eval import Amplitude, evaluate, evaluate_raw
 from .pachner import random_pachner_move
 from .spin import (NS, R_TYPE, arf_invariant, classify_spin_structures,
                    quadratic_pairs, symplectic_basis)
-from .surface import genus_g_closed_detail
+from .surface import named_closed_detail
 from .tensor import BudgetExceeded
 from .tft import (cylinder_closed_form, cylinder_spin, pants_closed_form,
                   pants_spin, plus_part_state_sum, statistical_sign_sum,
@@ -91,6 +91,17 @@ def _parse_spin(surface: str, spin: str):
     except (ValueError, KeyError, IndexError) as exc:
         _fail(str(exc))
     _fail(f"no built-in spin selectors for surface {surface!r}")
+
+
+def _closed_surface(spec: str):
+    """(detail, tri) of sphere | torus | genus-G; (None, tri) of a file."""
+    if spec in ("sphere", "torus") or spec.startswith("genus-"):
+        try:
+            detail = named_closed_detail(spec)
+        except ValueError as exc:
+            _fail(str(exc))
+        return detail, detail.tri
+    return None, _load_surface(spec)
 
 
 def _amplitude_json(amp: Amplitude, A) -> dict:
@@ -220,17 +231,7 @@ def _closed_form_for(A, surface, spin):
 @click.option("--output", type=str, default=None)
 def cmd_classify(surface, output):
     """Classify the spin structures of a closed surface."""
-    detail = None
-    if surface == "sphere":
-        detail = genus_g_closed_detail(0)
-    elif surface == "torus":
-        detail = genus_g_closed_detail(1)
-    elif surface.startswith("genus-"):
-        try:
-            detail = genus_g_closed_detail(int(surface.split("-", 1)[1]))
-        except ValueError as exc:
-            _fail(str(exc))
-    tri = detail.tri if detail else _load_surface(surface)
+    detail, tri = _closed_surface(surface)
     if not tri.is_closed():
         _fail("classification needs a closed surface")
     try:
@@ -313,19 +314,12 @@ def cmd_pachner_fuzz(algebra, surface, spin, signs_path, seed, moves,
 @main.command("sign-scan")
 @click.option("--algebra", required=True)
 @click.option("--surface", default="torus",
-              help="torus | sphere | surface JSON file (closed).")
+              help="sphere | torus | genus-G | surface JSON file (closed).")
 @click.option("--output", type=str, default=None)
 def cmd_sign_scan(algebra, surface, output):
     """Weighted sum over all sign assignments vs. the oriented A+ value."""
     A = _load_algebra(algebra)
-    if surface == "torus":
-        tri = torus_spin(NS, 1)[0]
-    elif surface == "sphere":
-        tri = genus_g_closed_detail(0).tri
-    else:
-        tri = _load_surface(surface)
-    if not tri.is_closed():
-        _fail("sign scan needs a closed surface")
+    _, tri = _closed_surface(surface)
     F = A.field
     try:
         total = statistical_sign_sum(tri, A)

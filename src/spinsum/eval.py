@@ -344,10 +344,9 @@ def _apply_entry_sign(blob, fused, matched, rest, leg, neg):
 def evaluate_raw(tri: MarkedTriangulation, signs: Signs,
                  A: GradedFrobeniusAlgebra, plan=None,
                  max_open_legs=DEFAULT_MAX_OPEN_LEGS,
-                 max_entries=DEFAULT_MAX_ENTRIES,
-                 derived: DerivedStructure | None = None) -> Amplitude:
+                 max_entries=DEFAULT_MAX_ENTRIES) -> Amplitude:
     """T'_A: the state sum for an arbitrary (total) sign assignment."""
-    D = derived if derived is not None else derive(A)
+    D = derive(A)
     graph = build_graph(tri, signs)
     raw = contract_graph(graph, D, plan, max_open_legs, max_entries)
     flipped = raw.flip_out_to_in(D.b)
@@ -355,14 +354,13 @@ def evaluate_raw(tri: MarkedTriangulation, signs: Signs,
 
 
 def evaluate(tri: MarkedTriangulation, signs: Signs, types: tuple[str, ...],
-             A: GradedFrobeniusAlgebra, plan=None,
-             derived: DerivedStructure | None = None) -> Amplitude:
+             A: GradedFrobeniusAlgebra, plan=None) -> Amplitude:
     if not is_admissible(tri, signs, types):
         raise ValueError("edge signs are not admissible for the given "
                          "boundary types")
     if not passes_invariance_predicates(A):
         raise ValueError("algebra does not satisfy the invariance predicates")
-    amp = evaluate_raw(tri, signs, A, plan, derived=derived)
+    amp = evaluate_raw(tri, signs, A, plan)
     amp.types = tuple(types)
     return amp
 

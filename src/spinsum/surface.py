@@ -73,6 +73,11 @@ class MarkedTriangulation:
         for fid, tri in self.triangles.items():
             for si, slot in enumerate(tri.slots):
                 self._incidence.setdefault(slot.edge, []).append((fid, si))
+        # vertex -> first corner (fid, c), from one scan of the triangles
+        # that each star_cycle call resumes; like _incidence, it assumes
+        # no later edits
+        self._first_corner: dict[int, tuple[int, int]] = {}
+        self._unscanned = iter(self.triangles)
 
     # -- basic queries --------------------------------------------------
     @property
@@ -184,17 +189,14 @@ class MarkedTriangulation:
         ``entry_slot`` is the slot through which fid was *entered* by the
         walk.  Each incidence of v to a triangle corner appears once.
         """
-        # find a corner at v
-        start = None
-        for fid, tri in self.triangles.items():
+        while v not in self._first_corner:
+            fid = next(self._unscanned, None)
+            if fid is None:
+                raise ValueError(f"vertex {v} has no incident corner")
             for c in range(3):
-                if self.corner_vertex(fid, c) == v:
-                    start = (fid, c)
-                    break
-            if start:
-                break
-        if start is None:
-            raise ValueError(f"vertex {v} has no incident corner")
+                self._first_corner.setdefault(self.corner_vertex(fid, c),
+                                              (fid, c))
+        start = self._first_corner[v]
         out = []
         fid, c = start
         entry_slot = None  # filled in when the walk closes
@@ -529,6 +531,17 @@ def genus_g_closed_detail(g: int) -> GenusGComplex:
 
 def genus_g_closed(g: int) -> MarkedTriangulation:
     return genus_g_closed_detail(g).tri
+
+
+def named_closed_detail(name: str) -> GenusGComplex:
+    """The reference closed surface "sphere", "torus" or "genus-G"."""
+    genus = {"sphere": "0", "torus": "1"}.get(name)
+    if genus is None and name.startswith("genus-"):
+        genus = name[len("genus-"):]
+    if genus is None or not genus.isdecimal():
+        raise ValueError(f"closed surface must be sphere, torus or genus-G "
+                         f"with G a nonnegative integer, got {name!r}")
+    return genus_g_closed_detail(int(genus))
 
 
 # -- JSON ---------------------------------------------------------------

@@ -1,6 +1,11 @@
 """The TQFT layer: gluing of amplitudes, cylinder projectors and state
 spaces, the algebra on the total state space Z, closed forms for the
 cylinder / pair of pants / torus, and the statistical sign sum.
+
+The statistical sign sum (1/2)^E 2^V sum_s T'_A(s) over all edge-sign
+assignments s of a closed surface equals the oriented state sum of A_+.
+T'_A is multilinear in the edge copairings, so
+sum_s prod_e c_{s(e)} = prod_e (c_+ + c_-): one contraction at any genus.
 """
 
 from __future__ import annotations
@@ -8,12 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import (DerivedStructure, GradedFrobeniusAlgebra, derive)
-from .eval import (Amplitude, build_graph, contract_network, evaluate_raw,
-                   plan_contraction)
-from .fields import Field, mat_identity, mat_mul
-from .spin import NS, R_TYPE, Signs, nu_of
-from .surface import MarkedTriangulation
+from .algebra import (DerivedStructure, GradedFrobeniusAlgebra, copairing,
+                      derive)
+from .eval import Amplitude, build_graph, contract_network, plan_contraction
+from .fields import Field, mat_inverse, mat_mul
+from .spin import NS, R_TYPE, nu_of
+from .surface import (MarkedTriangulation, build_cylinder,
+                      build_pair_of_pants, glue_boundaries)
 from .tensor import GradedTensor
 
 
@@ -114,7 +120,6 @@ def _split_idempotent(F: Field, P: GradedTensor, leg) -> tuple:
     r = len(basis)
     iota_m = [[basis[c][row] for c in range(r)] for row in range(n)]
     # pi = (iota restricted to pivot rows)^{-1} applied to P's pivot rows
-    from .fields import mat_inverse
     sq = [[iota_m[p][c] for c in range(r)] for p in pivots]
     sq_inv = mat_inverse(F, sq) if r else []
     P_piv = [[M[p][c] for c in range(n)] for p in pivots]
@@ -263,7 +268,6 @@ def torus_closed_form(A: GradedFrobeniusAlgebra, delta: str, eps: int):
 # -- reference spin surfaces -------------------------------------------
 def cylinder_spin(delta: str, eps: int):
     """(triangulation, signs, types) for the spin cylinder C_delta^eps."""
-    from .surface import build_cylinder
     tri = build_cylinder()
     nu = nu_of(delta)
     signs = {1: eps, 2: eps, 3: eps, 4: 1, 5: 1, 6: 1, 7: -nu,
@@ -273,7 +277,6 @@ def cylinder_spin(delta: str, eps: int):
 
 def torus_spin(delta: str, eps: int):
     """(triangulation, signs) for the spin torus T_delta^eps."""
-    from .surface import build_cylinder, glue_boundaries
     tri = glue_boundaries(build_cylinder(), 1, 2)
     nu = nu_of(delta)
     signs = {4: -eps, 5: -eps, 6: -eps, 7: -nu,
@@ -283,7 +286,6 @@ def torus_spin(delta: str, eps: int):
 
 def pants_spin(deltas: tuple[str, str, str], eps1: int, eps2: int):
     """(triangulation, signs, types) for the spin pair of pants."""
-    from .surface import build_pair_of_pants
     n1, n2, n3 = (nu_of(d) for d in deltas)
     if n1 * n2 * n3 != 1:
         raise ValueError("no spin structure: product of boundary types "
@@ -299,6 +301,22 @@ def pants_spin(deltas: tuple[str, str, str], eps1: int, eps2: int):
 
 
 # -- statistical sign sum ----------------------------------------------
+def _closed_state_sum(tri: MarkedTriangulation, A: GradedFrobeniusAlgebra,
+                      tensors):
+    """2^V times the contraction of the closed surface tri with c on every
+    edge and t on every face, where (c, t) = tensors(derive(A), 1/2)."""
+    if not tri.is_closed():
+        raise ValueError("closed surface required")
+    F = A.field
+    if F.characteristic == 2:
+        raise ValueError("the weight 1/2 needs characteristic != 2")
+    c, t = tensors(derive(A), F.inv(F.of(2)))
+    graph = build_graph(tri, {eid: -1 for eid in tri.edges})
+    value = contract_network(graph, plan_contraction(graph),
+                             dict.fromkeys(graph.wires, c), t).scalar_value()
+    return F.mul(value, F.of(2 ** len(tri.vertices)))
+
+
 def plus_part_state_sum(tri: MarkedTriangulation, A: GradedFrobeniusAlgebra):
     """Oriented state sum of A_+ = im(1/2 (id + N)) with vertex weight 2.
 
@@ -306,57 +324,24 @@ def plus_part_state_sum(tri: MarkedTriangulation, A: GradedFrobeniusAlgebra):
     every edge and its triangle tensor on every triangle; no spin signs
     enter.
     """
-    if not tri.is_closed():
-        raise ValueError("closed surface required")
-    D = derive(A)
-    F = A.field
-    if F.characteristic == 2:
-        raise ValueError("the projector (id + N)/2 needs characteristic != 2")
-    half = F.inv(F.add(F.one(), F.one()))
-    p_plus = D.identity.add(D.N).scale(half)
-    iota_t, pi_t, zleg = _split_idempotent(F, p_plus, D.leg)
-    # Frobenius data of A_+ restricted through (iota, pi)
-    mu_p = pi_t.compose(D.mu).compose(iota_t.tensor(iota_t))
-    eps_p = D.eps.compose(iota_t)
-    b_p = eps_p.compose(mu_p)
-    n = len(zleg)
-    bmat = [[b_p.data.get((i, j), F.zero()) for j in range(n)]
-            for i in range(n)]
-    from .fields import mat_inverse
-    cmat = mat_inverse(F, bmat)
-    c_p = GradedTensor(F, (zleg, zleg), (), {})
-    for i, j in itertools.product(range(n), repeat=2):
-        if not F.is_zero(cmat[i][j]):
-            c_p.data[(i, j)] = cmat[i][j]
-    t_p = b_p.compose(mu_p.tensor(GradedTensor.identity(F, zleg)))
-    graph = build_graph(tri, {eid: -1 for eid in tri.edges})
-    value = contract_network(graph, plan_contraction(graph),
-                             dict.fromkeys(graph.wires, c_p),
-                             t_p).scalar_value()
-    two = F.add(F.one(), F.one())
-    for _ in tri.vertices:
-        value = F.mul(value, two)
-    return value
+    def plus_part(D: DerivedStructure, half):
+        F = A.field
+        iota_t, pi_t, zleg = _split_idempotent(
+            F, D.identity.add(D.N).scale(half), D.leg)
+        # Frobenius data of A_+ restricted through (iota, pi)
+        mu_p = pi_t.compose(D.mu).compose(iota_t.tensor(iota_t))
+        b_p = D.eps.compose(iota_t).compose(mu_p)
+        t_p = b_p.compose(mu_p.tensor(GradedTensor.identity(F, zleg)))
+        return copairing(b_p), t_p
+    return _closed_state_sum(tri, A, plus_part)
 
 
 def statistical_sign_sum(tri: MarkedTriangulation, A: GradedFrobeniusAlgebra):
-    """(1/2)^E 2^V  sum over all 2^E sign assignments of T'_A."""
-    if not tri.is_closed():
-        raise ValueError("closed surface required")
-    F = A.field
-    if F.characteristic == 2:
-        raise ValueError("weights 1/2 need characteristic != 2")
-    D = derive(A)
-    edge_ids = sorted(tri.edges)
-    total = F.zero()
-    for bits in itertools.product((1, -1), repeat=len(edge_ids)):
-        signs = dict(zip(edge_ids, bits))
-        amp = evaluate_raw(tri, signs, A, derived=D)
-        total = F.add(total, amp.scalar_value())
-    half = F.inv(F.add(F.one(), F.one()))
-    for _ in edge_ids:
-        total = F.mul(total, half)
-    two = F.add(F.one(), F.one())
-    for _ in tri.vertices:
-        total = F.mul(total, two)
-    return total
+    """(1/2)^E 2^V  sum over all 2^E sign assignments s of T'_A(s).
+
+    As sum_s prod_e c_{s(e)} = prod_e (c_+ + c_-), this is 2^V times one
+    contraction with c_sym = (c_+ + c_-)/2 on every edge.  c_+ and c_- are
+    even, so the Koszul signs depend on entry keys only and stay linear.
+    """
+    return _closed_state_sum(tri, A, lambda D, half: (
+        D.c(+1).add(D.c(-1)).scale(half), D.t))

@@ -78,6 +78,26 @@ def test_sign_scan_torus(runner):
     assert sorted(report["class_amplitudes"]) == ["-1", "1", "1", "1"]
 
 
+def test_sign_scan_genus_two(runner):
+    res = runner.invoke(main, ["sign-scan", "--algebra", "clifford",
+                               "--surface", "genus-2"])
+    assert res.exit_code == 0
+    report = json.loads(res.output)
+    assert report["equal"] is True
+    assert report["weighted_sum"] == "1/4"
+    assert len(report["class_amplitudes"]) == 16
+
+
+@pytest.mark.parametrize("command", ("sign-scan", "classify"))
+def test_named_surface_needs_a_genus(runner, command):
+    args = [command, "--surface", "genus-x"]
+    if command == "sign-scan":
+        args += ["--algebra", "clifford"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "sphere, torus or genus-G" in res.output
+
+
 def test_deterministic_output(runner):
     args = ["pachner-fuzz", "--algebra", "clifford", "--surface", "cylinder",
             "--spin", "R-", "--seed", "9", "--moves", "30"]
@@ -192,6 +212,15 @@ def test_algebra_file_mu_index_out_of_range(runner, tmp_path, index):
     assert "index outside 0..1" in res.output
 
 
+@pytest.mark.parametrize("dim", (-1, 0, 1.5, "2", True))
+def test_algebra_file_dim_must_be_a_positive_integer(runner, tmp_path, dim):
+    obj = _clifford_json()
+    obj["dim"] = dim
+    res = _validate_algebra_file(runner, tmp_path, obj)
+    assert res.exit_code == 2
+    assert "dim must be a positive integer" in res.output
+
+
 def test_algebra_file_with_wrong_shape(runner, tmp_path):
     obj = _clifford_json()
     obj["mu"] = 5
@@ -236,6 +265,16 @@ def test_surface_file_with_wrong_shape(runner, tmp_path):
     res = runner.invoke(main, ["classify", "--surface", str(path)])
     assert res.exit_code == 2
     assert "cannot load surface" in res.output
+
+
+def test_sign_scan_rejects_an_open_surface(runner, tmp_path):
+    from spinsum import surface
+    path = tmp_path / "cylinder.json"
+    path.write_text(json.dumps(surface.to_json(surface.build_cylinder())))
+    res = runner.invoke(main, ["sign-scan", "--algebra", "clifford",
+                               "--surface", str(path)])
+    assert res.exit_code == 2
+    assert "closed surface" in res.output
 
 
 def test_classify_genus_three_reports_arf(runner):

@@ -2,7 +2,8 @@ import pytest
 
 from spinsum.surface import (build_cylinder, build_disk, build_pair_of_pants,
                              disjoint_union, from_json, genus_g_closed,
-                             glue_boundaries, glue_boundaries_with_map,
+                             genus_g_closed_detail, glue_boundaries,
+                             glue_boundaries_with_map, named_closed_detail,
                              to_json, validate)
 
 
@@ -70,3 +71,17 @@ def test_genus_three_classification_unsupported_basis():
     tri = genus_g_closed(3)
     assert validate(tri) == []
     assert tri.genus() == 3
+
+
+@pytest.mark.parametrize("name,genus", [("sphere", 0), ("torus", 1),
+                                        ("genus-3", 3)])
+def test_named_closed_detail(name, genus):
+    detail = named_closed_detail(name)
+    assert detail.g == genus
+    assert to_json(detail.tri) == to_json(genus_g_closed_detail(genus).tri)
+
+
+@pytest.mark.parametrize("name", ("genus-", "genus--1", "genus-x", "cube"))
+def test_named_closed_detail_rejects_other_names(name):
+    with pytest.raises(ValueError, match="sphere, torus or genus-G"):
+        named_closed_detail(name)

@@ -6,7 +6,7 @@ import pytest
 from spinsum.algebra import builtin_by_name, derive
 from spinsum.eval import evaluate, evaluate_raw
 from spinsum.spin import NS, R_TYPE
-from spinsum.surface import genus_g_closed
+from spinsum.surface import genus_g_closed, genus_g_closed_detail
 from spinsum.tensor import GradedTensor
 from spinsum import tft
 
@@ -88,6 +88,40 @@ def test_sphere_amplitude_is_two(clifford):
     from spinsum.spin import classify_spin_structures
     signs = classify_spin_structures(tri)[0]
     assert evaluate_raw(tri, signs, clifford).scalar_value() == Fraction(2)
+
+
+def _brute_sign_sum(tri, A):
+    """(1/2)^E 2^V sum of T'_A over all 2^E sign assignments, one
+    evaluate_raw per assignment: the oracle for small E."""
+    F = A.field
+    edge_ids = sorted(tri.edges)
+    total = F.zero()
+    for bits in itertools.product((1, -1), repeat=len(edge_ids)):
+        amp = evaluate_raw(tri, dict(zip(edge_ids, bits)), A)
+        total = F.add(total, amp.scalar_value())
+    half = F.inv(F.add(F.one(), F.one()))
+    for _ in edge_ids:
+        total = F.mul(total, half)
+    for _ in tri.vertices:
+        total = F.add(total, total)
+    return total
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+@pytest.mark.parametrize("genus", (0, 1))
+def test_sign_sum_matches_brute_force(name, genus):
+    A = builtin_by_name(name)
+    tri = genus_g_closed(genus)
+    assert len(tri.edges) == (3, 9)[genus]
+    assert tft.statistical_sign_sum(tri, A) == _brute_sign_sum(tri, A)
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+@pytest.mark.parametrize("genus", (2, 3))
+def test_sign_sum_equals_plus_part_at_higher_genus(name, genus):
+    A = builtin_by_name(name)
+    tri = genus_g_closed_detail(genus).tri
+    assert tft.statistical_sign_sum(tri, A) == tft.plus_part_state_sum(tri, A)
 
 
 def test_statistical_sum_rejects_open_or_char2(clifford):
