@@ -97,7 +97,11 @@ class DerivedStructure:
 
     def N_eps(self, eps: int) -> GradedTensor:
         """N_{+1} = id, N_{-1} = N."""
-        return self.identity if eps == +1 else self.N
+        if eps == +1:
+            return self.identity
+        if eps == -1:
+            return self.N
+        raise ValueError(f"sign must be +1 or -1, not {eps!r}")
 
     def q(self, nu: int) -> GradedTensor:
         return self.q_plus if nu == +1 else self.q_minus

@@ -93,6 +93,20 @@ def _parse_spin(surface: str, spin: str):
     _fail(f"no built-in spin selectors for surface {surface!r}")
 
 
+def _spin_surface(surface: str, spin, signs_path, types_csv=None):
+    """(tri, signs, types) of a built-in surface with --spin, or of a
+    surface file with --signs and optional comma-separated --types."""
+    if surface in ("cylinder", "torus", "pants"):
+        if spin is None:
+            _fail(f"built-in surface {surface!r} needs --spin")
+        return _parse_spin(surface, spin)
+    tri = _load_surface(surface)
+    if signs_path is None:
+        _fail("file surfaces need --signs")
+    types = tuple(types_csv.split(",")) if types_csv else None
+    return tri, _load_signs(signs_path, tri), types
+
+
 def _closed_surface(spec: str):
     """(detail, tri) of sphere | torus | genus-G; (None, tri) of a file."""
     if spec in ("sphere", "torus") or spec.startswith("genus-"):
@@ -172,16 +186,7 @@ def cmd_amplitude(algebra, surface, spin, signs_path, types_csv, raw,
                   oracle, output):
     """Evaluate the state sum of a spin surface."""
     A = _load_algebra(algebra)
-    if surface in ("cylinder", "torus", "pants"):
-        if spin is None:
-            _fail(f"built-in surface {surface!r} needs --spin")
-        tri, signs, types = _parse_spin(surface, spin)
-    else:
-        tri = _load_surface(surface)
-        if signs_path is None:
-            _fail("file surfaces need --signs")
-        signs = _load_signs(signs_path, tri)
-        types = tuple(types_csv.split(",")) if types_csv else None
+    tri, signs, types = _spin_surface(surface, spin, signs_path, types_csv)
     try:
         if raw:
             amp = evaluate_raw(tri, signs, A)
@@ -290,16 +295,7 @@ def cmd_pachner_fuzz(algebra, surface, spin, signs_path, seed, moves,
                      check_every, output):
     """Fuzz amplitude invariance under random Pachner moves."""
     A = _load_algebra(algebra)
-    if surface in ("cylinder", "torus", "pants"):
-        if spin is None:
-            _fail(f"built-in surface {surface!r} needs --spin")
-        tri, signs, types = _parse_spin(surface, spin)
-    else:
-        tri = _load_surface(surface)
-        if signs_path is None:
-            _fail("file surfaces need --signs")
-        signs = _load_signs(signs_path, tri)
-        types = None
+    tri, signs, types = _spin_surface(surface, spin, signs_path)
     ok, log, checks = run_pachner_fuzz(tri, signs, types, A, seed, moves,
                                        check_every)
     report = {"algebra": A.name, "surface": surface, "seed": seed,

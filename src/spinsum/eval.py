@@ -2,11 +2,15 @@
 
 The dual diagram of a complex has one trivalent vertex per triangle
 (valued by the triangle tensor t, in-legs ordered slot 0,1,2) and one
-bivalent vertex per edge (valued by the copairing c_{s(e)}, first output
-leg toward the left face — or toward the boundary for boundary edges —
-second toward the right face).  The amplitude contracts this diagram and
-then flips the 3 legs per boundary component (ordered by boundary index,
-then position 0,1,2) from outputs to inputs through the pairing b.
+bivalent vertex per edge: leg 0 toward the left face — or toward the
+boundary for boundary edges — and leg 1 toward the right face.  An inner
+edge carries the copairing c_{s(e)}.  A boundary edge carries c_{s(e)}
+with its boundary leg already turned into an input through the pairing
+b; since c_- is the inverse of b and c_+ = sigma o c_-, that composite
+(b (x) id) o (id (x) c_s) is N_eps(-s) (id for s = -1, N for s = +1),
+stored transposed so that leg 0 holds the input index.  The amplitude
+contracts this diagram and relabels the 3 legs per boundary component
+(ordered by boundary index, then position 0,1,2) as inputs.
 
 One executor, ``contract_network``, contracts the diagram for every
 algebra.  It grows a pure-output "blob" tensor along a schedule of
@@ -158,15 +162,26 @@ def contract_graph(graph: DiagramGraph, D: DerivedStructure,
                    max_entries=DEFAULT_MAX_ENTRIES) -> GradedTensor:
     """Contract the diagram to a pure-output tensor in codomain leg order.
 
-    Runs ``contract_network`` with c_{s(e)} on every edge and t on every
-    face, along ``plan`` (checked) or the greedy plan.
+    Runs ``contract_network`` along ``plan`` (checked) or the greedy plan,
+    with t on every face, c_{s(e)} on every inner edge and N_eps(-s(e))
+    on every boundary edge, keyed (input index, index toward the face).
+    Each codomain leg therefore holds the index of an input; the result
+    is the amplitude up to ``flip_out_to_in``'s relabel.
     """
     if plan is None:
         plan = plan_contraction(graph)
     elif not is_valid_schedule(graph, plan):
         raise ValueError("invalid contraction schedule")
-    copairings = {eid: D.c(graph.signs[eid]) for eid in graph.wires}
-    return contract_network(graph, plan, copairings, D.t, max_open_legs,
+    edge_tensors = {}
+    for eid, (first, _) in graph.wires.items():
+        if first.kind == "cod":
+            absorbed = D.N_eps(-graph.signs[eid]).data
+            edge_tensors[eid] = GradedTensor(
+                D.t.field, (D.leg, D.leg), (),
+                {(x, y): v for (y, x), v in absorbed.items()})
+        else:
+            edge_tensors[eid] = D.c(graph.signs[eid])
+    return contract_network(graph, plan, edge_tensors, D.t, max_open_legs,
                             max_entries)
 
 
@@ -349,8 +364,8 @@ def evaluate_raw(tri: MarkedTriangulation, signs: Signs,
     D = derive(A)
     graph = build_graph(tri, signs)
     raw = contract_graph(graph, D, plan, max_open_legs, max_entries)
-    flipped = raw.flip_out_to_in(D.b)
-    return Amplitude(flipped, len(tri.boundaries), list(graph.cod_order))
+    return Amplitude(raw.flip_out_to_in(), len(tri.boundaries),
+                     list(graph.cod_order))
 
 
 def evaluate(tri: MarkedTriangulation, signs: Signs, types: tuple[str, ...],

@@ -184,10 +184,6 @@ def mat_mul(F: Field, A, B):
     return out
 
 
-def mat_identity(F: Field, n):
-    return [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
-
-
 def mat_inverse(F: Field, A):
     """Gauss-Jordan inverse; raises ValueError on singular input."""
     n = len(A)

@@ -10,9 +10,9 @@ Sign discipline: every structure map handled here (multiplication, unit,
 counit, pairing, copairing, Nakayama map, the triangle tensor) is
 parity-even, and composition/tensor product of even morphisms carries no
 Koszul sign.  All Koszul signs therefore live in explicit permutations:
-``braiding`` legs, ``permute_out``/``permute_in``, and the final
-output-to-input flip.  Each of those multiplies an entry by
-(-1)^(sum of |a||b| over inverted pairs).
+``braiding`` legs, ``permute_out``/``permute_in``, and the relabel of the
+amplitude's outputs as inputs in ``flip_out_to_in``.  Each of those
+multiplies an entry by (-1)^(sum of |a||b| over inverted pairs).
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ def inversion_pairs(new_order: Sequence[int]) -> list[tuple[int, int]]:
     n = len(new_order)
     return [(a, b) for a in range(n) for b in range(a + 1, n)
             if pos[a] > pos[b]]
-
-
-def koszul_sign(parities: Sequence[int], pairs: Sequence[tuple[int, int]]) -> int:
-    s = 0
-    for a, b in pairs:
-        s += parities[a] * parities[b]
-    return -1 if s & 1 else 1
 
 
 @dataclass
@@ -275,54 +268,21 @@ class GradedTensor:
             out._add_to(o[:no - k] + i, F.mul(v, w))
         return out
 
-    def flip_out_to_in(self, b: "GradedTensor") -> "GradedTensor":
-        """Turn every output leg into an input leg using the pairing b.
+    def flip_out_to_in(self) -> "GradedTensor":
+        """Relabel every output leg as an input leg, keeping each key.
 
-        Implements b^{(x)m} o tau o (id^{(x)m} (x) self) where tau pairs the
-        i'th new input with the i'th output, input fed to b first.  The
-        crossing sign of tau on an entry (a_1..a_m) is
-        (-1)^(sum_{i<j} |a_i||x_j|) which equals (-1)^(sum_{i<j} |a_i||a_j|)
-        on the support of the even pairing b.
+        The amplitude turns outputs into inputs by b^{(x)m} o tau o
+        (id^{(x)m} (x) self), where tau pairs the i'th new input with the
+        i'th output.  ``eval.contract_graph`` has already absorbed b into
+        the boundary edges, so only tau's crossing sign is left: an entry
+        with k odd indices gets (-1)^(k(k-1)/2), one factor per pair of
+        odd legs.
         """
-        if b.n_out != 0 or b.n_in != 2:
-            raise ValueError("the pairing must have two input legs only")
         if self.n_in != 0:
             raise ValueError("flip_out_to_in needs a tensor without in legs")
         F = self.field
-        m = self.n_out
-        leg = b.in_legs[1]
-        if any(l != leg for l in self.out_legs):
-            raise ValueError("output legs do not match the pairing")
-        # columns of b: for fixed second argument a, nonzero b(x, a)
-        cols: dict[int, list] = {}
-        for (x, a), v in b.data.items():
-            cols.setdefault(a, []).append((x, v))
-        out = GradedTensor(F, (), tuple(b.in_legs[0] for _ in range(m)), {})
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        out = GradedTensor(F, (), self.out_legs, {})
         for key, v in self.data.items():
-            par = [leg[a] for a in key]
-            s = koszul_sign(par, pairs)
-            base = v if s == 1 else F.neg(v)
-            # expand the product prod_i b(x_i, a_i)
-            partial = [((), base)]
-            ok = True
-            for a in key:
-                col = cols.get(a)
-                if not col:
-                    ok = False
-                    break
-                partial = [(px + (x,), F.mul(pv, w))
-                           for px, pv in partial for x, w in col]
-            if not ok:
-                continue
-            for x, val in partial:
-                out._add_to(x, val)
+            k = sum(leg[a] for leg, a in zip(self.out_legs, key))
+            out.data[key] = F.neg(v) if k * (k - 1) // 2 % 2 else v
         return out
-
-    def check_budget(self, max_legs: int, max_entries: int):
-        if self.n_out + self.n_in > max_legs:
-            raise BudgetExceeded(
-                f"open legs {self.n_out + self.n_in} exceed bound {max_legs}")
-        if len(self.data) > max_entries:
-            raise BudgetExceeded(
-                f"{len(self.data)} stored coefficients exceed budget {max_entries}")

@@ -58,6 +58,16 @@ def test_pairing_and_copairing_are_mutually_inverse(clifford):
     assert snake == D.identity
 
 
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+@pytest.mark.parametrize("s", (1, -1))
+def test_pairing_absorbs_copairing_into_nakayama(name, s):
+    """(b (x) id) o (id (x) c_s) = N_eps(-s): the tensor a boundary edge
+    carries once its boundary leg is turned into an input."""
+    D = derive(builtin_by_name(name))
+    absorbed = D.b.tensor(D.identity).compose(D.identity.tensor(D.c(s)))
+    assert absorbed == D.N_eps(-s)
+
+
 def test_triangle_tensor_matches_pairing_of_products(clifford):
     D = derive(clifford)
     assert D.t == D.b.compose(D.mu.tensor(D.identity))

@@ -52,6 +52,15 @@ def test_invalid_schedule_rejected(clifford):
         contract_graph(graph, derive(clifford), plan=broken)
 
 
+@pytest.mark.parametrize("boundary", (False, True))
+def test_edge_sign_other_than_plus_minus_one_rejected(clifford, boundary):
+    tri, signs, _ = tft.cylinder_spin("NS", 1)
+    eid = next(e for e in sorted(tri.edges)
+               if (tri.boundary_of_edge(e) is not None) == boundary)
+    with pytest.raises(ValueError, match="must be \\+1 or -1"):
+        evaluate_raw(tri, {**signs, eid: 0}, clifford)
+
+
 def test_budget_enforced(clifford):
     tri, signs, _ = tft.pants_spin(("NS", "NS", "NS"), 1, 1)
     with pytest.raises(BudgetExceeded):
@@ -117,10 +126,30 @@ def _blob_reference(graph, D, plan):
     return blob.permute_out([open_targets.index(w) for w in want])
 
 
+def _absorb_pairing(blob, D):
+    """The boundary legs of a copairing-only blob turned into inputs
+    through b, without sign: result[x] = sum_a prod_i b(x_i, a_i) blob[a]."""
+    F = blob.field
+    cols: dict[int, list] = {}  # a -> nonzero b(x, a)
+    for (x, a), v in D.b.data.items():
+        cols.setdefault(a, []).append((x, v))
+    out = GradedTensor(F, blob.out_legs, (), {})
+    for akey, v in blob.data.items():
+        partial = [((), v)]
+        for a in akey:
+            partial = [(px + (x,), F.mul(pv, w))
+                       for px, pv in partial for x, w in cols.get(a, ())]
+        for xkey, val in partial:
+            out._add_to(xkey, val)
+    return out
+
+
 @pytest.mark.parametrize("name", ("group-z2", "clifford"))
 def test_fused_and_generic_paths_agree(name):
-    """The fused executor and the generic blob machinery must produce
-    identical tensors, for random signs and random valid schedules."""
+    """The fused executor, with N_eps(-s) on the boundary edges, and the
+    generic blob machinery with c_s everywhere, followed by the pairing
+    absorption, must produce identical tensors, for random signs and
+    random valid schedules."""
     D = derive(builtin_by_name(name))
     rng = random.Random(2024)
     for tri in (tft.cylinder_spin("R", -1)[0],
@@ -131,7 +160,7 @@ def test_fused_and_generic_paths_agree(name):
             plan = _random_face_schedule(graph, rng)
             assert is_valid_schedule(graph, plan)
             assert contract_graph(graph, D, plan, 40) == \
-                _blob_reference(graph, D, plan)
+                _absorb_pairing(_blob_reference(graph, D, plan), D)
 
 
 def _cl1_cl1():

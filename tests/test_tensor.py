@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from spinsum.fields import QQ
-from spinsum.tensor import BudgetExceeded, GradedTensor
+from spinsum.tensor import GradedTensor
 
 EVEN_ODD = (0, 1)  # one even, one odd basis vector
 
@@ -91,12 +91,24 @@ def test_scalar_and_zero():
     assert z.is_zero()
 
 
-def test_budget_errors():
-    t = GradedTensor.identity(QQ, EVEN_ODD, 3)
-    with pytest.raises(BudgetExceeded, match="open legs"):
-        t.check_budget(5, 10**6)
-    with pytest.raises(BudgetExceeded, match="coefficients"):
-        t.check_budget(100, 3)
+def test_flip_out_to_in_relabels_with_koszul_sign():
+    """Each entry keeps its key on input legs; k odd indices give the
+    sign (-1)^(k(k-1)/2), one factor per pair of odd legs."""
+    t = GradedTensor(QQ, (EVEN_ODD,) * 4, (), {})
+    for n, key in enumerate(_keys(2, 4), start=1):
+        t.data[key] = Fraction(n)
+    flipped = t.flip_out_to_in()
+    assert flipped.out_legs == () and flipped.in_legs == (EVEN_ODD,) * 4
+    assert set(flipped.data) == set(t.data)
+    sign_of_k = {0: 1, 1: 1, 2: -1, 3: -1, 4: 1}
+    for key, v in t.data.items():
+        assert flipped.data[key] == sign_of_k[sum(key)] * v
+
+
+def test_flip_out_to_in_rejects_input_legs():
+    t = GradedTensor.identity(QQ, EVEN_ODD, 1)
+    with pytest.raises(ValueError, match="without in legs"):
+        t.flip_out_to_in()
 
 
 def test_compose_leg_mismatch_raises():
