@@ -10,6 +10,7 @@ same engine the state sum uses.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -29,6 +30,17 @@ class GradedFrobeniusAlgebra:
     eta: tuple
     eps: tuple
     name: str = ""
+
+    def __hash__(self):
+        # the caches keyed on the algebra (derive and the predicates) hash
+        # it on every call; the fields are frozen, so hash them only once
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, f.name)
+                           for f in dataclasses.fields(self)))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def basis_errors(self) -> list[str]:
         errs = []

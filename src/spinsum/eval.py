@@ -19,6 +19,14 @@ triangle consumes one of its legs.  Per triangle, t and the pending
 copairings it consumes are folded into a small fused table (blob-leg
 indices it matches -> indices of the copairings' free ends, coefficient),
 applied in one sweep over the blob; the free ends become new open legs.
+The sweep slices each blob key with ``operator.itemgetter`` and works on
+plain Python ints, not field elements.  Over Q, t and each copairing are
+scaled to integers by the lcm of their denominators, the product of the
+scales absorbed so far is kept as one denominator, and each entry of the
+result becomes the exact ``Fraction(v, denom)`` once at the end.  Over
+F_p the values already are ints: a step sums them without reduction and
+reduces its new blob mod p once.  Either way the zero sums are dropped
+from the new blob in place before the budget check.
 
 Koszul signs come in two parts.  The table part covers the crossings of
 the three slot legs with each other and with the free ends; a table row
@@ -32,7 +40,7 @@ most max_open_legs open legs and max_entries stored entries, else
 
 An independent exhaustive oracle assigns basis indices to every edge
 directly and multiplies explicit crossing signs of a fixed planar
-layering.
+layering, in the field's own arithmetic.
 """
 
 from __future__ import annotations
@@ -40,7 +48,10 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import itemgetter
 
 from .algebra import DerivedStructure, GradedFrobeniusAlgebra, derive, \
     passes_invariance_predicates
@@ -191,21 +202,28 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
     """The single contraction executor (see the module docstring).
 
     Puts ``copairings[eid]`` on each edge and t on each face; returns a
-    pure-output tensor in codomain leg order with t's leg parities.
+    pure-output tensor in codomain leg order with t's leg parities and
+    values in t's field.  The loop itself runs on plain ints: over Q the
+    tensors are scaled to integers and the product of their scales
+    divides every entry once at the end; over F_p each triangle step
+    reduces its sums mod p once.
     """
     F = t.field
+    p = F.characteristic
     leg = t.in_legs[0]
     graded = any(leg)
-    tdat = t.data
+    tdat, t_scale = _integral(t.data, p)
+    denom = 1  # over Q: the product of the scales absorbed so far
     # the wire end (edge id, leg index) feeding each triangle slot
     end_at = {(w.face, w.slot): (eid, li) for eid, ends in graph.wires.items()
               for li, w in enumerate(ends) if w.kind == "face"}
-    blob: dict[tuple, object] = {(): F.one()}
+    blob: dict[tuple, int] = {(): 1}
     open_ends: list[tuple[int, int]] = []  # wire end of each blob leg
     pending: dict[int, dict] = {}  # copairings no triangle has consumed yet
     for step, (kind, tid) in enumerate(plan):
         if kind == "c":
-            pending[tid] = copairings[tid].data
+            pending[tid], scale = _integral(copairings[tid].data, p)
+            denom *= scale
             continue
         matched = []  # (slot, blob position) of slots fed by open legs
         used: dict[int, dict[int, int]] = {}  # eid -> {leg index: slot}
@@ -221,8 +239,8 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
         # new open legs: the unconsumed ends of the copairings used here
         free_ends = [(eid, li) for eid in used_eids for li in (0, 1)
                      if li not in used[eid]]
-        matched_pos = [p for _, p in matched]
-        rest = [p for p in range(len(open_ends)) if p not in matched_pos]
+        matched_pos = [q for _, q in matched]
+        rest = [q for q in range(len(open_ends)) if q not in matched_pos]
         # per used copairing: values at its consumed ends -> its entries
         opts = []
         for eid in used_eids:
@@ -233,51 +251,58 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                 by_fixed.setdefault(tuple(ckey[li] for li in cons),
                                     []).append((free, cv))
             opts.append((tuple(cons.values()), by_fixed))
+        denom *= t_scale
         if graded:
             slot_sign, cross_idx = _slot_crossings(len(open_ends), matched,
                                                    used, free_ends)
         # fused table: matched open-leg indices -> [(new indices, coeff)]
         fused: dict[tuple, list] = {}
+        tget = _key_getter([s for s, _ in matched])
         for tkey, tv in tdat.items():
             acc = [((), tv)]
             for slots, by_fixed in opts:
                 hits = by_fixed.get(tuple(tkey[s] for s in slots))
                 if not hits:
                     break
-                acc = [(nk + free, F.mul(av, cv))
+                acc = [(nk + free, av * cv)
                        for nk, av in acc for free, cv in hits]
             else:
                 if graded:
                     odd = leg[tkey[0]] | leg[tkey[1]] << 1 | leg[tkey[2]] << 2
                     flip, idx = slot_sign[odd], cross_idx[odd]
                     if flip or idx:
-                        acc = [(nk, F.neg(cv) if (flip + sum(
+                        acc = [(nk, -cv if (flip + sum(
                             leg[nk[i]] for i in idx)) & 1 else cv)
                             for nk, cv in acc]
-                mk = tuple(tkey[s] for s, _ in matched)
-                fused.setdefault(mk, []).extend(acc)
+                fused.setdefault(tget(tkey), []).extend(acc)
+        mget, rget = _key_getter(matched_pos), _key_getter(rest)
         if graded:
-            _apply_entry_sign(blob, fused, matched, rest, leg, F.neg)
-        new_blob: dict[tuple, object] = {}
+            _apply_entry_sign(blob, fused, matched_pos, rest, mget, leg)
+        new_blob: dict[tuple, int] = {}
+        get = new_blob.get
         for key, v in blob.items():
-            hits = fused.get(tuple(key[p] for p in matched_pos))
-            if not hits:
+            hits = fused.get(mget(key))
+            if hits is None:
                 continue
-            base = tuple(key[p] for p in rest)
+            base = rget(key)
             for nk, cv in hits:
                 k2 = base + nk
-                cur = new_blob.get(k2)
-                val = F.mul(v, cv)
-                if cur is None:
-                    new_blob[k2] = val
+                new_blob[k2] = get(k2, 0) + v * cv
+        # reduce and drop the zero sums in place, before the budget check
+        zeros = []
+        if p:
+            for k2, v in new_blob.items():
+                v %= p
+                if v:
+                    new_blob[k2] = v
                 else:
-                    sv = F.add(cur, val)
-                    if F.is_zero(sv):
-                        del new_blob[k2]
-                    else:
-                        new_blob[k2] = sv
+                    zeros.append(k2)
+        else:
+            zeros = [k2 for k2, v in new_blob.items() if not v]
+        for k2 in zeros:
+            del new_blob[k2]
         blob = new_blob
-        open_ends = [open_ends[p] for p in rest] + free_ends
+        open_ends = [open_ends[q] for q in rest] + free_ends
         where = f"after plan[{step}] = {(kind, tid)!r} of {len(plan)} steps"
         if len(open_ends) > max_open_legs:
             raise BudgetExceeded(f"open legs {len(open_ends)} exceed bound "
@@ -286,12 +311,34 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
             raise BudgetExceeded(f"{len(blob)} stored coefficients exceed "
                                  f"budget {max_entries} {where}")
     targets = [graph.wires[eid][li] for eid, li in open_ends]
-    want = [WireTarget("cod", boundary=bi, position=p)
-            for bi, p in graph.cod_order]
+    want = [WireTarget("cod", boundary=bi, position=q)
+            for bi, q in graph.cod_order]
     if pending or sorted(map(repr, targets)) != sorted(map(repr, want)):
         raise RuntimeError("contraction did not end on the codomain legs")
+    if not p:
+        for key, v in blob.items():
+            blob[key] = Fraction(v, denom)  # the one division
     out = GradedTensor(F, tuple([leg] * len(targets)), (), blob)
     return out.permute_out([targets.index(w) for w in want])
+
+
+def _integral(data, p):
+    """A tensor's values as ints and their common scale: over Q the
+    values times the lcm of their denominators, over F_p (p > 0) the
+    values themselves with scale 1."""
+    if p:
+        return data, 1
+    scale = math.lcm(*(v.denominator for v in data.values()))
+    return {k: v.numerator * (scale // v.denominator)
+            for k, v in data.items()}, scale
+
+
+def _key_getter(positions):
+    """C-level ``lambda key: tuple(key[q] for q in positions)``."""
+    if len(positions) < 2:  # itemgetter of one position gives a bare item
+        start = positions[0] if positions else 0
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
 
 
 def _slot_crossings(n_open, matched, used, free_ends):
@@ -335,25 +382,25 @@ def _sign_tables(inverted, cross):
     return tuple(slot_sign), tuple(crossed)
 
 
-def _apply_entry_sign(blob, fused, matched, rest, leg, neg):
+def _apply_entry_sign(blob, fused, matched_pos, rest, mget, leg):
     """Negate, in place, the blob entries whose entry part is odd: those
     with an odd number of odd rest legs behind an odd number of odd
-    matched legs."""
-    matched_pos = [p for _, p in matched]
+    matched legs.  ``mget`` slices a key's matched indices."""
     if not matched_pos or not rest or min(matched_pos) > rest[-1]:
         return  # no rest leg behind a matched one
     sel_of = {}
     for mk in fused:
-        odd_pos = sorted(p for p, x in zip(matched_pos, mk) if leg[x])
-        sel = tuple(r for r in rest if bisect.bisect_left(odd_pos, r) & 1)
+        odd_pos = sorted(q for q, x in zip(matched_pos, mk) if leg[x])
+        sel = [r for r in rest if bisect.bisect_left(odd_pos, r) & 1]
         if sel:
-            sel_of[mk] = sel
+            sel_of[mk] = _key_getter(sel)
     if not sel_of:
         return
+    parity = leg.__getitem__
     for key, v in blob.items():
-        sel = sel_of.get(tuple(key[p] for p in matched_pos))
-        if sel and sum(leg[key[r]] for r in sel) & 1:
-            blob[key] = neg(v)
+        sel = sel_of.get(mget(key))
+        if sel is not None and sum(map(parity, sel(key))) & 1:
+            blob[key] = -v
 
 
 def evaluate_raw(tri: MarkedTriangulation, signs: Signs,

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,16 @@ def test_twisted_matrix_constraints():
         builtin_twisted_matrix(2, QQ, [[1, 0], [0, -1]], 1)
     with pytest.raises(ValueError, match="nonzero"):
         builtin_twisted_matrix(2, PrimeField(2), [[1, 0], [0, 1]], 2)
+
+
+def test_cached_hash_keeps_equality_on_the_fields():
+    """The hash is stored on first use; equal algebras still compare and
+    hash equal and share one derive() entry, and the name still counts."""
+    A, B = (builtin_by_name("twisted-matrix-2-q") for _ in range(2))
+    assert hash(A) == hash(A) == hash(B)
+    assert A == B and derive(A) is derive(B)
+    other = dataclasses.replace(A, name="renamed")
+    assert other != A and hash(other) != hash(A)
 
 
 def test_unknown_builtin_name():

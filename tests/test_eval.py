@@ -1,13 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from spinsum.algebra import (GradedFrobeniusAlgebra, builtin_by_name, derive,
+from spinsum.algebra import (BUILTIN_NAMES, GradedFrobeniusAlgebra,
+                             builtin_by_name, derive,
                              passes_invariance_predicates)
 from spinsum.eval import (WireTarget, build_graph, contract_exhaustive,
-                          contract_graph, evaluate, evaluate_raw,
-                          is_valid_schedule, plan_contraction)
+                          contract_graph, contract_network, evaluate,
+                          evaluate_raw, is_valid_schedule, plan_contraction)
 from spinsum.fields import QQ
 from spinsum.tensor import BudgetExceeded, GradedTensor
 from spinsum import tft
@@ -144,16 +146,20 @@ def _absorb_pairing(blob, D):
     return out
 
 
-@pytest.mark.parametrize("name", ("group-z2", "clifford"))
+@pytest.mark.parametrize("name", ("group-z2", "clifford",
+                                  "twisted-matrix-2-q", "twisted-matrix-3-f3"))
 def test_fused_and_generic_paths_agree(name):
     """The fused executor, with N_eps(-s) on the boundary edges, and the
     generic blob machinery with c_s everywhere, followed by the pairing
     absorption, must produce identical tensors, for random signs and
-    random valid schedules."""
+    random valid schedules.  The executor runs on ints (scaled over Q,
+    unreduced within a step over F_p); the reference on field values."""
     D = derive(builtin_by_name(name))
     rng = random.Random(2024)
-    for tri in (tft.cylinder_spin("R", -1)[0],
-                tft.pants_spin(("R", "R", "NS"), 1, -1)[0]):
+    surfaces = [tft.cylinder_spin("R", -1)[0]]
+    if name != "twisted-matrix-3-f3":  # its pants reference takes a minute
+        surfaces.append(tft.pants_spin(("R", "R", "NS"), 1, -1)[0])
+    for tri in surfaces:
         for _ in range(3):
             signs = {eid: rng.choice((1, -1)) for eid in tri.edges}
             graph = build_graph(tri, signs)
@@ -161,6 +167,44 @@ def test_fused_and_generic_paths_agree(name):
             assert is_valid_schedule(graph, plan)
             assert contract_graph(graph, D, plan, 40) == \
                 _absorb_pairing(_blob_reference(graph, D, plan), D)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_stored_values_are_nonzero_native_field_elements(name):
+    """Every stored value, of the executor's output and of the amplitude,
+    is a nonzero native element: a Fraction over Q, an int in range(1, p)
+    over F_p.  Guards the final division over Q and the once-per-step
+    reduction over F_p."""
+    A = builtin_by_name(name)
+    p = A.field.characteristic
+    for tri, signs, _ in (tft.cylinder_spin("NS", 1),
+                          tft.pants_spin(("NS", "R", "R"), 1, -1)):
+        raw = contract_graph(build_graph(tri, signs), derive(A))
+        amp = evaluate_raw(tri, signs, A)
+        assert raw.data and amp.tensor.data
+        for v in [*raw.data.values(), *amp.tensor.data.values()]:
+            if p:
+                assert type(v) is int and 0 < v < p
+            else:
+                assert type(v) is Fraction and v != 0
+
+
+def test_executor_divides_by_the_scales_of_t_and_the_copairings():
+    """Over Q the executor scales t and each copairing to ints and divides
+    by the product of the scales at the end: t/3 on every face and 3c/2
+    on every edge scale the contraction by (1/3)^F (3/2)^E, exactly."""
+    D = derive(builtin_by_name("clifford"))
+    tri, signs, _ = tft.pants_spin(("NS", "R", "R"), 1, -1)
+    graph = build_graph(tri, signs)
+    plan = plan_contraction(graph)
+    cops = {eid: D.c(s) for eid, s in signs.items()}
+    base = contract_network(graph, plan, cops, D.t)
+    scaled = contract_network(
+        graph, plan, {eid: c.scale(Fraction(3, 2)) for eid, c in cops.items()},
+        D.t.scale(Fraction(1, 3)))
+    factor = Fraction(1, 3) ** len(tri.triangles) * \
+        Fraction(3, 2) ** len(tri.edges)
+    assert base.data and scaled == base.scale(factor)
 
 
 def _cl1_cl1():
