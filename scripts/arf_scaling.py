@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from spinsum.algebra import builtin_clifford
-from spinsum.eval import build_graph, evaluate_raw, plan_contraction
+from spinsum.eval import evaluate_raw_each
 from spinsum.spin import arf_invariant, classify_spin_structures, \
     symplectic_basis
 from spinsum.surface import genus_g_closed_detail
@@ -38,10 +38,8 @@ def run(cfg: Config) -> bool:
         basis = symplectic_basis(detail)
         amps, mismatches = [], 0
         reps = classify_spin_structures(detail.tri)
-        # the plan does not depend on the signs: build it once
-        plan = plan_contraction(build_graph(detail.tri, reps[0]))
-        for signs in reps:
-            amp = evaluate_raw(detail.tri, signs, A, plan).scalar_value()
+        for signs, raw in zip(reps, evaluate_raw_each(detail.tri, reps, A)):
+            amp = raw.scalar_value()
             arf = arf_invariant(detail, signs, basis)
             if amp != Fraction(2) ** (1 - g) * arf:
                 mismatches += 1

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from spinsum.algebra import BUILTIN_NAMES, builtin_by_name
-from spinsum.eval import build_graph, evaluate_raw, plan_contraction
+from spinsum.eval import evaluate_raw_each
 from spinsum.spin import classify_spin_structures
 from spinsum.surface import named_closed_detail
 from spinsum import tft
@@ -34,11 +34,8 @@ def run(cfg: Config) -> bool:
     tri = named_closed_detail(cfg.surface).tri
     weighted = tft.statistical_sign_sum(tri, A)
     plus = tft.plus_part_state_sum(tri, A)
-    reps = classify_spin_structures(tri)
-    # the plan does not depend on the signs: build it once
-    plan = plan_contraction(build_graph(tri, reps[0])) if reps else None
-    per_class = sorted(evaluate_raw(tri, s, A, plan).scalar_value()
-                       for s in reps)
+    per_class = sorted(amp.scalar_value() for amp in evaluate_raw_each(
+        tri, classify_spin_structures(tri), A))
     print(f"surface {cfg.surface}, algebra {cfg.algebra}")
     print(f"  weighted sign sum   : {weighted}")
     print(f"  A+ state sum        : {plus}")

@@ -6,8 +6,7 @@ from .algebra import (BUILTIN_NAMES, GradedFrobeniusAlgebra, builtin_by_name,
 from .eval import (Amplitude, build_graph, contract_exhaustive,
                    contract_graph, evaluate, evaluate_raw, plan_contraction)
 from .fields import QQ, PrimeField, RationalField
-from .pachner import (PachnerMove, apply_pachner_move, normalize_marking,
-                      random_pachner_move)
+from .pachner import PachnerMove, apply_pachner_move, random_pachner_move
 from .spin import (NS, R_TYPE, MarkingMove, apply_marking_move,
                    arf_invariant, classify_spin_structures,
                    curve_lift_sign, enumerate_admissible, is_admissible,

@@ -16,8 +16,7 @@ import click
 from . import algebra as algebra_io
 from . import surface as surface_io
 from .algebra import BUILTIN_NAMES, builtin_by_name, validate_predicates
-from .eval import (Amplitude, build_graph, evaluate, evaluate_raw,
-                   plan_contraction)
+from .eval import Amplitude, evaluate, evaluate_raw, evaluate_raw_each
 from .pachner import random_pachner_move
 from .spin import (NS, R_TYPE, arf_invariant, classify_spin_structures,
                    quadratic_pairs, symplectic_basis)
@@ -324,11 +323,8 @@ def cmd_sign_scan(algebra, surface, output):
     except ValueError as exc:
         _fail(str(exc))
     equal = total == oriented
-    # per-class contributions for the report; the plan ignores the signs
-    reps = classify_spin_structures(tri)
-    plan = plan_contraction(build_graph(tri, reps[0])) if reps else None
-    classes = [F.format(evaluate_raw(tri, signs, A, plan).scalar_value())
-               for signs in reps]
+    classes = [F.format(amp.scalar_value()) for amp in
+               evaluate_raw_each(tri, classify_spin_structures(tri), A)]
     _emit({"algebra": A.name, "surface": surface,
            "weighted_sum": F.format(total),
            "oriented_value": F.format(oriented),

@@ -126,25 +126,19 @@ def plan_contraction(graph: DiagramGraph) -> list[tuple[str, int]]:
     smallest face id), absorbing its missing copairings in edge-id order;
     this greedily minimizes the open-leg count of the blob.
     """
-    absorbed: set[int] = set()
-    done: set[int] = set()
-    plan: list[tuple[str, int]] = []
     faces = graph.tri.triangles
-    while len(done) < len(faces):
-        best = None
-        for fid in sorted(faces):
-            if fid in done:
-                continue
-            missing = sorted({s.edge for s in faces[fid].slots} - absorbed)
-            key = (len(missing), fid)
-            if best is None or key < best[0]:
-                best = (key, fid, missing)
-        _, fid, missing = best
-        for eid in missing:
+    missing = {fid: {s.edge for s in faces[fid].slots} for fid in faces}
+    absorbed: set[int] = set()
+    plan: list[tuple[str, int]] = []
+    while missing:
+        fid = min(missing, key=lambda f: (len(missing[f]), f))
+        for eid in sorted(missing.pop(fid)):
             plan.append(("c", eid))
             absorbed.add(eid)
+            for f, _ in graph.tri.incidences(eid):
+                if f in missing:
+                    missing[f].discard(eid)
         plan.append(("t", fid))
-        done.add(fid)
     for eid in sorted(set(graph.wires) - absorbed):
         plan.append(("c", eid))
     return plan
@@ -415,6 +409,16 @@ def evaluate_raw(tri: MarkedTriangulation, signs: Signs,
                      list(graph.cod_order))
 
 
+def evaluate_raw_each(tri: MarkedTriangulation, sign_list: list[Signs],
+                      A: GradedFrobeniusAlgebra) -> list[Amplitude]:
+    """``evaluate_raw`` for each sign assignment, on one shared plan (the
+    greedy plan does not depend on the signs)."""
+    if not sign_list:
+        return []
+    plan = plan_contraction(build_graph(tri, sign_list[0]))
+    return [evaluate_raw(tri, signs, A, plan) for signs in sign_list]
+
+
 def evaluate(tri: MarkedTriangulation, signs: Signs, types: tuple[str, ...],
              A: GradedFrobeniusAlgebra, plan=None) -> Amplitude:
     if not is_admissible(tri, signs, types):
@@ -428,8 +432,8 @@ def evaluate(tri: MarkedTriangulation, signs: Signs, types: tuple[str, ...],
 
 
 # -- exhaustive oracle --------------------------------------------------
-def contract_exhaustive(graph: DiagramGraph, A: GradedFrobeniusAlgebra,
-                        max_terms: int = 10**8) -> Amplitude:
+def contract_exhaustive(graph: DiagramGraph,
+                        A: GradedFrobeniusAlgebra) -> Amplitude:
     """Independent brute-force contraction.
 
     Fixes one planar layering: sources are the copairing legs in edge-id

@@ -1,9 +1,12 @@
 """Pachner moves with exact edge-sign transport.
 
-Each move demands its reference marking configuration and refuses
-otherwise; ``normalize_marking`` composes marking moves (leaf rotations
-and inner-edge flips) to put an arbitrary patch into that configuration
-first.  Sign transport is a literal transcription of the local rules:
+The 2-2 and 3-1 moves accept a patch with any marking.  Each first
+applies the marking moves that put the patch into its reference
+configuration (rotations of a triangle's marked slot and orientation
+flips of inner edges, each negating signs as ``spin.apply_marking_move``
+does), in place on copies of the edge, triangle and sign dicts, and then
+builds one new triangulation.  Sign transport is a literal transcription
+of the local rules on the reference configuration:
 
 2-2 (diagonal flip): both triangles marked on the shared diagonal e.
 With sigma1 = left face of e = [e, A, B] and sigma2 = right face =
@@ -17,14 +20,14 @@ reference slot tables are sigma1 = [A, e12 L, e31 R], sigma2 =
 [B, e23 L, e12 R], sigma3 = [C, e31 L, e23 R].  Requires
 s12 s23 s31 = -1; outer signs become s_A' = s_A, s_B' = s12 s_B,
 s_C' = -s31 s_C.  The 1-3 move is the exact inverse with the free
-choice (s12, s23) and s31 := -s12 s23.
+choice (s12, s23) and s31 := -s12 s23; any marking of its triangle works.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .spin import MarkingMove, Signs, apply_marking_move
+from .spin import Signs, flip_edge, mark_slot
 from .surface import Edge, L, MarkedTriangulation, R, Slot, Triangle
 
 
@@ -43,48 +46,6 @@ def _fresh_face_id(tri: MarkedTriangulation) -> int:
     return max(tri.triangles) + 1
 
 
-# -- normalization ------------------------------------------------------
-def normalize_for_22(tri: MarkedTriangulation, signs: Signs, eid: int):
-    if tri.is_boundary_edge(eid):
-        raise ValueError(f"edge {eid} is a boundary edge")
-    for fid in [f for f, _ in tri.incidences(eid)]:
-        while tri.triangles[fid].slots[0].edge != eid:
-            tri, signs = apply_marking_move(
-                tri, signs, MarkingMove("rotate_marking", fid))
-    return tri, signs
-
-
-def normalize_for_31(tri: MarkedTriangulation, signs: Signs, v: int):
-    star = tri.star_cycle(v)
-    if len(star) != 3:
-        raise ValueError(f"vertex {v} does not have valence 3")
-    inner_edges = {eid for _, _, eid, _ in star}
-    if len(inner_edges) != 3:
-        raise ValueError(f"star of vertex {v} is degenerate")
-    # orient all inner edges toward v
-    for eid in sorted(inner_edges):
-        if tri.edges[eid].src == v:
-            tri, signs = apply_marking_move(tri, signs,
-                                            MarkingMove("flip_edge", eid))
-    # mark each star triangle on its outer edge
-    for fid, _, _, _ in tri.star_cycle(v):
-        while tri.triangles[fid].slots[0].edge in inner_edges:
-            tri, signs = apply_marking_move(tri, signs,
-                                            MarkingMove("rotate_marking", fid))
-    return tri, signs
-
-
-def normalize_marking(tri: MarkedTriangulation, signs: Signs,
-                      move: PachnerMove):
-    if move.kind == "two_two":
-        return normalize_for_22(tri, signs, move.target)
-    if move.kind == "three_one":
-        return normalize_for_31(tri, signs, move.target)
-    if move.kind == "one_three":
-        return tri, signs  # any marking on the target triangle works
-    raise ValueError(f"unknown move kind {move.kind!r}")
-
-
 # -- 2-2 ----------------------------------------------------------------
 def pachner_22(tri: MarkedTriangulation, signs: Signs, eid: int):
     if tri.is_boundary_edge(eid):
@@ -94,72 +55,66 @@ def pachner_22(tri: MarkedTriangulation, signs: Signs, eid: int):
         raise ValueError(f"2-2 move undefined at edge {eid}")
     f1, s1 = left
     f2, s2 = right
-    if s1 != 0 or s2 != 0:
-        raise ValueError("2-2 move requires both triangles marked on the "
-                         "diagonal (run normalize_marking first)")
-    t1, t2 = tri.triangles[f1], tri.triangles[f2]
+    triangles, new_signs = dict(tri.triangles), dict(signs)
+    mark_slot(triangles, new_signs, f1, s1)
+    mark_slot(triangles, new_signs, f2, s2)
+    t1, t2 = triangles[f1], triangles[f2]
     A, B = t1.slots[1], t1.slots[2]
     C, D = t2.slots[1], t2.slots[2]
     outer = {A.edge, B.edge, C.edge, D.edge}
     if len(outer) != 4 or eid in outer:
         raise ValueError("2-2 move needs four distinct outer edges")
-    v3 = tri.corner_vertex(f1, 1)  # between A and B
-    v1 = tri.corner_vertex(f2, 1)  # between C and D
+    v3 = tri.corner_vertex(f1, (s1 + 1) % 3)  # between A and B
+    v1 = tri.corner_vertex(f2, (s2 + 1) % 3)  # between C and D
     new_eid = _fresh_edge_id(tri)
     f3 = _fresh_face_id(tri)
     f4 = f3 + 1
     edges = dict(tri.edges)
     del edges[eid]
     edges[new_eid] = Edge(v1, v3)
-    triangles = dict(tri.triangles)
     del triangles[f1]
     del triangles[f2]
     triangles[f3] = Triangle((Slot(new_eid, L), B, C))
     triangles[f4] = Triangle((Slot(new_eid, R), D, A))
-    s = signs[eid]
-    new_signs = dict(signs)
-    del new_signs[eid]
+    s = new_signs.pop(eid)
     new_signs[new_eid] = s
-    new_signs[B.edge] = -s * signs[B.edge]
-    new_signs[C.edge] = -signs[C.edge]
-    new_signs[D.edge] = -s * signs[D.edge]
+    new_signs[B.edge] = -s * new_signs[B.edge]
+    new_signs[C.edge] = -new_signs[C.edge]
+    new_signs[D.edge] = -s * new_signs[D.edge]
     return MarkedTriangulation(edges, triangles, tri.boundaries), new_signs
 
 
 # -- 3-1 ----------------------------------------------------------------
-def _star_layout(tri: MarkedTriangulation, v: int):
-    """Reference layout of a normalized valence-3 star.
-
-    Returns (faces, inner, outer) where faces = (f1, f2, f3) in
-    counterclockwise order starting from the smallest face id, inner =
-    (e12, e23, e31) and outer = the outer slots (A, B, C) of the faces.
-    """
+def pachner_31(tri: MarkedTriangulation, signs: Signs, v: int):
     star = tri.star_cycle(v)
     if len(star) != 3:
         raise ValueError(f"vertex {v} does not have valence 3")
+    inner_edges = {eid for _, _, eid, _ in star}
+    if len(inner_edges) != 3:
+        raise ValueError(f"star of vertex {v} is degenerate")
+    edges, triangles = dict(tri.edges), dict(tri.triangles)
+    new_signs = dict(signs)
+    # reference configuration: inner edges point toward v, each face is
+    # marked on its outer edge
+    for eid in inner_edges:
+        if edges[eid].src == v:
+            flip_edge(tri, edges, triangles, new_signs, eid)
     ids = [fid for fid, _, _, _ in star]
+    for fid in ids:
+        slots = triangles[fid].slots
+        mark_slot(triangles, new_signs, fid, next(
+            k for k in range(3) if slots[k].edge not in inner_edges))
+    # faces counterclockwise from the smallest id; A, B, C their outer slots
     rot = ids.index(min(ids))
-    star = star[rot:] + star[:rot]
-    faces, inner, outer = [], [], []
-    for fid, _, _, _ in star:
-        t = tri.triangles[fid]
-        faces.append(fid)
-        outer.append(t.slots[0])
-        inner.append(t.slots[1].edge)
+    faces = ids[rot:] + ids[:rot]
+    outer = [triangles[fid].slots[0] for fid in faces]
+    inner = [triangles[fid].slots[1].edge for fid in faces]
     for k, fid in enumerate(faces):
-        t = tri.triangles[fid]
-        e_next, e_prev = inner[k], inner[(k + 2) % 3]
+        t = triangles[fid]
+        e_next, e_prev = inner[k], inner[k - 1]
         if (t.slots[1] != Slot(e_next, L) or t.slots[2] != Slot(e_prev, R)
-                or tri.edges[e_next].dst != v):
-            raise ValueError("3-1 move requires the reference configuration "
-                             "(run normalize_marking first)")
-    return faces, inner, outer
-
-
-def pachner_31(tri: MarkedTriangulation, signs: Signs, v: int):
-    if v not in tri.inner_vertices():
-        raise ValueError(f"vertex {v} is not inner")
-    faces, inner, outer = _star_layout(tri, v)
+                or edges[e_next].dst != v):
+            raise ValueError(f"star of vertex {v} is not a triangulated disk")
     e12, e23, e31 = inner
     if len({e12, e23, e31}) != 3:
         raise ValueError("3-1 move needs three distinct inner edges")
@@ -169,23 +124,19 @@ def pachner_31(tri: MarkedTriangulation, signs: Signs, v: int):
     if {A.edge, B.edge, C.edge} & {e12, e23, e31}:
         raise ValueError("3-1 move patch is degenerate (outer edge equals "
                          "an inner edge)")
-    s12, s23, s31 = signs[e12], signs[e23], signs[e31]
+    s12, s23, s31 = new_signs[e12], new_signs[e23], new_signs[e31]
     if s12 * s23 * s31 != -1:
         raise ValueError("inner sign product must be -1 (signs are not "
                          "admissible around the collapsing vertex)")
     fnew = _fresh_face_id(tri)
-    edges = dict(tri.edges)
     for e in inner:
         del edges[e]
-    triangles = dict(tri.triangles)
+        del new_signs[e]
     for f in faces:
         del triangles[f]
     triangles[fnew] = Triangle((A, B, C))
-    new_signs = dict(signs)
-    for e in inner:
-        del new_signs[e]
-    new_signs[B.edge] = s12 * signs[B.edge]
-    new_signs[C.edge] = -s31 * signs[C.edge]
+    new_signs[B.edge] = s12 * new_signs[B.edge]
+    new_signs[C.edge] = -s31 * new_signs[C.edge]
     return MarkedTriangulation(edges, triangles, tri.boundaries), new_signs
 
 
@@ -264,9 +215,7 @@ def random_pachner_move(tri: MarkedTriangulation, signs: Signs, rng,
 
 
 def apply_pachner_move(tri: MarkedTriangulation, signs: Signs,
-                       move: PachnerMove, normalize: bool = True):
-    if normalize:
-        tri, signs = normalize_marking(tri, signs, move)
+                       move: PachnerMove):
     if move.kind == "two_two":
         return pachner_22(tri, signs, move.target)
     if move.kind == "three_one":

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2
-from .surface import (CurveSpec, CurveStep, Edge, GenusGComplex,
+from .surface import (CurveSpec, CurveStep, Edge, GenusGComplex, L,
                       MarkedTriangulation, R, Slot, Triangle)
 
 NS, R_TYPE = "NS", "R"
@@ -142,6 +142,32 @@ class MarkingMove:
     target: int  # face id for leaf_exchange/rotate_marking, edge id for flip
 
 
+def mark_slot(triangles: dict[int, Triangle], signs: Signs, fid: int,
+              k: int) -> None:
+    """Rotate face fid in place so that its slot k is marked, negating
+    the signs of the edges in slots 0..k-1 (one per single rotation)."""
+    slots = triangles[fid].slots
+    for slot in slots[:k]:
+        signs[slot.edge] = -signs[slot.edge]
+    triangles[fid] = Triangle(slots[k:] + slots[:k])
+
+
+def flip_edge(tri: MarkedTriangulation, edges: dict[int, Edge],
+              triangles: dict[int, Triangle], signs: Signs, eid: int) -> None:
+    """Reverse edge eid in place, toggling its slot sides and its sign.
+
+    The slots are found through tri's incidences, so flip before any
+    ``mark_slot`` moves slots in the working dicts.
+    """
+    e = edges[eid]
+    edges[eid] = Edge(e.dst, e.src)
+    for fid, si in tri.incidences(eid):
+        slots = list(triangles[fid].slots)
+        slots[si] = Slot(eid, L if slots[si].side == R else R)
+        triangles[fid] = Triangle(tuple(slots))
+    signs[eid] = -signs[eid]
+
+
 def apply_marking_move(tri: MarkedTriangulation, signs: Signs,
                        move: MarkingMove):
     signs = dict(signs)
@@ -150,30 +176,16 @@ def apply_marking_move(tri: MarkedTriangulation, signs: Signs,
         for slot in t.slots:
             signs[slot.edge] = -signs[slot.edge]
         return tri, signs
+    edges, triangles = dict(tri.edges), dict(tri.triangles)
     if move.kind == "flip_edge":
-        eid = move.target
-        if tri.is_boundary_edge(eid):
+        if tri.is_boundary_edge(move.target):
             raise ValueError("cannot flip a boundary edge")
-        e = tri.edges[eid]
-        edges = dict(tri.edges)
-        edges[eid] = Edge(e.dst, e.src)
-        triangles = dict(tri.triangles)
-        for fid, si in tri.incidences(eid):
-            t = triangles[fid]
-            slots = list(t.slots)
-            old = slots[si]
-            slots[si] = Slot(eid, "L" if old.side == "R" else "R")
-            triangles[fid] = Triangle(tuple(slots))
-        signs[eid] = -signs[eid]
-        return MarkedTriangulation(edges, triangles, tri.boundaries), signs
-    if move.kind == "rotate_marking":
-        fid = move.target
-        t = tri.triangles[fid]
-        triangles = dict(tri.triangles)
-        triangles[fid] = Triangle((t.slots[1], t.slots[2], t.slots[0]))
-        signs[t.slots[0].edge] = -signs[t.slots[0].edge]
-        return MarkedTriangulation(tri.edges, triangles, tri.boundaries), signs
-    raise ValueError(f"unknown marking move kind {move.kind!r}")
+        flip_edge(tri, edges, triangles, signs, move.target)
+    elif move.kind == "rotate_marking":
+        mark_slot(triangles, signs, move.target, 1)
+    else:
+        raise ValueError(f"unknown marking move kind {move.kind!r}")
+    return MarkedTriangulation(edges, triangles, tri.boundaries), signs
 
 
 # -- curve lifting ------------------------------------------------------

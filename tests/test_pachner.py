@@ -4,10 +4,9 @@ import pytest
 
 from spinsum.algebra import builtin_by_name
 from spinsum.eval import evaluate_raw
-from spinsum.pachner import (PachnerMove, apply_pachner_move,
-                             normalize_marking, pachner_13, pachner_31,
-                             random_pachner_move)
-from spinsum.spin import is_admissible
+from spinsum.pachner import (PachnerMove, apply_pachner_move, pachner_13,
+                             pachner_22, pachner_31, random_pachner_move)
+from spinsum.spin import MarkingMove, apply_marking_move, is_admissible
 from spinsum.surface import validate
 from spinsum import tft
 
@@ -63,12 +62,56 @@ def test_three_one_rejects_wrong_sign_product(cyl):
     fid = sorted(tri.triangles)[0]
     t2, s2 = pachner_13(tri, signs, fid, (1, 1))
     v = max(t2.vertices)
-    t2, s2 = normalize_marking(t2, s2, PachnerMove("three_one", v))
     bad = dict(s2)
     new_edges = [e for e in t2.edges if e not in tri.edges]
     bad[new_edges[0]] = -bad[new_edges[0]]
     with pytest.raises(ValueError, match="-1"):
         pachner_31(t2, bad, v)
+
+
+def _scrambled(tri, signs, rotations, flips):
+    """tri with each face fid rotated rotations[fid] times and the edges
+    in flips reversed, through the marking moves."""
+    for eid in flips:
+        tri, signs = apply_marking_move(tri, signs,
+                                        MarkingMove("flip_edge", eid))
+    for fid, n in rotations.items():
+        for _ in range(n):
+            tri, signs = apply_marking_move(
+                tri, signs, MarkingMove("rotate_marking", fid))
+    return tri, signs
+
+
+@pytest.mark.parametrize("name", ["clifford", "twisted-matrix-3-f3"])
+def test_moves_accept_any_marking_of_the_patch(name, algebras):
+    A = algebras[name]
+    tri, signs, types = tft.cylinder_spin("NS", 1)
+    base = evaluate_raw(tri, signs, A)
+    # 2-2: every rotation of both faces, diagonal flipped or not
+    eid = next(e for e in sorted(tri.edges) if not tri.is_boundary_edge(e))
+    f1, f2 = (f for f, _ in tri.incidences(eid))
+    for n1 in range(3):
+        for n2 in range(3):
+            flips = [eid] if (n1 + n2) % 2 else []
+            t2, s2 = pachner_22(*_scrambled(tri, signs, {f1: n1, f2: n2},
+                                            flips), eid)
+            assert validate(t2) == []
+            assert is_admissible(t2, s2, types)
+            assert evaluate_raw(t2, s2, A) == base
+    # 3-1: every subset of inner edges flipped, each face rotated
+    t1, s1 = pachner_13(tri, signs, sorted(tri.triangles)[0], (1, -1))
+    v = max(t1.vertices)
+    star = t1.star_cycle(v)
+    inner = sorted(e for _, _, e, _ in star)
+    for mask in range(8):
+        flips = [e for k, e in enumerate(inner) if mask >> k & 1]
+        for n in range(3):
+            rotations = {fid: (n + k) % 3
+                         for k, (fid, _, _, _) in enumerate(star)}
+            t2, s2 = pachner_31(*_scrambled(t1, s1, rotations, flips), v)
+            assert validate(t2) == []
+            assert is_admissible(t2, s2, types)
+            assert evaluate_raw(t2, s2, A) == base
 
 
 def test_two_two_rejects_boundary_edge(cyl):
