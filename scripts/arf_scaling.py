@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from spinsum.algebra import builtin_clifford
-from spinsum.eval import evaluate_raw_each
+from spinsum.eval import evaluate_raw
 from spinsum.spin import arf_invariant, classify_spin_structures, \
     symplectic_basis
 from spinsum.surface import genus_g_closed_detail
@@ -37,9 +37,8 @@ def run(cfg: Config) -> bool:
         detail = genus_g_closed_detail(g)
         basis = symplectic_basis(detail)
         amps, mismatches = [], 0
-        reps = classify_spin_structures(detail.tri)
-        for signs, raw in zip(reps, evaluate_raw_each(detail.tri, reps, A)):
-            amp = raw.scalar_value()
+        for signs in classify_spin_structures(detail.tri):
+            amp = evaluate_raw(detail.tri, signs, A).scalar_value()
             arf = arf_invariant(detail, signs, basis)
             if amp != Fraction(2) ** (1 - g) * arf:
                 mismatches += 1

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from spinsum.algebra import BUILTIN_NAMES, builtin_by_name
-from spinsum.eval import evaluate_raw_each
+from spinsum.eval import evaluate_raw
 from spinsum.spin import classify_spin_structures
 from spinsum.surface import named_closed_detail
 from spinsum import tft
@@ -34,8 +34,8 @@ def run(cfg: Config) -> bool:
     tri = named_closed_detail(cfg.surface).tri
     weighted = tft.statistical_sign_sum(tri, A)
     plus = tft.plus_part_state_sum(tri, A)
-    per_class = sorted(amp.scalar_value() for amp in evaluate_raw_each(
-        tri, classify_spin_structures(tri), A))
+    per_class = sorted(evaluate_raw(tri, signs, A).scalar_value()
+                       for signs in classify_spin_structures(tri))
     print(f"surface {cfg.surface}, algebra {cfg.algebra}")
     print(f"  weighted sign sum   : {weighted}")
     print(f"  A+ state sum        : {plus}")

@@ -16,7 +16,7 @@ import click
 from . import algebra as algebra_io
 from . import surface as surface_io
 from .algebra import BUILTIN_NAMES, builtin_by_name, validate_predicates
-from .eval import Amplitude, evaluate, evaluate_raw, evaluate_raw_each
+from .eval import Amplitude, evaluate, evaluate_raw
 from .pachner import random_pachner_move
 from .spin import (NS, R_TYPE, arf_invariant, classify_spin_structures,
                    quadratic_pairs, symplectic_basis)
@@ -323,8 +323,8 @@ def cmd_sign_scan(algebra, surface, output):
     except ValueError as exc:
         _fail(str(exc))
     equal = total == oriented
-    classes = [F.format(amp.scalar_value()) for amp in
-               evaluate_raw_each(tri, classify_spin_structures(tri), A)]
+    classes = [F.format(evaluate_raw(tri, signs, A).scalar_value())
+               for signs in classify_spin_structures(tri)]
     _emit({"algebra": A.name, "surface": surface,
            "weighted_sum": F.format(total),
            "oriented_value": F.format(oriented),

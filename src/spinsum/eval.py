@@ -12,6 +12,14 @@ stored transposed so that leg 0 holds the input index.  The amplitude
 contracts this diagram and relabels the 3 legs per boundary component
 (ordered by boundary index, then position 0,1,2) as inputs.
 
+The schedule comes from ``plan_contraction``: the greedy rule (next the
+triangle needing the fewest new copairings) run once from each start
+face, scored symbolically by the sum of 3^(open legs) after each
+triangle step, the cheapest kept.  Any order gives the same exact
+result, so the search only saves work.  The plan depends on the
+triangulation alone and is cached on it, so the per-class evaluations
+of one surface share one plan.
+
 One executor, ``contract_network``, contracts the diagram for every
 algebra.  It grows a pure-output "blob" tensor along a schedule of
 ('c', edge) / ('t', face) steps.  A copairing stays pending until a
@@ -120,46 +128,106 @@ class Amplitude:
 
 
 def plan_contraction(graph: DiagramGraph) -> list[tuple[str, int]]:
-    """Greedy schedule of ('c', edge id) / ('t', face id) actions.
+    """Schedule of ('c', edge id) / ('t', face id) actions, cached.
 
-    Chooses the next triangle needing the fewest new copairings (ties by
-    smallest face id), absorbing its missing copairings in edge-id order;
-    this greedily minimizes the open-leg count of the blob.
+    Runs the greedy rule -- next the triangle needing the fewest new
+    copairings, ties by smallest face id, its missing copairings absorbed
+    in edge-id order just before it -- once with each face as the forced
+    first pick.  Each candidate is scored symbolically by the sum of
+    3^(open legs) after each triangle step, and the cheapest is kept
+    (ties: the lowest start face).  The plan depends only on the
+    triangulation, so it is stored on ``graph.tri`` and every later call
+    for a graph on that triangulation returns the same list (callers
+    must not modify it).
     """
-    faces = graph.tri.triangles
-    missing = {fid: {s.edge for s in faces[fid].slots} for fid in faces}
+    tri = graph.tri
+    if tri._plan is None:
+        tri._plan = _search_plan(tri)
+    return tri._plan
+
+
+def _search_plan(tri: MarkedTriangulation) -> list[tuple[str, int]]:
+    fids = sorted(tri.triangles)  # face index i <-> i-th smallest face id
+    index = {fid: i for i, fid in enumerate(fids)}
+    face_edges = [sorted({s.edge for s in tri.triangles[fid].slots})
+                  for fid in fids]
+    on_edge = {eid: {index[f] for f, _ in tri.incidences(eid)}
+               for eid in tri.edges}
+    neighbours = [[(eid, [j for j in on_edge[eid] if j != i])
+                   for eid in edges] for i, edges in enumerate(face_edges)]
+    count = [len(edges) for edges in face_edges]  # missing copairings
+    buckets = [0, 0, 0, 0]  # per missing count: bitmask of the faces
+    for i, c in enumerate(count):
+        buckets[c] |= 1 << i
+    best, best_order = math.inf, []
+    for start in range(len(fids)):
+        found = _greedy_order(start, neighbours, count[:], buckets[:], best)
+        if found is not None:
+            best, best_order = found
     absorbed: set[int] = set()
     plan: list[tuple[str, int]] = []
-    while missing:
-        fid = min(missing, key=lambda f: (len(missing[f]), f))
-        for eid in sorted(missing.pop(fid)):
-            plan.append(("c", eid))
+    for i in best_order:
+        for eid in face_edges[i]:
+            if eid not in absorbed:
+                absorbed.add(eid)
+                plan.append(("c", eid))
+        plan.append(("t", fids[i]))
+    return plan  # build_graph checked that every edge has a face
+
+
+def _greedy_order(start, neighbours, count, buckets, bound):
+    """(score, face order) of the greedy run forced to start at face
+    ``start``, or None once its score reaches ``bound``.  ``neighbours[i]``
+    lists (edge id, other faces on that edge) per edge of face i; the run
+    updates ``count`` and ``buckets`` in place.
+
+    The faces sit in bitmask buckets by missing count 0..3, so a pick is
+    the lowest set bit of the first nonempty bucket.  A triangle with m
+    missing copairings opens 2m legs and closes its 3 slots.
+    """
+    absorbed: set[int] = set()
+    order: list[int] = []
+    open_legs = score = 0
+    i = start
+    for _ in neighbours:
+        if i is None:
+            b = buckets[0] or buckets[1] or buckets[2] or buckets[3]
+            i = (b & -b).bit_length() - 1
+        c = count[i]
+        buckets[c] ^= 1 << i
+        open_legs += 2 * c - 3
+        score += 3 ** open_legs
+        if score >= bound:
+            return None
+        order.append(i)
+        for eid, js in neighbours[i]:
+            if eid in absorbed:
+                continue
             absorbed.add(eid)
-            for f, _ in graph.tri.incidences(eid):
-                if f in missing:
-                    missing[f].discard(eid)
-        plan.append(("t", fid))
-    for eid in sorted(set(graph.wires) - absorbed):
-        plan.append(("c", eid))
-    return plan
+            for j in js:  # still unplaced: placing j would have opened eid
+                c = count[j]
+                buckets[c] ^= 1 << j
+                buckets[c - 1] |= 1 << j
+                count[j] = c - 1
+        i = None
+    return score, order
 
 
 def is_valid_schedule(graph: DiagramGraph, plan) -> bool:
-    absorbed = set()
+    """True iff ``plan`` absorbs every edge's copairing once and places
+    every face once, each after the copairings of its three slots.
+    Unknown ids and repeated actions make it invalid."""
     faces = graph.tri.triangles
-    count_c = sum(1 for k, _ in plan if k == "c")
-    count_t = sum(1 for k, _ in plan if k == "t")
-    if count_c != len(graph.wires) or count_t != len(faces):
-        return False
+    absorbed, placed = set(), set()
     for kind, tid in plan:
-        if kind == "c":
-            if tid in absorbed:
-                return False
+        if kind == "c" and tid in graph.wires and tid not in absorbed:
             absorbed.add(tid)
+        elif (kind == "t" and tid in faces and tid not in placed
+              and all(s.edge in absorbed for s in faces[tid].slots)):
+            placed.add(tid)
         else:
-            if any(s.edge not in absorbed for s in faces[tid].slots):
-                return False
-    return True
+            return False
+    return len(absorbed) == len(graph.wires) and len(placed) == len(faces)
 
 
 def contract_graph(graph: DiagramGraph, D: DerivedStructure,
@@ -167,11 +235,12 @@ def contract_graph(graph: DiagramGraph, D: DerivedStructure,
                    max_entries=DEFAULT_MAX_ENTRIES) -> GradedTensor:
     """Contract the diagram to a pure-output tensor in codomain leg order.
 
-    Runs ``contract_network`` along ``plan`` (checked) or the greedy plan,
-    with t on every face, c_{s(e)} on every inner edge and N_eps(-s(e))
-    on every boundary edge, keyed (input index, index toward the face).
-    Each codomain leg therefore holds the index of an input; the result
-    is the amplitude up to ``flip_out_to_in``'s relabel.
+    Runs ``contract_network`` along ``plan`` (checked) or the cached
+    ``plan_contraction``, with t on every face, c_{s(e)} on every inner
+    edge and N_eps(-s(e)) on every boundary edge, keyed (input index,
+    index toward the face).  Each codomain leg therefore holds the index
+    of an input; the result is the amplitude up to ``flip_out_to_in``'s
+    relabel.
     """
     if plan is None:
         plan = plan_contraction(graph)
@@ -407,16 +476,6 @@ def evaluate_raw(tri: MarkedTriangulation, signs: Signs,
     raw = contract_graph(graph, D, plan, max_open_legs, max_entries)
     return Amplitude(raw.flip_out_to_in(), len(tri.boundaries),
                      list(graph.cod_order))
-
-
-def evaluate_raw_each(tri: MarkedTriangulation, sign_list: list[Signs],
-                      A: GradedFrobeniusAlgebra) -> list[Amplitude]:
-    """``evaluate_raw`` for each sign assignment, on one shared plan (the
-    greedy plan does not depend on the signs)."""
-    if not sign_list:
-        return []
-    plan = plan_contraction(build_graph(tri, sign_list[0]))
-    return [evaluate_raw(tri, signs, A, plan) for signs in sign_list]
 
 
 def evaluate(tri: MarkedTriangulation, signs: Signs, types: tuple[str, ...],

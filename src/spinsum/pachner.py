@@ -183,29 +183,30 @@ def random_pachner_move(tri: MarkedTriangulation, signs: Signs, rng,
     (default: the current count), so long random walks stay bounded.
     """
     n0 = bias_faces if bias_faces is not None else len(tri.triangles)
+    n_f = len(tri.triangles)
+    if n_f <= n0:
+        kinds = ["one_three", "one_three", "two_two"]
+    elif n_f >= n0 + 4:
+        kinds = ["three_one", "three_one", "two_two"]
+    else:
+        kinds = ["one_three", "two_two", "three_one"]
+    cands: dict[str, list[int]] = {}  # move targets per kind, built once
     for _ in range(500):
-        n_f = len(tri.triangles)
-        if n_f <= n0:
-            kinds = ["one_three", "one_three", "two_two"]
-        elif n_f >= n0 + 4:
-            kinds = ["three_one", "three_one", "two_two"]
-        else:
-            kinds = ["one_three", "two_two", "three_one"]
         kind = rng.choice(kinds)
-        if kind == "two_two":
-            cands = [e for e in sorted(tri.edges)
-                     if not tri.is_boundary_edge(e)]
-            if not cands:
-                continue
-            move = PachnerMove("two_two", rng.choice(cands))
-        elif kind == "three_one":
-            cands = sorted(tri.inner_vertices())
-            if not cands:
-                continue
-            move = PachnerMove("three_one", rng.choice(cands))
-        else:
-            move = PachnerMove("one_three", rng.choice(sorted(tri.triangles)),
-                               (rng.choice((1, -1)), rng.choice((1, -1))))
+        if kind not in cands:
+            if kind == "two_two":
+                cands[kind] = [e for e in sorted(tri.edges)
+                               if not tri.is_boundary_edge(e)]
+            elif kind == "three_one":
+                cands[kind] = sorted(tri.inner_vertices())
+            else:
+                cands[kind] = sorted(tri.triangles)
+        if not cands[kind]:
+            continue
+        target = rng.choice(cands[kind])
+        choice = ((rng.choice((1, -1)), rng.choice((1, -1)))
+                  if kind == "one_three" else (1, 1))
+        move = PachnerMove(kind, target, choice)
         try:
             tri2, signs2 = apply_pachner_move(tri, signs, move)
         except ValueError:

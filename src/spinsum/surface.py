@@ -78,6 +78,8 @@ class MarkedTriangulation:
         # no later edits
         self._first_corner: dict[int, tuple[int, int]] = {}
         self._unscanned = iter(self.triangles)
+        # contraction plan, set by eval.plan_contraction on first use
+        self._plan: list[tuple[str, int]] | None = None
 
     # -- basic queries --------------------------------------------------
     @property

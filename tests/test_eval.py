@@ -11,6 +11,9 @@ from spinsum.eval import (WireTarget, build_graph, contract_exhaustive,
                           contract_graph, contract_network, evaluate,
                           evaluate_raw, is_valid_schedule, plan_contraction)
 from spinsum.fields import QQ
+from spinsum.pachner import random_pachner_move
+from spinsum.spin import classify_spin_structures
+from spinsum.surface import genus_g_closed_detail
 from spinsum.tensor import BudgetExceeded, GradedTensor
 from spinsum import tft
 
@@ -46,12 +49,98 @@ def test_invalid_schedule_rejected(clifford):
     tri, signs, _ = tft.cylinder_spin("NS", 1)
     graph = build_graph(tri, signs)
     plan = plan_contraction(graph)
-    # face before its copairings
-    broken = [p for p in plan if p[0] == "t"] + [p for p in plan
-                                                 if p[0] == "c"]
-    assert not is_valid_schedule(graph, broken)
-    with pytest.raises(ValueError, match="invalid contraction schedule"):
-        contract_graph(graph, derive(clifford), plan=broken)
+    # face before its copairings; unknown face, edge and action; a face
+    # placed twice
+    last_t = max(k for k, (kind, _) in enumerate(plan) if kind == "t")
+    broken = [[p for p in plan if p[0] == "t"] + [p for p in plan
+                                                  if p[0] == "c"],
+              plan + [("t", 999)], plan + [("c", 999)],
+              [("c", 999)] + plan, [("x", 0)] + plan,
+              plan[:last_t + 1] + [plan[last_t]] + plan[last_t + 1:]]
+    for bad in broken:
+        assert not is_valid_schedule(graph, bad)
+        with pytest.raises(ValueError, match="invalid contraction schedule"):
+            contract_graph(graph, derive(clifford), plan=bad)
+
+
+def _greedy_from(tri, start):
+    """Reference greedy plan with a forced first face: then the face with
+    the fewest unabsorbed edges (ties: smallest id), each face right
+    after its unabsorbed edges in id order."""
+    faces = tri.triangles
+    missing = {fid: {s.edge for s in faces[fid].slots} for fid in faces}
+    absorbed, plan, fid = set(), [], start
+    while missing:
+        if fid is None:
+            fid = min(missing, key=lambda f: (len(missing[f]), f))
+        edges = sorted(missing.pop(fid))
+        plan += [("c", eid) for eid in edges] + [("t", fid)]
+        absorbed.update(edges)
+        for rest in missing.values():
+            rest.difference_update(edges)
+        fid = None
+    return plan + [("c", eid) for eid in sorted(set(tri.edges) - absorbed)]
+
+
+def _plan_score(plan):
+    """Sum of 3^(open legs) after each triangle step."""
+    legs = total = 0
+    for kind, _ in plan:
+        legs += 2 if kind == "c" else -3
+        total += 3 ** legs if kind == "t" else 0
+    return total
+
+
+def _planned_surfaces():
+    cases = [("cylinder", tft.cylinder_spin("R", -1)[:2]),
+             ("pants", tft.pants_spin(("NS", "R", "R"), 1, -1)[:2])]
+    for g in (1, 2):
+        tri = genus_g_closed_detail(g).tri
+        cases.append((f"genus-{g}", (tri, classify_spin_structures(tri)[-1])))
+    tri, signs = cases[1][1]
+    rng, faces = random.Random(2), len(tri.triangles)
+    for _ in range(100):
+        tri, signs, _ = random_pachner_move(tri, signs, rng, faces)
+    cases.append(("pants-walked", (tri, signs)))
+    return cases
+
+
+@pytest.mark.parametrize("name", ("clifford", "twisted-matrix-3-f3"))
+def test_plan_is_cheapest_greedy_start_and_every_start_agrees(name):
+    """plan_contraction returns the lowest-scored forced-start greedy plan
+    (ties: the lowest start face), never scored above the old greedy plan
+    (the same rule without a forced start); every start face gives a
+    valid schedule contracting to the same tensor."""
+    D = derive(builtin_by_name(name))
+    for label, (tri, signs) in _planned_surfaces():
+        graph = build_graph(tri, signs)
+        plan = plan_contraction(graph)
+        starts = [_greedy_from(tri, fid) for fid in sorted(tri.triangles)]
+        assert plan == min(starts, key=_plan_score), label
+        assert _plan_score(plan) <= _plan_score(_greedy_from(tri, None))
+        want = contract_graph(graph, D, plan)
+        for other in starts:
+            assert is_valid_schedule(graph, other), label
+            assert contract_graph(graph, D, other) == want, label
+        if name == "clifford" and label in ("cylinder", "pants"):
+            assert evaluate_raw(tri, signs, D.A) == \
+                contract_exhaustive(graph, D.A)
+
+
+def test_plan_is_cached_per_triangulation():
+    """Signs do not enter the plan: two graphs on one triangulation share
+    the very same list; a Pachner move gives a new triangulation, planned
+    afresh."""
+    tri, signs, _ = tft.pants_spin(("NS", "R", "R"), 1, -1)
+    flipped = {eid: -s for eid, s in signs.items()}
+    plan = plan_contraction(build_graph(tri, signs))
+    assert plan_contraction(build_graph(tri, flipped)) is plan
+    tri2, signs2, _ = random_pachner_move(tri, signs, random.Random(1))
+    graph2 = build_graph(tri2, signs2)
+    plan2 = plan_contraction(graph2)
+    assert plan2 is not plan and plan2 != plan
+    assert is_valid_schedule(graph2, plan2)
+    assert plan_contraction(graph2) is plan2
 
 
 @pytest.mark.parametrize("boundary", (False, True))
