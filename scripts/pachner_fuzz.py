@@ -44,9 +44,13 @@ def run(cfg: Config) -> bool:
     for seed in cfg.seeds:
         tri, signs, types = _fixture(cfg.surface)
         t0 = time.monotonic()
-        ok, log, _ = run_pachner_fuzz(tri, signs, types, A, seed=seed,
-                                      n_moves=cfg.moves,
-                                      check_every=cfg.check_every)
+        try:
+            ok, log, _ = run_pachner_fuzz(tri, signs, types, A, seed=seed,
+                                          n_moves=cfg.moves,
+                                          check_every=cfg.check_every)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            sys.exit(2)
         verdict = "pass" if ok else f"FAIL after move {len(log)}"
         print(f"seed {seed}: {cfg.moves} moves on {cfg.surface} with "
               f"{cfg.algebra}: {verdict} ({time.monotonic() - t0:.2f}s)")

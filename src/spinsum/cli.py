@@ -262,8 +262,15 @@ def run_pachner_fuzz(tri, signs, types, A, seed: int, n_moves: int,
     """Random Pachner walk asserting exact amplitude invariance.
 
     Returns (ok, move_log, n_checks); on failure the log ends at the
-    first checkpoint whose amplitude differs.
+    first checkpoint whose amplitude differs.  Raises ``ValueError`` if
+    ``n_moves`` or ``check_every`` is below 1.
     """
+    if n_moves < 1:
+        raise ValueError(f"the number of moves must be at least 1, "
+                         f"got {n_moves}")
+    if check_every < 1:
+        raise ValueError(f"the check interval must be at least 1, "
+                         f"got {check_every}")
     rng = random.Random(seed)
     base = evaluate_raw(tri, signs, A)
     bias = len(tri.triangles)
@@ -296,8 +303,11 @@ def cmd_pachner_fuzz(algebra, surface, spin, signs_path, seed, moves,
     """Fuzz amplitude invariance under random Pachner moves."""
     A = _load_algebra(algebra)
     tri, signs, types = _spin_surface(surface, spin, signs_path)
-    ok, log, checks = run_pachner_fuzz(tri, signs, types, A, seed, moves,
-                                       check_every)
+    try:
+        ok, log, checks = run_pachner_fuzz(tri, signs, types, A, seed, moves,
+                                           check_every)
+    except ValueError as exc:
+        _fail(str(exc))
     report = {"algebra": A.name, "surface": surface, "seed": seed,
               "moves": len(log), "checks": checks,
               "result": "pass" if ok else "FAIL"}

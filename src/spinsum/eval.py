@@ -41,8 +41,9 @@ the three slot legs with each other and with the free ends; a table row
 fixes all those parities, so it is folded into the row's coefficient.
 The entry part covers each odd matched blob leg crossing the odd blob
 legs after it; it is read off each blob key's parities.  When every leg
-parity is even all sign work is skipped.  One final ``permute_out`` puts
-the surviving legs into codomain order.  Budget: after each triangle at
+parity is even all sign work is skipped.  The surviving legs end in
+codomain order or are put there by one final ``permute_out``, itself one
+``itemgetter`` remap per entry.  Budget: after each triangle at
 most max_open_legs open legs and max_entries stored entries, else
 ``BudgetExceeded`` names the step, its action and the plan length.
 
@@ -59,13 +60,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .algebra import DerivedStructure, GradedFrobeniusAlgebra, derive, \
     passes_invariance_predicates
 from .spin import Signs, is_admissible
 from .surface import MarkedTriangulation
-from .tensor import BudgetExceeded, GradedTensor
+from .tensor import BudgetExceeded, GradedTensor, key_getter
 
 DEFAULT_MAX_OPEN_LEGS = 16
 DEFAULT_MAX_ENTRIES = 10**7
@@ -320,7 +320,7 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                                                    used, free_ends)
         # fused table: matched open-leg indices -> [(new indices, coeff)]
         fused: dict[tuple, list] = {}
-        tget = _key_getter([s for s, _ in matched])
+        tget = key_getter([s for s, _ in matched])
         for tkey, tv in tdat.items():
             acc = [((), tv)]
             for slots, by_fixed in opts:
@@ -338,7 +338,7 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                             leg[nk[i]] for i in idx)) & 1 else cv)
                             for nk, cv in acc]
                 fused.setdefault(tget(tkey), []).extend(acc)
-        mget, rget = _key_getter(matched_pos), _key_getter(rest)
+        mget, rget = key_getter(matched_pos), key_getter(rest)
         if graded:
             _apply_entry_sign(blob, fused, matched_pos, rest, mget, leg)
         new_blob: dict[tuple, int] = {}
@@ -382,7 +382,8 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
         for key, v in blob.items():
             blob[key] = Fraction(v, denom)  # the one division
     out = GradedTensor(F, tuple([leg] * len(targets)), (), blob)
-    return out.permute_out([targets.index(w) for w in want])
+    order = [targets.index(w) for w in want]
+    return out if order == sorted(order) else out.permute_out(order)
 
 
 def _integral(data, p):
@@ -394,14 +395,6 @@ def _integral(data, p):
     scale = math.lcm(*(v.denominator for v in data.values()))
     return {k: v.numerator * (scale // v.denominator)
             for k, v in data.items()}, scale
-
-
-def _key_getter(positions):
-    """C-level ``lambda key: tuple(key[q] for q in positions)``."""
-    if len(positions) < 2:  # itemgetter of one position gives a bare item
-        start = positions[0] if positions else 0
-        return itemgetter(slice(start, start + len(positions)))
-    return itemgetter(*positions)
 
 
 def _slot_crossings(n_open, matched, used, free_ends):
@@ -456,7 +449,7 @@ def _apply_entry_sign(blob, fused, matched_pos, rest, mget, leg):
         odd_pos = sorted(q for q, x in zip(matched_pos, mk) if leg[x])
         sel = [r for r in rest if bisect.bisect_left(odd_pos, r) & 1]
         if sel:
-            sel_of[mk] = _key_getter(sel)
+            sel_of[mk] = key_getter(sel)
     if not sel_of:
         return
     parity = leg.__getitem__

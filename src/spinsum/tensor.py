@@ -13,12 +13,19 @@ Koszul sign.  All Koszul signs therefore live in explicit permutations:
 ``braiding`` legs, ``permute_out``/``permute_in``, and the relabel of the
 amplitude's outputs as inputs in ``flip_out_to_in``.  Each of those
 multiplies an entry by (-1)^(sum of |a||b| over inverted pairs).
+
+The permutations and the relabel build no Python generator per entry: a
+permutation remaps each key with one ``operator.itemgetter``
+(``key_getter``), and only an inverted pair of legs that both have odd
+basis vectors can negate an entry.  On legs without odd basis vectors
+the relabel is a plain copy of the entries.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from operator import getitem, itemgetter
 from typing import Sequence
 
 from .fields import Field
@@ -28,6 +35,14 @@ Parities = tuple[int, ...]
 
 class BudgetExceeded(RuntimeError):
     pass
+
+
+def key_getter(positions):
+    """C-level ``lambda key: tuple(key[q] for q in positions)``."""
+    if len(positions) < 2:  # itemgetter of one position gives a bare item
+        start = positions[0] if positions else 0
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
 
 
 def inversion_pairs(new_order: Sequence[int]) -> list[tuple[int, int]]:
@@ -202,47 +217,65 @@ class GradedTensor:
     # -- Koszul permutations --------------------------------------------
     def permute_out(self, new_order: Sequence[int]) -> "GradedTensor":
         """Reorder output legs; new_order[q] = old output position at new q."""
-        return self._permute(new_order, 0, self.out_legs)
+        return self._permute(new_order, True)
 
     def permute_in(self, new_order: Sequence[int]) -> "GradedTensor":
         """Reorder input legs; new_order[q] = old input position at new q."""
-        return self._permute(new_order, self.n_out, self.in_legs)
+        return self._permute(new_order, False)
 
-    def _permute(self, new_order, start, legs) -> "GradedTensor":
-        """Reorder the legs whose indices are key[start:start + len(legs)]."""
+    def _permute(self, new_order, on_out: bool) -> "GradedTensor":
+        """Reorder the output legs (``on_out``) or the input legs.
+
+        One ``itemgetter`` over the whole key remaps each key.  Only an
+        inverted pair of legs that both have odd basis vectors can carry a
+        sign, so the sign is read off the indices on those legs: it is
+        worked out once per distinct index tuple there, and the pass over
+        the entries is one dict comprehension.
+        """
+        legs = self.out_legs if on_out else self.in_legs
         n = len(legs)
         if sorted(new_order) != list(range(n)):
             raise ValueError(f"bad leg permutation {list(new_order)}")
         moved = tuple(legs[p] for p in new_order)
-        out = (GradedTensor(self.field, self.out_legs, moved, {}) if start
-               else GradedTensor(self.field, moved, self.in_legs, {}))
+        if on_out:
+            out = GradedTensor(self.field, moved, self.in_legs, {})
+        else:
+            out = GradedTensor(self.field, self.out_legs, moved, {})
+        start = 0 if on_out else self.n_out
         end = start + n
-        picks = [start + p for p in new_order]
-        data = out.data
+        remap = key_getter([*range(start), *(start + p for p in new_order),
+                            *range(end, self.n_out + self.n_in)])
+        signed = [(a, b) for a, b in inversion_pairs(new_order)
+                  if any(legs[a]) and any(legs[b])]
         # keys stay distinct under a permutation: store directly
-        if not any(any(leg) for leg in legs):
-            for key, v in self.data.items():
-                data[key[:start] + tuple(key[p] for p in picks)
-                     + key[end:]] = v
+        if not signed:
+            out.data = {remap(key): v for key, v in self.data.items()}
             return out
-        # invmask[a] = positions b > a whose pair (a, b) is inverted
-        invmask = [0] * n
-        for a, b in inversion_pairs(new_order):
-            invmask[a] |= 1 << b
-        neg = self.field.neg
-        for key, v in self.data.items():
+        involved = sorted({p for pair in signed for p in pair})
+        at = {p: i for i, p in enumerate(involved)}
+        # invmask[i] = involved legs j > i whose pair (i, j) is inverted
+        invmask = [0] * len(involved)
+        for a, b in signed:
+            invmask[at[a]] |= 1 << at[b]
+        parities = [legs[p] for p in involved]
+        sget = key_getter([start + p for p in involved])
+        odd = set()
+        for idx in {sget(key) for key in self.data}:
             m = 0
-            for p in range(n):
-                if legs[p][key[start + p]]:
-                    m |= 1 << p
+            for i, x in enumerate(idx):
+                if parities[i][x]:
+                    m |= 1 << i
             s = 0
             mm = m
             while mm:
                 low = mm & -mm
                 s ^= (m & invmask[low.bit_length() - 1]).bit_count() & 1
                 mm ^= low
-            newk = key[:start] + tuple(key[p] for p in picks) + key[end:]
-            data[newk] = neg(v) if s else v
+            if s:
+                odd.add(idx)
+        neg = self.field.neg
+        out.data = {remap(key): neg(v) if sget(key) in odd else v
+                    for key, v in self.data.items()}
         return out
 
     # -- blob-contraction helpers ---------------------------------------
@@ -276,13 +309,18 @@ class GradedTensor:
         i'th output.  ``eval.contract_graph`` has already absorbed b into
         the boundary edges, so only tau's crossing sign is left: an entry
         with k odd indices gets (-1)^(k(k-1)/2), one factor per pair of
-        odd legs.
+        odd legs.  Without odd basis vectors the entries are copied as
+        they are.
         """
         if self.n_in != 0:
             raise ValueError("flip_out_to_in needs a tensor without in legs")
         F = self.field
-        out = GradedTensor(F, (), self.out_legs, {})
-        for key, v in self.data.items():
-            k = sum(leg[a] for leg, a in zip(self.out_legs, key))
-            out.data[key] = F.neg(v) if k * (k - 1) // 2 % 2 else v
-        return out
+        legs = self.out_legs
+        if not any(map(any, legs)):
+            return GradedTensor(F, (), legs, dict(self.data))
+        # flip[k]: whether an entry with k odd indices is negated
+        flip = [k * (k - 1) // 2 % 2 for k in range(len(legs) + 1)]
+        neg = F.neg
+        return GradedTensor(F, (), legs, {
+            key: neg(v) if flip[sum(map(getitem, legs, key))] else v
+            for key, v in self.data.items()})

@@ -247,14 +247,40 @@ def pants_closed_form(A: GradedFrobeniusAlgebra, deltas: tuple[str, str, str],
         raise ValueError("no spin structure: product of boundary types "
                          "must be +1")
     D = derive(A)
+    # b o (id (x) mu) o proj o (N (x) N (x) id) o (pi31 (x) pi31 (x) pi31),
+    # built one boundary leg at a time without the 3-fold tensor products:
+    # first the 3-input functional, then pi31 on each leg, last leg first
+    # so that the earlier leg positions stay put
+    legmaps = (_p_of(D, deltas[0]).compose(D.N_eps(eps1)),
+               _p_of(D, deltas[1]).compose(D.N_eps(eps2)),
+               _p_of(D, deltas[2]))
+    comp = D.b.compose(D.identity.tensor(D.mu))
+    for i, m in enumerate(legmaps):
+        comp = _precompose_leg(comp, i, m)
     pp = pi31(D)
-    proj = _p_of(D, deltas[0]).tensor(_p_of(D, deltas[1]))\
-        .tensor(_p_of(D, deltas[2]))
-    comp = D.b.compose(D.identity.tensor(D.mu)).compose(proj).compose(
-        D.N_eps(eps1).tensor(D.N_eps(eps2)).tensor(D.identity)).compose(
-        pp.tensor(pp).tensor(pp))
+    for i in (2, 1, 0):
+        comp = _precompose_leg(comp, i, pp)
     labels = [(b, p) for b in (1, 2, 3) for p in range(3)]
     return Amplitude(comp, 3, labels, tuple(deltas))
+
+
+def _precompose_leg(f: GradedTensor, i: int, m: GradedTensor) -> GradedTensor:
+    """f o (id^(x)i (x) m (x) id^(x)...) for a tensor f without output
+    legs and a map m with one output leg: input leg i of f becomes m's
+    input legs.  m is even, so no Koszul sign enters."""
+    if f.n_out or m.n_out != 1 or m.out_legs[0] != f.in_legs[i]:
+        raise ValueError("leg mismatch in _precompose_leg")
+    F = f.field
+    by_out: dict[int, list] = {}
+    for key, w in m.data.items():
+        by_out.setdefault(key[0], []).append((key[1:], w))
+    out = GradedTensor(F, (), f.in_legs[:i] + m.in_legs + f.in_legs[i + 1:],
+                       {})
+    for key, v in f.data.items():
+        head, tail = key[:i], key[i + 1:]
+        for mk, w in by_out.get(key[i], ()):
+            out._add_to(head + mk + tail, F.mul(v, w))
+    return out
 
 
 def torus_closed_form(A: GradedFrobeniusAlgebra, delta: str, eps: int):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -66,6 +70,33 @@ def test_pachner_fuzz_passes(runner):
                                "--seed", "3", "--moves", "40"])
     assert res.exit_code == 0
     assert json.loads(res.output)["result"] == "pass"
+
+
+BAD_FUZZ_ARGS = [["--check-every", "0"], ["--moves", "-3"], ["--moves", "0"]]
+BAD_FUZZ_IDS = ["check-every-0", "moves-minus-3", "moves-0"]
+
+
+@pytest.mark.parametrize("bad", BAD_FUZZ_ARGS, ids=BAD_FUZZ_IDS)
+def test_pachner_fuzz_bad_counts_exit_2(runner, bad):
+    res = runner.invoke(main, ["pachner-fuzz", "--algebra", "clifford",
+                               "--surface", "cylinder", "--spin", "NS+"]
+                        + bad)
+    assert res.exit_code == 2
+    assert "must be at least 1" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("bad", BAD_FUZZ_ARGS, ids=BAD_FUZZ_IDS)
+def test_pachner_fuzz_script_bad_counts_exit_2(bad):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    res = subprocess.run([sys.executable, str(root / "scripts/pachner_fuzz.py"),
+                          "--seeds", "1"] + bad, env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 2
+    assert "must be at least 1" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_sign_scan_torus(runner):

@@ -1,9 +1,11 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from spinsum.fields import QQ
-from spinsum.tensor import GradedTensor
+from spinsum.fields import QQ, PrimeField
+from spinsum.tensor import GradedTensor, inversion_pairs
 
 EVEN_ODD = (0, 1)  # one even, one odd basis vector
 
@@ -116,3 +118,93 @@ def test_compose_leg_mismatch_raises():
     other = GradedTensor.identity(QQ, (0, 0, 1), 1)
     with pytest.raises(ValueError, match="leg mismatch in compose"):
         t.compose(other)
+
+
+# -- permute and relabel against a per-entry reference -----------------
+LEG_KINDS = {
+    "even": lambda n: [(0, 0, 0)] * n,
+    "graded": lambda n: [EVEN_ODD] * n,
+    "mixed": lambda n: [((0, 1), (0, 0, 0), (1, 0, 1), (1, 1))[q % 4]
+                        for q in range(n)],
+}
+SHAPES = [(0, 0), (1, 0), (0, 1), (4, 0), (0, 3), (3, 2), (1, 3), (2, 1)]
+
+
+def _dense_tensor(rng, out_legs, in_legs, field=QQ):
+    """Random tensor with about 70 % of all keys nonzero."""
+    legs = list(out_legs) + list(in_legs)
+    data = {}
+    for key in itertools.product(*(range(len(leg)) for leg in legs)):
+        if rng.random() < 0.7:
+            data[key] = field.of(rng.choice((-2, -1, 1, 2, 5)))
+    return GradedTensor(field, tuple(out_legs), tuple(in_legs), data)
+
+
+def _reference_permute(t, new_order, start, legs):
+    """Per entry: move the indices, sign from the inverted odd pairs."""
+    end = start + len(legs)
+    pairs = inversion_pairs(new_order)
+    data = {}
+    for key, v in t.data.items():
+        idx = key[start:end]
+        s = sum(legs[a][idx[a]] * legs[b][idx[b]] for a, b in pairs)
+        new_key = key[:start] + tuple(idx[p] for p in new_order) + key[end:]
+        data[new_key] = t.field.neg(v) if s % 2 else v
+    return data
+
+
+@pytest.mark.parametrize("kind", sorted(LEG_KINDS))
+@pytest.mark.parametrize("n_out,n_in", SHAPES)
+def test_permute_matches_per_entry_reference(kind, n_out, n_in):
+    rng = random.Random(f"{kind}-{n_out}-{n_in}")
+    legs = LEG_KINDS[kind](n_out + n_in)
+    rng.shuffle(legs)
+    t = _dense_tensor(rng, legs[:n_out], legs[n_out:])
+    before = dict(t.data)
+    for side in ("out", "in"):
+        group = t.out_legs if side == "out" else t.in_legs
+        start = 0 if side == "out" else n_out
+        for order in itertools.permutations(range(len(group))):
+            got = getattr(t, f"permute_{side}")(list(order))
+            moved = tuple(group[p] for p in order)
+            assert got.out_legs == (moved if side == "out" else t.out_legs)
+            assert got.in_legs == (moved if side == "in" else t.in_legs)
+            assert got.data == _reference_permute(t, order, start, group)
+            assert got is not t and got.data is not t.data
+    assert t.data == before  # the input is never edited
+
+
+@pytest.mark.parametrize("kind", sorted(LEG_KINDS))
+def test_identity_permutation_returns_a_new_tensor(kind):
+    rng = random.Random(kind)
+    t = _dense_tensor(rng, LEG_KINDS[kind](3), LEG_KINDS[kind](1))
+    for got in (t.permute_out([0, 1, 2]), t.permute_in([0])):
+        assert got == t
+        assert got is not t and got.data is not t.data
+        got.data.clear()
+        assert t.data
+
+
+def test_permute_over_a_prime_field():
+    rng = random.Random(5)
+    F = PrimeField(3)
+    t = _dense_tensor(rng, [EVEN_ODD] * 3, [(0, 1, 1)], F)
+    got = t.permute_out([2, 0, 1])
+    assert got.data == _reference_permute(t, [2, 0, 1], 0, t.out_legs)
+    assert any(got.data[k] != t.data[(k[1], k[2], k[0], k[3])]
+               for k in got.data)  # some entry is negated
+
+
+@pytest.mark.parametrize("kind", sorted(LEG_KINDS))
+@pytest.mark.parametrize("n_out", [0, 1, 2, 3, 5])
+def test_flip_out_to_in_matches_per_entry_reference(kind, n_out):
+    rng = random.Random(f"flip-{kind}-{n_out}")
+    t = _dense_tensor(rng, LEG_KINDS[kind](n_out), ())
+    got = t.flip_out_to_in()
+    want = {}
+    for key, v in t.data.items():
+        k = sum(leg[a] for leg, a in zip(t.out_legs, key))
+        want[key] = -v if k * (k - 1) // 2 % 2 else v
+    assert got.out_legs == () and got.in_legs == t.out_legs
+    assert got.data == want
+    assert got is not t and got.data is not t.data
