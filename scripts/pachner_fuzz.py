@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Random bistellar-move fuzzing of amplitude invariance.
 
-Starting from a reference spin cylinder or pair of pants, apply a long
-random sequence of 1-3, 3-1 and 2-2 moves (each transporting the edge
-signs), re-evaluating the amplitude periodically.  Any change in the
-amplitude is a bug.
+Starting from a reference spin cylinder, pair of pants or closed genus-2
+surface (its first spin class), apply a long random sequence of 1-3, 3-1
+and 2-2 moves (each transporting the edge signs), re-evaluating the
+amplitude periodically.  Any change in the amplitude is a bug.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from spinsum.algebra import BUILTIN_NAMES, builtin_by_name
 from spinsum.cli import run_pachner_fuzz
-from spinsum.spin import NS, R_TYPE
+from spinsum.spin import NS, R_TYPE, classify_spin_structures
+from spinsum.surface import genus_g_closed_detail
 from spinsum import tft
 
 
@@ -34,6 +35,9 @@ def _fixture(surface: str):
         return tft.cylinder_spin(NS, 1)
     if surface == "pants":
         return tft.pants_spin((R_TYPE, R_TYPE, NS), 1, -1)
+    if surface == "genus-2":
+        tri = genus_g_closed_detail(2).tri
+        return tri, classify_spin_structures(tri)[0], ()
     raise SystemExit(f"unknown surface {surface!r}")
 
 
@@ -62,7 +66,7 @@ def main() -> None:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--algebra", default="clifford", choices=BUILTIN_NAMES)
     p.add_argument("--surface", default="cylinder",
-                   choices=("cylinder", "pants"))
+                   choices=("cylinder", "pants", "genus-2"))
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     p.add_argument("--moves", type=int, default=200)
     p.add_argument("--check-every", type=int, default=25)

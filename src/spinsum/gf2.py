@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 
 
 def parity(x: int) -> int:
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 
 
 class AffineSolutionSpace:
@@ -83,21 +83,15 @@ def solve_affine(n: int, rows: Iterable[tuple[int, int]]) -> AffineSolutionSpace
 
 
 def echelon_basis(vectors: Iterable[int]) -> list[int]:
-    """Reduced echelon basis of the span of the given vectors."""
+    """Echelon basis of the span: distinct leading bits, highest first.
+    Not reduced: a vector may hold the leading bit of a later one."""
     basis: list[int] = []
     for v in vectors:
         v = _reduce(basis, v)
         if v:
             basis.append(v)
             basis.sort(key=int.bit_length, reverse=True)
-    # Full reduction for canonical representatives.
-    out = []
-    for i, v in enumerate(sorted(basis, key=int.bit_length, reverse=True)):
-        for w in out:
-            if (v >> (w.bit_length() - 1)) & 1:
-                v ^= w
-        out.append(v)
-    return sorted(out, key=int.bit_length, reverse=True)
+    return basis
 
 
 def _reduce(basis: list[int], v: int) -> int:
@@ -142,8 +136,10 @@ def coset_representatives(space: AffineSolutionSpace,
             if v and (v >> (w.bit_length() - 1)) & 1:
                 v ^= w
         if v:
+            # no vector of acc holds the leading bit of an earlier one,
+            # so one pass in list order reduces fully
             comp.append(v)
-            acc = echelon_basis(acc + [v])
+            acc.append(v)
     reps: list[int] = []
     for k in range(1 << len(comp)):
         x = space.particular

@@ -50,11 +50,20 @@ def nu_of(delta: str) -> int:
 
 # -- admissibility as an F2 system --------------------------------------
 def _edge_bits(tri: MarkedTriangulation) -> dict[int, int]:
-    return {eid: k for k, eid in enumerate(sorted(tri.edges))}
+    """Edge id -> bit index, cached on the triangulation."""
+    if tri._bits is None:
+        tri._bits = {eid: k for k, eid in enumerate(sorted(tri.edges))}
+    return tri._bits
 
 
 def _vertex_equations(tri: MarkedTriangulation, types: tuple[str, ...]):
-    """(mask, rhs) rows over sign exponents (sign -1 <-> exponent 1)."""
+    """(mask, rhs) rows over sign exponents (sign -1 <-> exponent 1).
+
+    The rows are cached on the triangulation, per boundary types.
+    """
+    types = tuple(types)
+    if types in tri._equations:
+        return tri._equations[types]
     if len(types) != len(tri.boundaries):
         raise ValueError("one boundary type per boundary component required")
     for delta in types:
@@ -77,6 +86,7 @@ def _vertex_equations(tri: MarkedTriangulation, types: tuple[str, ...]):
         for eid in edges + [eid for _, _, eid, _ in walk]:
             mask ^= 1 << bits[eid]
         rows.append((mask, (D + K + 1) & 1))
+    rows = tri._equations[types] = tuple(rows)
     return rows
 
 
@@ -170,6 +180,12 @@ def flip_edge(tri: MarkedTriangulation, edges: dict[int, Edge],
 
 def apply_marking_move(tri: MarkedTriangulation, signs: Signs,
                        move: MarkingMove):
+    if move.kind not in ("leaf_exchange", "flip_edge", "rotate_marking"):
+        raise ValueError(f"unknown marking move kind {move.kind!r}")
+    what, ids = (("edge", tri.edges) if move.kind == "flip_edge"
+                 else ("face", tri.triangles))
+    if move.target not in ids:
+        raise ValueError(f"unknown {what} {move.target}")
     signs = dict(signs)
     if move.kind == "leaf_exchange":
         t = tri.triangles[move.target]
@@ -181,10 +197,8 @@ def apply_marking_move(tri: MarkedTriangulation, signs: Signs,
         if tri.is_boundary_edge(move.target):
             raise ValueError("cannot flip a boundary edge")
         flip_edge(tri, edges, triangles, signs, move.target)
-    elif move.kind == "rotate_marking":
-        mark_slot(triangles, signs, move.target, 1)
     else:
-        raise ValueError(f"unknown marking move kind {move.kind!r}")
+        mark_slot(triangles, signs, move.target, 1)
     return MarkedTriangulation(edges, triangles, tri.boundaries), signs
 
 

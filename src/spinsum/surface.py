@@ -69,29 +69,103 @@ class MarkedTriangulation:
         self.edges = dict(edges)
         self.triangles = dict(triangles)
         self.boundaries = tuple(boundaries)
-        self._incidence: dict[int, list[tuple[int, int]]] = {}
+        incidence: dict[int, list[tuple[int, int]]] = {}
         for fid, tri in self.triangles.items():
             for si, slot in enumerate(tri.slots):
-                self._incidence.setdefault(slot.edge, []).append((fid, si))
+                incidence.setdefault(slot.edge, []).append((fid, si))
+        # edge -> its (fid, slot) incidences in triangle order, as tuples
+        # that triangulations patched from this one share
+        self._incidence = {e: tuple(inc) for e, inc in incidence.items()}
+        self._vertices = {v for e in self.edges.values()
+                          for v in (e.src, e.dst)}
+        # vertex -> number of corners, counted on first use
+        self._valence: dict[int, int] | None = None
+        self._fresh_caches()
+
+    def _fresh_caches(self) -> None:
+        # A triangulation is never edited after construction, so these
+        # lazy caches stay valid for the object's lifetime.
         # vertex -> first corner (fid, c), from one scan of the triangles
-        # that each star_cycle call resumes; like _incidence, it assumes
-        # no later edits
+        # that each star_cycle call resumes
         self._first_corner: dict[int, tuple[int, int]] = {}
         self._unscanned = iter(self.triangles)
         # contraction plan, set by eval.plan_contraction on first use
         self._plan: list[tuple[str, int]] | None = None
+        # spin._edge_bits and spin._vertex_equations (per boundary types)
+        self._bits: dict[int, int] | None = None
+        self._equations: dict[tuple[str, ...], tuple] = {}
+
+    @classmethod
+    def _patched(cls, parent: MarkedTriangulation, edges: dict[int, Edge],
+                 triangles: dict[int, Triangle], removed, added):
+        """parent with the faces ``removed`` replaced by the faces ``added``.
+
+        ``triangles`` must hold parent's other faces unchanged and in
+        parent's order, followed by ``added`` in order; both dicts are
+        taken over.  Only the incidence entries of edges on removed or
+        added faces and the corner counts of their vertices are
+        recomputed, and each equals what ``__init__`` builds.
+        """
+        self = cls.__new__(cls)
+        self.edges, self.triangles = edges, triangles
+        self.boundaries = parent.boundaries
+        gone = set(removed)
+        valence = dict(parent._corner_counts())
+        entries: dict[int, list[tuple[int, int]]] = {}  # touched edges
+        corners = set()
+        for faces, face_of, edge_of, step in (
+                (removed, parent.triangles, parent.edges, -1),
+                (added, triangles, edges, 1)):
+            for fid in faces:
+                for c, slot in enumerate(face_of[fid].slots):
+                    eid = slot.edge
+                    if eid not in entries:
+                        entries[eid] = [inc for inc in parent.incidences(eid)
+                                        if inc[0] not in gone]
+                    if step > 0:
+                        entries[eid].append((fid, c))
+                    e = edge_of[eid]
+                    v = e.dst if slot.side == L else e.src  # corner c
+                    valence[v] = valence.get(v, 0) + step
+                    corners.add(v)
+        self._incidence = dict(parent._incidence)
+        for eid, entry in entries.items():
+            if entry:
+                self._incidence[eid] = tuple(entry)
+            else:
+                del self._incidence[eid]
+        self._vertices = set(parent._vertices)
+        for v in corners:
+            if valence[v]:
+                self._vertices.add(v)
+            else:
+                del valence[v]
+                self._vertices.discard(v)
+        self._valence = valence
+        self._fresh_caches()
+        return self
+
+    def _corner_counts(self) -> dict[int, int]:
+        if self._valence is None:
+            counts: dict[int, int] = {}
+            for fid in self.triangles:
+                for c in range(3):
+                    v = self.corner_vertex(fid, c)
+                    counts[v] = counts.get(v, 0) + 1
+            self._valence = counts
+        return self._valence
 
     # -- basic queries --------------------------------------------------
     @property
     def vertices(self) -> set[int]:
-        vs = set()
-        for e in self.edges.values():
-            vs.add(e.src)
-            vs.add(e.dst)
-        return vs
+        return set(self._vertices)
 
-    def incidences(self, eid: int) -> list[tuple[int, int]]:
-        return self._incidence.get(eid, [])
+    def valence(self, v: int) -> int:
+        """Number of triangle corners at vertex v (0 if v is unknown)."""
+        return self._corner_counts().get(v, 0)
+
+    def incidences(self, eid: int) -> tuple[tuple[int, int], ...]:
+        return self._incidence.get(eid, ())
 
     def is_boundary_edge(self, eid: int) -> bool:
         return len(self.incidences(eid)) == 1
@@ -145,7 +219,7 @@ class MarkedTriangulation:
         return vs
 
     def inner_vertices(self) -> set[int]:
-        return self.vertices - self.all_boundary_vertices()
+        return self._vertices - self.all_boundary_vertices()
 
     def boundary_index_of_vertex(self, v: int) -> int | None:
         for bi in range(1, len(self.boundaries) + 1):
@@ -154,7 +228,7 @@ class MarkedTriangulation:
         return None
 
     def euler_characteristic(self) -> int:
-        return len(self.vertices) - len(self.edges) + len(self.triangles)
+        return len(self._vertices) - len(self.edges) + len(self.triangles)
 
     def genus(self) -> int:
         chi = self.euler_characteristic()

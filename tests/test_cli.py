@@ -99,6 +99,17 @@ def test_pachner_fuzz_script_bad_counts_exit_2(bad):
     assert res.stdout == ""
 
 
+def test_pachner_fuzz_script_walks_closed_genus_2():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    res = subprocess.run([sys.executable, str(root / "scripts/pachner_fuzz.py"),
+                          "--surface", "genus-2", "--seeds", "1", "2",
+                          "--moves", "60"], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.count("60 moves on genus-2 with clifford: pass") == 2
+
+
 def test_sign_scan_torus(runner):
     res = runner.invoke(main, ["sign-scan", "--algebra", "clifford",
                                "--surface", "torus"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from spinsum import gf2
 
@@ -48,3 +49,80 @@ def test_coset_representatives_partition():
     # every solution is reachable from some representative
     covered = {r ^ m for r in reps for m in (0, 0b0011)}
     assert covered == set(space)
+
+
+def _old_reduce(basis, v):
+    changed = True
+    while changed:
+        changed = False
+        for b in basis:
+            if v and (v >> (b.bit_length() - 1)) & 1:
+                v ^= b
+                changed = True
+    return v
+
+
+def _old_echelon_basis(vectors):
+    """echelon_basis as it was, with its final reduction pass."""
+    basis = []
+    for v in vectors:
+        v = _old_reduce(basis, v)
+        if v:
+            basis.append(v)
+            basis.sort(key=int.bit_length, reverse=True)
+    out = []
+    for v in sorted(basis, key=int.bit_length, reverse=True):
+        for w in out:
+            if (v >> (w.bit_length() - 1)) & 1:
+                v ^= w
+        out.append(v)
+    return sorted(out, key=int.bit_length, reverse=True)
+
+
+def _old_coset_representatives(space, subspace_gens):
+    """coset_representatives as it was, re-echeloning for each vector."""
+    acc = _old_echelon_basis(subspace_gens)
+    comp = []
+    for b in space.basis:
+        v = b
+        for w in acc:
+            if v and (v >> (w.bit_length() - 1)) & 1:
+                v ^= w
+        if v:
+            comp.append(v)
+            acc = _old_echelon_basis(acc + [v])
+    reps = []
+    for k in range(1 << len(comp)):
+        x = space.particular
+        for i, c in enumerate(comp):
+            if (k >> i) & 1:
+                x ^= c
+        reps.append(x)
+    return reps
+
+
+def test_parity_matches_bit_string_count():
+    rng = random.Random(3)
+    for _ in range(500):
+        x = rng.getrandbits(rng.randrange(1, 200))
+        assert gf2.parity(x) == bin(x).count("1") & 1
+
+
+def test_echelon_and_cosets_match_previous_implementation():
+    rng = random.Random(20)
+    for _ in range(400):
+        n = rng.randrange(1, 16)
+        vecs = [rng.getrandbits(n) for _ in range(rng.randrange(0, 10))]
+        basis = gf2.echelon_basis(vecs)
+        assert basis == _old_echelon_basis(vecs)
+        assert len({b.bit_length() for b in basis}) == len(basis)
+        rows = [(rng.getrandbits(n), rng.getrandbits(1))
+                for _ in range(rng.randrange(0, n))]
+        space = gf2.solve_affine(n, rows)
+        if space is None:
+            continue
+        # random generators, some inside the solution directions
+        gens = [rng.getrandbits(n) for _ in range(rng.randrange(0, 5))]
+        gens += [rng.choice(space.basis) for _ in range(2) if space.basis]
+        assert (gf2.coset_representatives(space, gens)
+                == _old_coset_representatives(space, gens))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,8 +7,9 @@ from spinsum.algebra import builtin_by_name
 from spinsum.eval import evaluate_raw
 from spinsum.pachner import (PachnerMove, apply_pachner_move, pachner_13,
                              pachner_22, pachner_31, random_pachner_move)
-from spinsum.spin import MarkingMove, apply_marking_move, is_admissible
-from spinsum.surface import validate
+from spinsum.spin import (NS, R_TYPE, MarkingMove, apply_marking_move,
+                          classify_spin_structures, is_admissible)
+from spinsum.surface import MarkedTriangulation, genus_g_closed, validate
 from spinsum import tft
 
 
@@ -129,3 +131,89 @@ def test_fuzz_on_matrix_algebra_over_f3():
     for _ in range(30):
         tri, signs, _move = random_pachner_move(tri, signs, rng, bias_faces=8)
     assert evaluate_raw(tri, signs, A) == base
+
+
+@pytest.mark.parametrize("kind,message", [("two_two", "edge 999"),
+                                          ("three_one", "vertex 999"),
+                                          ("one_three", "unknown face 999")])
+def test_unknown_move_target_raises_value_error(cyl, kind, message):
+    tri, signs, _ = cyl
+    with pytest.raises(ValueError, match=message):
+        apply_pachner_move(tri, signs, PachnerMove(kind, 999))
+
+
+def test_three_one_rejects_valence_before_any_star_walk(monkeypatch):
+    tri = genus_g_closed(2)
+    signs = classify_spin_structures(tri)[0]
+    v = next(v for v in sorted(tri.vertices) if tri.valence(v) != 3)
+
+    def no_walk(self, v):
+        raise AssertionError("star walk")
+
+    monkeypatch.setattr(MarkedTriangulation, "star_cycle", no_walk)
+    with pytest.raises(ValueError, match=f"vertex {v} does not have "
+                                         f"valence 3"):
+        apply_pachner_move(tri, signs, PachnerMove("three_one", v))
+
+
+def _walk_start(surface):
+    if surface == "genus-2":
+        tri = genus_g_closed(2)
+        return tri, classify_spin_structures(tri)[0]
+    if surface == "cylinder":
+        return tft.cylinder_spin(NS, 1)[:2]
+    return tft.pants_spin((R_TYPE, R_TYPE, NS), 1, -1)[:2]
+
+
+def _rebuild_mismatches(tri):
+    """Ways a moved triangulation differs from a full rebuild of itself."""
+    full = MarkedTriangulation(tri.edges, tri.triangles, tri.boundaries)
+    bad = []
+    if (tri._plan is not None or tri._bits is not None or tri._equations
+            or tri._first_corner):
+        bad.append("caches not fresh")
+    if tri._incidence != full._incidence:  # every entry, in order
+        bad.append("incidences")
+    if tri.vertices != full.vertices:
+        bad.append("vertices")
+    if tri.inner_vertices() != full.inner_vertices():
+        bad.append("inner vertices")
+    if any(tri.valence(v) != full.valence(v) for v in full.vertices):
+        bad.append("valence")
+    if tri._corner_counts() != full._corner_counts():
+        bad.append("corner counts")
+    if any(tri.star_cycle(v) != full.star_cycle(v)
+           for v in sorted(full.inner_vertices())):
+        bad.append("star cycles")
+    return bad
+
+
+# sha256 of the (kind, target, choice, sorted signs) log of 1000 moves,
+# recorded with every move building its triangulation from scratch; it
+# pins the RNG use and the sign transport
+GOLDEN_LOGS = [
+    ("genus-2", 1,
+     "e075380b8cffed813dc381e3cc5c55be495b3d89b04a5fd4a1f0cc30df9b8dd6"),
+    ("cylinder", 2,
+     "d33c2bb67252c214724c3aa8fc562411b6b55ac61b58f0320e8bad2a47cf31bc"),
+    ("pants", 3,
+     "8d9bd289771cee3870f574d90eaeca0e15569cd819943729d69aaab395cd4ac2"),
+]
+
+
+@pytest.mark.parametrize("surface,seed,digest", GOLDEN_LOGS,
+                         ids=[s for s, _, _ in GOLDEN_LOGS])
+def test_walk_matches_rebuild_oracle_and_golden_log(surface, seed, digest):
+    tri, signs = _walk_start(surface)
+    rng = random.Random(seed)
+    bias = len(tri.triangles)
+    h = hashlib.sha256()
+    for step in range(1000):
+        tri, signs, m = random_pachner_move(tri, signs, rng, bias_faces=bias)
+        h.update(repr((m.kind, m.target, m.choice,
+                       sorted(signs.items()))).encode())
+        assert _rebuild_mismatches(tri) == [], (step, m)
+    assert h.hexdigest() == digest
+    vs = tri.vertices
+    vs.add(-1)
+    assert -1 not in tri.vertices

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spinsum import gf2
+from spinsum import gf2, spin
 from spinsum.pachner import random_pachner_move
 from spinsum.spin import (NS, R_TYPE, MarkingMove, apply_marking_move,
                           arf_invariant, classify_spin_structures,
@@ -102,6 +102,29 @@ def test_flip_boundary_edge_rejected():
     bedge = next(e for e in sorted(tri.edges) if tri.is_boundary_edge(e))
     with pytest.raises(ValueError):
         apply_marking_move(tri, signs, MarkingMove("flip_edge", bedge))
+
+
+@pytest.mark.parametrize("kind,what", [("rotate_marking", "face"),
+                                       ("leaf_exchange", "face"),
+                                       ("flip_edge", "edge")])
+def test_marking_move_names_unknown_target(kind, what):
+    tri, signs, _ = tft.cylinder_spin(NS, 1)
+    with pytest.raises(ValueError, match=f"unknown {what} 999"):
+        apply_marking_move(tri, signs, MarkingMove(kind, 999))
+
+
+def test_vertex_equations_cached_per_types_and_still_checked():
+    tri, signs, types = tft.cylinder_spin(NS, 1)
+    rows = spin._vertex_equations(tri, types)
+    assert spin._vertex_equations(tri, list(types)) is rows
+    assert spin._edge_bits(tri) is spin._edge_bits(tri)
+    other = (R_TYPE, R_TYPE)
+    assert spin._vertex_equations(tri, other) != rows
+    assert is_admissible(tri, signs, types)
+    assert not is_admissible(tri, signs, other)
+    for bad in ((NS,), (NS, "X")):
+        with pytest.raises(ValueError):
+            is_admissible(tri, signs, bad)
 
 
 def test_torus_classes_separated_by_quadratic_form():
