@@ -12,13 +12,21 @@ stored transposed so that leg 0 holds the input index.  The amplitude
 contracts this diagram and relabels the 3 legs per boundary component
 (ordered by boundary index, then position 0,1,2) as inputs.
 
-The schedule comes from ``plan_contraction``: the greedy rule (next the
-triangle needing the fewest new copairings) run once from each start
-face, scored symbolically by the sum of 3^(open legs) after each
-triangle step, the cheapest kept.  Any order gives the same exact
-result, so the search only saves work.  The plan depends on the
-triangulation alone and is cached on it, so the per-class evaluations
-of one surface share one plan.
+The schedule comes from ``plan_contraction``.  A face order is scored
+symbolically by the sum of 3^(open legs) after each triangle step, the
+open legs counted as the executor counts them, boundary legs included.
+The greedy rule (next the triangle needing the fewest new copairings)
+runs once from each start face, and the cheapest run sets a bound.  A
+beam search over face orders then keeps, per number of placed faces,
+the ``BEAM_WIDTH`` (32) cheapest states: a state is the bitmask of the
+placed faces with its open-leg count and partial score, it grows by
+the faces on its frontier (any unplaced face when that is empty), two
+states with one mask keep the lower score, and a state reaching the
+bound is dropped.  Its order replaces the greedy one only when it
+scores strictly lower.  Any order gives the same exact result, so the
+search only saves work.  The plan depends on the triangulation alone
+and is cached on it, so the per-class evaluations of one surface share
+one plan.
 
 One executor, ``contract_network``, contracts the diagram for every
 algebra.  It grows a pure-output "blob" tensor along a schedule of
@@ -56,6 +64,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,6 +78,7 @@ from .tensor import BudgetExceeded, GradedTensor, key_getter
 
 DEFAULT_MAX_OPEN_LEGS = 16
 DEFAULT_MAX_ENTRIES = 10**7
+BEAM_WIDTH = 32  # states the planner's beam search keeps per depth
 
 
 @dataclass(frozen=True)
@@ -130,15 +140,18 @@ class Amplitude:
 def plan_contraction(graph: DiagramGraph) -> list[tuple[str, int]]:
     """Schedule of ('c', edge id) / ('t', face id) actions, cached.
 
-    Runs the greedy rule -- next the triangle needing the fewest new
-    copairings, ties by smallest face id, its missing copairings absorbed
-    in edge-id order just before it -- once with each face as the forced
-    first pick.  Each candidate is scored symbolically by the sum of
-    3^(open legs) after each triangle step, and the cheapest is kept
-    (ties: the lowest start face).  The plan depends only on the
-    triangulation, so it is stored on ``graph.tri`` and every later call
-    for a graph on that triangulation returns the same list (callers
-    must not modify it).
+    A face order is scored symbolically by the sum of 3^(open legs)
+    after each triangle step.  The greedy rule -- next the triangle
+    needing the fewest new copairings, ties by smallest face id -- runs
+    once with each face as the forced first pick; the cheapest run (ties:
+    the lowest start face) is the bound.  A beam search of width
+    ``BEAM_WIDTH`` over placed-face bitmasks, grown along the frontier,
+    returns its cheapest order if that scores strictly below the bound
+    (see ``_beam_order``); otherwise the greedy order stays.  Each face's
+    missing copairings are absorbed in edge-id order just before it.
+    The plan depends only on the triangulation, so it is stored on
+    ``graph.tri`` and every later call for a graph on that triangulation
+    returns the same list (callers must not modify it).
     """
     tri = graph.tri
     if tri._plan is None:
@@ -164,6 +177,13 @@ def _search_plan(tri: MarkedTriangulation) -> list[tuple[str, int]]:
         found = _greedy_order(start, neighbours, count[:], buckets[:], best)
         if found is not None:
             best, best_order = found
+    bit = {eid: 1 << k for k, eid in enumerate(on_edge)}
+    face_bits = [sum(bit[eid] for eid in edges) for edges in face_edges]
+    adjacent = [sum({1 << j for _, js in nbrs for j in js})
+                for nbrs in neighbours]
+    found = _beam_order(face_bits, adjacent, best)
+    if found is not None:
+        best_order = found
     absorbed: set[int] = set()
     plan: list[tuple[str, int]] = []
     for i in best_order:
@@ -211,6 +231,56 @@ def _greedy_order(start, neighbours, count, buckets, bound):
                 count[j] = c - 1
         i = None
     return score, order
+
+
+def _beam_order(face_bits, adjacent, bound):
+    """Face order of the cheapest complete state of the beam search, or
+    None when every state reaches ``bound``.  ``face_bits[i]`` is the
+    edge bitmask of face i and ``adjacent[i]`` the bitmask of the other
+    faces sharing an edge with it.
+
+    A state is the bitmask of the placed faces with its open-leg count,
+    absorbed edges, frontier (unplaced faces sharing an absorbed edge)
+    and partial score.  One depth places one more face: a frontier face,
+    or any unplaced face when the frontier is empty.  States reaching the
+    same mask keep the lower partial score; states whose score reaches
+    ``bound`` are dropped; the ``BEAM_WIDTH`` lowest (ties: the lower
+    mask) go on to the next depth, and only those get their absorbed
+    edges and frontier worked out.
+    """
+    full = (1 << len(face_bits)) - 1
+    pow3 = [3 ** k for k in range(3 * len(face_bits) + 1)]  # legs <= edges
+    # (score, mask, open legs, absorbed edges, frontier, (face, parent))
+    beam = [(0, 0, 0, 0, 0, None)]
+    for _ in face_bits:
+        reached = {}  # mask -> (score, mask, open legs, face, parent state)
+        for state in beam:
+            score, mask, open_legs, absorbed, frontier, _ = state
+            todo = frontier or full ^ mask
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                i = low.bit_length() - 1
+                legs = (open_legs - 3
+                        + 2 * (face_bits[i] & ~absorbed).bit_count())
+                s = score + pow3[legs]
+                if s < bound:
+                    m = mask | low
+                    old = reached.get(m)
+                    if old is None or s < old[0]:
+                        reached[m] = (s, m, legs, i, state)
+        if not reached:
+            return None
+        # masks are unique, so the tuples never compare past them
+        beam = [(s, m, legs, p[3] | face_bits[i], (p[4] | adjacent[i]) & ~m,
+                 (i, p[5]))
+                for s, m, legs, i, p in heapq.nsmallest(BEAM_WIDTH,
+                                                        reached.values())]
+    order, chain = [], beam[0][5]
+    while chain is not None:
+        i, chain = chain
+        order.append(i)
+    return order[::-1]
 
 
 def is_valid_schedule(graph: DiagramGraph, plan) -> bool:
