@@ -65,38 +65,45 @@ def _load_signs(path: str, tri):
     return {eid: int(s) for eid, s in signs.items()}
 
 
+_BUILTIN_SPIN_SURFACES = {
+    "cylinder": (cylinder_spin, cylinder_closed_form),
+    "torus": (lambda delta, eps: torus_spin(delta, eps) + (None,),
+              torus_closed_form),
+    "pants": (pants_spin, pants_closed_form),
+}
+
+
 def _parse_spin(surface: str, spin: str):
     """Resolve a built-in spin-surface selector.
 
     cylinder/torus: "NS+", "NS-", "R+", "R-".
     pants: "D1,D2,D3:EE" with D in {NS,R} and E in {+,-}, e.g. "NS,R,R:+-".
-    Returns (tri, signs, types or None for closed surfaces).
+    Returns (tri, signs, types or None for closed surfaces, args), args
+    as the surface's builder and closed form take them.
     """
     eps_of = {"+": 1, "-": -1}
     try:
-        if surface in ("cylinder", "torus"):
-            delta, eps_c = spin[:-1], spin[-1]
-            if delta not in (NS, R_TYPE) or eps_c not in eps_of:
-                raise ValueError(f"bad spin selector {spin!r}")
-            if surface == "cylinder":
-                return cylinder_spin(delta, eps_of[eps_c])
-            tri, signs = torus_spin(delta, eps_of[eps_c])
-            return tri, signs, None
         if surface == "pants":
             dpart, epart = spin.split(":")
             deltas = tuple(dpart.split(","))
             if len(deltas) != 3 or len(epart) != 2:
                 raise ValueError(f"bad spin selector {spin!r}")
-            return pants_spin(deltas, eps_of[epart[0]], eps_of[epart[1]])
+            args = (deltas, eps_of[epart[0]], eps_of[epart[1]])
+        else:
+            delta, eps_c = spin[:-1], spin[-1]
+            if delta not in (NS, R_TYPE) or eps_c not in eps_of:
+                raise ValueError(f"bad spin selector {spin!r}")
+            args = (delta, eps_of[eps_c])
+        return _BUILTIN_SPIN_SURFACES[surface][0](*args) + (args,)
     except (ValueError, KeyError, IndexError) as exc:
         _fail(str(exc))
-    _fail(f"no built-in spin selectors for surface {surface!r}")
 
 
 def _spin_surface(surface: str, spin, signs_path, types_csv=None):
-    """(tri, signs, types) of a built-in surface with --spin, or of a
-    surface file with --signs and optional comma-separated --types."""
-    if surface in ("cylinder", "torus", "pants"):
+    """(tri, signs, types, args) of a built-in surface with --spin (args
+    as ``_parse_spin`` gives them), or of a surface file with --signs and
+    optional comma-separated --types (args None)."""
+    if surface in _BUILTIN_SPIN_SURFACES:
         if spin is None:
             _fail(f"built-in surface {surface!r} needs --spin")
         return _parse_spin(surface, spin)
@@ -104,7 +111,7 @@ def _spin_surface(surface: str, spin, signs_path, types_csv=None):
     if signs_path is None:
         _fail("file surfaces need --signs")
     types = tuple(types_csv.split(",")) if types_csv else None
-    return tri, _load_signs(signs_path, tri), types
+    return tri, _load_signs(signs_path, tri), types, None
 
 
 def _closed_surface(spec: str):
@@ -186,7 +193,8 @@ def cmd_amplitude(algebra, surface, spin, signs_path, types_csv, raw,
                   oracle, output):
     """Evaluate the state sum of a spin surface."""
     A = _load_algebra(algebra)
-    tri, signs, types = _spin_surface(surface, spin, signs_path, types_csv)
+    tri, signs, types, args = _spin_surface(surface, spin, signs_path,
+                                            types_csv)
     try:
         if raw:
             amp = evaluate_raw(tri, signs, A)
@@ -205,9 +213,9 @@ def cmd_amplitude(algebra, surface, spin, signs_path, types_csv, raw,
               "amplitude": _amplitude_json(amp, A)}
     code = 0
     if oracle:
-        closed = _closed_form_for(A, surface, spin)
-        if closed is None:
+        if args is None:
             _fail(f"no closed form available for surface {surface!r}")
+        closed = _BUILTIN_SPIN_SURFACES[surface][1](A, *args)
         equal = (closed == amp if isinstance(closed, Amplitude)
                  else closed == amp.scalar_value())
         report["oracle"] = "equal" if equal else "MISMATCH"
@@ -215,19 +223,6 @@ def cmd_amplitude(algebra, surface, spin, signs_path, types_csv, raw,
             code = 1
     _emit(report, output)
     sys.exit(code)
-
-
-def _closed_form_for(A, surface, spin):
-    eps_of = {"+": 1, "-": -1}
-    if surface == "cylinder":
-        return cylinder_closed_form(A, spin[:-1], eps_of[spin[-1]])
-    if surface == "torus":
-        return torus_closed_form(A, spin[:-1], eps_of[spin[-1]])
-    if surface == "pants":
-        dpart, epart = spin.split(":")
-        return pants_closed_form(A, tuple(dpart.split(",")),
-                                 eps_of[epart[0]], eps_of[epart[1]])
-    return None
 
 
 @main.command("classify")
@@ -302,7 +297,7 @@ def cmd_pachner_fuzz(algebra, surface, spin, signs_path, seed, moves,
                      check_every, output):
     """Fuzz amplitude invariance under random Pachner moves."""
     A = _load_algebra(algebra)
-    tri, signs, types = _spin_surface(surface, spin, signs_path)
+    tri, signs, types, _ = _spin_surface(surface, spin, signs_path)
     try:
         ok, log, checks = run_pachner_fuzz(tri, signs, types, A, seed, moves,
                                            check_every)

@@ -72,7 +72,7 @@ from fractions import Fraction
 
 from .algebra import DerivedStructure, GradedFrobeniusAlgebra, derive, \
     passes_invariance_predicates
-from .spin import Signs, is_admissible
+from .spin import Signs, edge_sign, is_admissible
 from .surface import MarkedTriangulation
 from .tensor import BudgetExceeded, GradedTensor, key_getter
 
@@ -102,6 +102,7 @@ class DiagramGraph:
 def build_graph(tri: MarkedTriangulation, signs: Signs) -> DiagramGraph:
     wires = {}
     for eid in tri.edges:
+        edge_sign(signs, eid)
         left = tri.sigma_L(eid)
         right = tri.sigma_R(eid)
         if right is None:

@@ -96,7 +96,7 @@ def pachner_31(tri: MarkedTriangulation, signs: Signs, v: int):
     star = tri.star_cycle(v)
     if len(star) != 3:
         raise ValueError(f"vertex {v} does not have valence 3")
-    inner_edges = {eid for _, _, eid, _ in star}
+    inner_edges = {eid for _, eid in star}
     if len(inner_edges) != 3:
         raise ValueError(f"star of vertex {v} is degenerate")
     edges, triangles = dict(tri.edges), dict(tri.triangles)
@@ -106,7 +106,7 @@ def pachner_31(tri: MarkedTriangulation, signs: Signs, v: int):
     for eid in inner_edges:
         if edges[eid].src == v:
             flip_edge(tri, edges, triangles, new_signs, eid)
-    ids = [fid for fid, _, _, _ in star]
+    ids = [fid for fid, _ in star]
     for fid in ids:
         slots = triangles[fid].slots
         mark_slot(triangles, new_signs, fid, next(

@@ -2,12 +2,14 @@
 
 An edge-sign assignment is a total map edge id -> {+1, -1}.  Whether it
 defines a spin structure is decided vertex by vertex: around an inner
-vertex the product of the incident edge signs must equal (-1)^(D+K+1),
-where the counts D and K come from the counterclockwise star walk (D =
-triangles entered through their marked edge, K = walk crossings leaving
-through a slot with side flag 'R', i.e. edge ends pointing away from the
-vertex).  At boundary vertices the same holds with D shifted by one at
-the distinguished vertex in the NS case.
+vertex v the product of the incident edge signs must equal (-1)^(D+K+1),
+where D counts the triangle corners at v between slots 2 and 0 and K the
+corners whose slot ending at v has side flag 'R'.  The counterclockwise
+star walk around v, which leaves corner c through slot c, gives their
+meaning: D counts the triangles it enters through their marked edge, K
+the edge ends pointing away from v.  At boundary vertices the same holds
+with the boundary edge ending at v in the product and D shifted by one
+at the distinguished vertex in the NS case.
 
 Admissibility over all vertices is one linear system over GF(2) in the
 sign exponents, which the admissibility test, enumeration and
@@ -59,34 +61,33 @@ def _edge_bits(tri: MarkedTriangulation) -> dict[int, int]:
 def _vertex_equations(tri: MarkedTriangulation, types: tuple[str, ...]):
     """(mask, rhs) rows over sign exponents (sign -1 <-> exponent 1).
 
-    The rows are cached on the triangulation, per boundary types.
+    One row per vertex (inner ones first, each group sorted) from one pass
+    over the corners, cached on the triangulation per boundary types.
     """
     types = tuple(types)
     if types in tri._equations:
         return tri._equations[types]
     if len(types) != len(tri.boundaries):
         raise ValueError("one boundary type per boundary component required")
-    for delta in types:
-        nu_of(delta)
     bits = _edge_bits(tri)
-    rows = []
-    for v in (sorted(tri.inner_vertices())
-              + sorted(tri.all_boundary_vertices())):
-        bi = tri.boundary_index_of_vertex(v)
-        if bi is None:
-            walk, edges, D = tri.star_cycle(v), [], 0
-        else:
-            entry_eid, walk, _ = tri.star_fan(v)
-            edges = [entry_eid]
-            D = int(types[bi - 1] == NS and tri.distinguished_vertex(bi) == v)
-        D += sum(1 for _, _, _, entry in walk if entry == 0)
-        K = sum(1 for fid, ex, _, _ in walk
-                if tri.triangles[fid].slots[ex].side == R)
-        mask = 0
-        for eid in edges + [eid for _, _, eid, _ in walk]:
-            mask ^= 1 << bits[eid]
-        rows.append((mask, (D + K + 1) & 1))
-    rows = tri._equations[types] = tuple(rows)
+    mask = dict.fromkeys(tri.vertices, 0)
+    rhs = dict.fromkeys(tri.vertices, 1)  # the 1 of D + K + 1
+    for t in tri.triangles.values():
+        for c, slot in enumerate(t.slots):
+            right = slot.side == R
+            e = tri.edges[slot.edge]
+            v = e.src if right else e.dst  # corner c ends slot c
+            mask[v] ^= 1 << bits[slot.edge]
+            rhs[v] ^= (c == 2) ^ right
+    for b, delta in zip(tri.boundaries, types):
+        nu_of(delta)  # rejects an unknown type before any row is cached
+        for p, eid in enumerate(b.edges):
+            v = tri.edges[eid].dst
+            mask[v] ^= 1 << bits[eid]
+            rhs[v] ^= p == 2 and delta == NS  # v is the distinguished one
+    rows = tri._equations[types] = tuple(
+        (mask[v], rhs[v]) for v in (sorted(tri.inner_vertices())
+                                    + sorted(tri.all_boundary_vertices())))
     return rows
 
 
@@ -102,11 +103,20 @@ def _vector_to_signs(tri: MarkedTriangulation, x: int) -> Signs:
     return {eid: -1 if (x >> k) & 1 else +1 for eid, k in bits.items()}
 
 
+def edge_sign(signs: Signs, eid: int) -> int:
+    """signs[eid]; ValueError naming the edge unless it is +1 or -1."""
+    s = signs.get(eid)
+    if s != 1 and s != -1:
+        what = f"not {s!r}" if eid in signs else "but it is missing"
+        raise ValueError(f"edge {eid}: sign must be +1 or -1, {what}")
+    return s
+
+
 def signs_to_vector(tri: MarkedTriangulation, signs: Signs) -> int:
     bits = _edge_bits(tri)
     x = 0
     for eid, k in bits.items():
-        if signs[eid] == -1:
+        if edge_sign(signs, eid) == -1:
             x |= 1 << k
     return x
 
@@ -216,7 +226,7 @@ def curve_lift_sign(tri: MarkedTriangulation, signs: Signs,
         mu = +1 if slot.side == R else -1
         # exp(pi i ((k + eta - [k + eta]_3)/3 + (1 - eta)/2)) as a sign
         phase = ((k + eta - ex) // 3 + (1 - eta) // 2) & 1
-        total *= signs[slot.edge] * mu * (-1 if phase else 1)
+        total *= edge_sign(signs, slot.edge) * mu * (-1 if phase else 1)
     return total
 
 

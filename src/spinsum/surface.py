@@ -86,7 +86,7 @@ class MarkedTriangulation:
         # A triangulation is never edited after construction, so these
         # lazy caches stay valid for the object's lifetime.
         # vertex -> first corner (fid, c), from one scan of the triangles
-        # that each star_cycle call resumes
+        # that each star_cycle call (3-1 Pachner moves only) resumes
         self._first_corner: dict[int, tuple[int, int]] = {}
         self._unscanned = iter(self.triangles)
         # contraction plan, set by eval.plan_contraction on first use
@@ -200,10 +200,6 @@ class MarkedTriangulation:
                     return bi, pos
         return None
 
-    def distinguished_vertex(self, bi: int) -> int:
-        b = self.boundaries[bi - 1]
-        return self.edges[b.edges[0]].src
-
     def boundary_vertices(self, bi: int) -> set[int]:
         b = self.boundaries[bi - 1]
         vs = set()
@@ -221,12 +217,6 @@ class MarkedTriangulation:
     def inner_vertices(self) -> set[int]:
         return self._vertices - self.all_boundary_vertices()
 
-    def boundary_index_of_vertex(self, v: int) -> int | None:
-        for bi in range(1, len(self.boundaries) + 1):
-            if v in self.boundary_vertices(bi):
-                return bi
-        return None
-
     def euler_characteristic(self) -> int:
         return len(self._vertices) - len(self.edges) + len(self.triangles)
 
@@ -242,28 +232,13 @@ class MarkedTriangulation:
         return not self.boundaries
 
     # -- star walks -----------------------------------------------------
-    def _step(self, fid: int, c: int):
-        """One counterclockwise step around corner (fid, c).
-
-        Returns (exit_eid, exit_slot_index, next_fid, entry_slot_in_next)
-        or None when the exit edge is a boundary edge.
-        """
-        slot = self.triangles[fid].slots[c]
-        eid = slot.edge
-        nxt = None
-        for gfid, gsi in self.incidences(eid):
-            if (gfid, gsi) != (fid, c):
-                nxt = (gfid, gsi)
-        if nxt is None:
-            return eid, c, None, None
-        return eid, c, nxt[0], nxt[1]
-
-    def star_cycle(self, v: int) -> list[tuple[int, int, int, int]]:
+    def star_cycle(self, v: int) -> list[tuple[int, int]]:
         """Counterclockwise cycle of the star of an inner vertex.
 
-        Returns a list of (fid, exit_slot, exit_eid, entry_slot) where
-        ``entry_slot`` is the slot through which fid was *entered* by the
-        walk.  Each incidence of v to a triangle corner appears once.
+        Returns one (fid, exit_eid) pair per triangle corner at v, in
+        walk order from v's first corner: the walk leaves the corner
+        (fid, c) through slot c, whose edge is exit_eid, into the other
+        face on that edge.  Only the 3-1 Pachner move walks stars.
         """
         while v not in self._first_corner:
             fid = next(self._unscanned, None)
@@ -272,63 +247,22 @@ class MarkedTriangulation:
             for c in range(3):
                 self._first_corner.setdefault(self.corner_vertex(fid, c),
                                               (fid, c))
-        start = self._first_corner[v]
+        start = fid, c = self._first_corner[v]
         out = []
-        fid, c = start
-        entry_slot = None  # filled in when the walk closes
         while True:
-            eid, exit_slot, nfid, nsi = self._step(fid, c)
-            if nfid is None:
+            eid = self.triangles[fid].slots[c].edge
+            out.append((fid, eid))
+            nxt = None
+            for gfid, gsi in self.incidences(eid):
+                if gsi != c or gfid != fid:
+                    nxt = gfid, (gsi - 1) % 3
+            if nxt is None:
                 raise ValueError(f"vertex {v} is not inner")
-            out.append((fid, exit_slot, eid, entry_slot))
-            entry_slot = nsi
-            nc = (nsi - 1) % 3
-            if self.corner_vertex(nfid, nc) != v:
+            fid, c = nxt
+            if self.corner_vertex(fid, c) != v:
                 raise ValueError("star walk left the vertex (invalid complex)")
-            fid, c = nfid, nc
-            if (fid, c) == start:
-                break
-        # the first record's entry slot is the last computed one
-        out[0] = (out[0][0], out[0][1], out[0][2], entry_slot)
-        return out
-
-    def star_fan(self, v: int):
-        """Counterclockwise fan of the star of a boundary vertex.
-
-        Returns (entry_boundary_eid, records, exit_boundary_eid) with
-        records as in star_cycle; the walk starts at the boundary edge
-        whose dst is v and ends when it exits through the boundary edge
-        whose src is v.
-        """
-        start_eid = None
-        for b in self.boundaries:
-            for eid in b.edges:
-                if self.edges[eid].dst == v:
-                    start_eid = eid
-        if start_eid is None:
-            raise ValueError(f"vertex {v} is not on a boundary")
-        hit = self.incidences(start_eid)
-        if len(hit) != 1:
-            raise ValueError(f"boundary edge {start_eid} has {len(hit)} "
-                             f"incident slots, expected 1")
-        fid, nsi = hit[0]
-        records = []
-        entry_slot = nsi
-        c = (nsi - 1) % 3
-        if self.corner_vertex(fid, c) != v:
-            raise ValueError("boundary fan start inconsistent")
-        while True:
-            eid, exit_slot, nfid, nnsi = self._step(fid, c)
-            records.append((fid, exit_slot, eid, entry_slot))
-            if nfid is None:
-                if self.edges[eid].src != v:
-                    raise ValueError("boundary fan ended on wrong edge")
-                return start_eid, records, eid
-            entry_slot = nnsi
-            c = (nnsi - 1) % 3
-            if self.corner_vertex(nfid, c) != v:
-                raise ValueError("star walk left the vertex (invalid complex)")
-            fid = nfid
+            if nxt == start:
+                return out
 
     # -- curves ---------------------------------------------------------
     def curve_exit_slot(self, step: CurveStep) -> int:

@@ -195,6 +195,26 @@ def test_edge_sign_other_than_plus_minus_one_rejected(clifford, boundary):
         evaluate_raw(tri, {**signs, eid: 0}, clifford)
 
 
+@pytest.mark.parametrize("value", (0, 2, None))
+def test_bad_or_missing_edge_sign_is_named_before_contraction(clifford,
+                                                              value):
+    tri, signs, types = tft.cylinder_spin("NS", 1)
+    eid = sorted(tri.edges)[-1]
+    bad = dict(signs)
+    if value is None:
+        del bad[eid]
+        what = "but it is missing"
+    else:
+        bad[eid] = value
+        what = f"not {value}"
+    message = f"edge {eid}: sign must be \\+1 or -1, {what}"
+    for call in (lambda: build_graph(tri, bad),
+                 lambda: evaluate_raw(tri, bad, clifford),
+                 lambda: evaluate(tri, bad, types, clifford)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_budget_enforced(clifford):
     tri, signs, _ = tft.pants_spin(("NS", "NS", "NS"), 1, 1)
     with pytest.raises(BudgetExceeded):

@@ -104,12 +104,12 @@ def test_moves_accept_any_marking_of_the_patch(name, algebras):
     t1, s1 = pachner_13(tri, signs, sorted(tri.triangles)[0], (1, -1))
     v = max(t1.vertices)
     star = t1.star_cycle(v)
-    inner = sorted(e for _, _, e, _ in star)
+    inner = sorted(e for _, e in star)
     for mask in range(8):
         flips = [e for k, e in enumerate(inner) if mask >> k & 1]
         for n in range(3):
             rotations = {fid: (n + k) % 3
-                         for k, (fid, _, _, _) in enumerate(star)}
+                         for k, (fid, _) in enumerate(star)}
             t2, s2 = pachner_31(*_scrambled(t1, s1, rotations, flips), v)
             assert validate(t2) == []
             assert is_admissible(t2, s2, types)

@@ -11,9 +11,11 @@ from spinsum.spin import (NS, R_TYPE, MarkingMove, apply_marking_move,
                           glue_edge_signs, is_admissible,
                           leaf_exchange_vectors, nu_of, quadratic_form,
                           signs_to_vector, symplectic_basis)
-from spinsum.surface import (GenusGComplex, build_cylinder,
+from spinsum.surface import (R, GenusGComplex, build_cylinder,
                              genus_g_closed_detail, glue_boundaries_with_map)
 from spinsum import tft
+
+from test_pachner import GOLDEN_LOGS, _walk_start
 
 
 def test_nu_of():
@@ -229,3 +231,113 @@ def test_arf_invariant_along_pachner_walk(g):
                 cur, signs, rng, bias_faces=len(tri.triangles))
             if step % 40 == 0:
                 assert arf_invariant(GenusGComplex(cur, g), signs) == arf
+
+
+def _walk_equations(tri, types):
+    """Reference (mask, rhs) rows from ordered star walks.
+
+    Around an inner vertex v the walk is a counterclockwise cycle from
+    v's first corner in triangle order; around a boundary vertex it is a
+    fan from the boundary edge whose dst is v until it leaves through a
+    boundary edge.  D counts the faces entered through slot 0 (plus one
+    at the distinguished vertex of an NS boundary), K the exits through
+    a slot with side R, and the mask holds the exit edges and, for a
+    fan, its entry edge.
+    """
+    bits = spin._edge_bits(tri)
+    entered = {}  # boundary vertex -> (boundary index, boundary edge)
+    for bi, b in enumerate(tri.boundaries):
+        for eid in b.edges:
+            entered[tri.edges[eid].dst] = (bi, eid)
+    first = {}
+    for fid in tri.triangles:
+        for c in range(3):
+            first.setdefault(tri.corner_vertex(fid, c), (fid, (c + 1) % 3))
+    rows = []
+    for v in (sorted(tri.inner_vertices())
+              + sorted(tri.all_boundary_vertices())):
+        if v in entered:
+            bi, eid = entered[v]
+            ((fid, entry),) = tri.incidences(eid)
+            distinguished = tri.edges[tri.boundaries[bi].edges[0]].src
+            edges, D = [eid], int(types[bi] == NS and distinguished == v)
+        else:
+            fid, entry = first[v]
+            edges, D = [], 0
+        start, K = (fid, entry), 0
+        while True:
+            c = (entry - 1) % 3
+            assert tri.corner_vertex(fid, c) == v
+            slot = tri.triangles[fid].slots[c]
+            D += entry == 0
+            K += slot.side == R
+            edges.append(slot.edge)
+            nxt = [inc for inc in tri.incidences(slot.edge)
+                   if inc != (fid, c)]
+            if not nxt:
+                assert v in entered and tri.edges[slot.edge].src == v
+                break
+            ((fid, entry),) = nxt
+            if (fid, entry) == start:
+                assert v not in entered
+                break
+        mask = 0
+        for eid in edges:
+            mask ^= 1 << bits[eid]
+        rows.append((mask, (D + K + 1) & 1))
+    return tuple(rows)
+
+
+def _all_types(tri):
+    return list(itertools.product((NS, R_TYPE), repeat=len(tri.boundaries)))
+
+
+@pytest.mark.parametrize("surface", ["genus-0", "genus-1", "genus-2",
+                                     "genus-3", "genus-4", "cylinder",
+                                     "pants"])
+def test_vertex_equations_match_star_walk(surface):
+    if surface == "cylinder":
+        tri = build_cylinder()
+    elif surface == "pants":
+        tri = tft.pants_spin((NS, NS, NS), 1, 1)[0]
+    else:
+        tri = genus_g_closed_detail(int(surface[-1])).tri
+    assert len(_all_types(tri)) == 2 ** len(tri.boundaries)
+    for types in _all_types(tri):
+        rows = spin._vertex_equations(tri, types)
+        assert len(rows) == len(tri.vertices)
+        assert rows == _walk_equations(tri, types)
+
+
+@pytest.mark.parametrize("surface,seed", [(s, n) for s, n, _ in GOLDEN_LOGS],
+                         ids=[s for s, _, _ in GOLDEN_LOGS])
+def test_vertex_equations_match_star_walk_along_pachner_walk(surface, seed):
+    tri, signs = _walk_start(surface)
+    rng = random.Random(seed)
+    bias = len(tri.triangles)
+    for step in range(1000):
+        tri, signs, _ = random_pachner_move(tri, signs, rng, bias_faces=bias)
+        if step % 4 == 0:
+            for types in _all_types(tri):
+                assert (spin._vertex_equations(tri, types)
+                        == _walk_equations(tri, types)), (step, types)
+
+
+def test_bad_or_missing_edge_sign_is_named():
+    detail = genus_g_closed_detail(1)
+    tri = detail.tri
+    signs = next(s for s in classify_spin_structures(tri)
+                 if arf_invariant(detail, s) == -1)
+    curve = next(c for c in symplectic_basis(detail).cycles
+                 if any(tri.triangles[s.face].slots[
+                     tri.curve_exit_slot(s)].edge == 7 for s in c.steps))
+    zero = {**signs, 7: 0}
+    missing = {e: s for e, s in signs.items() if e != 7}
+    for bad, what in ((zero, "not 0"), (missing, "but it is missing")):
+        for call in (lambda: signs_to_vector(tri, bad),
+                     lambda: is_admissible(tri, bad, ()),
+                     lambda: arf_invariant(detail, bad),
+                     lambda: curve_lift_sign(tri, bad, curve)):
+            with pytest.raises(ValueError, match=f"edge 7: sign must be "
+                                                 f"\\+1 or -1, {what}"):
+                call()
