@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from spinsum.algebra import BUILTIN_NAMES, builtin_by_name
-from spinsum.cli import run_pachner_fuzz
+from spinsum.pachner import run_pachner_fuzz
 from spinsum.spin import NS, R_TYPE, classify_spin_structures
 from spinsum.surface import genus_g_closed_detail
 from spinsum import tft

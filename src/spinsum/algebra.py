@@ -16,8 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .fields import (Field, QQ, PrimeField, field_from_json, mat_inverse,
-                     mat_rank)
+from .fields import Field, QQ, PrimeField, field_from_json, mat_inverse
 from .tensor import GradedTensor
 
 
@@ -124,9 +123,11 @@ def copairing(b: GradedTensor) -> GradedTensor:
     F, leg = b.field, b.in_legs[0]
     n = len(leg)
     bmat = [[b.data.get((i, j), F.zero()) for j in range(n)] for i in range(n)]
-    if mat_rank(F, bmat) != n:
-        raise ValueError("pairing b is degenerate (no Frobenius structure)")
-    cmat = mat_inverse(F, bmat)
+    try:
+        cmat = mat_inverse(F, bmat)
+    except ValueError:
+        raise ValueError("pairing b is degenerate (no Frobenius "
+                         "structure)") from None
     c = GradedTensor(F, (leg, leg), (), {})
     for i, j in itertools.product(range(n), repeat=2):
         if not F.is_zero(cmat[i][j]):

@@ -8,7 +8,6 @@ Exit codes: 0 success / all properties hold, 1 property violation,
 from __future__ import annotations
 
 import json
-import random
 import sys
 
 import click
@@ -17,7 +16,7 @@ from . import algebra as algebra_io
 from . import surface as surface_io
 from .algebra import BUILTIN_NAMES, builtin_by_name, validate_predicates
 from .eval import Amplitude, evaluate, evaluate_raw
-from .pachner import random_pachner_move
+from .pachner import run_pachner_fuzz
 from .spin import (NS, R_TYPE, arf_invariant, classify_spin_structures,
                    quadratic_pairs, symplectic_basis)
 from .surface import named_closed_detail
@@ -250,36 +249,6 @@ def cmd_classify(surface, output):
     _emit({"surface": surface, "genus": tri.genus(),
            "count": len(classes), "classes": classes}, output)
     sys.exit(0)
-
-
-def run_pachner_fuzz(tri, signs, types, A, seed: int, n_moves: int,
-                     check_every: int = 25):
-    """Random Pachner walk asserting exact amplitude invariance.
-
-    Returns (ok, move_log, n_checks); on failure the log ends at the
-    first checkpoint whose amplitude differs.  Raises ``ValueError`` if
-    ``n_moves`` or ``check_every`` is below 1.
-    """
-    if n_moves < 1:
-        raise ValueError(f"the number of moves must be at least 1, "
-                         f"got {n_moves}")
-    if check_every < 1:
-        raise ValueError(f"the check interval must be at least 1, "
-                         f"got {check_every}")
-    rng = random.Random(seed)
-    base = evaluate_raw(tri, signs, A)
-    bias = len(tri.triangles)
-    log = []
-    checks = 0
-    for step in range(1, n_moves + 1):
-        tri, signs, move = random_pachner_move(tri, signs, rng,
-                                               bias_faces=bias)
-        log.append((move.kind, move.target, list(move.choice)))
-        if step % check_every == 0 or step == n_moves:
-            checks += 1
-            if evaluate_raw(tri, signs, A) != base:
-                return False, log, checks
-    return True, log, checks
 
 
 @main.command("pachner-fuzz")

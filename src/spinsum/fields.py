@@ -164,69 +164,37 @@ def field_from_json(obj) -> Field:
     raise ValueError(f"unrecognized field spec: {obj!r}")
 
 
-def mat_mul(F: Field, A, B):
-    """Exact matrix product of two lists-of-rows."""
-    n, m = len(A), len(B[0])
-    k = len(B)
-    if any(len(r) != k for r in A):
-        raise ValueError(f"mat_mul: left rows must have length {k}")
-    out = [[F.zero()] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if F.is_zero(a):
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(m):
-                row[j] = F.add(row[j], F.mul(a, Bt[j]))
-    return out
+def row_reduce(F: Field, M):
+    """(rows, pivots): the nonzero rows of the reduced row echelon form of
+    M and the pivot column of each; row k is 1 at pivots[k] and 0 at the
+    other pivots.  The only elimination over a general field."""
+    rows = [list(r) for r in M]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(rows))
+                    if not F.is_zero(rows[r][col])), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = F.inv(rows[k][col])
+        rows[k] = [F.mul(inv, x) for x in rows[k]]
+        for r in range(len(rows)):
+            if r != k and not F.is_zero(rows[r][col]):
+                f = rows[r][col]
+                rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[k])]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows[:len(pivots)], pivots
 
 
 def mat_inverse(F: Field, A):
-    """Gauss-Jordan inverse; raises ValueError on singular input."""
+    """Inverse by row-reducing [A | I]; raises ValueError on singular input."""
     n = len(A)
-    M = [list(row) + [F.one() if i == j else F.zero() for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not F.is_zero(M[r][col]):
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = F.inv(M[col][col])
-        M[col] = [F.mul(inv, x) for x in M[col]]
-        for r in range(n):
-            if r != col and not F.is_zero(M[r][col]):
-                f = M[r][col]
-                M[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
-def mat_rank(F: Field, A):
-    if not A:
-        return 0
-    M = [list(row) for row in A]
-    n, m = len(M), len(M[0])
-    rank = 0
-    for col in range(m):
-        piv = None
-        for r in range(rank, n):
-            if not F.is_zero(M[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = F.inv(M[rank][col])
-        M[rank] = [F.mul(inv, x) for x in M[rank]]
-        for r in range(n):
-            if r != rank and not F.is_zero(M[r][col]):
-                f = M[r][col]
-                M[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[r], M[rank])]
-        rank += 1
-    return rank
+    rows, pivots = row_reduce(F, [
+        list(row) + [F.one() if i == j else F.zero() for j in range(n)]
+        for i, row in enumerate(A)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in rows]

@@ -1,14 +1,17 @@
-"""Pachner moves with exact edge-sign transport.
+"""Pachner moves with exact edge-sign transport, and a random-move walk
+that checks amplitude invariance (``run_pachner_fuzz``).
 
-The 2-2 and 3-1 moves accept a patch with any marking.  Each first
-applies the marking moves that put the patch into its reference
-configuration (rotations of a triangle's marked slot and orientation
-flips of inner edges, each negating signs as ``spin.apply_marking_move``
-does), in place on copies of the edge, triangle and sign dicts.  The new
-triangulation is then patched from the old one: only the incidences of
-the edges and the corner counts of the vertices on the removed and added
-faces are recomputed, so a move costs O(patch) rather than O(surface).
-A 3-1 move rejects a vertex whose corner count is not 3 before any star
+Every move first checks that each edge of its patch has sign +1 or -1,
+raising ``spin.edge_sign``'s ValueError otherwise.  The 2-2 and 3-1
+moves accept a patch with any marking.  Each first applies the marking
+moves that put the patch into its reference configuration (rotations of
+a triangle's marked slot and orientation flips of inner edges, each
+negating signs as ``spin.apply_marking_move`` does), in place on copies
+of the edge, triangle and sign dicts.  The new triangulation is then
+patched from the old one: only the incidences of the edges and the
+corner counts of the vertices on the removed and added faces are
+recomputed, so a move costs O(patch) rather than O(surface).  A 3-1
+move rejects a vertex whose corner count is not 3 before any star
 walk.  Sign transport is a literal transcription of the local rules on
 the reference configuration:
 
@@ -29,9 +32,11 @@ choice (s12, s23) and s31 := -s12 s23; any marking of its triangle works.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-from .spin import Signs, flip_edge, mark_slot
+from .eval import evaluate_raw
+from .spin import Signs, edge_sign, flip_edge, mark_slot
 from .surface import Edge, L, MarkedTriangulation, R, Slot, Triangle
 
 
@@ -50,6 +55,18 @@ def _fresh_face_id(tri: MarkedTriangulation) -> int:
     return max(tri.triangles) + 1
 
 
+def _check_patch_signs(tri: MarkedTriangulation, signs: Signs,
+                       faces) -> None:
+    """``spin.edge_sign`` on every edge of the patch faces, before the
+    move reads or copies any of their signs.  A sign of +1 or -1 skips
+    the call, which every walk move would otherwise pay six to nine
+    times."""
+    for fid in faces:
+        for slot in tri.triangles[fid].slots:
+            if signs.get(slot.edge) not in (1, -1):
+                edge_sign(signs, slot.edge)
+
+
 # -- 2-2 ----------------------------------------------------------------
 def pachner_22(tri: MarkedTriangulation, signs: Signs, eid: int):
     if tri.is_boundary_edge(eid):
@@ -59,6 +76,7 @@ def pachner_22(tri: MarkedTriangulation, signs: Signs, eid: int):
         raise ValueError(f"2-2 move undefined at edge {eid}")
     f1, s1 = left
     f2, s2 = right
+    _check_patch_signs(tri, signs, (f1, f2))
     triangles, new_signs = dict(tri.triangles), dict(signs)
     mark_slot(triangles, new_signs, f1, s1)
     mark_slot(triangles, new_signs, f2, s2)
@@ -99,6 +117,8 @@ def pachner_31(tri: MarkedTriangulation, signs: Signs, v: int):
     inner_edges = {eid for _, eid in star}
     if len(inner_edges) != 3:
         raise ValueError(f"star of vertex {v} is degenerate")
+    ids = [fid for fid, _ in star]
+    _check_patch_signs(tri, signs, ids)
     edges, triangles = dict(tri.edges), dict(tri.triangles)
     new_signs = dict(signs)
     # reference configuration: inner edges point toward v, each face is
@@ -106,7 +126,6 @@ def pachner_31(tri: MarkedTriangulation, signs: Signs, v: int):
     for eid in inner_edges:
         if edges[eid].src == v:
             flip_edge(tri, edges, triangles, new_signs, eid)
-    ids = [fid for fid, _ in star]
     for fid in ids:
         slots = triangles[fid].slots
         mark_slot(triangles, new_signs, fid, next(
@@ -157,6 +176,7 @@ def pachner_13(tri: MarkedTriangulation, signs: Signs, fid: int,
     A, B, C = t.slots
     if len({A.edge, B.edge, C.edge}) != 3:
         raise ValueError("1-3 move needs three distinct edges")
+    _check_patch_signs(tri, signs, (fid,))
     s12, s23 = choice
     if s12 not in (1, -1) or s23 not in (1, -1):
         raise ValueError("choice entries must be +1 or -1")
@@ -236,3 +256,34 @@ def apply_pachner_move(tri: MarkedTriangulation, signs: Signs,
     if move.kind == "one_three":
         return pachner_13(tri, signs, move.target, move.choice)
     raise ValueError(f"unknown move kind {move.kind!r}")
+
+
+def run_pachner_fuzz(tri, signs, types, A, seed: int, n_moves: int,
+                     check_every: int = 25):
+    """Random Pachner walk asserting exact amplitude invariance.
+
+    Returns (ok, move_log, n_checks); on failure the log ends at the
+    first checkpoint whose amplitude differs.  The walk compares raw
+    amplitudes, so ``types`` is not read.  Raises ``ValueError`` if
+    ``n_moves`` or ``check_every`` is below 1.
+    """
+    if n_moves < 1:
+        raise ValueError(f"the number of moves must be at least 1, "
+                         f"got {n_moves}")
+    if check_every < 1:
+        raise ValueError(f"the check interval must be at least 1, "
+                         f"got {check_every}")
+    rng = random.Random(seed)
+    base = evaluate_raw(tri, signs, A)
+    bias = len(tri.triangles)
+    log = []
+    checks = 0
+    for step in range(1, n_moves + 1):
+        tri, signs, move = random_pachner_move(tri, signs, rng,
+                                               bias_faces=bias)
+        log.append((move.kind, move.target, list(move.choice)))
+        if step % check_every == 0 or step == n_moves:
+            checks += 1
+            if evaluate_raw(tri, signs, A) != base:
+                return False, log, checks
+    return True, log, checks

@@ -352,12 +352,42 @@ def validate(tri: MarkedTriangulation) -> list[str]:
         if len(tri.boundary_vertices(bi)) != 3:
             errs.append(f"boundary {bi}: must have 3 vertices")
     if not errs:
+        errs += _vertex_link_errors(tri)
+    if not errs:
         chi = tri.euler_characteristic()
         g2 = 2 - len(tri.boundaries) - chi
         if g2 < 0 or g2 % 2:
             errs.append(f"Euler characteristic {chi} inconsistent with any "
                         f"genus for {len(tri.boundaries)} boundaries")
     return errs
+
+
+def _vertex_link_errors(tri: MarkedTriangulation) -> list[str]:
+    """The corners at each vertex must form one cycle (an inner vertex)
+    or one fan (a boundary vertex).  An inner edge in slot s of face f
+    and slot t of face g makes corner (f, s) adjacent to (g, t - 1) and
+    (f, s - 1) to (g, t); a vertex whose corners fall into several
+    classes is a non-manifold point."""
+    parent = {(fid, c): (fid, c) for fid in tri.triangles for c in range(3)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for inc in tri._incidence.values():
+        if len(inc) == 2:
+            (f, s), (g, t) = inc
+            for a, b in (((f, s), (g, (t - 1) % 3)),
+                         ((f, (s - 1) % 3), (g, t))):
+                parent[find(a)] = find(b)
+    classes: dict[int, set] = {}
+    for corner in parent:
+        classes.setdefault(tri.corner_vertex(*corner), set()).add(
+            find(corner))
+    return [f"vertex {v}: its corners form {len(cs)} separate cycles or "
+            f"fans, not one (non-manifold vertex)"
+            for v, cs in sorted(classes.items()) if len(cs) > 1]
 
 
 # -- reference complexes ------------------------------------------------

@@ -2,6 +2,13 @@
 spaces, the algebra on the total state space Z, closed forms for the
 cylinder / pair of pants / torus, and the statistical sign sum.
 
+The state spaces Z_NS and Z_R are the images of the cylinder idempotents
+P_NS and P_R, and A_+ is the image of (id + N)/2.  Each idempotent P is
+split as iota o pi off the reduced row echelon form of P^T: the RREF
+rows are the image basis (iota's columns) and pi reads P's pivot rows.
+Each structure map of Z = Z_NS + Z_R is computed sector by sector and
+placed in Z by shifting its leg indices by the sector offsets.
+
 The statistical sign sum (1/2)^E 2^V sum_s T'_A(s) over all edge-sign
 assignments s of a closed surface equals the oriented state sum of A_+.
 T'_A is multilinear in the edge copairings, so
@@ -11,12 +18,13 @@ sum_s prod_e c_{s(e)} = prod_e (c_+ + c_-): one contraction at any genus.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .algebra import (DerivedStructure, GradedFrobeniusAlgebra, copairing,
                       derive)
 from .eval import Amplitude, build_graph, contract_network, plan_contraction
-from .fields import Field, mat_inverse, mat_mul
+from .fields import Field, row_reduce
 from .spin import NS, R_TYPE, nu_of
 from .surface import (MarkedTriangulation, build_cylinder,
                       build_pair_of_pants, glue_boundaries)
@@ -98,44 +106,26 @@ class StateSpace:
 
 
 def _split_idempotent(F: Field, P: GradedTensor, leg) -> tuple:
-    """Exact splitting of an idempotent matrix via column echelon."""
+    """Split an idempotent P as iota o pi with pi o iota = id, read off
+    the reduced row echelon form of P^T; returns (iota, pi, parities).
+
+    The RREF rows span im P and are iota's columns, so iota is the
+    identity on their pivot rows, and pi is P's pivot rows.  An image
+    vector equals iota applied to its pivot entries, so iota o pi = P;
+    P fixes iota's columns, so pi o iota = id.  No inverse is needed.
+    """
     n = len(leg)
     M = P.as_matrix()
-    cols = [[M[r][c] for r in range(n)] for c in range(n)]
-    basis = []
-    pivots = []
-    for c in range(n):
-        v = list(cols[c])
-        for bcol, prow in zip(basis, pivots):
-            if not F.is_zero(v[prow]):
-                f = v[prow]
-                v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, bcol)]
-        piv = next((r for r in range(n) if not F.is_zero(v[r])), None)
-        if piv is None:
-            continue
-        inv = F.inv(v[piv])
-        v = [F.mul(inv, x) for x in v]
-        basis.append(v)
-        pivots.append(piv)
-    r = len(basis)
-    iota_m = [[basis[c][row] for c in range(r)] for row in range(n)]
-    # pi = (iota restricted to pivot rows)^{-1} applied to P's pivot rows
-    sq = [[iota_m[p][c] for c in range(r)] for p in pivots]
-    sq_inv = mat_inverse(F, sq) if r else []
-    P_piv = [[M[p][c] for c in range(n)] for p in pivots]
-    pi_m = mat_mul(F, sq_inv, P_piv) if r else [[]]
-    # parity of each basis column (columns of an even idempotent are
-    # parity-homogeneous)
-    pars = []
-    for c in range(r):
-        ps = {leg[row] for row in range(n) if not F.is_zero(iota_m[row][c])}
-        if len(ps) != 1:
+    basis, pivots = row_reduce(F, [[M[r][c] for r in range(n)]
+                                   for c in range(n)])
+    zleg = tuple(leg[p] for p in pivots)
+    for v, par in zip(basis, zleg):
+        if any(leg[r] != par for r in range(n) if not F.is_zero(v[r])):
             raise ValueError("idempotent image basis is not parity-homogeneous")
-        pars.append(ps.pop())
-    zleg = tuple(pars)
-    iota_t = GradedTensor.from_matrix(F, leg, zleg, iota_m)
-    pi_t = GradedTensor.from_matrix(F, zleg, leg, pi_m if r else [[] for _ in range(0)])
-    return iota_t, pi_t, zleg
+    iota_m = [[v[r] for v in basis] for r in range(n)]
+    return (GradedTensor.from_matrix(F, leg, zleg, iota_m),
+            GradedTensor.from_matrix(F, zleg, leg, [M[p] for p in pivots]),
+            zleg)
 
 
 def state_space(A: GradedFrobeniusAlgebra, delta: str) -> StateSpace:
@@ -167,63 +157,51 @@ class ZAlgebra:
     chi_r: GradedTensor
 
 
-def _z_embed(F: Field, spaces, zleg, offsets, nu) -> GradedTensor:
-    """e_nu: Z_nu -> Z (block embedding into the total space)."""
-    sp = spaces[nu]
-    off = offsets[nu]
-    M = [[F.one() if row == off + c else F.zero()
-          for c in range(sp.dim)] for row in range(len(zleg))]
-    return GradedTensor.from_matrix(F, zleg, sp.parities, M)
+def _in_z(F: Field, zleg, n_out: int, n_in: int, blocks) -> GradedTensor:
+    """The map between tensor powers of Z = Z_NS + Z_R with the given
+    blocks: pairs (offsets, t) of a map t between sectors Z_nu and the
+    offset in Z of each of its legs' sectors, outputs first."""
+    data = {}
+    for offsets, t in blocks:
+        for key, v in t.data.items():
+            data[tuple(map(operator.add, key, offsets))] = v
+    return GradedTensor(F, (zleg,) * n_out, (zleg,) * n_in, data)
 
 
 def z_algebra(A: GradedFrobeniusAlgebra) -> ZAlgebra:
+    """The algebra on Z = Z_NS + Z_R, NS first.  With e_nu = iota and
+    f_nu = pi of the sector Z_nu, its blocks are f o mu o (e (x) e),
+    (f (x) f) o Delta o e, f o N o e, f o eta and eps o e, placed in Z by
+    the sector offsets (``_in_z``)."""
     D = derive(A)
     F = A.field
     ns = state_space(A, NS)
     r = state_space(A, R_TYPE)
-    spaces = {+1: ns, -1: r}
-    offsets = {+1: 0, -1: ns.dim}
-    dim = ns.dim + r.dim
     zleg = ns.parities + r.parities
     grading = (+1,) * ns.dim + (-1,) * r.dim
-    embed = {nu: _z_embed(F, spaces, zleg, offsets, nu) for nu in (+1, -1)}
-    # e_nu : Z_nu -> A and f_nu : A -> Z_nu, then padded into Z
-    e = {nu: spaces[nu].iota for nu in (+1, -1)}
-    f = {nu: spaces[nu].pi for nu in (+1, -1)}
-    zero_mu = GradedTensor.zero(F, (zleg,), (zleg, zleg))
-    mu_z = zero_mu
-    for a, b in itertools.product((+1, -1), repeat=2):
-        term = embed[a * b].compose(f[a * b]).compose(D.mu).compose(
-            e[a].tensor(e[b])).compose(
-            _z_project(F, embed[a]).tensor(_z_project(F, embed[b])))
-        mu_z = mu_z.add(term)
-    eta_z = embed[+1].compose(f[+1]).compose(D.eta)
-    eps_z = D.eps.compose(e[+1]).compose(_z_project(F, embed[+1]))
-    delta_z = GradedTensor.zero(F, (zleg, zleg), (zleg,))
-    for a, b in itertools.product((+1, -1), repeat=2):
-        term = (embed[a].compose(f[a])).tensor(embed[b].compose(f[b])).compose(
-            D.Delta).compose(e[a * b]).compose(_z_project(F, embed[a * b]))
-        delta_z = delta_z.add(term)
-    n_z = GradedTensor.zero(F, (zleg,), (zleg,))
-    for nu in (+1, -1):
-        n_z = n_z.add(embed[nu].compose(f[nu]).compose(D.N).compose(e[nu])
-                      .compose(_z_project(F, embed[nu])))
+    off = {+1: 0, -1: ns.dim}
+    e = {+1: ns.iota, -1: r.iota}
+    f = {+1: ns.pi, -1: r.pi}
+    pairs = list(itertools.product((+1, -1), repeat=2))
+    mu_z = _in_z(F, zleg, 1, 2, [
+        ((off[a * b], off[a], off[b]),
+         f[a * b].compose(D.mu).compose(e[a].tensor(e[b])))
+        for a, b in pairs])
+    delta_z = _in_z(F, zleg, 2, 1, [
+        ((off[a], off[b], off[a * b]),
+         f[a].tensor(f[b]).compose(D.Delta).compose(e[a * b]))
+        for a, b in pairs])
+    n_z = _in_z(F, zleg, 1, 1, [
+        ((off[nu], off[nu]), f[nu].compose(D.N).compose(e[nu]))
+        for nu in (+1, -1)])
+    eta_z = _in_z(F, zleg, 1, 0, [((0,), f[+1].compose(D.eta))])
+    eps_z = _in_z(F, zleg, 0, 1, [((0,), D.eps.compose(e[+1]))])
     chi_ns = D.mu.compose(D.q_plus.tensor(D.q_plus)).compose(D.Delta)\
         .compose(D.eta)
     chi_r = D.mu.compose(D.q_minus.tensor(D.q_minus)).compose(D.Delta)\
         .compose(D.eta)
-    return ZAlgebra(A, ns, r, dim, grading, mu_z, eta_z, delta_z, eps_z,
-                    n_z, chi_ns, chi_r)
-
-
-def _z_project(F: Field, embed: GradedTensor) -> GradedTensor:
-    """Block projection Z -> Z_nu (transpose of the 0/1 embedding)."""
-    zleg = embed.out_legs[0]
-    nleg = embed.in_legs[0]
-    M = [[F.zero()] * len(zleg) for _ in range(len(nleg))]
-    for (row, c), v in embed.data.items():
-        M[c][row] = v
-    return GradedTensor.from_matrix(F, nleg, zleg, M)
+    return ZAlgebra(A, ns, r, ns.dim + r.dim, grading, mu_z, eta_z, delta_z,
+                    eps_z, n_z, chi_ns, chi_r)
 
 
 # -- closed forms -------------------------------------------------------

@@ -8,10 +8,9 @@ from fractions import Fraction
 import pytest
 
 from spinsum.algebra import builtin_by_name, derive
-from spinsum.cli import run_pachner_fuzz
 from spinsum.eval import (build_graph, contract_exhaustive, evaluate,
                           evaluate_raw, is_valid_schedule)
-from spinsum.pachner import random_pachner_move
+from spinsum.pachner import random_pachner_move, run_pachner_fuzz
 from spinsum.spin import (NS, R_TYPE, arf_invariant, classify_spin_structures,
                           classify_spin_structures as classify,
                           enumerate_admissible, is_admissible, nu_of,

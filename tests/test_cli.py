@@ -309,6 +309,18 @@ def test_surface_file_with_wrong_shape(runner, tmp_path):
     assert "cannot load surface" in res.output
 
 
+@pytest.mark.parametrize("command", [
+    ["classify"], ["sign-scan", "--algebra", "clifford"]])
+def test_non_manifold_surface_file_exits_2(runner, tmp_path, command):
+    from spinsum import surface
+    from test_surface import one_vertex_torus
+    path = tmp_path / "one_vertex_torus.json"
+    path.write_text(json.dumps(surface.to_json(one_vertex_torus())))
+    res = runner.invoke(main, command + ["--surface", str(path)])
+    assert res.exit_code == 2
+    assert "vertex 0: its corners form 3 separate cycles" in res.output
+
+
 def test_sign_scan_rejects_an_open_surface(runner, tmp_path):
     from spinsum import surface
     path = tmp_path / "cylinder.json"

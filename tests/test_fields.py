@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from spinsum.fields import (QQ, PrimeField, field_from_json, mat_inverse,
-                            mat_mul, mat_rank)
+                            row_reduce)
 
 
 def test_rational_field_ops():
@@ -25,15 +25,27 @@ def test_prime_field_ops():
         F3.inv(F3.zero())
 
 
-def test_mat_inverse_and_rank():
+def test_mat_inverse():
     M = [[Fraction(2), Fraction(1)], [Fraction(5), Fraction(3)]]
     Minv = mat_inverse(QQ, M)
-    assert mat_mul(QQ, M, Minv) == [[1, 0], [0, 1]]
-    assert mat_rank(QQ, M) == 2
+    assert Minv == [[3, -1], [-5, 2]]
+    assert mat_inverse(QQ, Minv) == M
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert mat_rank(QQ, singular) == 1
     with pytest.raises(ValueError, match="singular"):
         mat_inverse(QQ, singular)
+
+
+def test_row_reduce_gives_rref_rows_and_pivots():
+    M = [[0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 5]]
+    rows, pivots = row_reduce(QQ, [[QQ.of(x) for x in r] for r in M])
+    assert pivots == [1, 3]
+    assert rows == [[0, 1, 2, 0], [0, 0, 0, 1]]
+    F3 = PrimeField(3)
+    rows, pivots = row_reduce(F3, [[1, 1, 0], [2, 2, 1], [1, 1, 2]])
+    assert pivots == [0, 2]
+    assert rows == [[1, 1, 0], [0, 0, 1]]
+    assert row_reduce(QQ, []) == ([], [])
+    assert row_reduce(QQ, [[QQ.zero()] * 3]) == ([], [])
 
 
 def test_field_json_roundtrip():

@@ -217,3 +217,38 @@ def test_walk_matches_rebuild_oracle_and_golden_log(surface, seed, digest):
     vs = tri.vertices
     vs.add(-1)
     assert -1 not in tri.vertices
+
+
+@pytest.mark.parametrize("surface,seed", [(s, n) for s, n, _ in GOLDEN_LOGS],
+                         ids=[s for s, _, _ in GOLDEN_LOGS])
+def test_walk_surfaces_pass_validation(surface, seed):
+    """Every surface along the golden walks is a manifold: in particular
+    the corners at each vertex form one cycle or one boundary fan."""
+    tri, signs = _walk_start(surface)
+    rng = random.Random(seed)
+    bias = len(tri.triangles)
+    for step in range(1000):
+        tri, signs, m = random_pachner_move(tri, signs, rng, bias_faces=bias)
+        assert validate(tri) == [], (step, m)
+
+
+@pytest.mark.parametrize("bad", [None, 0], ids=["missing", "zero"])
+@pytest.mark.parametrize("kind", ["two_two", "three_one", "one_three"])
+def test_moves_name_a_bad_or_missing_patch_sign(cyl, kind, bad):
+    """Edge 7 of the NS+ cylinder is on each patch: the 2-2 diagonal, an
+    outer edge of the 3-1 star, an edge of the 1-3 face."""
+    tri, signs, _ = cyl
+    if kind == "three_one":
+        tri, signs = pachner_13(tri, signs, 1)
+        target = max(tri.vertices)
+    else:
+        target = 7 if kind == "two_two" else 1
+    signs = dict(signs)
+    if bad is None:
+        del signs[7]
+    else:
+        signs[7] = bad
+    what = "but it is missing" if bad is None else "not 0"
+    with pytest.raises(ValueError, match=rf"edge 7: sign must be \+1 or -1, "
+                                         rf"{what}"):
+        apply_pachner_move(tri, signs, PachnerMove(kind, target))

@@ -1,6 +1,7 @@
 import pytest
 
-from spinsum.surface import (build_cylinder, build_disk, build_pair_of_pants,
+from spinsum.surface import (Edge, MarkedTriangulation, build_cylinder,
+                             build_disk, build_pair_of_pants,
                              disjoint_union, from_json, genus_g_closed,
                              genus_g_closed_detail, glue_boundaries,
                              glue_boundaries_with_map, named_closed_detail,
@@ -13,7 +14,7 @@ def euler(tri):
 
 def test_builders_validate():
     for tri in (build_disk(), build_cylinder(), build_pair_of_pants(),
-                genus_g_closed(0), genus_g_closed(1), genus_g_closed(2)):
+                *(genus_g_closed(g) for g in range(6))):
         assert validate(tri) == []
 
 
@@ -85,3 +86,26 @@ def test_named_closed_detail(name, genus):
 def test_named_closed_detail_rejects_other_names(name):
     with pytest.raises(ValueError, match="sphere, torus or genus-G"):
         named_closed_detail(name)
+
+
+def one_vertex_torus():
+    """genus_g_closed(1) with its three vertices identified: every edge
+    is a loop, chi = -2, and the one vertex has three corner cycles."""
+    t = genus_g_closed(1)
+    return MarkedTriangulation({e: Edge(0, 0) for e in t.edges}, t.triangles)
+
+
+def test_validate_rejects_non_manifold_vertices():
+    tri = one_vertex_torus()
+    assert validate(tri) == ["vertex 0: its corners form 3 separate cycles "
+                             "or fans, not one (non-manifold vertex)"]
+    with pytest.raises(ValueError, match="vertex 0: .*non-manifold"):
+        from_json(to_json(tri))
+    # two disks sharing one boundary vertex: two fans at vertex 1
+    two, _, vo, _ = disjoint_union(build_disk(), build_disk())
+    wedge = MarkedTriangulation(
+        {e: Edge(*(1 if v == vo + 1 else v for v in (x.src, x.dst)))
+         for e, x in two.edges.items()}, two.triangles, two.boundaries)
+    assert validate(wedge) == ["vertex 1: its corners form 2 separate "
+                               "cycles or fans, not one (non-manifold "
+                               "vertex)"]

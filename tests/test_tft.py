@@ -5,6 +5,7 @@ import pytest
 
 from spinsum.algebra import builtin_by_name, derive
 from spinsum.eval import evaluate, evaluate_raw
+from spinsum.fields import QQ, PrimeField
 from spinsum.spin import NS, R_TYPE
 from spinsum.surface import genus_g_closed, genus_g_closed_detail
 from spinsum.tensor import GradedTensor
@@ -48,15 +49,42 @@ def test_composite_maps_split_the_identity(name):
     assert tft.pi31(D).compose(tft.iota13(D)) == D.identity
 
 
+def _assert_splits(F, P, iota, pi, parities):
+    assert pi.compose(iota) == GradedTensor.identity(F, parities)
+    assert iota.compose(pi) == P
+    assert iota.out_legs == P.out_legs and pi.in_legs == P.in_legs
+    assert iota.in_legs == pi.out_legs == (parities,)
+
+
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_state_space_splits_projector(name):
     A = builtin_by_name(name)
+    D = derive(A)
     for delta in (NS, R_TYPE):
         sp = tft.state_space(A, delta)
-        P = derive(A).q(1 if delta == NS else -1)
-        assert sp.pi.compose(sp.iota) == GradedTensor.identity(A.field,
-                                                              sp.parities)
-        assert sp.iota.compose(sp.pi) == P
+        P = D.q(1 if delta == NS else -1)
+        _assert_splits(A.field, P, sp.iota, sp.pi, sp.parities)
+    # the plus-part idempotent (id + N)/2 that A_+ is the image of
+    plus = D.identity.add(D.N).scale(A.field.inv(A.field.of(2)))
+    _assert_splits(A.field, plus,
+                   *tft._split_idempotent(A.field, plus, D.leg))
+
+
+@pytest.mark.parametrize("field,leg,rows,parities", [
+    # I - v w^T with w.v = 1 on three even legs, rank 2
+    (QQ, (0, 0, 0), [[0, -1, 1], [-1, 0, 1], [-1, -1, 2]], (0, 0)),
+    # rank 1 on the even pair (legs 0, 2), image (1, 1), plus rank 1 on
+    # the odd pair (legs 1, 3), image (1, 2)
+    (PrimeField(3), (0, 1, 0, 1),
+     [[2, 0, 2, 0], [0, 1, 0, 0], [2, 0, 2, 0], [0, 2, 0, 0]], (0, 1)),
+])
+def test_split_of_non_diagonal_idempotent(field, leg, rows, parities):
+    P = GradedTensor.from_matrix(field, leg, leg,
+                                 [[field.of(x) for x in r] for r in rows])
+    assert P.compose(P) == P
+    iota, pi, zleg = tft._split_idempotent(field, P, leg)
+    assert zleg == parities
+    _assert_splits(field, P, iota, pi, zleg)
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
@@ -81,6 +109,37 @@ def test_z_algebra_grading_multiplicative(clifford):
             v = Z.mu.data.get((k, i, j))
             if v is not None and not F.is_zero(v):
                 assert gk == gi * gj
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_z_structure_maps_match_block_composition(name):
+    """Reference: every structure map of Z composed with the 0/1 block
+    embeddings Z_nu -> Z and projections Z -> Z_nu."""
+    A = builtin_by_name(name)
+    D, F, Z = derive(A), A.field, tft.z_algebra(A)
+    zleg = Z.mu.out_legs[0]
+    to_z, from_z = {}, {}  # A -> Z_nu -> Z and Z -> Z_nu -> A
+    for nu, sp, off in ((1, Z.ns, 0), (-1, Z.r, Z.ns.dim)):
+        emb = [[F.one() if row == off + c else F.zero()
+                for c in range(sp.dim)] for row in range(Z.dim)]
+        to_z[nu] = GradedTensor.from_matrix(F, zleg, sp.parities,
+                                            emb).compose(sp.pi)
+        from_z[nu] = sp.iota.compose(GradedTensor.from_matrix(
+            F, sp.parities, zleg, [list(r) for r in zip(*emb)]))
+    mu = GradedTensor.zero(F, (zleg,), (zleg, zleg))
+    delta = GradedTensor.zero(F, (zleg, zleg), (zleg,))
+    for a, b in itertools.product((1, -1), repeat=2):
+        mu = mu.add(to_z[a * b].compose(D.mu).compose(
+            from_z[a].tensor(from_z[b])))
+        delta = delta.add(to_z[a].tensor(to_z[b]).compose(D.Delta).compose(
+            from_z[a * b]))
+    n = to_z[1].compose(D.N).compose(from_z[1]).add(
+        to_z[-1].compose(D.N).compose(from_z[-1]))
+    assert Z.mu == mu
+    assert Z.Delta == delta
+    assert Z.N == n
+    assert Z.eta == to_z[1].compose(D.eta)
+    assert Z.eps == D.eps.compose(from_z[1])
 
 
 def test_sphere_amplitude_is_two(clifford):
