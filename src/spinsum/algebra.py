@@ -115,7 +115,11 @@ class DerivedStructure:
         raise ValueError(f"sign must be +1 or -1, not {eps!r}")
 
     def q(self, nu: int) -> GradedTensor:
-        return self.q_plus if nu == +1 else self.q_minus
+        if nu == +1:
+            return self.q_plus
+        if nu == -1:
+            return self.q_minus
+        raise ValueError(f"boundary sign nu must be +1 or -1, not {nu!r}")
 
 
 def copairing(b: GradedTensor) -> GradedTensor:

@@ -15,16 +15,13 @@ contracts this diagram and relabels the 3 legs per boundary component
 The schedule comes from ``plan_contraction``.  A face order is scored
 symbolically by the sum of 3^(open legs) after each triangle step, the
 open legs counted as the executor counts them, boundary legs included.
-The greedy rule (next the triangle needing the fewest new copairings)
-runs once from each start face, and the cheapest run sets a bound.  A
-beam search over face orders then keeps, per number of placed faces,
-the ``BEAM_WIDTH`` (32) cheapest states: a state is the bitmask of the
+A beam search over face orders keeps, per number of placed faces, the
+``BEAM_WIDTH`` (32) cheapest states: a state is the bitmask of the
 placed faces with its open-leg count and partial score, it grows by
-the faces on its frontier (any unplaced face when that is empty), two
-states with one mask keep the lower score, and a state reaching the
-bound is dropped.  Its order replaces the greedy one only when it
-scores strictly lower.  Any order gives the same exact result, so the
-search only saves work.  The plan depends on the triangulation alone
+the faces on its frontier (any unplaced face when that is empty), and
+two states with one mask keep the lower score.  The cheapest complete
+state gives the face order.  Any order gives the same exact result, so
+the search only saves work.  The plan depends on the triangulation alone
 and is cached on it, so the per-class evaluations of one surface share
 one plan.
 
@@ -142,14 +139,10 @@ def plan_contraction(graph: DiagramGraph) -> list[tuple[str, int]]:
     """Schedule of ('c', edge id) / ('t', face id) actions, cached.
 
     A face order is scored symbolically by the sum of 3^(open legs)
-    after each triangle step.  The greedy rule -- next the triangle
-    needing the fewest new copairings, ties by smallest face id -- runs
-    once with each face as the forced first pick; the cheapest run (ties:
-    the lowest start face) is the bound.  A beam search of width
-    ``BEAM_WIDTH`` over placed-face bitmasks, grown along the frontier,
-    returns its cheapest order if that scores strictly below the bound
-    (see ``_beam_order``); otherwise the greedy order stays.  Each face's
-    missing copairings are absorbed in edge-id order just before it.
+    after each triangle step.  A beam search of width ``BEAM_WIDTH`` over
+    placed-face bitmasks, grown along the frontier, picks the order (see
+    ``_beam_order``).  Each face's missing copairings are absorbed in
+    edge-id order just before it.
     The plan depends only on the triangulation, so it is stored on
     ``graph.tri`` and every later call for a graph on that triangulation
     returns the same list (callers must not modify it).
@@ -167,27 +160,13 @@ def _search_plan(tri: MarkedTriangulation) -> list[tuple[str, int]]:
                   for fid in fids]
     on_edge = {eid: {index[f] for f, _ in tri.incidences(eid)}
                for eid in tri.edges}
-    neighbours = [[(eid, [j for j in on_edge[eid] if j != i])
-                   for eid in edges] for i, edges in enumerate(face_edges)]
-    count = [len(edges) for edges in face_edges]  # missing copairings
-    buckets = [0, 0, 0, 0]  # per missing count: bitmask of the faces
-    for i, c in enumerate(count):
-        buckets[c] |= 1 << i
-    best, best_order = math.inf, []
-    for start in range(len(fids)):
-        found = _greedy_order(start, neighbours, count[:], buckets[:], best)
-        if found is not None:
-            best, best_order = found
     bit = {eid: 1 << k for k, eid in enumerate(on_edge)}
     face_bits = [sum(bit[eid] for eid in edges) for edges in face_edges]
-    adjacent = [sum({1 << j for _, js in nbrs for j in js})
-                for nbrs in neighbours]
-    found = _beam_order(face_bits, adjacent, best)
-    if found is not None:
-        best_order = found
+    adjacent = [sum({1 << j for eid in edges for j in on_edge[eid] if j != i})
+                for i, edges in enumerate(face_edges)]
     absorbed: set[int] = set()
     plan: list[tuple[str, int]] = []
-    for i in best_order:
+    for i in _beam_order(face_bits, adjacent):
         for eid in face_edges[i]:
             if eid not in absorbed:
                 absorbed.add(eid)
@@ -196,58 +175,19 @@ def _search_plan(tri: MarkedTriangulation) -> list[tuple[str, int]]:
     return plan  # build_graph checked that every edge has a face
 
 
-def _greedy_order(start, neighbours, count, buckets, bound):
-    """(score, face order) of the greedy run forced to start at face
-    ``start``, or None once its score reaches ``bound``.  ``neighbours[i]``
-    lists (edge id, other faces on that edge) per edge of face i; the run
-    updates ``count`` and ``buckets`` in place.
-
-    The faces sit in bitmask buckets by missing count 0..3, so a pick is
-    the lowest set bit of the first nonempty bucket.  A triangle with m
-    missing copairings opens 2m legs and closes its 3 slots.
-    """
-    absorbed: set[int] = set()
-    order: list[int] = []
-    open_legs = score = 0
-    i = start
-    for _ in neighbours:
-        if i is None:
-            b = buckets[0] or buckets[1] or buckets[2] or buckets[3]
-            i = (b & -b).bit_length() - 1
-        c = count[i]
-        buckets[c] ^= 1 << i
-        open_legs += 2 * c - 3
-        score += 3 ** open_legs
-        if score >= bound:
-            return None
-        order.append(i)
-        for eid, js in neighbours[i]:
-            if eid in absorbed:
-                continue
-            absorbed.add(eid)
-            for j in js:  # still unplaced: placing j would have opened eid
-                c = count[j]
-                buckets[c] ^= 1 << j
-                buckets[c - 1] |= 1 << j
-                count[j] = c - 1
-        i = None
-    return score, order
-
-
-def _beam_order(face_bits, adjacent, bound):
-    """Face order of the cheapest complete state of the beam search, or
-    None when every state reaches ``bound``.  ``face_bits[i]`` is the
-    edge bitmask of face i and ``adjacent[i]`` the bitmask of the other
-    faces sharing an edge with it.
+def _beam_order(face_bits, adjacent):
+    """Face order of the cheapest complete state of the beam search.
+    ``face_bits[i]`` is the edge bitmask of face i and ``adjacent[i]``
+    the bitmask of the other faces sharing an edge with it.
 
     A state is the bitmask of the placed faces with its open-leg count,
     absorbed edges, frontier (unplaced faces sharing an absorbed edge)
     and partial score.  One depth places one more face: a frontier face,
     or any unplaced face when the frontier is empty.  States reaching the
-    same mask keep the lower partial score; states whose score reaches
-    ``bound`` are dropped; the ``BEAM_WIDTH`` lowest (ties: the lower
-    mask) go on to the next depth, and only those get their absorbed
-    edges and frontier worked out.
+    same mask keep the lower partial score; the ``BEAM_WIDTH`` lowest
+    (ties: the lower mask) go on to the next depth, and only those get
+    their absorbed edges and frontier worked out.  Every state has a
+    successor, so each depth keeps at least one state.
     """
     full = (1 << len(face_bits)) - 1
     pow3 = [3 ** k for k in range(3 * len(face_bits) + 1)]  # legs <= edges
@@ -265,13 +205,10 @@ def _beam_order(face_bits, adjacent, bound):
                 legs = (open_legs - 3
                         + 2 * (face_bits[i] & ~absorbed).bit_count())
                 s = score + pow3[legs]
-                if s < bound:
-                    m = mask | low
-                    old = reached.get(m)
-                    if old is None or s < old[0]:
-                        reached[m] = (s, m, legs, i, state)
-        if not reached:
-            return None
+                m = mask | low
+                old = reached.get(m)
+                if old is None or s < old[0]:
+                    reached[m] = (s, m, legs, i, state)
         # masks are unique, so the tuples never compare past them
         beam = [(s, m, legs, p[3] | face_bits[i], (p[4] | adjacent[i]) & ~m,
                  (i, p[5]))

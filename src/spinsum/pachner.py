@@ -2,7 +2,7 @@
 that checks amplitude invariance (``run_pachner_fuzz``).
 
 Every move first checks that each edge of its patch has sign +1 or -1,
-raising ``spin.edge_sign``'s ValueError otherwise.  The 2-2 and 3-1
+raising ``spin.edge_sign``'s SignError otherwise.  The 2-2 and 3-1
 moves accept a patch with any marking.  Each first applies the marking
 moves that put the patch into its reference configuration (rotations of
 a triangle's marked slot and orientation flips of inner edges, each
@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 
 from .eval import evaluate_raw
-from .spin import Signs, edge_sign, flip_edge, mark_slot
+from .spin import SignError, Signs, edge_sign, flip_edge, mark_slot
 from .surface import Edge, L, MarkedTriangulation, R, Slot, Triangle
 
 
@@ -212,6 +212,8 @@ def random_pachner_move(tri: MarkedTriangulation, signs: Signs, rng,
 
     The kind mix is biased to keep the face count near ``bias_faces``
     (default: the current count), so long random walks stay bounded.
+    A move the patch does not allow is retried with a new draw; a bad
+    or missing sign on the patch raises ``SignError``.
     """
     n0 = bias_faces if bias_faces is not None else len(tri.triangles)
     n_f = len(tri.triangles)
@@ -241,6 +243,8 @@ def random_pachner_move(tri: MarkedTriangulation, signs: Signs, rng,
         move = PachnerMove(kind, target, choice)
         try:
             tri2, signs2 = apply_pachner_move(tri, signs, move)
+        except SignError:
+            raise
         except ValueError:
             continue
         return tri2, signs2, move

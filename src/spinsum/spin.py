@@ -103,12 +103,16 @@ def _vector_to_signs(tri: MarkedTriangulation, x: int) -> Signs:
     return {eid: -1 if (x >> k) & 1 else +1 for eid, k in bits.items()}
 
 
+class SignError(ValueError):
+    """An edge sign that is missing or other than +1 and -1."""
+
+
 def edge_sign(signs: Signs, eid: int) -> int:
-    """signs[eid]; ValueError naming the edge unless it is +1 or -1."""
+    """signs[eid]; SignError naming the edge unless it is +1 or -1."""
     s = signs.get(eid)
     if s != 1 and s != -1:
         what = f"not {s!r}" if eid in signs else "but it is missing"
-        raise ValueError(f"edge {eid}: sign must be +1 or -1, {what}")
+        raise SignError(f"edge {eid}: sign must be +1 or -1, {what}")
     return s
 
 

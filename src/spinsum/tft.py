@@ -205,15 +205,11 @@ def z_algebra(A: GradedFrobeniusAlgebra) -> ZAlgebra:
 
 
 # -- closed forms -------------------------------------------------------
-def _p_of(D: DerivedStructure, delta: str) -> GradedTensor:
-    return D.q_plus if delta == NS else D.q_minus
-
-
 def cylinder_closed_form(A: GradedFrobeniusAlgebra, delta: str,
                          eps: int) -> Amplitude:
     D = derive(A)
     pp = pi31(D)
-    comp = D.b.compose(_p_of(D, delta).tensor(D.identity)).compose(
+    comp = D.b.compose(D.q(nu_of(delta)).tensor(D.identity)).compose(
         D.N_eps(-eps).tensor(D.identity)).compose(pp.tensor(pp))
     labels = [(1, p) for p in range(3)] + [(2, p) for p in range(3)]
     return Amplitude(comp, 2, labels, (delta, delta))
@@ -229,9 +225,9 @@ def pants_closed_form(A: GradedFrobeniusAlgebra, deltas: tuple[str, str, str],
     # built one boundary leg at a time without the 3-fold tensor products:
     # first the 3-input functional, then pi31 on each leg, last leg first
     # so that the earlier leg positions stay put
-    legmaps = (_p_of(D, deltas[0]).compose(D.N_eps(eps1)),
-               _p_of(D, deltas[1]).compose(D.N_eps(eps2)),
-               _p_of(D, deltas[2]))
+    legmaps = (D.q(nu_of(deltas[0])).compose(D.N_eps(eps1)),
+               D.q(nu_of(deltas[1])).compose(D.N_eps(eps2)),
+               D.q(nu_of(deltas[2])))
     comp = D.b.compose(D.identity.tensor(D.mu))
     for i, m in enumerate(legmaps):
         comp = _precompose_leg(comp, i, m)
@@ -264,7 +260,7 @@ def _precompose_leg(f: GradedTensor, i: int, m: GradedTensor) -> GradedTensor:
 def torus_closed_form(A: GradedFrobeniusAlgebra, delta: str, eps: int):
     D = derive(A)
     comp = D.eps.compose(D.mu).compose(
-        (_p_of(D, delta).compose(D.N_eps(-eps))).tensor(D.identity)).compose(
+        (D.q(nu_of(delta)).compose(D.N_eps(-eps))).tensor(D.identity)).compose(
         D.Delta).compose(D.eta)
     return comp.scalar_value()
 

@@ -7,8 +7,9 @@ from spinsum.algebra import builtin_by_name
 from spinsum.eval import evaluate_raw
 from spinsum.pachner import (PachnerMove, apply_pachner_move, pachner_13,
                              pachner_22, pachner_31, random_pachner_move)
-from spinsum.spin import (NS, R_TYPE, MarkingMove, apply_marking_move,
-                          classify_spin_structures, is_admissible)
+from spinsum.spin import (NS, R_TYPE, MarkingMove, SignError,
+                          apply_marking_move, classify_spin_structures,
+                          is_admissible)
 from spinsum.surface import MarkedTriangulation, genus_g_closed, validate
 from spinsum import tft
 
@@ -233,10 +234,12 @@ def test_walk_surfaces_pass_validation(surface, seed):
 
 
 @pytest.mark.parametrize("bad", [None, 0], ids=["missing", "zero"])
-@pytest.mark.parametrize("kind", ["two_two", "three_one", "one_three"])
+@pytest.mark.parametrize("kind", ["two_two", "three_one", "one_three",
+                                  "walk"])
 def test_moves_name_a_bad_or_missing_patch_sign(cyl, kind, bad):
     """Edge 7 of the NS+ cylinder is on each patch: the 2-2 diagonal, an
-    outer edge of the 3-1 star, an edge of the 1-3 face."""
+    outer edge of the 3-1 star, an edge of the 1-3 face.  A random walk
+    does not retry past the bad sign: it reports it within 20 moves."""
     tri, signs, _ = cyl
     if kind == "three_one":
         tri, signs = pachner_13(tri, signs, 1)
@@ -249,6 +252,11 @@ def test_moves_name_a_bad_or_missing_patch_sign(cyl, kind, bad):
     else:
         signs[7] = bad
     what = "but it is missing" if bad is None else "not 0"
-    with pytest.raises(ValueError, match=rf"edge 7: sign must be \+1 or -1, "
-                                         rf"{what}"):
-        apply_pachner_move(tri, signs, PachnerMove(kind, target))
+    with pytest.raises(SignError, match=rf"edge 7: sign must be \+1 or -1, "
+                                        rf"{what}"):
+        if kind == "walk":
+            rng = random.Random(1)
+            for _ in range(20):
+                tri, signs, _ = random_pachner_move(tri, signs, rng)
+        else:
+            apply_pachner_move(tri, signs, PachnerMove(kind, target))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from spinsum import gf2, spin
+from spinsum.algebra import derive
 from spinsum.pachner import random_pachner_move
 from spinsum.spin import (NS, R_TYPE, MarkingMove, apply_marking_move,
                           arf_invariant, classify_spin_structures,
@@ -175,12 +176,18 @@ def test_sphere_has_unique_class_with_arf_one():
     assert arf_invariant(detail, classes[0]) == 1
 
 
-def test_unknown_boundary_type_rejected():
+def test_unknown_boundary_type_rejected(clifford):
     tri, signs, _ = tft.cylinder_spin(NS, 1)
     with pytest.raises(ValueError, match="boundary type"):
         is_admissible(tri, signs, ("X", NS))
     with pytest.raises(ValueError, match="one boundary type"):
         is_admissible(tri, signs, (NS,))
+    with pytest.raises(ValueError, match="boundary type"):
+        tft.torus_closed_form(clifford, "X", 1)
+    with pytest.raises(ValueError, match="boundary type"):
+        tft.cylinder_closed_form(clifford, "bogus", 1)
+    with pytest.raises(ValueError, match="nu must be"):
+        derive(clifford).q(0)
 
 
 @pytest.mark.parametrize("g", (0, 1, 2, 3, 4))
