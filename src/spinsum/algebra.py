@@ -6,6 +6,13 @@ copairing c_{-1}, the coproduct Delta, the Nakayama automorphism N, the
 triangle tensor t, and the cylinder idempotents q_{+-} — is derived.
 All derived objects are GradedTensor morphisms, composed through the
 same engine the state sum uses.
+
+``derive`` accepts an algebra only if its structure constants are
+parity-even, associative and unital and its pairing is nondegenerate;
+associativity and unitality are checked once, on the sparse tensors
+(``unit_and_associativity``).  Loading an algebra file runs ``derive``.
+``passes_invariance_predicates`` adds the Frobenius condition,
+Delta-separability and an involutive Nakayama map.
 """
 
 from __future__ import annotations
@@ -42,42 +49,57 @@ class GradedFrobeniusAlgebra:
             return h
 
     def basis_errors(self) -> list[str]:
-        errs = []
-        F, n = self.field, self.dim
-        if len(self.parity) != n or any(p not in (0, 1) for p in self.parity):
-            errs.append("parity vector malformed")
-            return errs
-        # parity-evenness of the structure maps
-        for k, i, j in itertools.product(range(n), repeat=3):
-            if not F.is_zero(self.mu[k][i][j]) and \
-                    (self.parity[i] + self.parity[j] - self.parity[k]) % 2:
-                errs.append(f"mu[{k}][{i}][{j}] violates parity")
-        for i in range(n):
-            if self.parity[i] and not F.is_zero(self.eta[i]):
-                errs.append(f"eta[{i}] nonzero on odd index")
-            if self.parity[i] and not F.is_zero(self.eps[i]):
-                errs.append(f"eps[{i}] nonzero on odd index")
-        # associativity and unitality
-        for i, j, k, m in itertools.product(range(n), repeat=4):
-            lhs = F.zero()
-            rhs = F.zero()
-            for x in range(n):
-                lhs = F.add(lhs, F.mul(self.mu[x][i][j], self.mu[m][x][k]))
-                rhs = F.add(rhs, F.mul(self.mu[x][j][k], self.mu[m][i][x]))
-            if lhs != rhs:
-                errs.append(f"mu not associative at ({i},{j},{k})")
-                break
-        for i, j in itertools.product(range(n), repeat=2):
-            left = F.zero()
-            right = F.zero()
-            for x in range(n):
-                left = F.add(left, F.mul(self.eta[x], self.mu[j][x][i]))
-                right = F.add(right, F.mul(self.eta[x], self.mu[j][i][x]))
-            want = F.one() if i == j else F.zero()
-            if left != want or right != want:
-                errs.append(f"eta is not a two-sided unit at ({i},{j})")
-                break
+        """Defects that keep the structure constants from being an algebra.
+
+        The parity vector must have one bit per basis index, and mu, eta
+        and eps must be parity-even.  Associativity and unitality are
+        then checked on the sparse tensors, by ``unit_and_associativity``
+        as ``validate_predicates`` checks them.
+        """
+        if len(self.parity) != self.dim or \
+                any(p not in (0, 1) for p in self.parity):
+            return ["parity vector malformed"]
+        mu, eta, eps = structure_tensors(self)
+        p = self.parity
+        errs = [f"mu[{k}][{i}][{j}] violates parity"
+                for k, i, j in mu.data if (p[i] + p[j] - p[k]) % 2]
+        errs += [f"{name}[{i}] nonzero on odd index"
+                 for i in range(self.dim) if p[i]
+                 for name, t in (("eta", eta), ("eps", eps))
+                 if (i,) in t.data]
+        checks = unit_and_associativity(
+            mu, eta, GradedTensor.identity(self.field, p))
+        if not checks["associative"]:
+            errs.append("mu is not associative")
+        if not checks["unital"]:
+            errs.append("eta is not a two-sided unit")
         return errs
+
+
+def structure_tensors(A: GradedFrobeniusAlgebra
+                      ) -> tuple[GradedTensor, GradedTensor, GradedTensor]:
+    """The sparse mu (1 out, 2 in), eta (1 out) and eps (1 in) of A."""
+    F, n, leg = A.field, A.dim, tuple(A.parity)
+    mu = GradedTensor(F, (leg,), (leg, leg), {
+        (k, i, j): A.mu[k][i][j]
+        for k, i, j in itertools.product(range(n), repeat=3)
+        if not F.is_zero(A.mu[k][i][j])})
+    eta = GradedTensor(F, (leg,), (), {(i,): v for i, v in enumerate(A.eta)
+                                       if not F.is_zero(v)})
+    eps = GradedTensor(F, (), (leg,), {(i,): v for i, v in enumerate(A.eps)
+                                       if not F.is_zero(v)})
+    return mu, eta, eps
+
+
+def unit_and_associativity(mu: GradedTensor, eta: GradedTensor,
+                           ident: GradedTensor) -> dict[str, bool]:
+    """Whether mu is associative and eta a two-sided unit for it."""
+    return {
+        "associative": (mu.compose(mu.tensor(ident))
+                        == mu.compose(ident.tensor(mu))),
+        "unital": (mu.compose(eta.tensor(ident)) == ident
+                   and mu.compose(ident.tensor(eta)) == ident),
+    }
 
 
 @dataclass
@@ -92,7 +114,6 @@ class DerivedStructure:
     c_plus: GradedTensor   # 2 out, 0 in
     Delta: GradedTensor   # 2 out, 1 in
     N: GradedTensor       # 1 out, 1 in
-    N_inv: GradedTensor
     t: GradedTensor       # 0 out, 3 in
     q_plus: GradedTensor  # 1 out, 1 in
     q_minus: GradedTensor
@@ -144,21 +165,8 @@ def derive(A: GradedFrobeniusAlgebra) -> DerivedStructure:
     errs = A.basis_errors()
     if errs:
         raise ValueError("invalid algebra: " + "; ".join(errs))
-    F, n = A.field, A.dim
-    leg = tuple(A.parity)
-    mu = GradedTensor(F, (leg,), (leg, leg), {})
-    for k, i, j in itertools.product(range(n), repeat=3):
-        v = A.mu[k][i][j]
-        if not F.is_zero(v):
-            mu.data[(k, i, j)] = v
-    eta = GradedTensor(F, (leg,), (), {})
-    for i, v in enumerate(A.eta):
-        if not F.is_zero(v):
-            eta.data[(i,)] = v
-    eps = GradedTensor(F, (), (leg,), {})
-    for i, v in enumerate(A.eps):
-        if not F.is_zero(v):
-            eps.data[(i,)] = v
+    F, leg = A.field, tuple(A.parity)
+    mu, eta, eps = structure_tensors(A)
     ident = GradedTensor.identity(F, leg)
     sigma = GradedTensor.braiding(F, leg, leg)
     b = eps.compose(mu)  # b(x, y) = eps(xy)
@@ -168,10 +176,6 @@ def derive(A: GradedFrobeniusAlgebra) -> DerivedStructure:
     step1 = ident.tensor(c_minus)
     step2 = ident.tensor(sigma).compose(step1)
     N = b.tensor(ident).compose(step2)
-    # N^{-1} = (id (x) b) o (sigma (x) id) o (c_minus (x) id)
-    n1 = c_minus.tensor(ident)
-    n2 = sigma.tensor(ident).compose(n1)
-    N_inv = ident.tensor(b).compose(n2)
     Delta = mu.tensor(ident).compose(ident.tensor(c_minus))
     t = b.compose(mu.tensor(ident))
     # q_nu = mu o sigma o (N_{-nu} (x) id) o Delta
@@ -179,7 +183,7 @@ def derive(A: GradedFrobeniusAlgebra) -> DerivedStructure:
         n_eps = ident if -nu == +1 else N
         return mu.compose(sigma).compose(n_eps.tensor(ident)).compose(Delta)
     return DerivedStructure(A, leg, mu, eta, eps, b, c_minus, c_plus, Delta,
-                            N, N_inv, t, make_q(+1), make_q(-1), ident, sigma)
+                            N, t, make_q(+1), make_q(-1), ident, sigma)
 
 
 # -- predicates ---------------------------------------------------------
@@ -190,13 +194,15 @@ def convolution(D: DerivedStructure, f: GradedTensor,
 
 
 def validate_predicates(A: GradedFrobeniusAlgebra) -> dict[str, bool]:
+    """Every predicate of A by name.
+
+    ``derive`` rejects a non-associative or non-unital A, and a derived
+    A is counital with eta o eps a convolution unit, so those four keys
+    read True; "symmetric" and "nakayama_times_id_zero" are diagnostics.
+    """
     D = derive(A)
     mu, Delta, ident = D.mu, D.Delta, D.identity
-    report = {}
-    report["associative"] = (mu.compose(mu.tensor(ident))
-                             == mu.compose(ident.tensor(mu)))
-    report["unital"] = (mu.compose(D.eta.tensor(ident)) == ident
-                        and mu.compose(ident.tensor(D.eta)) == ident)
+    report = unit_and_associativity(mu, D.eta, ident)
     frob_mid = Delta.compose(mu)
     report["frobenius"] = (
         mu.tensor(ident).compose(ident.tensor(Delta)) == frob_mid
@@ -307,14 +313,12 @@ def builtin_by_name(name: str) -> GradedFrobeniusAlgebra:
     if name == "twisted-matrix-3-f3":
         F3 = PrimeField(3)
         X = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
-        A = builtin_twisted_matrix(3, F3, X, 1)
-        return GradedFrobeniusAlgebra(A.field, A.dim, A.parity, A.mu, A.eta,
-                                      A.eps, name=name)
+        return dataclasses.replace(builtin_twisted_matrix(3, F3, X, 1),
+                                   name=name)
     if name == "twisted-matrix-2-q":
         X = [[2, 0], [0, 2]]
-        A = builtin_twisted_matrix(2, QQ, X, 4)
-        return GradedFrobeniusAlgebra(A.field, A.dim, A.parity, A.mu, A.eta,
-                                      A.eps, name=name)
+        return dataclasses.replace(builtin_twisted_matrix(2, QQ, X, 4),
+                                   name=name)
     raise ValueError(f"unknown builtin algebra {name!r}; "
                      f"available: {', '.join(BUILTIN_NAMES)}")
 
@@ -322,16 +326,12 @@ def builtin_by_name(name: str) -> GradedFrobeniusAlgebra:
 # -- JSON ---------------------------------------------------------------
 def to_json(A: GradedFrobeniusAlgebra) -> dict:
     F = A.field
-    entries = []
-    for k, i, j in itertools.product(range(A.dim), repeat=3):
-        v = A.mu[k][i][j]
-        if not F.is_zero(v):
-            entries.append([k, i, j, F.format(v)])
     return {
         "field": F.to_json(),
         "dim": A.dim,
         "parity": list(A.parity),
-        "mu": entries,
+        "mu": [[*key, F.format(v)]
+               for key, v in structure_tensors(A)[0].data.items()],
         "eta": [F.format(v) for v in A.eta],
         "eps": [F.format(v) for v in A.eps],
     }
@@ -359,9 +359,7 @@ def from_json(obj: dict) -> GradedFrobeniusAlgebra:
     A = GradedFrobeniusAlgebra(
         F, n, parity,
         tuple(tuple(tuple(row) for row in plane) for plane in mu), eta, eps)
-    errs = A.basis_errors()
-    if errs:
-        raise ValueError("invalid algebra file: " + "; ".join(errs))
+    derive(A)  # rejects every defect, a degenerate pairing included
     return A
 
 

@@ -25,9 +25,6 @@ class AffineSolutionSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def count(self) -> int:
-        return 1 << self.dim
-
     def __iter__(self) -> Iterator[int]:
         for k in range(1 << self.dim):
             x = self.particular
@@ -140,11 +137,4 @@ def coset_representatives(space: AffineSolutionSpace,
             # so one pass in list order reduces fully
             comp.append(v)
             acc.append(v)
-    reps: list[int] = []
-    for k in range(1 << len(comp)):
-        x = space.particular
-        for i, c in enumerate(comp):
-            if (k >> i) & 1:
-                x ^= c
-        reps.append(x)
-    return reps
+    return list(AffineSolutionSpace(space.n, space.particular, comp))

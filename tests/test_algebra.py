@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,6 @@ def test_builtin_structural_predicates_hold(name):
 def test_nakayama_is_involutive_algebra_map(name):
     D = derive(builtin_by_name(name))
     assert D.N.compose(D.N) == D.identity
-    assert D.N.compose(D.N_inv) == D.identity
     # N is an algebra homomorphism
     assert D.N.compose(D.mu) == D.mu.compose(D.N.tensor(D.N))
     assert D.N.compose(D.eta) == D.eta
@@ -88,6 +88,24 @@ def test_basis_errors_flag_broken_structures():
     broken2 = GradedFrobeniusAlgebra(
         A.field, A.dim, (0, 0), bad_mu, A.eta, A.eps)
     assert broken2.basis_errors()
+
+
+def test_derive_names_parity_associativity_and_unit_defects_in_order():
+    # 1, a, b with ab = 1 and ba = a^2 = b^2 = 0, b made odd, unit a
+    z, o = QQ.zero(), QQ.one()
+    mu = [[[z] * 3 for _ in range(3)] for _ in range(3)]
+    for k, i, j in ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 0, 2), (2, 2, 0),
+                    (0, 1, 2)):
+        mu[k][i][j] = o
+    bad = GradedFrobeniusAlgebra(
+        QQ, 3, (0, 0, 1), tuple(tuple(map(tuple, plane)) for plane in mu),
+        (z, o, z), (o, o, o))
+    errs = bad.basis_errors()
+    assert errs == ["mu[0][1][2] violates parity",
+                    "eps[2] nonzero on odd index", "mu is not associative",
+                    "eta is not a two-sided unit"]
+    with pytest.raises(ValueError, match=re.escape("; ".join(errs))):
+        derive(bad)
 
 
 def test_degenerate_pairing_rejected():

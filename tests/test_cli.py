@@ -281,6 +281,41 @@ def test_algebra_file_unit_and_counit_lengths(runner, tmp_path, key, length):
     assert f"{key} needs 2 entries, got {length}" in res.output
 
 
+def _degenerate_json():
+    # a zero counit makes the pairing b(x, y) = eps(xy) vanish
+    obj = _clifford_json()
+    obj["eps"] = ["0", "0"]
+    return obj
+
+
+def _non_associative_json():
+    """Even algebra on 1, a, b with ab = 1 and ba = a^2 = b^2 = 0:
+    (ab)a = a but a(ba) = 0."""
+    return {"field": "Q", "dim": 3, "parity": [0, 0, 0],
+            "mu": [[0, 0, 0, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"],
+                   [2, 0, 2, "1"], [2, 2, 0, "1"], [0, 1, 2, "1"]],
+            "eta": ["1", "0", "0"], "eps": ["1", "1", "1"]}
+
+
+def _non_unital_json():
+    obj = _clifford_json()
+    obj["eta"] = ["2", "0"]
+    return obj
+
+
+@pytest.mark.parametrize("make,defect", [
+    (_degenerate_json, "pairing b is degenerate"),
+    (_non_associative_json, "not associative"),
+    (_non_unital_json, "not a two-sided unit"),
+])
+def test_algebra_file_that_is_not_a_frobenius_algebra(runner, tmp_path,
+                                                      make, defect):
+    res = _validate_algebra_file(runner, tmp_path, make())
+    assert res.exit_code == 2
+    assert "cannot load algebra" in res.output
+    assert defect in res.output
+
+
 @pytest.mark.parametrize("position,message", [
     (3, "position 3 is not 0, 1 or 2"),
     (-1, "position -1 is not 0, 1 or 2"),
