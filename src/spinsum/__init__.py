@@ -18,7 +18,7 @@ from .surface import (CurveSpec, CurveStep, Edge, MarkedTriangulation, Slot,
 from .tensor import BudgetExceeded, GradedTensor
 from .tft import (cylinder_closed_form, cylinder_spin, glue_amplitude,
                   pants_closed_form, pants_spin, plus_part_state_sum,
-                  projectors, state_space, statistical_sign_sum,
-                  torus_closed_form, torus_spin, z_algebra)
+                  state_space, statistical_sign_sum, torus_closed_form,
+                  torus_spin, z_algebra)
 
 __version__ = "0.1.0"

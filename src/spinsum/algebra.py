@@ -119,6 +119,9 @@ class DerivedStructure:
     q_minus: GradedTensor
     identity: GradedTensor
     sigma: GradedTensor   # braiding A (x) A -> A (x) A
+    # boundary_map per edge sign, built on first use
+    _boundary: dict = dataclasses.field(default_factory=dict, repr=False,
+                                        compare=False)
 
     def c(self, sign: int) -> GradedTensor:
         if sign == +1:
@@ -134,6 +137,18 @@ class DerivedStructure:
         if eps == -1:
             return self.N
         raise ValueError(f"sign must be +1 or -1, not {eps!r}")
+
+    def boundary_map(self, sign: int) -> GradedTensor:
+        """What a boundary edge of that sign carries: N_eps(-sign) as a
+        2-out tensor keyed (input index, index toward the face).  Built
+        once per sign, so every evaluation passes the same object."""
+        got = self._boundary.get(sign)
+        if got is None:
+            data = self.N_eps(-sign).data
+            got = self._boundary[sign] = GradedTensor(
+                self.t.field, (self.leg, self.leg), (),
+                {(x, y): v for (y, x), v in data.items()})
+        return got
 
     def q(self, nu: int) -> GradedTensor:
         if nu == +1:
@@ -342,12 +357,13 @@ def from_json(obj: dict) -> GradedFrobeniusAlgebra:
     n = obj["dim"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"dim must be a positive integer, got {n!r}")
-    parity = tuple(int(p) for p in obj["parity"])
+    parity = tuple(obj["parity"])
+    if not all(_is_index(p, 2) for p in parity):
+        raise ValueError(f"parity entries must be 0 or 1, got {list(parity)}")
     z = F.zero()
     mu = [[[z] * n for _ in range(n)] for _ in range(n)]
     for k, i, j, v in obj["mu"]:
-        k, i, j = int(k), int(i), int(j)
-        if not all(0 <= x < n for x in (k, i, j)):
+        if not all(_is_index(x, n) for x in (k, i, j)):
             raise ValueError(f"mu entry [{k}, {i}, {j}] has an index outside "
                              f"0..{n - 1}")
         mu[k][i][j] = F.of(v)
@@ -361,6 +377,11 @@ def from_json(obj: dict) -> GradedFrobeniusAlgebra:
         tuple(tuple(tuple(row) for row in plane) for plane in mu), eta, eps)
     derive(A)  # rejects every defect, a degenerate pairing included
     return A
+
+
+def _is_index(x, n: int) -> bool:
+    """x is an int (not a bool) in range(n)."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
 def load(path: str) -> GradedFrobeniusAlgebra:

@@ -41,16 +41,37 @@ F_p the values already are ints: a step sums them without reduction and
 reduces its new blob mod p once.  Either way the zero sums are dropped
 from the new blob in place before the budget check.
 
+The executor is split into a program and a numeric loop.  ``_compile``
+replays the schedule on wire ends alone: per triangle step the blob
+positions its slots match, the rest positions, the copairing ends it
+consumes, the free ends and their key getters, and the open-leg count
+after the step; at the end the permutation into codomain order.  None of
+it depends on signs, tensors or the algebra, so the program of the
+cached plan is cached on the triangulation next to it, and a class sweep
+or a scan over algebras compiles each triangulation once; any other
+plan is compiled per call.  The first graded run adds each step's sign
+tables (see below).  Each compiled step also keeps the fused tables it
+has built, keyed on the identities of t and of its copairings, at most
+``FUSED_TABLES_PER_STEP`` (16) of them, dropping the oldest.  A cached
+table holds references to those tensors, so their ids cannot be reused
+while it lives, and the tensors are never changed once built (those of
+``derive`` and ``D.boundary_map`` never are), so a hit is the table the
+step would build.  Within one call the integer form of each tensor and
+each copairing's grouping by its consumed legs are built once.  No
+result is cached: every call sweeps the blob through every step.
+
 Koszul signs come in two parts.  The table part covers the crossings of
 the three slot legs with each other and with the free ends; a table row
 fixes all those parities, so it is folded into the row's coefficient.
 The entry part covers each odd matched blob leg crossing the odd blob
-legs after it; it is read off each blob key's parities.  When every leg
-parity is even all sign work is skipped.  The surviving legs end in
-codomain order or are put there by one final ``permute_out``, itself one
-``itemgetter`` remap per entry.  Budget: after each triangle at
-most max_open_legs open legs and max_entries stored entries, else
-``BudgetExceeded`` names the step, its action and the plan length.
+legs after it; the sweep reads it off each blob key's parities through
+one precompiled getter, per bitmask of odd matched legs, of the rest
+legs that count.  When every leg parity is even all sign work is
+skipped.  The surviving legs end in codomain order or are put there by
+one final ``permute_out``, itself one ``itemgetter`` remap per entry.
+Budget: after each triangle at most max_open_legs open legs (read off
+the program before the step's sweep) and max_entries stored entries,
+else ``BudgetExceeded`` names the step, its action and the plan length.
 
 An independent exhaustive oracle assigns basis indices to every edge
 directly and multiplies explicit crossing signs of a fixed planar
@@ -76,6 +97,7 @@ from .tensor import BudgetExceeded, GradedTensor, key_getter
 DEFAULT_MAX_OPEN_LEGS = 16
 DEFAULT_MAX_ENTRIES = 10**7
 BEAM_WIDTH = 32  # states the planner's beam search keeps per depth
+FUSED_TABLES_PER_STEP = 16  # fused tables a compiled step keeps
 
 
 @dataclass(frozen=True)
@@ -245,56 +267,84 @@ def contract_graph(graph: DiagramGraph, D: DerivedStructure,
 
     Runs ``contract_network`` along ``plan`` (checked) or the cached
     ``plan_contraction``, with t on every face, c_{s(e)} on every inner
-    edge and N_eps(-s(e)) on every boundary edge, keyed (input index,
-    index toward the face).  Each codomain leg therefore holds the index
-    of an input; the result is the amplitude up to ``flip_out_to_in``'s
-    relabel.
+    edge and ``D.boundary_map(s(e))`` = N_eps(-s(e)) on every boundary
+    edge, keyed (input index, index toward the face).  Each codomain leg
+    therefore holds the index of an input; the result is the amplitude
+    up to ``flip_out_to_in``'s relabel.  All these tensors come from D's
+    caches, so every call passes the executor the same objects.
     """
     if plan is None:
         plan = plan_contraction(graph)
     elif not is_valid_schedule(graph, plan):
         raise ValueError("invalid contraction schedule")
-    edge_tensors = {}
-    for eid, (first, _) in graph.wires.items():
-        if first.kind == "cod":
-            absorbed = D.N_eps(-graph.signs[eid]).data
-            edge_tensors[eid] = GradedTensor(
-                D.t.field, (D.leg, D.leg), (),
-                {(x, y): v for (y, x), v in absorbed.items()})
-        else:
-            edge_tensors[eid] = D.c(graph.signs[eid])
+    edge_tensors = {
+        eid: (D.boundary_map(graph.signs[eid]) if first.kind == "cod"
+              else D.c(graph.signs[eid]))
+        for eid, (first, _) in graph.wires.items()}
     return contract_network(graph, plan, edge_tensors, D.t, max_open_legs,
                             max_entries)
 
 
-def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
-                     max_open_legs=DEFAULT_MAX_OPEN_LEGS,
-                     max_entries=DEFAULT_MAX_ENTRIES) -> GradedTensor:
-    """The single contraction executor (see the module docstring).
+class _Step:
+    """One triangle step of a compiled contraction (see ``_compile``)."""
+    __slots__ = ("index", "eids", "cons", "slots", "tget", "mget", "rget",
+                 "n_open", "layout", "signs", "tables")
 
-    Puts ``copairings[eid]`` on each edge and t on each face; returns a
-    pure-output tensor in codomain leg order with t's leg parities and
-    values in t's field.  The loop itself runs on plain ints: over Q the
-    tensors are scaled to integers and the product of their scales
-    divides every entry once at the end; over F_p each triangle step
-    reduces its sums mod p once.
-    """
-    F = t.field
-    p = F.characteristic
-    leg = t.in_legs[0]
-    graded = any(leg)
-    tdat, t_scale = _integral(t.data, p)
-    denom = 1  # over Q: the product of the scales absorbed so far
+    def __init__(self, index, n_before, matched, rest, used, free_ends):
+        eids = sorted(used)
+        self.index = index  # its position in the plan
+        self.eids = tuple(eids)  # the copairings it consumes, by edge id
+        # per consumed copairing: its consumed leg indices, and their slots
+        self.cons = tuple(tuple(used[eid]) for eid in eids)
+        self.slots = tuple(tuple(used[eid].values()) for eid in eids)
+        # key getters: t key -> matched slots, blob key -> matched legs,
+        # blob key -> rest legs
+        self.tget = key_getter([s for s, _ in matched])
+        self.mget = key_getter([q for _, q in matched])
+        self.rget = key_getter(rest)
+        self.n_open = len(rest) + len(free_ends)  # open legs after the step
+        self.layout = (n_before, matched, rest, used, free_ends)
+        self.signs = None  # graded sign tables, built on the first graded run
+        self.tables = {}   # fused tables by tensor ids, oldest first
+
+
+class _Program:
+    """The sign-independent part of a contraction (see ``_compile``)."""
+    __slots__ = ("steps", "edges", "order")
+
+    def __init__(self, steps, edges, order):
+        self.steps = steps  # the triangle steps, as ``_Step``
+        self.edges = edges  # edge ids in plan order
+        self.order = order  # final ``permute_out``, None if already in order
+
+
+def _program(graph: DiagramGraph, plan) -> _Program:
+    """The compiled program of ``plan``: cached on the triangulation when
+    ``plan`` is its cached plan, compiled afresh for any other plan."""
+    tri = graph.tri
+    if plan is not tri._plan:
+        return _compile(graph, plan)
+    if tri._program is None:
+        tri._program = _compile(graph, plan)
+    return tri._program
+
+
+def _compile(graph: DiagramGraph, plan) -> _Program:
+    """Replay ``plan`` on wire ends alone: per triangle step the blob
+    positions its slots match, the copairing ends it consumes and the
+    free ends that become open legs, and at the end the permutation into
+    codomain order.  Depends only on the triangulation (the wires) and
+    the plan, never on signs or tensors."""
     # the wire end (edge id, leg index) feeding each triangle slot
     end_at = {(w.face, w.slot): (eid, li) for eid, ends in graph.wires.items()
               for li, w in enumerate(ends) if w.kind == "face"}
-    blob: dict[tuple, int] = {(): 1}
     open_ends: list[tuple[int, int]] = []  # wire end of each blob leg
-    pending: dict[int, dict] = {}  # copairings no triangle has consumed yet
-    for step, (kind, tid) in enumerate(plan):
+    pending: set[int] = set()  # copairings no triangle has consumed yet
+    edges, steps = [], []
+    for index, (kind, tid) in enumerate(plan):
         if kind == "c":
-            pending[tid], scale = _integral(copairings[tid].data, p)
-            denom *= scale
+            pending.add(tid)
+            edges.append(tid)
             continue
         matched = []  # (slot, blob position) of slots fed by open legs
         used: dict[int, dict[int, int]] = {}  # eid -> {leg index: slot}
@@ -306,59 +356,118 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                 matched.append((s, open_ends.index(end)))
             else:
                 raise ValueError("invalid contraction schedule")
-        used_eids = sorted(used)
+        pending.difference_update(used)
         # new open legs: the unconsumed ends of the copairings used here
-        free_ends = [(eid, li) for eid in used_eids for li in (0, 1)
+        free_ends = [(eid, li) for eid in sorted(used) for li in (0, 1)
                      if li not in used[eid]]
         matched_pos = [q for _, q in matched]
         rest = [q for q in range(len(open_ends)) if q not in matched_pos]
-        # per used copairing: values at its consumed ends -> its entries
-        opts = []
-        for eid in used_eids:
-            cons = used[eid]
-            by_fixed: dict[tuple, list] = {}
-            for ckey, cv in pending.pop(eid).items():
-                free = tuple(ckey[li] for li in (0, 1) if li not in cons)
-                by_fixed.setdefault(tuple(ckey[li] for li in cons),
-                                    []).append((free, cv))
-            opts.append((tuple(cons.values()), by_fixed))
-        denom *= t_scale
-        if graded:
-            slot_sign, cross_idx = _slot_crossings(len(open_ends), matched,
-                                                   used, free_ends)
-        # fused table: matched open-leg indices -> [(new indices, coeff)]
-        fused: dict[tuple, list] = {}
-        tget = key_getter([s for s, _ in matched])
-        for tkey, tv in tdat.items():
-            acc = [((), tv)]
-            for slots, by_fixed in opts:
-                hits = by_fixed.get(tuple(tkey[s] for s in slots))
-                if not hits:
-                    break
-                acc = [(nk + free, av * cv)
-                       for nk, av in acc for free, cv in hits]
-            else:
-                if graded:
-                    odd = leg[tkey[0]] | leg[tkey[1]] << 1 | leg[tkey[2]] << 2
-                    flip, idx = slot_sign[odd], cross_idx[odd]
-                    if flip or idx:
-                        acc = [(nk, -cv if (flip + sum(
-                            leg[nk[i]] for i in idx)) & 1 else cv)
-                            for nk, cv in acc]
-                fused.setdefault(tget(tkey), []).extend(acc)
-        mget, rget = key_getter(matched_pos), key_getter(rest)
-        if graded:
-            _apply_entry_sign(blob, fused, matched_pos, rest, mget, leg)
+        steps.append(_Step(index, len(open_ends), matched, rest, used,
+                           free_ends))
+        open_ends = [open_ends[q] for q in rest] + free_ends
+    targets = [graph.wires[eid][li] for eid, li in open_ends]
+    want = [WireTarget("cod", boundary=bi, position=q)
+            for bi, q in graph.cod_order]
+    if pending or sorted(map(repr, targets)) != sorted(map(repr, want)):
+        raise RuntimeError("contraction did not end on the codomain legs")
+    order = [targets.index(w) for w in want]
+    return _Program(steps, tuple(edges),
+                    None if order == sorted(order) else order)
+
+
+def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
+                     max_open_legs=DEFAULT_MAX_OPEN_LEGS,
+                     max_entries=DEFAULT_MAX_ENTRIES) -> GradedTensor:
+    """The single contraction executor (see the module docstring).
+
+    Puts ``copairings[eid]`` on each edge and t on each face; returns a
+    pure-output tensor in codomain leg order with t's leg parities and
+    values in t's field.  All bookkeeping comes from the compiled
+    program (``_program``): cached on ``graph.tri`` for its cached plan,
+    whose wires depend on the triangulation alone, and built afresh for
+    any other plan.  This function only folds the fused tables its steps
+    lack, sweeps the blob once per triangle and reduces.  The loop runs
+    on plain ints: over Q the tensors are scaled to integers and the
+    product of their scales divides every entry once at the end; over
+    F_p each triangle step reduces its sums mod p once.
+
+    Each step keeps its last ``FUSED_TABLES_PER_STEP`` fused tables,
+    keyed on the identities of t and of the copairings it consumes and
+    holding references to them, so an id is never reused while its table
+    lives.  t and the copairings must therefore not be mutated once
+    passed in; the tensors of ``derive`` and ``D.boundary_map`` never
+    are.
+    """
+    program = _program(graph, plan)
+    F = t.field
+    p = F.characteristic
+    leg = t.in_legs[0]
+    graded = any(leg)
+    ints: dict[int, tuple] = {}  # id(tensor) -> _integral, for this call
+    groups: dict[tuple, dict] = {}  # (id(copairing), consumed legs) -> rows
+
+    def integral(x):
+        got = ints.get(id(x))
+        if got is None:
+            got = ints[id(x)] = _integral(x.data, p)
+        return got
+
+    denom = 1  # over Q: the product of the scales of every tensor placed
+    if not p:
+        denom = integral(t)[1] ** len(program.steps)
+        for eid in program.edges:
+            denom *= integral(copairings[eid])[1]
+    blob: dict[tuple, int] = {(): 1}
+    for step in program.steps:
+        if step.n_open > max_open_legs:
+            raise BudgetExceeded(f"open legs {step.n_open} exceed bound "
+                                 f"{max_open_legs} {_where(plan, step)}")
+        cops = [copairings[eid] for eid in step.eids]
+        ids = (id(t), *map(id, cops))
+        entry = step.tables.get(ids)
+        if entry is None:
+            if graded and step.signs is None:
+                step.signs = _graded_tables(step)
+            opts = []
+            for c, cons, slots in zip(cops, step.cons, step.slots):
+                rows = groups.get((id(c), cons))
+                if rows is None:
+                    rows = groups[id(c), cons] = _by_fixed(integral(c)[0],
+                                                           cons)
+                opts.append((slots, rows))
+            entry = (t, *cops), *_fused_table(
+                step, integral(t)[0], opts, leg if graded else None)
+            if len(step.tables) >= FUSED_TABLES_PER_STEP:
+                del step.tables[next(iter(step.tables))]
+            step.tables[ids] = entry
+        _, fused, sel_of = entry
+        mget, rget = step.mget, step.rget
         new_blob: dict[tuple, int] = {}
         get = new_blob.get
-        for key, v in blob.items():
-            hits = fused.get(mget(key))
-            if hits is None:
-                continue
-            base = rget(key)
-            for nk, cv in hits:
-                k2 = base + nk
-                new_blob[k2] = get(k2, 0) + v * cv
+        if sel_of:
+            # the same sweep, negating v by the entry part of the sign
+            parity, sel_get = leg.__getitem__, sel_of.get
+            for key, v in blob.items():
+                mk = mget(key)
+                hits = fused.get(mk)
+                if hits is None:
+                    continue
+                sel = sel_get(mk)
+                if sel is not None and sum(map(parity, sel(key))) & 1:
+                    v = -v
+                base = rget(key)
+                for nk, cv in hits:
+                    k2 = base + nk
+                    new_blob[k2] = get(k2, 0) + v * cv
+        else:
+            for key, v in blob.items():
+                hits = fused.get(mget(key))
+                if hits is None:
+                    continue
+                base = rget(key)
+                for nk, cv in hits:
+                    k2 = base + nk
+                    new_blob[k2] = get(k2, 0) + v * cv
         # reduce and drop the zero sums in place, before the budget check
         zeros = []
         if p:
@@ -373,25 +482,20 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
         for k2 in zeros:
             del new_blob[k2]
         blob = new_blob
-        open_ends = [open_ends[q] for q in rest] + free_ends
-        where = f"after plan[{step}] = {(kind, tid)!r} of {len(plan)} steps"
-        if len(open_ends) > max_open_legs:
-            raise BudgetExceeded(f"open legs {len(open_ends)} exceed bound "
-                                 f"{max_open_legs} {where}")
         if len(blob) > max_entries:
             raise BudgetExceeded(f"{len(blob)} stored coefficients exceed "
-                                 f"budget {max_entries} {where}")
-    targets = [graph.wires[eid][li] for eid, li in open_ends]
-    want = [WireTarget("cod", boundary=bi, position=q)
-            for bi, q in graph.cod_order]
-    if pending or sorted(map(repr, targets)) != sorted(map(repr, want)):
-        raise RuntimeError("contraction did not end on the codomain legs")
+                                 f"budget {max_entries} "
+                                 f"{_where(plan, step)}")
     if not p:
         for key, v in blob.items():
             blob[key] = Fraction(v, denom)  # the one division
-    out = GradedTensor(F, tuple([leg] * len(targets)), (), blob)
-    order = [targets.index(w) for w in want]
-    return out if order == sorted(order) else out.permute_out(order)
+    out = GradedTensor(F, tuple([leg] * len(graph.cod_order)), (), blob)
+    return out if program.order is None else out.permute_out(program.order)
+
+
+def _where(plan, step: _Step) -> str:
+    k = step.index
+    return f"after plan[{k}] = {tuple(plan[k])!r} of {len(plan)} steps"
 
 
 def _integral(data, p):
@@ -403,6 +507,79 @@ def _integral(data, p):
     scale = math.lcm(*(v.denominator for v in data.values()))
     return {k: v.numerator * (scale // v.denominator)
             for k, v in data.items()}, scale
+
+
+def _by_fixed(data, cons):
+    """A copairing's entries grouped by its values at the consumed leg
+    indices ``cons``: fixed values -> [(values at the free ends, coeff)]."""
+    rows: dict[tuple, list] = {}
+    for ckey, cv in data.items():
+        free = tuple(ckey[li] for li in (0, 1) if li not in cons)
+        rows.setdefault(tuple(ckey[li] for li in cons), []).append((free, cv))
+    return rows
+
+
+def _fused_table(step: _Step, tdat, opts, leg):
+    """The fused table of one triangle step and its entry-sign selectors.
+
+    The table maps the matched slots' indices to [(the free ends'
+    indices, coeff)]: t times the copairings it consumes, with the table
+    part of the Koszul sign folded into each coeff when ``leg`` (the leg
+    parities of a graded algebra) is given.  The selectors map each
+    matched key whose entry part can be odd to the getter of the rest
+    legs that count; None when no key needs one.
+    """
+    slot_sign, cross_idx, selectors = step.signs if leg else (None,) * 3
+    fused: dict[tuple, list] = {}
+    tget = step.tget
+    for tkey, tv in tdat.items():
+        acc = [((), tv)]
+        for slots, rows in opts:
+            hits = rows.get(tuple(tkey[s] for s in slots))
+            if not hits:
+                break
+            acc = [(nk + free, av * cv)
+                   for nk, av in acc for free, cv in hits]
+        else:
+            if leg:
+                odd = leg[tkey[0]] | leg[tkey[1]] << 1 | leg[tkey[2]] << 2
+                flip, idx = slot_sign[odd], cross_idx[odd]
+                if flip or idx:
+                    acc = [(nk, -cv if (flip + sum(
+                        leg[nk[i]] for i in idx)) & 1 else cv)
+                        for nk, cv in acc]
+            fused.setdefault(tget(tkey), []).extend(acc)
+    if not selectors:
+        return fused, None
+    sel_of = {}
+    for mk in fused:
+        sel = selectors[sum(leg[x] << i for i, x in enumerate(mk))]
+        if sel is not None:
+            sel_of[mk] = sel
+    return fused, sel_of or None
+
+
+def _graded_tables(step: _Step):
+    """(slot_sign, cross_idx, selectors) of one triangle step.
+
+    ``slot_sign`` and ``cross_idx`` give the table part per 3-bit mask of
+    odd slots (``_slot_crossings``).  ``selectors[mask]``, per bitmask of
+    the odd matched legs (bit i: the i'th matched slot), is the getter of
+    the rest legs with an odd number of odd matched legs before them, or
+    None; ``selectors`` is None when no rest leg lies behind a matched
+    one, so the entry part is always even.
+    """
+    n_open, matched, rest, used, free_ends = step.layout
+    slot_sign, cross_idx = _slot_crossings(n_open, matched, used, free_ends)
+    matched_pos = [q for _, q in matched]
+    if not matched_pos or not rest or min(matched_pos) > rest[-1]:
+        return slot_sign, cross_idx, None
+    selectors = []
+    for mask in range(1 << len(matched_pos)):
+        odd_pos = sorted(q for i, q in enumerate(matched_pos) if mask >> i & 1)
+        sel = [r for r in rest if bisect.bisect_left(odd_pos, r) & 1]
+        selectors.append(key_getter(sel) if sel else None)
+    return slot_sign, cross_idx, selectors
 
 
 def _slot_crossings(n_open, matched, used, free_ends):
@@ -444,27 +621,6 @@ def _sign_tables(inverted, cross):
         crossed.append(tuple(i for i in range(mask.bit_length())
                              if mask >> i & 1))
     return tuple(slot_sign), tuple(crossed)
-
-
-def _apply_entry_sign(blob, fused, matched_pos, rest, mget, leg):
-    """Negate, in place, the blob entries whose entry part is odd: those
-    with an odd number of odd rest legs behind an odd number of odd
-    matched legs.  ``mget`` slices a key's matched indices."""
-    if not matched_pos or not rest or min(matched_pos) > rest[-1]:
-        return  # no rest leg behind a matched one
-    sel_of = {}
-    for mk in fused:
-        odd_pos = sorted(q for q, x in zip(matched_pos, mk) if leg[x])
-        sel = [r for r in rest if bisect.bisect_left(odd_pos, r) & 1]
-        if sel:
-            sel_of[mk] = key_getter(sel)
-    if not sel_of:
-        return
-    parity = leg.__getitem__
-    for key, v in blob.items():
-        sel = sel_of.get(mget(key))
-        if sel is not None and sum(map(parity, sel(key))) & 1:
-            blob[key] = -v
 
 
 def evaluate_raw(tri: MarkedTriangulation, signs: Signs,

@@ -111,10 +111,6 @@ def reduce_against(basis: list[int], v: int) -> int:
     return v
 
 
-def span_rank(vectors: Iterable[int]) -> int:
-    return len(echelon_basis(vectors))
-
-
 def coset_representatives(space: AffineSolutionSpace,
                           subspace_gens: list[int]) -> list[int]:
     """Representatives of space modulo the span of subspace_gens.

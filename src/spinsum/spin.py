@@ -32,6 +32,7 @@ q(x + y) = q(x) + q(y) + x . y then give Arf = (-1)^(sum_k q(a_k) q(b_k)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import gf2
 from .surface import (CurveSpec, CurveStep, Edge, GenusGComplex, L,
@@ -126,11 +127,13 @@ def signs_to_vector(tri: MarkedTriangulation, signs: Signs) -> int:
 
 
 def enumerate_admissible(tri: MarkedTriangulation,
-                         types: tuple[str, ...] = ()) -> list[Signs]:
+                         types: tuple[str, ...] = ()) -> Iterator[Signs]:
+    """Every admissible sign assignment, one at a time: there are
+    2^(solution space dimension) of them, 2^25 on the genus-2 reference."""
     space = gf2.solve_affine(len(tri.edges), _vertex_equations(tri, types))
-    if space is None:
-        return []
-    return [_vector_to_signs(tri, x) for x in space]
+    if space is not None:
+        for x in space:
+            yield _vector_to_signs(tri, x)
 
 
 def leaf_exchange_vectors(tri: MarkedTriangulation) -> list[int]:

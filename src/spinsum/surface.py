@@ -89,8 +89,10 @@ class MarkedTriangulation:
         # that each star_cycle call (3-1 Pachner moves only) resumes
         self._first_corner: dict[int, tuple[int, int]] = {}
         self._unscanned = iter(self.triangles)
-        # contraction plan, set by eval.plan_contraction on first use
+        # contraction plan, set by eval.plan_contraction on first use, and
+        # the executor's program compiled from it (eval._program)
         self._plan: list[tuple[str, int]] | None = None
+        self._program = None
         # spin._edge_bits and spin._vertex_equations (per boundary types)
         self._bits: dict[int, int] | None = None
         self._equations: dict[tuple[str, ...], tuple] = {}

@@ -51,12 +51,6 @@ def pi31(D: DerivedStructure) -> GradedTensor:
     return D.mu.compose(ident.tensor(D.mu)).compose(reversal(D, 3))
 
 
-def projectors(A: GradedFrobeniusAlgebra):
-    """(P_NS, P_R, pi31, iota13) for the algebra A."""
-    D = derive(A)
-    return D.q_plus, D.q_minus, pi31(D), iota13(D)
-
-
 # -- gluing -------------------------------------------------------------
 def glue_amplitude(T: Amplitude, i: int, j: int, eps: int,
                    A: GradedFrobeniusAlgebra) -> Amplitude:

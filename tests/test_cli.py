@@ -254,6 +254,27 @@ def test_algebra_file_mu_index_out_of_range(runner, tmp_path, index):
     assert "index outside 0..1" in res.output
 
 
+@pytest.mark.parametrize("index", (1.9, 1.0, "1", True))
+def test_algebra_file_mu_index_must_be_an_integer(runner, tmp_path, index):
+    # int() would truncate 1.9 to 1 and give back the Clifford algebra
+    obj = _clifford_json()
+    entry = next(e for e in obj["mu"] if e[1] == 1)
+    entry[1] = index
+    res = _validate_algebra_file(runner, tmp_path, obj)
+    assert res.exit_code == 2
+    assert "index outside 0..1" in res.output
+
+
+@pytest.mark.parametrize("parity", (1.5, 1.0, 2, -1, "1", True))
+def test_algebra_file_parity_must_be_zero_or_one(runner, tmp_path, parity):
+    # int() would truncate 1.5 to 1 and give back the Clifford algebra
+    obj = _clifford_json()
+    obj["parity"] = [0, parity]
+    res = _validate_algebra_file(runner, tmp_path, obj)
+    assert res.exit_code == 2
+    assert "parity entries must be 0 or 1" in res.output
+
+
 @pytest.mark.parametrize("dim", (-1, 0, 1.5, "2", True))
 def test_algebra_file_dim_must_be_a_positive_integer(runner, tmp_path, dim):
     obj = _clifford_json()

@@ -7,13 +7,14 @@ import pytest
 from spinsum.algebra import (BUILTIN_NAMES, GradedFrobeniusAlgebra,
                              builtin_by_name, derive,
                              passes_invariance_predicates)
-from spinsum.eval import (WireTarget, build_graph, contract_exhaustive,
-                          contract_graph, contract_network, evaluate,
-                          evaluate_raw, is_valid_schedule, plan_contraction)
+from spinsum.eval import (FUSED_TABLES_PER_STEP, WireTarget, _program,
+                          build_graph, contract_exhaustive, contract_graph,
+                          contract_network, evaluate, evaluate_raw,
+                          is_valid_schedule, plan_contraction)
 from spinsum.fields import QQ
 from spinsum.pachner import random_pachner_move
 from spinsum.spin import classify_spin_structures
-from spinsum.surface import genus_g_closed_detail
+from spinsum.surface import MarkedTriangulation, genus_g_closed_detail
 from spinsum.tensor import BudgetExceeded, GradedTensor
 from spinsum import tft
 
@@ -392,3 +393,124 @@ def test_amplitude_equality_ignores_types(clifford):
     a = evaluate(tri, signs, types, clifford)
     b = evaluate_raw(tri, signs, clifford)
     assert a == b and a.types != b.types
+
+
+# -- the compiled program and its fused-table caches -------------------
+def _fresh(tri):
+    """A copy of tri with empty caches: no plan, no compiled program."""
+    return MarkedTriangulation(tri.edges, tri.triangles, tri.boundaries)
+
+
+def test_one_triangulation_serves_two_algebras_in_either_order():
+    """The steps' fused tables are keyed on the tensors, so an F3 and a
+    Clifford evaluation of one genus-2 triangulation, in either order,
+    equal the same evaluations on a fresh copy."""
+    tri = genus_g_closed_detail(2).tri
+    signs = classify_spin_structures(tri)[5]
+    algebras = [builtin_by_name("twisted-matrix-3-f3"),
+                builtin_by_name("clifford")]
+    want = {A.name: evaluate_raw(_fresh(tri), signs, A) for A in algebras}
+    for order in (algebras, algebras[::-1]):
+        shared = _fresh(tri)
+        for A in order:
+            assert evaluate_raw(shared, signs, A) == want[A.name], A.name
+        assert all(step.tables for step in shared._program.steps)
+
+
+@pytest.mark.parametrize("name", ("clifford", "twisted-matrix-2-q"))
+def test_every_class_twice_in_shuffled_order_matches_a_fresh_copy(name):
+    """Every spin class at genus 1 and 2, evaluated twice in a shuffled
+    order on one triangulation, equals its first evaluation on a fresh
+    copy of that triangulation."""
+    A = builtin_by_name(name)
+    rng = random.Random(16)
+    for g in (1, 2):
+        tri = genus_g_closed_detail(g).tri
+        classes = classify_spin_structures(tri)
+        want = [evaluate_raw(_fresh(tri), s, A) for s in classes]
+        order = list(range(len(classes))) * 2
+        rng.shuffle(order)
+        for i in order:
+            assert evaluate_raw(tri, classes[i], A) == want[i], (g, i)
+
+
+def test_torus_with_warm_tables_matches_exhaustive_oracle():
+    """All 512 sign assignments of the torus with Clifford, and random
+    ones with Cl_1 (x) Cl_1, on one triangulation whose steps keep their
+    tables, equal the exhaustive oracle."""
+    tri, _ = tft.torus_spin("NS", 1)
+    clifford = builtin_by_name("clifford")
+    edges = sorted(tri.edges)
+    for bits in itertools.product((1, -1), repeat=len(edges)):
+        signs = dict(zip(edges, bits))
+        assert evaluate_raw(tri, signs, clifford) == \
+            contract_exhaustive(build_graph(tri, signs), clifford), signs
+    A, rng = _cl1_cl1(), random.Random(5)
+    for _ in range(16):
+        signs = {e: rng.choice((1, -1)) for e in edges}
+        assert evaluate_raw(tri, signs, A) == \
+            contract_exhaustive(build_graph(tri, signs), A), signs
+
+
+def test_custom_plan_is_compiled_but_not_cached(clifford):
+    """A valid plan other than the cached one contracts to the same
+    tensor, and the triangulation keeps only the cached plan's program."""
+    tri, signs, _ = tft.pants_spin(("NS", "R", "R"), 1, -1)
+    D = derive(clifford)
+    graph = build_graph(tri, signs)
+    custom = _greedy_from(tri, max(tri.triangles))
+    assert custom != plan_contraction(graph)
+    want = contract_graph(build_graph(_fresh(tri), signs), D)
+    assert contract_graph(graph, D, custom) == want
+    assert tri._program is None
+    assert contract_graph(graph, D) == want
+    program = tri._program
+    assert contract_graph(graph, D, custom) == want
+    assert tri._program is program
+    assert _program(graph, custom) is not _program(graph, custom)
+    assert _program(graph, plan_contraction(graph)) is program
+
+
+def test_fused_tables_per_step_stay_bounded():
+    """100 calls, each with its own copairing tensors, leave at most
+    FUSED_TABLES_PER_STEP tables on every step, the newest ones."""
+    D = derive(builtin_by_name("clifford"))
+    tri, signs, _ = tft.pants_spin(("NS", "R", "R"), 1, -1)
+    graph = build_graph(tri, signs)
+    plan = plan_contraction(graph)
+    want = contract_network(graph, plan,
+                            {eid: D.c(s) for eid, s in signs.items()}, D.t)
+    one = D.t.field.one()
+    for _ in range(100):
+        cops = {eid: D.c(s).scale(one) for eid, s in signs.items()}
+        assert contract_network(graph, plan, cops, D.t) == want
+    steps = tri._program.steps
+    assert max(len(step.tables) for step in steps) == FUSED_TABLES_PER_STEP
+    last = steps[-1]
+    assert list(last.tables)[-1] == (id(D.t), *(id(cops[eid])
+                                                for eid in last.eids))
+
+
+@pytest.mark.parametrize("genus, peak", ((2, 7), (3, 8)))
+def test_program_open_leg_counts_and_budget_message(clifford, genus, peak):
+    """The compiled steps' open-leg counts replay the plan: peak 7 at
+    genus 2 and 8 at genus 3.  A bound one below the peak stops the
+    contraction after the first step above it, named as before."""
+    tri = genus_g_closed_detail(genus).tri
+    graph = build_graph(tri, classify_spin_structures(tri)[0])
+    plan = plan_contraction(graph)
+    counts = [step.n_open for step in _program(graph, plan).steps]
+    legs, replay, first = 0, [], None
+    for k, (kind, _) in enumerate(plan):
+        legs += 2 if kind == "c" else -3
+        if kind == "t":
+            replay.append(legs)
+            if first is None and legs >= peak:
+                first = k
+    assert counts == replay and max(counts) == peak == _plan_peak(plan)
+    with pytest.raises(BudgetExceeded) as exc:
+        contract_graph(graph, derive(clifford), plan,
+                       max_open_legs=peak - 1)
+    assert str(exc.value) == (f"open legs {peak} exceed bound {peak - 1} "
+                              f"after plan[{first}] = {plan[first]!r} of "
+                              f"{len(plan)} steps")
