@@ -50,14 +50,30 @@ it depends on signs, tensors or the algebra, so the program of the
 cached plan is cached on the triangulation next to it, and a class sweep
 or a scan over algebras compiles each triangulation once; any other
 plan is compiled per call.  The first graded run adds each step's sign
-tables (see below).  Each compiled step also keeps the fused tables it
-has built, keyed on the identities of t and of its copairings, at most
-``FUSED_TABLES_PER_STEP`` (16) of them, dropping the oldest.  A cached
-table holds references to those tensors, so their ids cannot be reused
-while it lives, and the tensors are never changed once built (those of
-``derive`` and ``D.boundary_map`` never are), so a hit is the table the
-step would build.  Within one call the integer form of each tensor and
-each copairing's grouping by its consumed legs are built once.  No
+tables (see below).  The wires of ``build_graph`` are cached on the
+triangulation too; each call only checks the signs.
+
+A fused table never depends on where its legs sit in the blob, only on
+the step's shape and its tensors.  The shape is the matched slots, per
+consumed copairing (in edge-id order) its consumed leg indices and their
+slots, and for a graded algebra the table-part sign tables.  So the
+tables live in one module-level store shared by every step of every
+program, keyed on (shape, id(t), ids of the consumed copairings): a
+Pachner walk, whose triangulations are all new, still finds the tables
+of the shapes it has met.  Each entry holds references to its tensors,
+so their ids cannot be reused while it lives, and the tensors are never
+changed once built (those of ``derive`` and ``D.boundary_map`` never
+are), so a hit is the table the step would build.  What depends on blob
+positions stays on the compiled step: its key getters, its open-leg
+count and its entry-sign selectors; an entry only adds the odd-mask of
+each matched key.  The store is least recently used first and keeps at
+most ``FUSED_TABLES_KEPT`` (1,024) entries, dropping the oldest.
+Pachner walks on the cylinder, the pants and genus 2 plus the class
+sweeps of genus 1 to 3, for all four built-in algebras in one process,
+use 781 entries over 105 shapes, so the bound does not evict on such
+traffic; it caps callers that pass new tensors on every call, such as
+``tft``'s sign sums.  Within one call the integer form of each tensor
+and each copairing's grouping by its consumed legs are built once.  No
 result is cached: every call sweeps the blob through every step.
 
 Koszul signs come in two parts.  The table part covers the crossings of
@@ -85,6 +101,7 @@ import functools
 import heapq
 import itertools
 import math
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,7 +114,12 @@ from .tensor import BudgetExceeded, GradedTensor, key_getter
 DEFAULT_MAX_OPEN_LEGS = 16
 DEFAULT_MAX_ENTRIES = 10**7
 BEAM_WIDTH = 32  # states the planner's beam search keeps per depth
-FUSED_TABLES_PER_STEP = 16  # fused tables a compiled step keeps
+FUSED_TABLES_KEPT = 1024  # entries of the shared fused-table store
+
+# (step shape, id(t), ids of the consumed copairings) ->
+# ((t, *copairings), fused table, odd-masks of its matched keys), least
+# recently used first (see the module docstring)
+_TABLES: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -119,9 +141,22 @@ class DiagramGraph:
 
 
 def build_graph(tri: MarkedTriangulation, signs: Signs) -> DiagramGraph:
-    wires = {}
+    """The dual diagram of tri with the given edge signs.  Every sign is
+    checked on every call; the wires depend on the triangulation alone,
+    so they are built once and cached on it (callers must not modify
+    them)."""
     for eid in tri.edges:
         edge_sign(signs, eid)
+    if tri._wires is None:
+        tri._wires = _build_wires(tri)
+    cod_order = [(bi, p) for bi in range(1, len(tri.boundaries) + 1)
+                 for p in range(3)]
+    return DiagramGraph(tri, signs, tri._wires, cod_order)
+
+
+def _build_wires(tri: MarkedTriangulation) -> dict:
+    wires = {}
+    for eid in tri.edges:
         left = tri.sigma_L(eid)
         right = tri.sigma_R(eid)
         if right is None:
@@ -135,9 +170,7 @@ def build_graph(tri: MarkedTriangulation, signs: Signs) -> DiagramGraph:
             first = WireTarget("face", face=left[0], slot=left[1])
         second = WireTarget("face", face=right[0], slot=right[1])
         wires[eid] = (first, second)
-    cod_order = [(bi, p) for bi in range(1, len(tri.boundaries) + 1)
-                 for p in range(3)]
-    return DiagramGraph(tri, signs, wires, cod_order)
+    return wires
 
 
 @dataclass
@@ -288,7 +321,7 @@ def contract_graph(graph: DiagramGraph, D: DerivedStructure,
 class _Step:
     """One triangle step of a compiled contraction (see ``_compile``)."""
     __slots__ = ("index", "eids", "cons", "slots", "tget", "mget", "rget",
-                 "n_open", "layout", "signs", "tables")
+                 "n_open", "layout", "shape", "graded")
 
     def __init__(self, index, n_before, matched, rest, used, free_ends):
         eids = sorted(used)
@@ -299,13 +332,17 @@ class _Step:
         self.slots = tuple(tuple(used[eid].values()) for eid in eids)
         # key getters: t key -> matched slots, blob key -> matched legs,
         # blob key -> rest legs
-        self.tget = key_getter([s for s, _ in matched])
+        matched_slots = tuple(s for s, _ in matched)
+        self.tget = key_getter(matched_slots)
         self.mget = key_getter([q for _, q in matched])
         self.rget = key_getter(rest)
         self.n_open = len(rest) + len(free_ends)  # open legs after the step
         self.layout = (n_before, matched, rest, used, free_ends)
-        self.signs = None  # graded sign tables, built on the first graded run
-        self.tables = {}   # fused tables by tensor ids, oldest first
+        # what its fused table depends on besides the tensors
+        self.shape = (matched_slots, self.cons, self.slots)
+        # graded: (shape with the table-part sign tables, entry-sign
+        # selectors), built on the first graded run
+        self.graded = None
 
 
 class _Program:
@@ -339,6 +376,7 @@ def _compile(graph: DiagramGraph, plan) -> _Program:
     end_at = {(w.face, w.slot): (eid, li) for eid, ends in graph.wires.items()
               for li, w in enumerate(ends) if w.kind == "face"}
     open_ends: list[tuple[int, int]] = []  # wire end of each blob leg
+    at: dict[tuple[int, int], int] = {}  # wire end -> its blob position
     pending: set[int] = set()  # copairings no triangle has consumed yet
     edges, steps = [], []
     for index, (kind, tid) in enumerate(plan):
@@ -352,8 +390,8 @@ def _compile(graph: DiagramGraph, plan) -> _Program:
             end = end_at[tid, s]
             if end[0] in pending:
                 used.setdefault(end[0], {})[end[1]] = s
-            elif end in open_ends:
-                matched.append((s, open_ends.index(end)))
+            elif end in at:
+                matched.append((s, at[end]))
             else:
                 raise ValueError("invalid contraction schedule")
         pending.difference_update(used)
@@ -365,12 +403,14 @@ def _compile(graph: DiagramGraph, plan) -> _Program:
         steps.append(_Step(index, len(open_ends), matched, rest, used,
                            free_ends))
         open_ends = [open_ends[q] for q in rest] + free_ends
+        at = {end: q for q, end in enumerate(open_ends)}
     targets = [graph.wires[eid][li] for eid, li in open_ends]
     want = [WireTarget("cod", boundary=bi, position=q)
             for bi, q in graph.cod_order]
-    if pending or sorted(map(repr, targets)) != sorted(map(repr, want)):
+    if pending or Counter(targets) != Counter(want):
         raise RuntimeError("contraction did not end on the codomain legs")
-    order = [targets.index(w) for w in want]
+    at = {w: q for q, w in enumerate(targets)}
+    order = [at[w] for w in want]
     return _Program(steps, tuple(edges),
                     None if order == sorted(order) else order)
 
@@ -391,12 +431,15 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
     product of their scales divides every entry once at the end; over
     F_p each triangle step reduces its sums mod p once.
 
-    Each step keeps its last ``FUSED_TABLES_PER_STEP`` fused tables,
-    keyed on the identities of t and of the copairings it consumes and
-    holding references to them, so an id is never reused while its table
-    lives.  t and the copairings must therefore not be mutated once
-    passed in; the tensors of ``derive`` and ``D.boundary_map`` never
-    are.
+    The fused tables come from the shared store ``_TABLES``, keyed on
+    the step's shape (matched slots, consumed copairing legs and their
+    slots, and for a graded algebra the table-part sign tables) and the
+    identities of t and of the copairings the step consumes.  An entry
+    holds references to those tensors, so an id is never reused while it
+    lives; t and the copairings must therefore not be mutated once
+    passed in (the tensors of ``derive`` and ``D.boundary_map`` never
+    are).  The store keeps the ``FUSED_TABLES_KEPT`` most recently used
+    tables, enough for every shape of a Pachner walk or a class sweep.
     """
     program = _program(graph, plan)
     F = t.field
@@ -423,11 +466,15 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
             raise BudgetExceeded(f"open legs {step.n_open} exceed bound "
                                  f"{max_open_legs} {_where(plan, step)}")
         cops = [copairings[eid] for eid in step.eids]
-        ids = (id(t), *map(id, cops))
-        entry = step.tables.get(ids)
+        shape, selectors = step.shape, None
+        if graded:
+            if step.graded is None:
+                slot_sign, cross_idx, sels = _graded_tables(step)
+                step.graded = (shape, slot_sign, cross_idx), sels
+            shape, selectors = step.graded
+        key = (shape, id(t), *map(id, cops))
+        entry = _TABLES.get(key)
         if entry is None:
-            if graded and step.signs is None:
-                step.signs = _graded_tables(step)
             opts = []
             for c, cons, slots in zip(cops, step.cons, step.slots):
                 rows = groups.get((id(c), cons))
@@ -436,11 +483,18 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                                                            cons)
                 opts.append((slots, rows))
             entry = (t, *cops), *_fused_table(
-                step, integral(t)[0], opts, leg if graded else None)
-            if len(step.tables) >= FUSED_TABLES_PER_STEP:
-                del step.tables[next(iter(step.tables))]
-            step.tables[ids] = entry
-        _, fused, sel_of = entry
+                step.tget, integral(t)[0], opts,
+                (leg, *shape[1:]) if graded else None)
+            if len(_TABLES) >= FUSED_TABLES_KEPT:
+                _TABLES.popitem(last=False)
+            _TABLES[key] = entry
+        else:
+            _TABLES.move_to_end(key)
+        _, fused, masks = entry
+        # the entry-sign getter of each matched key whose sign can be odd
+        sel_of = selectors and masks and {
+            mk: sel for mk, m in masks.items()
+            if (sel := selectors[m]) is not None}
         mget, rget = step.mget, step.rget
         new_blob: dict[tuple, int] = {}
         get = new_blob.get
@@ -519,19 +573,19 @@ def _by_fixed(data, cons):
     return rows
 
 
-def _fused_table(step: _Step, tdat, opts, leg):
-    """The fused table of one triangle step and its entry-sign selectors.
+def _fused_table(tget, tdat, opts, graded):
+    """The fused table of one triangle step and the odd-masks of its keys.
 
-    The table maps the matched slots' indices to [(the free ends'
-    indices, coeff)]: t times the copairings it consumes, with the table
-    part of the Koszul sign folded into each coeff when ``leg`` (the leg
-    parities of a graded algebra) is given.  The selectors map each
-    matched key whose entry part can be odd to the getter of the rest
-    legs that count; None when no key needs one.
+    The table maps the matched slots' indices (``tget`` of a t key) to
+    [(the free ends' indices, coeff)]: t times the copairings it
+    consumes, ``opts`` holding per copairing its slots and its rows by
+    consumed indices.  For a graded algebra ``graded`` is (leg parities,
+    slot_sign, cross_idx), and the table part of the Koszul sign is
+    folded into each coeff.  The masks map each matched key with an odd
+    index to the bitmask of its odd matched legs; None when ungraded.
     """
-    slot_sign, cross_idx, selectors = step.signs if leg else (None,) * 3
+    leg, slot_sign, cross_idx = graded or (None,) * 3
     fused: dict[tuple, list] = {}
-    tget = step.tget
     for tkey, tv in tdat.items():
         acc = [((), tv)]
         for slots, rows in opts:
@@ -549,14 +603,11 @@ def _fused_table(step: _Step, tdat, opts, leg):
                         leg[nk[i]] for i in idx)) & 1 else cv)
                         for nk, cv in acc]
             fused.setdefault(tget(tkey), []).extend(acc)
-    if not selectors:
+    if not leg:
         return fused, None
-    sel_of = {}
-    for mk in fused:
-        sel = selectors[sum(leg[x] << i for i, x in enumerate(mk))]
-        if sel is not None:
-            sel_of[mk] = sel
-    return fused, sel_of or None
+    masks = {mk: m for mk in fused
+             if (m := sum(leg[x] << i for i, x in enumerate(mk)))}
+    return fused, masks
 
 
 def _graded_tables(step: _Step):

@@ -33,9 +33,6 @@ class AffineSolutionSpace:
                     x ^= b
             yield x
 
-    def contains(self, x: int) -> bool:
-        return reduce_against(self.basis, x ^ self.particular) == 0
-
 
 def solve_affine(n: int, rows: Iterable[tuple[int, int]]) -> AffineSolutionSpace | None:
     """Solve the system; returns None if inconsistent."""

@@ -407,15 +407,3 @@ def arf_invariant(detail: GenusGComplex, signs: Signs,
         basis = symplectic_basis(detail)
     total = sum(qa * qb for qa, qb in quadratic_pairs(tri, signs, basis))
     return (-1) ** (total & 1)
-
-
-# -- sign transport through gluing --------------------------------------
-def glue_edge_signs(signs: Signs, glue_map, eps: int) -> Signs:
-    """Transport edge signs through glue_boundaries_with_map output."""
-    if eps not in (+1, -1):
-        raise ValueError("gluing parameter must be +1 or -1")
-    out = dict(signs)
-    for a_eid, b_eid in glue_map.pairs:
-        out[b_eid] = eps * signs[a_eid] * signs[b_eid]
-        del out[a_eid]
-    return out

@@ -89,8 +89,10 @@ class MarkedTriangulation:
         # that each star_cycle call (3-1 Pachner moves only) resumes
         self._first_corner: dict[int, tuple[int, int]] = {}
         self._unscanned = iter(self.triangles)
-        # contraction plan, set by eval.plan_contraction on first use, and
-        # the executor's program compiled from it (eval._program)
+        # the dual diagram's wires (eval.build_graph), the contraction
+        # plan (eval.plan_contraction) and the executor's program compiled
+        # from it (eval._program), each set on first use
+        self._wires: dict | None = None
         self._plan: list[tuple[str, int]] | None = None
         self._program = None
         # spin._edge_bits and spin._vertex_equations (per boundary types)

@@ -278,29 +278,7 @@ class GradedTensor:
                     for key, v in self.data.items()}
         return out
 
-    # -- blob-contraction helpers ---------------------------------------
-    def contract_out_with(self, consumer: "GradedTensor") -> "GradedTensor":
-        """Contract the trailing output legs against a pure-input tensor.
-
-        ``consumer`` must have no output legs; its k input legs eat the
-        last k output legs of self (even consumer => no signs).
-        """
-        k = consumer.n_in
-        if consumer.n_out != 0:
-            raise ValueError("consumer must have no output legs")
-        if self.out_legs[self.n_out - k:] != consumer.in_legs:
-            raise ValueError("leg mismatch in contract_out_with")
-        F = self.field
-        out = GradedTensor(F, self.out_legs[:self.n_out - k], self.in_legs, {})
-        no = self.n_out
-        for key, v in self.data.items():
-            o, i = key[:no], key[no:]
-            w = consumer.data.get(o[no - k:])
-            if w is None:
-                continue
-            out._add_to(o[:no - k] + i, F.mul(v, w))
-        return out
-
+    # -- relabel as inputs ----------------------------------------------
     def flip_out_to_in(self) -> "GradedTensor":
         """Relabel every output leg as an input leg, keeping each key.
 

@@ -20,6 +20,8 @@ from spinsum.surface import (build_pair_of_pants, genus_g_closed,
 from spinsum.tensor import GradedTensor
 from spinsum import tft
 
+from test_eval import contract_out_with
+
 ALL_BUILTINS = ("clifford", "group-z2", "twisted-matrix-3-f3",
                 "twisted-matrix-2-q")
 EPS = (1, -1)
@@ -280,7 +282,7 @@ def _eval_diagram(D, cs, t_wiring, out_wiring):
                     continue
                 pos = [open_labels.index(l) for l in legs]
                 rest = [p for p in range(len(open_labels)) if p not in pos]
-                blob = blob.permute_out(rest + pos).contract_out_with(D.t)
+                blob = contract_out_with(blob.permute_out(rest + pos), D.t)
                 open_labels = [open_labels[p] for p in rest]
                 done.add(tj)
                 progress = True

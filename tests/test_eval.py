@@ -7,13 +7,15 @@ import pytest
 from spinsum.algebra import (BUILTIN_NAMES, GradedFrobeniusAlgebra,
                              builtin_by_name, derive,
                              passes_invariance_predicates)
-from spinsum.eval import (FUSED_TABLES_PER_STEP, WireTarget, _program,
+import spinsum.eval as engine
+from spinsum.eval import (FUSED_TABLES_KEPT, WireTarget, _TABLES, _program,
                           build_graph, contract_exhaustive, contract_graph,
                           contract_network, evaluate, evaluate_raw,
                           is_valid_schedule, plan_contraction)
 from spinsum.fields import QQ
 from spinsum.pachner import random_pachner_move
-from spinsum.spin import classify_spin_structures
+from spinsum.spin import (arf_invariant, classify_spin_structures,
+                          symplectic_basis)
 from spinsum.surface import MarkedTriangulation, genus_g_closed_detail
 from spinsum.tensor import BudgetExceeded, GradedTensor
 from spinsum import tft
@@ -256,6 +258,20 @@ def _random_face_schedule(graph, rng):
     return plan
 
 
+def contract_out_with(blob, consumer):
+    """Contract the trailing output legs of blob against a pure-input
+    consumer (even consumer => no signs)."""
+    k, no = consumer.n_in, blob.n_out
+    assert consumer.n_out == 0 and blob.out_legs[no - k:] == consumer.in_legs
+    F = blob.field
+    out = GradedTensor(F, blob.out_legs[:no - k], blob.in_legs, {})
+    for key, v in blob.data.items():
+        w = consumer.data.get(key[no - k:no])
+        if w is not None:
+            out._add_to(key[:no - k] + key[no:], F.mul(v, w))
+    return out
+
+
 def _blob_reference(graph, D, plan):
     """Generic blob contraction: absorb copairings by tensor product,
     Koszul-permute each triangle's legs to the end and contract."""
@@ -270,7 +286,7 @@ def _blob_reference(graph, D, plan):
             pos = [open_targets.index(WireTarget("face", face=tid, slot=s))
                    for s in range(3)]
             rest = [p for p in range(len(open_targets)) if p not in pos]
-            blob = blob.permute_out(rest + pos).contract_out_with(D.t)
+            blob = contract_out_with(blob.permute_out(rest + pos), D.t)
             open_targets = [open_targets[p] for p in rest]
     want = [WireTarget("cod", boundary=bi, position=p)
             for bi, p in graph.cod_order]
@@ -395,26 +411,100 @@ def test_amplitude_equality_ignores_types(clifford):
     assert a == b and a.types != b.types
 
 
-# -- the compiled program and its fused-table caches -------------------
+# -- the compiled program and the shared fused-table store -------------
 def _fresh(tri):
-    """A copy of tri with empty caches: no plan, no compiled program."""
+    """A copy of tri with empty caches: no wires, plan or program."""
     return MarkedTriangulation(tri.edges, tri.triangles, tri.boundaries)
 
 
-def test_one_triangulation_serves_two_algebras_in_either_order():
-    """The steps' fused tables are keyed on the tensors, so an F3 and a
-    Clifford evaluation of one genus-2 triangulation, in either order,
-    equal the same evaluations on a fresh copy."""
+def _cold(tri, signs, A):
+    """evaluate_raw on a fresh copy of tri with an empty table store."""
+    _TABLES.clear()
+    return evaluate_raw(_fresh(tri), signs, A)
+
+
+def _count_builds(monkeypatch):
+    """Count the fused tables built from now on: a list, one per build."""
+    built, build = [], engine._fused_table
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+    monkeypatch.setattr(engine, "_fused_table", counting)
+    return built
+
+
+def test_one_triangulation_serves_two_algebras_in_either_order(monkeypatch):
+    """The fused tables are keyed on the tensors, so an F3 and a Clifford
+    evaluation of one genus-2 triangulation, in either order, equal the
+    same evaluations on a fresh copy with an empty store; evaluated
+    again, every step of both algebras finds its table in the store."""
     tri = genus_g_closed_detail(2).tri
     signs = classify_spin_structures(tri)[5]
     algebras = [builtin_by_name("twisted-matrix-3-f3"),
                 builtin_by_name("clifford")]
-    want = {A.name: evaluate_raw(_fresh(tri), signs, A) for A in algebras}
+    want = {A.name: _cold(tri, signs, A) for A in algebras}
     for order in (algebras, algebras[::-1]):
+        _TABLES.clear()
         shared = _fresh(tri)
         for A in order:
             assert evaluate_raw(shared, signs, A) == want[A.name], A.name
-        assert all(step.tables for step in shared._program.steps)
+        built = _count_builds(monkeypatch)
+        for A in order:
+            assert evaluate_raw(shared, signs, A) == want[A.name], A.name
+        assert not built
+        monkeypatch.undo()
+
+
+def _checkpoints(tri, signs, seed, moves, every):
+    """The start and every ``every``-th triangulation of a Pachner walk."""
+    rng, bias = random.Random(seed), len(tri.triangles)
+    out = [(tri, signs)]
+    for k in range(1, moves + 1):
+        tri, signs, _ = random_pachner_move(tri, signs, rng, bias_faces=bias)
+        if k % every == 0:
+            out.append((tri, signs))
+    return out
+
+
+def test_shared_store_serves_interleaved_algebras_on_pachner_walks():
+    """F3, Clifford and twisted-matrix-2-q take turns, with one warm
+    store, on Pachner-walked checkpoints of the NS+ cylinder, the
+    NS,R,R:+- pants and closed genus 2.  Every value equals its closed
+    form (on genus 2: 2^(1-g) Arf for Clifford, the start's value for the
+    others) and a cold evaluation after clearing the store."""
+    algebras = [builtin_by_name(name) for name in (
+        "twisted-matrix-3-f3", "clifford", "twisted-matrix-2-q")]
+    detail = genus_g_closed_detail(2)
+    start = classify_spin_structures(detail.tri)[0]
+    arf = arf_invariant(detail, start, symplectic_basis(detail))
+    assert arf == -1  # an odd class: the even classes' value would fail
+    closed = {
+        "cylinder": lambda A: tft.cylinder_closed_form(A, "NS", 1),
+        "pants": lambda A: tft.pants_closed_form(A, ("NS", "R", "R"), 1,
+                                                 -1),
+        "genus-2": lambda A: (Fraction(arf, 2) if A.name == "clifford"
+                              else _cold(detail.tri, start, A)
+                              .scalar_value())}
+    walks = {
+        "cylinder": _checkpoints(*tft.cylinder_spin("NS", 1)[:2], 1, 100, 20),
+        "pants": _checkpoints(*tft.pants_spin(("NS", "R", "R"), 1, -1)[:2],
+                              2, 100, 20),
+        "genus-2": _checkpoints(detail.tri, start, 3, 100, 20)}
+    want = {(surface, A.name): form(A) for surface, form in closed.items()
+            for A in algebras}
+    _TABLES.clear()
+    warm = []
+    for k, points in enumerate(zip(*walks.values())):
+        for surface, (tri, signs) in zip(walks, points):
+            for A in algebras[k % 3:] + algebras[:k % 3]:
+                amp = evaluate_raw(tri, signs, A)
+                got = amp.scalar_value() if surface == "genus-2" else amp
+                assert got == want[surface, A.name], (surface, k, A.name)
+                warm.append((tri, signs, A, amp))
+    assert len(_TABLES) <= FUSED_TABLES_KEPT
+    for tri, signs, A, amp in warm:
+        assert _cold(tri, signs, A) == amp
 
 
 @pytest.mark.parametrize("name", ("clifford", "twisted-matrix-2-q"))
@@ -436,8 +526,8 @@ def test_every_class_twice_in_shuffled_order_matches_a_fresh_copy(name):
 
 def test_torus_with_warm_tables_matches_exhaustive_oracle():
     """All 512 sign assignments of the torus with Clifford, and random
-    ones with Cl_1 (x) Cl_1, on one triangulation whose steps keep their
-    tables, equal the exhaustive oracle."""
+    ones with Cl_1 (x) Cl_1, on one triangulation whose tables stay in
+    the store, equal the exhaustive oracle."""
     tri, _ = tft.torus_spin("NS", 1)
     clifford = builtin_by_name("clifford")
     edges = sorted(tri.edges)
@@ -471,24 +561,41 @@ def test_custom_plan_is_compiled_but_not_cached(clifford):
     assert _program(graph, plan_contraction(graph)) is program
 
 
-def test_fused_tables_per_step_stay_bounded():
-    """100 calls, each with its own copairing tensors, leave at most
-    FUSED_TABLES_PER_STEP tables on every step, the newest ones."""
+def test_fused_table_store_stays_bounded():
+    """2,000 calls, each with its own copairing tensors scaled by 1, 2 or
+    3 on every edge but those of the first step, give the scaled
+    contraction and leave exactly FUSED_TABLES_KEPT entries, the newest
+    last.  The first step's table, used by every call, is never the
+    least recently used one, so it is built once and outlives the
+    evictions.  Each entry
+    holds the tensors whose ids form its key, so no id in a live key can
+    belong to a new tensor."""
     D = derive(builtin_by_name("clifford"))
-    tri, signs, _ = tft.pants_spin(("NS", "R", "R"), 1, -1)
+    tri, signs, _ = tft.cylinder_spin("NS", 1)
     graph = build_graph(tri, signs)
     plan = plan_contraction(graph)
-    want = contract_network(graph, plan,
+    base = contract_network(graph, plan,
                             {eid: D.c(s) for eid, s in signs.items()}, D.t)
-    one = D.t.field.one()
-    for _ in range(100):
-        cops = {eid: D.c(s).scale(one) for eid, s in signs.items()}
-        assert contract_network(graph, plan, cops, D.t) == want
-    steps = tri._program.steps
-    assert max(len(step.tables) for step in steps) == FUSED_TABLES_PER_STEP
-    last = steps[-1]
-    assert list(last.tables)[-1] == (id(D.t), *(id(cops[eid])
-                                                for eid in last.eids))
+    first, last = tri._program.steps[0], tri._program.steps[-1]
+    kept = {eid: D.c(signs[eid]) for eid in first.eids}
+    scaled = len(signs) - len(kept)
+    want = {k: base.scale(Fraction(k) ** scaled) for k in (1, 2, 3)}
+    _TABLES.clear()
+    hot = (first.graded[0], id(D.t), *map(id, kept.values()))
+    for i in range(2000):
+        k = 1 + i % 3
+        cops = {eid: kept[eid] if eid in kept else D.c(s).scale(Fraction(k))
+                for eid, s in signs.items()}
+        assert contract_network(graph, plan, cops, D.t) == want[k], i
+        assert len(_TABLES) <= FUSED_TABLES_KEPT
+        if i == 0:
+            hot_entry = _TABLES[hot]
+    assert len(_TABLES) == FUSED_TABLES_KEPT
+    for key, (tensors, *_) in _TABLES.items():
+        assert key[1:] == tuple(map(id, tensors))
+    assert next(reversed(_TABLES)) == (
+        last.graded[0], id(D.t), *(id(cops[eid]) for eid in last.eids))
+    assert _TABLES[hot] is hot_entry
 
 
 @pytest.mark.parametrize("genus, peak", ((2, 7), (3, 8)))

@@ -4,6 +4,12 @@ import random
 from spinsum import gf2
 
 
+def _contains(space, x):
+    """Membership in an affine solution space, by reduction against its
+    basis."""
+    return gf2.reduce_against(space.basis, x ^ space.particular) == 0
+
+
 def test_solve_affine_consistent():
     # x0 + x1 = 1, x1 + x2 = 0 over F2^3
     space = gf2.solve_affine(3, [(0b011, 1), (0b110, 0)])
@@ -14,8 +20,8 @@ def test_solve_affine_consistent():
     for x in sols:
         assert gf2.parity(x & 0b011) == 1
         assert gf2.parity(x & 0b110) == 0
-        assert space.contains(x)
-    assert not space.contains(next(iter(sols)) ^ 0b001)
+        assert _contains(space, x)
+    assert not _contains(space, next(iter(sols)) ^ 0b001)
 
 
 def test_solve_affine_inconsistent():
