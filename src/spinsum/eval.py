@@ -54,27 +54,34 @@ tables (see below).  The wires of ``build_graph`` are cached on the
 triangulation too; each call only checks the signs.
 
 A fused table never depends on where its legs sit in the blob, only on
-the step's shape and its tensors.  The shape is the matched slots, per
-consumed copairing (in edge-id order) its consumed leg indices and their
-slots, and for a graded algebra the table-part sign tables.  So the
-tables live in one module-level store shared by every step of every
-program, keyed on (shape, id(t), ids of the consumed copairings): a
-Pachner walk, whose triangulations are all new, still finds the tables
-of the shapes it has met.  Each entry holds references to its tensors,
-so their ids cannot be reused while it lives, and the tensors are never
-changed once built (those of ``derive`` and ``D.boundary_map`` never
-are), so a hit is the table the step would build.  What depends on blob
-positions stays on the compiled step: its key getters, its open-leg
-count and its entry-sign selectors; an entry only adds the odd-mask of
-each matched key.  The store is least recently used first and keeps at
-most ``FUSED_TABLES_KEPT`` (1,024) entries, dropping the oldest.
-Pachner walks on the cylinder, the pants and genus 2 plus the class
-sweeps of genus 1 to 3, for all four built-in algebras in one process,
-use 781 entries over 105 shapes, so the bound does not evict on such
-traffic; it caps callers that pass new tensors on every call, such as
-``tft``'s sign sums.  Within one call the integer form of each tensor
-and each copairing's grouping by its consumed legs are built once.  No
-result is cached: every call sweeps the blob through every step.
+the step's shape and on its tensors.  The shape is the matched slots,
+per consumed copairing (in edge-id order) its consumed leg indices and
+their slots, and for a graded algebra the inputs of the table-part sign
+tables (``_slot_crossings``).  So the tables live in one module-level
+store shared by every step of every program, keyed on the shape, the
+field's characteristic, t's leg parities and the entries of t and of
+each consumed copairing: a Pachner walk, whose triangulations are all
+new, still finds the tables of the shapes it has met, and so do
+callers that rebuild equal tensors on every call, such as ``tft``'s
+sign sums.  Each call turns each tensor it uses into the frozenset of
+its entries once and interns it in ``_CONTENTS``, so a hit compares
+those sets by identity; a set that dropped out of ``_CONTENTS`` only
+costs one compare of its entries.  The key is hashed once per step and
+call, and the store is indexed by that hash, each entry holding its
+full key to check it.  Nothing in the store refers to a tensor, so a
+tensor may be changed between calls.  What depends on blob positions
+stays on the compiled step: its key getters, its open-leg count and its
+entry-sign selectors; an entry only adds the odd-mask of each matched
+key.  The store and ``_CONTENTS`` are least recently used first and
+keep at most ``FUSED_TABLES_KEPT`` (1,024) entries each, dropping the
+oldest.  200-move Pachner walks on the cylinder, the pants and genus 2,
+evaluated every 25 moves, plus the class sweeps of genus 1 to 3 (eight
+F3 classes at genus 3), for all four built-in algebras in one process,
+use 435 tables over 94 shapes, so the bound does not evict on such
+traffic; 300 rounds of both torus sign sums for the four algebras use
+24.  Within one call the integer form of each tensor and each
+copairing's grouping by its consumed legs are built once.  No result is
+cached: every call sweeps the blob through every step.
 
 Koszul signs come in two parts.  The table part covers the crossings of
 the three slot legs with each other and with the free ends; a table row
@@ -116,10 +123,14 @@ DEFAULT_MAX_ENTRIES = 10**7
 BEAM_WIDTH = 32  # states the planner's beam search keeps per depth
 FUSED_TABLES_KEPT = 1024  # entries of the shared fused-table store
 
-# (step shape, id(t), ids of the consumed copairings) ->
-# ((t, *copairings), fused table, odd-masks of its matched keys), least
-# recently used first (see the module docstring)
+# hash of (step shape, characteristic, t's leg parities, entries of t,
+# entries of each consumed copairing) -> (that key, fused table,
+# odd-masks of its matched keys), least recently used first (see the
+# module docstring)
 _TABLES: OrderedDict = OrderedDict()
+# frozenset of a tensor's entries -> the equal set the keys of _TABLES
+# hold, least recently used first
+_CONTENTS: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -340,8 +351,8 @@ class _Step:
         self.layout = (n_before, matched, rest, used, free_ends)
         # what its fused table depends on besides the tensors
         self.shape = (matched_slots, self.cons, self.slots)
-        # graded: (shape with the table-part sign tables, entry-sign
-        # selectors), built on the first graded run
+        # graded: ((shape, inputs of the table-part sign tables),
+        # entry-sign selectors), built on the first graded run
         self.graded = None
 
 
@@ -433,13 +444,14 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
 
     The fused tables come from the shared store ``_TABLES``, keyed on
     the step's shape (matched slots, consumed copairing legs and their
-    slots, and for a graded algebra the table-part sign tables) and the
-    identities of t and of the copairings the step consumes.  An entry
-    holds references to those tensors, so an id is never reused while it
-    lives; t and the copairings must therefore not be mutated once
-    passed in (the tensors of ``derive`` and ``D.boundary_map`` never
-    are).  The store keeps the ``FUSED_TABLES_KEPT`` most recently used
-    tables, enough for every shape of a Pachner walk or a class sweep.
+    slots, and for a graded algebra the inputs of the table-part sign
+    tables), the field's characteristic, t's leg parities and the
+    entries of t and of the copairings the step consumes, each interned
+    once per call through ``_CONTENTS``.  The key holds no tensor, so a
+    tensor equal to an earlier one finds its tables, and changing a
+    tensor between calls is safe.  The store keeps the
+    ``FUSED_TABLES_KEPT`` most recently used tables, enough for every
+    shape of a Pachner walk or a class sweep.
     """
     program = _program(graph, plan)
     F = t.field
@@ -447,6 +459,7 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
     leg = t.in_legs[0]
     graded = any(leg)
     ints: dict[int, tuple] = {}  # id(tensor) -> _integral, for this call
+    sets: dict[int, frozenset] = {}  # id(tensor) -> _interned, for this call
     groups: dict[tuple, dict] = {}  # (id(copairing), consumed legs) -> rows
 
     def integral(x):
@@ -455,11 +468,18 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
             got = ints[id(x)] = _integral(x.data, p)
         return got
 
+    def content(x):
+        got = sets.get(id(x))
+        if got is None:
+            got = sets[id(x)] = _interned(x)
+        return got
+
     denom = 1  # over Q: the product of the scales of every tensor placed
     if not p:
         denom = integral(t)[1] ** len(program.steps)
         for eid in program.edges:
             denom *= integral(copairings[eid])[1]
+    tset = content(t)
     blob: dict[tuple, int] = {(): 1}
     for step in program.steps:
         if step.n_open > max_open_legs:
@@ -469,12 +489,13 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
         shape, selectors = step.shape, None
         if graded:
             if step.graded is None:
-                slot_sign, cross_idx, sels = _graded_tables(step)
-                step.graded = (shape, slot_sign, cross_idx), sels
+                crossings, sels = _graded_tables(step)
+                step.graded = (shape, crossings), sels
             shape, selectors = step.graded
-        key = (shape, id(t), *map(id, cops))
-        entry = _TABLES.get(key)
-        if entry is None:
+        key = (shape, p, leg, tset, *map(content, cops))
+        h = hash(key)
+        entry = _TABLES.get(h)
+        if entry is None or entry[0] != key:
             opts = []
             for c, cons, slots in zip(cops, step.cons, step.slots):
                 rows = groups.get((id(c), cons))
@@ -482,14 +503,14 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                     rows = groups[id(c), cons] = _by_fixed(integral(c)[0],
                                                            cons)
                 opts.append((slots, rows))
-            entry = (t, *cops), *_fused_table(
+            entry = key, *_fused_table(
                 step.tget, integral(t)[0], opts,
-                (leg, *shape[1:]) if graded else None)
-            if len(_TABLES) >= FUSED_TABLES_KEPT:
-                _TABLES.popitem(last=False)
-            _TABLES[key] = entry
+                (leg, *_sign_tables(*shape[1])) if graded else None)
+            if h in _TABLES:  # another key with this hash
+                del _TABLES[h]
+            _keep(_TABLES, h, entry)
         else:
-            _TABLES.move_to_end(key)
+            _TABLES.move_to_end(h)
         _, fused, masks = entry
         # the entry-sign getter of each matched key whose sign can be odd
         sel_of = selectors and masks and {
@@ -552,6 +573,26 @@ def _where(plan, step: _Step) -> str:
     return f"after plan[{k}] = {tuple(plan[k])!r} of {len(plan)} steps"
 
 
+def _keep(store: OrderedDict, key, value) -> None:
+    """Add key -> value as the newest entry of a least-recently-used
+    store, dropping its oldest entry when it holds FUSED_TABLES_KEPT."""
+    if len(store) >= FUSED_TABLES_KEPT:
+        store.popitem(last=False)
+    store[key] = value
+
+
+def _interned(x: GradedTensor) -> frozenset:
+    """The frozenset of x's entries, as the equal set kept in
+    ``_CONTENTS`` (added, or moved to the newest end, here)."""
+    items = frozenset(x.data.items())
+    got = _CONTENTS.get(items)
+    if got is None:
+        _keep(_CONTENTS, items, items)
+        return items
+    _CONTENTS.move_to_end(items)
+    return got
+
+
 def _integral(data, p):
     """A tensor's values as ints and their common scale: over Q the
     values times the lcm of their denominators, over F_p (p > 0) the
@@ -611,35 +652,38 @@ def _fused_table(tget, tdat, opts, graded):
 
 
 def _graded_tables(step: _Step):
-    """(slot_sign, cross_idx, selectors) of one triangle step.
+    """(crossings, selectors) of one triangle step.
 
-    ``slot_sign`` and ``cross_idx`` give the table part per 3-bit mask of
-    odd slots (``_slot_crossings``).  ``selectors[mask]``, per bitmask of
-    the odd matched legs (bit i: the i'th matched slot), is the getter of
-    the rest legs with an odd number of odd matched legs before them, or
+    ``crossings`` holds the inputs of the table part's sign tables
+    (``_slot_crossings``).  ``selectors[mask]``, per bitmask of the odd
+    matched legs (bit i: the i'th matched slot), is the getter of the
+    rest legs with an odd number of odd matched legs before them, or
     None; ``selectors`` is None when no rest leg lies behind a matched
     one, so the entry part is always even.
     """
     n_open, matched, rest, used, free_ends = step.layout
-    slot_sign, cross_idx = _slot_crossings(n_open, matched, used, free_ends)
+    crossings = _slot_crossings(n_open, matched, used, free_ends)
     matched_pos = [q for _, q in matched]
     if not matched_pos or not rest or min(matched_pos) > rest[-1]:
-        return slot_sign, cross_idx, None
+        return crossings, None
     selectors = []
     for mask in range(1 << len(matched_pos)):
         odd_pos = sorted(q for i, q in enumerate(matched_pos) if mask >> i & 1)
         sel = [r for r in rest if bisect.bisect_left(odd_pos, r) & 1]
         selectors.append(key_getter(sel) if sel else None)
-    return slot_sign, cross_idx, selectors
+    return crossings, selectors
 
 
 def _slot_crossings(n_open, matched, used, free_ends):
-    """Sign tables of the table part of one triangle.
+    """(inverted, cross): what the table part of one triangle's sign
+    depends on (``_sign_tables`` turns it into the tables).
 
     Legs start as: blob legs, then the used copairings' legs by (edge id,
     leg index).  The slot legs move, in slot order, behind the free ends:
     a matched one jumps over every free end, a consumed one over those
-    after it.
+    after it.  ``inverted`` flags the slot pairs (0, 1), (0, 2), (1, 2)
+    that start in reverse order, and ``cross`` the free ends (bitmask)
+    each slot leg jumps over.
     """
     rank = [0, 0, 0]   # old position of each slot leg
     cross = [0, 0, 0]  # free ends (bitmask) each slot leg jumps over
@@ -653,7 +697,7 @@ def _slot_crossings(n_open, matched, used, free_ends):
             before = bisect.bisect_left(free_ends, (eid, li))
             cross[s] = all_free >> before << before
     inverted = (rank[0] > rank[1], rank[0] > rank[2], rank[1] > rank[2])
-    return _sign_tables(inverted, tuple(cross))
+    return inverted, tuple(cross)
 
 
 @functools.lru_cache(maxsize=4096)

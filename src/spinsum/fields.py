@@ -64,6 +64,9 @@ class RationalField(Field):
     def one(self):
         return Fraction(1)
 
+    def is_zero(self, a):
+        return not a
+
     def of(self, x):
         if isinstance(x, str):
             return Fraction(x)
@@ -118,6 +121,9 @@ class PrimeField(Field):
 
     def one(self):
         return 1 % self.p
+
+    def is_zero(self, a):
+        return a == 0
 
     def of(self, x):
         if isinstance(x, str):

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from spinsum.algebra import (BUILTIN_NAMES, GradedFrobeniusAlgebra,
-                             builtin_by_name, derive,
+                             builtin_by_name, builtin_clifford, derive,
                              passes_invariance_predicates)
 import spinsum.eval as engine
-from spinsum.eval import (FUSED_TABLES_KEPT, WireTarget, _TABLES, _program,
-                          build_graph, contract_exhaustive, contract_graph,
-                          contract_network, evaluate, evaluate_raw,
-                          is_valid_schedule, plan_contraction)
-from spinsum.fields import QQ
+from spinsum.eval import (FUSED_TABLES_KEPT, WireTarget, _CONTENTS, _TABLES,
+                          _program, build_graph, contract_exhaustive,
+                          contract_graph, contract_network, evaluate,
+                          evaluate_raw, is_valid_schedule, plan_contraction)
+from spinsum.fields import QQ, PrimeField
 from spinsum.pachner import random_pachner_move
 from spinsum.spin import (arf_invariant, classify_spin_structures,
                           symplectic_basis)
@@ -420,6 +420,7 @@ def _fresh(tri):
 def _cold(tri, signs, A):
     """evaluate_raw on a fresh copy of tri with an empty table store."""
     _TABLES.clear()
+    _CONTENTS.clear()
     return evaluate_raw(_fresh(tri), signs, A)
 
 
@@ -561,41 +562,120 @@ def test_custom_plan_is_compiled_but_not_cached(clifford):
     assert _program(graph, plan_contraction(graph)) is program
 
 
-def test_fused_table_store_stays_bounded():
-    """2,000 calls, each with its own copairing tensors scaled by 1, 2 or
-    3 on every edge but those of the first step, give the scaled
-    contraction and leave exactly FUSED_TABLES_KEPT entries, the newest
-    last.  The first step's table, used by every call, is never the
-    least recently used one, so it is built once and outlives the
-    evictions.  Each entry
-    holds the tensors whose ids form its key, so no id in a live key can
-    belong to a new tensor."""
+def test_fused_table_store_stays_bounded(monkeypatch):
+    """1,200 calls, each with the copairings of every edge but those of the
+    first step scaled by its own factor, give the scaled contraction and
+    fill the store and the interned entries to FUSED_TABLES_KEPT, never
+    past it; each store entry sits under the hash of its key.  The first
+    step's table, used by every call, is never the least recently used
+    one, so it is built once and outlives the evictions.  Then the torus
+    sign sums, whose tensors are rebuilt on every call, build no table
+    and add no entry when called again."""
     D = derive(builtin_by_name("clifford"))
     tri, signs, _ = tft.cylinder_spin("NS", 1)
     graph = build_graph(tri, signs)
     plan = plan_contraction(graph)
     base = contract_network(graph, plan,
                             {eid: D.c(s) for eid, s in signs.items()}, D.t)
-    first, last = tri._program.steps[0], tri._program.steps[-1]
+    first = tri._program.steps[0]
     kept = {eid: D.c(signs[eid]) for eid in first.eids}
     scaled = len(signs) - len(kept)
-    want = {k: base.scale(Fraction(k) ** scaled) for k in (1, 2, 3)}
     _TABLES.clear()
-    hot = (first.graded[0], id(D.t), *map(id, kept.values()))
-    for i in range(2000):
-        k = 1 + i % 3
+    _CONTENTS.clear()
+    for k in range(1, 1201):
         cops = {eid: kept[eid] if eid in kept else D.c(s).scale(Fraction(k))
                 for eid, s in signs.items()}
-        assert contract_network(graph, plan, cops, D.t) == want[k], i
+        assert contract_network(graph, plan, cops, D.t) == \
+            base.scale(Fraction(k) ** scaled), k
         assert len(_TABLES) <= FUSED_TABLES_KEPT
-        if i == 0:
+        assert len(_CONTENTS) <= FUSED_TABLES_KEPT
+        if k == 1:
+            hot, = (h for h, (key, *_) in _TABLES.items()
+                    if key[0] is first.graded[0])
             hot_entry = _TABLES[hot]
-    assert len(_TABLES) == FUSED_TABLES_KEPT
-    for key, (tensors, *_) in _TABLES.items():
-        assert key[1:] == tuple(map(id, tensors))
-    assert next(reversed(_TABLES)) == (
-        last.graded[0], id(D.t), *(id(cops[eid]) for eid in last.eids))
+    assert len(_TABLES) == len(_CONTENTS) == FUSED_TABLES_KEPT
+    assert all(h == hash(key) for h, (key, *_) in _TABLES.items())
     assert _TABLES[hot] is hot_entry
+    torus, _ = tft.torus_spin("NS", 1)
+    A = builtin_by_name("clifford")
+
+    def sums():
+        return (tft.statistical_sign_sum(torus, A),
+                tft.plus_part_state_sum(torus, A))
+    want = sums()
+    keys = list(_TABLES)
+    built = _count_builds(monkeypatch)
+    assert sums() == want
+    assert not built
+    assert sorted(_TABLES) == sorted(keys)
+
+
+def _regraded_cl1_cl1():
+    """``_cl1_cl1``'s structure constants with parities (0, 1, 0, 1):
+    x odd and y even, so t and c_- have the same entries."""
+    A = _cl1_cl1()
+    return GradedFrobeniusAlgebra(A.field, A.dim, (0, 1, 0, 1), A.mu, A.eta,
+                                  A.eps, name="cl1-cl1-regraded")
+
+
+def test_store_keeps_equal_entries_of_other_parities_and_fields_apart():
+    """Algebras whose tensors share entries take turns with one warm
+    store: clifford and group-z2 (equal t and c_-, parities (0, 1) and
+    (0, 0)) and clifford over Q and over F_5 (equal t) on a genus-2
+    class and the torus sign sums, and Cl_1 (x) Cl_1 with its regraded
+    twin (equal t and c_-, both graded) on the NS+ cylinder's triangles
+    with c_- on every edge.  Every value equals the one computed after
+    clearing the store, and the two algebras of each pair give different
+    values."""
+    tri = genus_g_closed_detail(2).tri
+    signs = classify_spin_structures(tri)[0]
+    torus, _ = tft.torus_spin("NS", 1)
+    cyl, _, _ = tft.cylinder_spin("NS", 1)
+    cylinder = build_graph(cyl, dict.fromkeys(cyl.edges, -1))
+
+    def closed(A):
+        return (evaluate_raw(tri, signs, A).scalar_value(),
+                tft.statistical_sign_sum(torus, A),
+                tft.plus_part_state_sum(torus, A))
+
+    def open_(A):
+        D = derive(A)
+        return contract_network(cylinder, plan_contraction(cylinder),
+                                dict.fromkeys(cylinder.wires, D.c(-1)), D.t)
+
+    clifford = builtin_by_name("clifford")
+    pairs = [(closed, clifford, builtin_by_name("group-z2")),
+             (closed, clifford, builtin_clifford(PrimeField(5))),
+             (open_, _cl1_cl1(), _regraded_cl1_cl1())]
+    want = {}
+    for value, *algebras in pairs:
+        for A in algebras:
+            _TABLES.clear()
+            _CONTENTS.clear()
+            want[id(A)] = value(A)
+        assert want[id(algebras[0])] != want[id(algebras[1])]
+    _TABLES.clear()
+    _CONTENTS.clear()
+    for turn in range(4):
+        for value, *algebras in pairs:
+            for A in algebras[turn % 2:] + algebras[:turn % 2]:
+                assert value(A) == want[id(A)], (turn, A.name, A.field)
+
+
+def test_store_checks_the_full_key_under_its_hash(monkeypatch):
+    """With every store key hashing to 0, each table evicts the one
+    before it, and F3 and Clifford evaluations of a genus-2 class, taking
+    turns, still equal their cold values."""
+    tri = genus_g_closed_detail(2).tri
+    signs = classify_spin_structures(tri)[5]
+    algebras = [builtin_by_name("twisted-matrix-3-f3"),
+                builtin_by_name("clifford")]
+    want = [_cold(tri, signs, A) for A in algebras]
+    monkeypatch.setattr(engine, "hash", lambda key: 0, raising=False)
+    _TABLES.clear()
+    for A, amp in zip(algebras * 2, want * 2):
+        assert evaluate_raw(tri, signs, A) == amp, A.name
+        assert list(_TABLES) == [0]
 
 
 @pytest.mark.parametrize("genus, peak", ((2, 7), (3, 8)))

@@ -25,6 +25,14 @@ def test_prime_field_ops():
         F3.inv(F3.zero())
 
 
+@pytest.mark.parametrize("F", (QQ, PrimeField(5)))
+def test_is_zero_means_equal_to_zero(F):
+    """Each field's own is_zero agrees with comparing against zero()."""
+    for a in (F.zero(), F.one(), F.neg(F.one()), F.of("1/2"), F.of(5), 0,
+              Fraction(0), Fraction(0, 3), Fraction(-2, 3)):
+        assert F.is_zero(a) == (a == F.zero()), a
+
+
 def test_mat_inverse():
     M = [[Fraction(2), Fraction(1)], [Fraction(5), Fraction(3)]]
     Minv = mat_inverse(QQ, M)
