@@ -18,6 +18,7 @@ from spinsum.algebra import BUILTIN_NAMES, builtin_by_name
 from spinsum.pachner import run_pachner_fuzz
 from spinsum.spin import NS, R_TYPE, classify_spin_structures
 from spinsum.surface import genus_g_closed_detail
+from spinsum.tensor import BudgetExceeded
 from spinsum import tft
 
 
@@ -52,6 +53,9 @@ def run(cfg: Config) -> bool:
             ok, log, _ = run_pachner_fuzz(tri, signs, types, A, seed=seed,
                                           n_moves=cfg.moves,
                                           check_every=cfg.check_every)
+        except BudgetExceeded as exc:
+            print(f"error: budget exceeded: {exc}", file=sys.stderr)
+            sys.exit(2)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             sys.exit(2)

@@ -7,6 +7,7 @@ Exit codes: 0 success / all properties hold, 1 property violation,
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -30,6 +31,17 @@ from .tft import (cylinder_closed_form, cylinder_spin, pants_closed_form,
 def _fail(msg: str, code: int = 2):
     click.echo(f"error: {msg}", err=True)
     sys.exit(code)
+
+
+@contextlib.contextmanager
+def _input_errors():
+    """Exit 2 with the message of a ValueError or an exceeded budget."""
+    try:
+        yield
+    except BudgetExceeded as exc:
+        _fail(f"budget exceeded: {exc}")
+    except ValueError as exc:
+        _fail(str(exc))
 
 
 def _load_algebra(spec: str):
@@ -191,7 +203,7 @@ def cmd_amplitude(algebra, surface, spin, signs_path, types_csv, raw,
     A = _load_algebra(algebra)
     tri, signs, types, args = _spin_surface(surface, spin, signs_path,
                                             types_csv)
-    try:
+    with _input_errors():
         if raw:
             amp = evaluate_raw(tri, signs, A)
         else:
@@ -201,10 +213,6 @@ def cmd_amplitude(algebra, surface, spin, signs_path, types_csv, raw,
                       f"{len(tp)} types for {len(tri.boundaries)} "
                       f"boundaries (use --raw for untyped runs)")
             amp = evaluate(tri, signs, tp, A)
-    except BudgetExceeded as exc:
-        _fail(f"budget exceeded: {exc}")
-    except ValueError as exc:
-        _fail(str(exc))
     report = {"algebra": A.name, "surface": surface,
               "amplitude": _amplitude_json(amp, A)}
     code = 0
@@ -264,11 +272,9 @@ def cmd_pachner_fuzz(algebra, surface, spin, signs_path, seed, moves,
     """Fuzz amplitude invariance under random Pachner moves."""
     A = _load_algebra(algebra)
     tri, signs, types, _ = _spin_surface(surface, spin, signs_path)
-    try:
+    with _input_errors():
         ok, log, checks = run_pachner_fuzz(tri, signs, types, A, seed, moves,
                                            check_every)
-    except ValueError as exc:
-        _fail(str(exc))
     report = {"algebra": A.name, "surface": surface, "seed": seed,
               "moves": len(log), "checks": checks,
               "result": "pass" if ok else "FAIL"}
@@ -288,14 +294,12 @@ def cmd_sign_scan(algebra, surface, output):
     A = _load_algebra(algebra)
     _, tri = _closed_surface(surface)
     F = A.field
-    try:
+    with _input_errors():
         total = statistical_sign_sum(tri, A)
         oriented = plus_part_state_sum(tri, A)
-    except ValueError as exc:
-        _fail(str(exc))
+        classes = [F.format(evaluate_raw(tri, signs, A).scalar_value())
+                   for signs in classify_spin_structures(tri)]
     equal = total == oriented
-    classes = [F.format(evaluate_raw(tri, signs, A).scalar_value())
-               for signs in classify_spin_structures(tri)]
     _emit({"algebra": A.name, "surface": surface,
            "weighted_sum": F.format(total),
            "oriented_value": F.format(oriented),

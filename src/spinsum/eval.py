@@ -57,31 +57,24 @@ A fused table never depends on where its legs sit in the blob, only on
 the step's shape and on its tensors.  The shape is the matched slots,
 per consumed copairing (in edge-id order) its consumed leg indices and
 their slots, and for a graded algebra the inputs of the table-part sign
-tables (``_slot_crossings``).  So the tables live in one module-level
-store shared by every step of every program, keyed on the shape, the
-field's characteristic, t's leg parities and the entries of t and of
-each consumed copairing: a Pachner walk, whose triangulations are all
-new, still finds the tables of the shapes it has met, and so do
-callers that rebuild equal tensors on every call, such as ``tft``'s
-sign sums.  Each call turns each tensor it uses into the frozenset of
-its entries once and interns it in ``_CONTENTS``, so a hit compares
-those sets by identity; a set that dropped out of ``_CONTENTS`` only
-costs one compare of its entries.  The key is hashed once per step and
-call, and the store is indexed by that hash, each entry holding its
-full key to check it.  Nothing in the store refers to a tensor, so a
-tensor may be changed between calls.  What depends on blob positions
-stays on the compiled step: its key getters, its open-leg count and its
-entry-sign selectors; an entry only adds the odd-mask of each matched
-key.  The store and ``_CONTENTS`` are least recently used first and
-keep at most ``FUSED_TABLES_KEPT`` (1,024) entries each, dropping the
-oldest.  200-move Pachner walks on the cylinder, the pants and genus 2,
+tables (``_slot_crossings``).  So ``_fused_table`` is a pure function of
+the shape, the field's characteristic, t's leg parities and the entries
+of t and of each consumed copairing, cached with ``functools.lru_cache``
+for every step of every program: a Pachner walk, whose triangulations
+are all new, finds the tables of the shapes it has met, and so do
+callers that rebuild equal tensors on every call, such as ``tft``'s sign
+sums.  Each call turns each tensor into the frozenset of its entries
+once and interns it (``_interned``), so a hit compares those sets by
+identity.  Nothing cached refers to a tensor, so a tensor may be changed
+between calls.  What depends on blob positions stays on the compiled
+step: its key getters, its open-leg count and its entry-sign selectors.
+Both caches keep the ``FUSED_TABLES_KEPT`` (1,024) most recently used
+entries.  200-move Pachner walks on the cylinder, the pants and genus 2,
 evaluated every 25 moves, plus the class sweeps of genus 1 to 3 (eight
 F3 classes at genus 3), for all four built-in algebras in one process,
 use 435 tables over 94 shapes, so the bound does not evict on such
 traffic; 300 rounds of both torus sign sums for the four algebras use
-24.  Within one call the integer form of each tensor and each
-copairing's grouping by its consumed legs are built once.  No result is
-cached: every call sweeps the blob through every step.
+24.  No result is cached: every call sweeps the blob through every step.
 
 Koszul signs come in two parts.  The table part covers the crossings of
 the three slot legs with each other and with the free ends; a table row
@@ -108,7 +101,7 @@ import functools
 import heapq
 import itertools
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,16 +114,7 @@ from .tensor import BudgetExceeded, GradedTensor, key_getter
 DEFAULT_MAX_OPEN_LEGS = 16
 DEFAULT_MAX_ENTRIES = 10**7
 BEAM_WIDTH = 32  # states the planner's beam search keeps per depth
-FUSED_TABLES_KEPT = 1024  # entries of the shared fused-table store
-
-# hash of (step shape, characteristic, t's leg parities, entries of t,
-# entries of each consumed copairing) -> (that key, fused table,
-# odd-masks of its matched keys), least recently used first (see the
-# module docstring)
-_TABLES: OrderedDict = OrderedDict()
-# frozenset of a tensor's entries -> the equal set the keys of _TABLES
-# hold, least recently used first
-_CONTENTS: OrderedDict = OrderedDict()
+FUSED_TABLES_KEPT = 1024  # tables, and interned entry sets, kept
 
 
 @dataclass(frozen=True)
@@ -442,76 +426,45 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
     product of their scales divides every entry once at the end; over
     F_p each triangle step reduces its sums mod p once.
 
-    The fused tables come from the shared store ``_TABLES``, keyed on
-    the step's shape (matched slots, consumed copairing legs and their
-    slots, and for a graded algebra the inputs of the table-part sign
-    tables), the field's characteristic, t's leg parities and the
-    entries of t and of the copairings the step consumes, each interned
-    once per call through ``_CONTENTS``.  The key holds no tensor, so a
-    tensor equal to an earlier one finds its tables, and changing a
-    tensor between calls is safe.  The store keeps the
-    ``FUSED_TABLES_KEPT`` most recently used tables, enough for every
-    shape of a Pachner walk or a class sweep.
+    The fused tables come from ``_fused_table``'s cache, keyed on the
+    step's shape, the characteristic, t's leg parities and the interned
+    entries of t and of the copairings the step consumes.  The key holds
+    no tensor, so a tensor equal to an earlier one finds its tables, and
+    changing a tensor between calls is safe.
     """
     program = _program(graph, plan)
     F = t.field
     p = F.characteristic
     leg = t.in_legs[0]
     graded = any(leg)
-    ints: dict[int, tuple] = {}  # id(tensor) -> _integral, for this call
-    sets: dict[int, frozenset] = {}  # id(tensor) -> _interned, for this call
-    groups: dict[tuple, dict] = {}  # (id(copairing), consumed legs) -> rows
-
-    def integral(x):
-        got = ints.get(id(x))
-        if got is None:
-            got = ints[id(x)] = _integral(x.data, p)
-        return got
+    memo: dict[int, tuple] = {}  # id(tensor) -> (interned entries, scale)
 
     def content(x):
-        got = sets.get(id(x))
+        got = memo.get(id(x))
         if got is None:
-            got = sets[id(x)] = _interned(x)
+            got = memo[id(x)] = (_interned(frozenset(x.data.items())),
+                                 _scale(x.data, p))
         return got
 
+    tset, tscale = content(t)
     denom = 1  # over Q: the product of the scales of every tensor placed
     if not p:
-        denom = integral(t)[1] ** len(program.steps)
+        denom = tscale ** len(program.steps)
         for eid in program.edges:
-            denom *= integral(copairings[eid])[1]
-    tset = content(t)
+            denom *= content(copairings[eid])[1]
     blob: dict[tuple, int] = {(): 1}
     for step in program.steps:
         if step.n_open > max_open_legs:
             raise BudgetExceeded(f"open legs {step.n_open} exceed bound "
                                  f"{max_open_legs} {_where(plan, step)}")
-        cops = [copairings[eid] for eid in step.eids]
         shape, selectors = step.shape, None
         if graded:
             if step.graded is None:
                 crossings, sels = _graded_tables(step)
                 step.graded = (shape, crossings), sels
             shape, selectors = step.graded
-        key = (shape, p, leg, tset, *map(content, cops))
-        h = hash(key)
-        entry = _TABLES.get(h)
-        if entry is None or entry[0] != key:
-            opts = []
-            for c, cons, slots in zip(cops, step.cons, step.slots):
-                rows = groups.get((id(c), cons))
-                if rows is None:
-                    rows = groups[id(c), cons] = _by_fixed(integral(c)[0],
-                                                           cons)
-                opts.append((slots, rows))
-            entry = key, *_fused_table(
-                step.tget, integral(t)[0], opts,
-                (leg, *_sign_tables(*shape[1])) if graded else None)
-            if h in _TABLES:  # another key with this hash
-                del _TABLES[h]
-            _keep(_TABLES, h, entry)
-        else:
-            _TABLES.move_to_end(h)
-        _, fused, masks = entry
+        fused, masks = _fused_table(shape, p, leg, tset, *[
+            content(copairings[eid])[0] for eid in step.eids])
         # the entry-sign getter of each matched key whose sign can be odd
         sel_of = selectors and masks and {
             mk: sel for mk, m in masks.items()
@@ -573,35 +526,26 @@ def _where(plan, step: _Step) -> str:
     return f"after plan[{k}] = {tuple(plan[k])!r} of {len(plan)} steps"
 
 
-def _keep(store: OrderedDict, key, value) -> None:
-    """Add key -> value as the newest entry of a least-recently-used
-    store, dropping its oldest entry when it holds FUSED_TABLES_KEPT."""
-    if len(store) >= FUSED_TABLES_KEPT:
-        store.popitem(last=False)
-    store[key] = value
+@functools.lru_cache(maxsize=FUSED_TABLES_KEPT)
+def _interned(entries: frozenset) -> frozenset:
+    """The set of entries equal to ``entries`` that the keys of
+    ``_fused_table``'s cache hold, so that a hit compares it by identity."""
+    return entries
 
 
-def _interned(x: GradedTensor) -> frozenset:
-    """The frozenset of x's entries, as the equal set kept in
-    ``_CONTENTS`` (added, or moved to the newest end, here)."""
-    items = frozenset(x.data.items())
-    got = _CONTENTS.get(items)
-    if got is None:
-        _keep(_CONTENTS, items, items)
-        return items
-    _CONTENTS.move_to_end(items)
-    return got
+def _scale(data, p):
+    """The lcm of a tensor's denominators over Q (p = 0), else 1."""
+    return math.lcm(*(v.denominator for v in data.values())) if not p else 1
 
 
 def _integral(data, p):
-    """A tensor's values as ints and their common scale: over Q the
-    values times the lcm of their denominators, over F_p (p > 0) the
-    values themselves with scale 1."""
+    """A tensor's values as ints: over Q the values times ``_scale``,
+    over F_p (p > 0) the values themselves."""
     if p:
-        return data, 1
-    scale = math.lcm(*(v.denominator for v in data.values()))
+        return data
+    scale = _scale(data, p)
     return {k: v.numerator * (scale // v.denominator)
-            for k, v in data.items()}, scale
+            for k, v in data.items()}
 
 
 def _by_fixed(data, cons):
@@ -614,20 +558,32 @@ def _by_fixed(data, cons):
     return rows
 
 
-def _fused_table(tget, tdat, opts, graded):
+@functools.lru_cache(maxsize=FUSED_TABLES_KEPT)
+def _fused_table(shape, p, leg, t_entries, *copairing_entries):
     """The fused table of one triangle step and the odd-masks of its keys.
 
-    The table maps the matched slots' indices (``tget`` of a t key) to
-    [(the free ends' indices, coeff)]: t times the copairings it
-    consumes, ``opts`` holding per copairing its slots and its rows by
-    consumed indices.  For a graded algebra ``graded`` is (leg parities,
-    slot_sign, cross_idx), and the table part of the Koszul sign is
-    folded into each coeff.  The masks map each matched key with an odd
-    index to the bitmask of its odd matched legs; None when ungraded.
+    ``shape`` is the step's (matched slots, consumed leg indices and
+    their slots per copairing), paired for a graded algebra (t's leg
+    parities ``leg`` not all even) with the inputs of its sign tables;
+    ``p`` is the characteristic, and the entries are those of t and of
+    each consumed copairing.  The table maps the matched slots' indices
+    of a t key to [(the free ends' indices, coeff)]: t times the
+    copairings, in ints (``_integral``), with the table part of the
+    Koszul sign folded into each coeff.  The masks map each matched key
+    with an odd index to the bitmask of its odd matched legs; None when
+    ungraded.
     """
-    leg, slot_sign, cross_idx = graded or (None,) * 3
+    graded = any(leg)
+    if graded:
+        shape, crossings = shape
+        slot_sign, cross_idx = _sign_tables(*crossings)
+    matched_slots, cons_of, slots_of = shape
+    tget = key_getter(matched_slots)
+    opts = [(slots, _by_fixed(_integral(dict(entries), p), cons))
+            for entries, cons, slots in zip(copairing_entries, cons_of,
+                                            slots_of)]
     fused: dict[tuple, list] = {}
-    for tkey, tv in tdat.items():
+    for tkey, tv in _integral(dict(t_entries), p).items():
         acc = [((), tv)]
         for slots, rows in opts:
             hits = rows.get(tuple(tkey[s] for s in slots))
@@ -636,7 +592,7 @@ def _fused_table(tget, tdat, opts, graded):
             acc = [(nk + free, av * cv)
                    for nk, av in acc for free, cv in hits]
         else:
-            if leg:
+            if graded:
                 odd = leg[tkey[0]] | leg[tkey[1]] << 1 | leg[tkey[2]] << 2
                 flip, idx = slot_sign[odd], cross_idx[odd]
                 if flip or idx:
@@ -644,7 +600,7 @@ def _fused_table(tget, tdat, opts, graded):
                         leg[nk[i]] for i in idx)) & 1 else cv)
                         for nk, cv in acc]
             fused.setdefault(tget(tkey), []).extend(acc)
-    if not leg:
+    if not graded:
         return fused, None
     masks = {mk: m for mk in fused
              if (m := sum(leg[x] << i for i, x in enumerate(mk)))}
@@ -700,7 +656,6 @@ def _slot_crossings(n_open, matched, used, free_ends):
     return inverted, tuple(cross)
 
 
-@functools.lru_cache(maxsize=4096)
 def _sign_tables(inverted, cross):
     """Per 3-bit mask of odd slots: the parity of the inverted pairs of
     odd slots, and the free ends crossed by an odd number of them."""

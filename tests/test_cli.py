@@ -231,6 +231,60 @@ def test_amplitude_type_count_error_has_a_message(runner, torus_files):
     assert "1 types for 0 boundaries" in res.output
 
 
+@pytest.fixture()
+def big_torus_files(tmp_path):
+    """A torus walked 200 unbiased Pachner moves (274 faces, whose plan
+    peaks at 23 open legs, past the default bound of 16), written as a
+    surface file and a signs file."""
+    import random
+    from spinsum import surface, tft
+    from spinsum.pachner import random_pachner_move
+    tri, signs = tft.torus_spin("NS", 1)
+    rng = random.Random(3)
+    for _ in range(200):
+        tri, signs, _ = random_pachner_move(tri, signs, rng, bias_faces=None)
+    assert len(tri.triangles) == 274
+    surf, signs_path = tmp_path / "torus.json", tmp_path / "signs.json"
+    surf.write_text(json.dumps(surface.to_json(tri)))
+    signs_path.write_text(json.dumps({str(e): s for e, s in signs.items()}))
+    return str(surf), str(signs_path)
+
+
+@pytest.mark.parametrize("command", ("sign-scan", "pachner-fuzz",
+                                     "amplitude"))
+def test_over_budget_surface_exits_2(runner, big_torus_files, command):
+    surf, signs_path = big_torus_files
+    args = {"sign-scan": ["sign-scan"],
+            "pachner-fuzz": ["pachner-fuzz", "--signs", signs_path],
+            "amplitude": ["amplitude", "--raw", "--signs", signs_path]}
+    res = runner.invoke(main, args[command] + ["--algebra", "clifford",
+                                               "--surface", surf])
+    assert res.exit_code == 2
+    assert res.output.startswith("error: budget exceeded: open legs 17 "
+                                 "exceed bound 16 after plan[")
+
+
+def test_pachner_fuzz_script_over_budget_exits_2(monkeypatch, capsys):
+    import importlib.util
+    from spinsum.tensor import BudgetExceeded
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "pachner_fuzz_script", root / "scripts/pachner_fuzz.py")
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, script)  # for @dataclass
+    spec.loader.exec_module(script)
+
+    def over_budget(*args, **kwargs):
+        raise BudgetExceeded("open legs 17 exceed bound 16")
+    monkeypatch.setattr(script, "run_pachner_fuzz", over_budget)
+    with pytest.raises(SystemExit) as exc:
+        script.run(script.Config("clifford", "cylinder", (1,), 10, 5))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.err == "error: budget exceeded: open legs 17 exceed bound 16\n"
+    assert out.out == ""
+
+
 # -- algebra and surface files --------------------------------------------
 def _clifford_json():
     from spinsum import algebra

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,10 +9,10 @@ from spinsum.algebra import (BUILTIN_NAMES, GradedFrobeniusAlgebra,
                              builtin_by_name, builtin_clifford, derive,
                              passes_invariance_predicates)
 import spinsum.eval as engine
-from spinsum.eval import (FUSED_TABLES_KEPT, WireTarget, _CONTENTS, _TABLES,
-                          _program, build_graph, contract_exhaustive,
-                          contract_graph, contract_network, evaluate,
-                          evaluate_raw, is_valid_schedule, plan_contraction)
+from spinsum.eval import (FUSED_TABLES_KEPT, WireTarget, _program,
+                          build_graph, contract_exhaustive, contract_graph,
+                          contract_network, evaluate, evaluate_raw,
+                          is_valid_schedule, plan_contraction)
 from spinsum.fields import QQ, PrimeField
 from spinsum.pachner import random_pachner_move
 from spinsum.spin import (arf_invariant, classify_spin_structures,
@@ -417,25 +418,29 @@ def _fresh(tri):
     return MarkedTriangulation(tri.edges, tri.triangles, tri.boundaries)
 
 
+def _clear():
+    """Empty the fused-table cache and the interned entry sets."""
+    engine._fused_table.cache_clear()
+    engine._interned.cache_clear()
+
+
 def _cold(tri, signs, A):
-    """evaluate_raw on a fresh copy of tri with an empty table store."""
-    _TABLES.clear()
-    _CONTENTS.clear()
+    """evaluate_raw on a fresh copy of tri with empty table caches."""
+    _clear()
     return evaluate_raw(_fresh(tri), signs, A)
 
 
-def _count_builds(monkeypatch):
-    """Count the fused tables built from now on: a list, one per build."""
-    built, build = [], engine._fused_table
-
-    def counting(*args):
-        built.append(args)
-        return build(*args)
-    monkeypatch.setattr(engine, "_fused_table", counting)
-    return built
+def _count_builds():
+    """The number of fused tables built so far (misses of their cache)."""
+    return engine._fused_table.cache_info().misses
 
 
-def test_one_triangulation_serves_two_algebras_in_either_order(monkeypatch):
+def _cache_sizes():
+    return (engine._fused_table.cache_info().currsize,
+            engine._interned.cache_info().currsize)
+
+
+def test_one_triangulation_serves_two_algebras_in_either_order():
     """The fused tables are keyed on the tensors, so an F3 and a Clifford
     evaluation of one genus-2 triangulation, in either order, equal the
     same evaluations on a fresh copy with an empty store; evaluated
@@ -446,15 +451,14 @@ def test_one_triangulation_serves_two_algebras_in_either_order(monkeypatch):
                 builtin_by_name("clifford")]
     want = {A.name: _cold(tri, signs, A) for A in algebras}
     for order in (algebras, algebras[::-1]):
-        _TABLES.clear()
+        _clear()
         shared = _fresh(tri)
         for A in order:
             assert evaluate_raw(shared, signs, A) == want[A.name], A.name
-        built = _count_builds(monkeypatch)
+        built = _count_builds()
         for A in order:
             assert evaluate_raw(shared, signs, A) == want[A.name], A.name
-        assert not built
-        monkeypatch.undo()
+        assert _count_builds() == built
 
 
 def _checkpoints(tri, signs, seed, moves, every):
@@ -494,7 +498,7 @@ def test_shared_store_serves_interleaved_algebras_on_pachner_walks():
         "genus-2": _checkpoints(detail.tri, start, 3, 100, 20)}
     want = {(surface, A.name): form(A) for surface, form in closed.items()
             for A in algebras}
-    _TABLES.clear()
+    _clear()
     warm = []
     for k, points in enumerate(zip(*walks.values())):
         for surface, (tri, signs) in zip(walks, points):
@@ -503,7 +507,7 @@ def test_shared_store_serves_interleaved_algebras_on_pachner_walks():
                 got = amp.scalar_value() if surface == "genus-2" else amp
                 assert got == want[surface, A.name], (surface, k, A.name)
                 warm.append((tri, signs, A, amp))
-    assert len(_TABLES) <= FUSED_TABLES_KEPT
+    assert max(_cache_sizes()) <= FUSED_TABLES_KEPT
     for tri, signs, A, amp in warm:
         assert _cold(tri, signs, A) == amp
 
@@ -562,15 +566,14 @@ def test_custom_plan_is_compiled_but_not_cached(clifford):
     assert _program(graph, plan_contraction(graph)) is program
 
 
-def test_fused_table_store_stays_bounded(monkeypatch):
+def test_fused_table_store_stays_bounded():
     """1,200 calls, each with the copairings of every edge but those of the
     first step scaled by its own factor, give the scaled contraction and
-    fill the store and the interned entries to FUSED_TABLES_KEPT, never
-    past it; each store entry sits under the hash of its key.  The first
-    step's table, used by every call, is never the least recently used
-    one, so it is built once and outlives the evictions.  Then the torus
-    sign sums, whose tensors are rebuilt on every call, build no table
-    and add no entry when called again."""
+    fill the table cache and the interned entry sets to
+    FUSED_TABLES_KEPT, never past it.  The first step's table, used by
+    every call, is never the least recently used one, so it is built once
+    and outlives the evictions.  Then the torus sign sums, whose tensors
+    are rebuilt on every call, build no table when called again."""
     D = derive(builtin_by_name("clifford"))
     tri, signs, _ = tft.cylinder_spin("NS", 1)
     graph = build_graph(tri, signs)
@@ -580,22 +583,25 @@ def test_fused_table_store_stays_bounded(monkeypatch):
     first = tri._program.steps[0]
     kept = {eid: D.c(signs[eid]) for eid in first.eids}
     scaled = len(signs) - len(kept)
-    _TABLES.clear()
-    _CONTENTS.clear()
+    # the first step's cache key, with entry sets equal to the interned ones
+    first_key = (first.graded[0], 0, D.t.in_legs[0],
+                 frozenset(D.t.data.items()),
+                 *(frozenset(kept[eid].data.items()) for eid in first.eids))
+    _clear()
     for k in range(1, 1201):
         cops = {eid: kept[eid] if eid in kept else D.c(s).scale(Fraction(k))
                 for eid, s in signs.items()}
         assert contract_network(graph, plan, cops, D.t) == \
             base.scale(Fraction(k) ** scaled), k
-        assert len(_TABLES) <= FUSED_TABLES_KEPT
-        assert len(_CONTENTS) <= FUSED_TABLES_KEPT
+        assert max(_cache_sizes()) <= FUSED_TABLES_KEPT
         if k == 1:
-            hot, = (h for h, (key, *_) in _TABLES.items()
-                    if key[0] is first.graded[0])
-            hot_entry = _TABLES[hot]
-    assert len(_TABLES) == len(_CONTENTS) == FUSED_TABLES_KEPT
-    assert all(h == hash(key) for h, (key, *_) in _TABLES.items())
-    assert _TABLES[hot] is hot_entry
+            built = _count_builds()
+            hot = engine._fused_table(*first_key)
+            assert _count_builds() == built
+    assert _cache_sizes() == (FUSED_TABLES_KEPT, FUSED_TABLES_KEPT)
+    built = _count_builds()
+    assert engine._fused_table(*first_key) is hot
+    assert _count_builds() == built
     torus, _ = tft.torus_spin("NS", 1)
     A = builtin_by_name("clifford")
 
@@ -603,11 +609,9 @@ def test_fused_table_store_stays_bounded(monkeypatch):
         return (tft.statistical_sign_sum(torus, A),
                 tft.plus_part_state_sum(torus, A))
     want = sums()
-    keys = list(_TABLES)
-    built = _count_builds(monkeypatch)
+    built = _count_builds()
     assert sums() == want
-    assert not built
-    assert sorted(_TABLES) == sorted(keys)
+    assert _count_builds() == built
 
 
 def _regraded_cl1_cl1():
@@ -650,32 +654,52 @@ def test_store_keeps_equal_entries_of_other_parities_and_fields_apart():
     want = {}
     for value, *algebras in pairs:
         for A in algebras:
-            _TABLES.clear()
-            _CONTENTS.clear()
+            _clear()
             want[id(A)] = value(A)
         assert want[id(algebras[0])] != want[id(algebras[1])]
-    _TABLES.clear()
-    _CONTENTS.clear()
+    _clear()
     for turn in range(4):
         for value, *algebras in pairs:
             for A in algebras[turn % 2:] + algebras[:turn % 2]:
                 assert value(A) == want[id(A)], (turn, A.name, A.field)
 
 
-def test_store_checks_the_full_key_under_its_hash(monkeypatch):
-    """With every store key hashing to 0, each table evicts the one
-    before it, and F3 and Clifford evaluations of a genus-2 class, taking
-    turns, still equal their cold values."""
-    tri = genus_g_closed_detail(2).tri
-    signs = classify_spin_structures(tri)[5]
-    algebras = [builtin_by_name("twisted-matrix-3-f3"),
-                builtin_by_name("clifford")]
-    want = [_cold(tri, signs, A) for A in algebras]
-    monkeypatch.setattr(engine, "hash", lambda key: 0, raising=False)
-    _TABLES.clear()
-    for A, amp in zip(algebras * 2, want * 2):
-        assert evaluate_raw(tri, signs, A) == amp, A.name
-        assert list(_TABLES) == [0]
+def _edge_tensors(graph, D):
+    """Fresh copies of the tensors ``contract_graph`` puts on each edge."""
+    return {eid: dataclasses.replace(x, data=dict(x.data)) for eid, x in (
+        (eid, D.boundary_map(graph.signs[eid]) if first.kind == "cod"
+         else D.c(graph.signs[eid]))
+        for eid, (first, _) in graph.wires.items())}
+
+
+@pytest.mark.parametrize("name, surface", (("clifford", "genus-2"),
+                                           ("twisted-matrix-3-f3", "cylinder")))
+def test_copairing_changed_in_place_between_calls(name, surface):
+    """A copairing whose entries change in place between two calls gives
+    the value of a cold evaluation with an equal fresh tensor, not the
+    value of the tables built for its old entries."""
+    A = builtin_by_name(name)
+    D, F = derive(A), A.field
+    if surface == "genus-2":
+        tri = genus_g_closed_detail(2).tri
+        signs = classify_spin_structures(tri)[0]
+    else:
+        tri, signs, _ = tft.cylinder_spin("NS", 1)
+    graph = build_graph(tri, signs)
+    cops = _edge_tensors(graph, D)
+    before = contract_network(graph, plan_contraction(graph), cops, D.t)
+    eid = min(e for e, (first, _) in graph.wires.items()
+              if first.kind == "face")
+    c = cops[eid]
+    key = min(c.data)
+    c.data[key] = F.add(c.data[key], c.data[key])
+    after = contract_network(graph, plan_contraction(graph), cops, D.t)
+    assert after != before
+    fresh = _edge_tensors(graph, D)
+    fresh[eid] = dataclasses.replace(c, data=dict(c.data))
+    _clear()
+    cold = build_graph(_fresh(tri), signs)
+    assert contract_network(cold, plan_contraction(cold), fresh, D.t) == after
 
 
 @pytest.mark.parametrize("genus, peak", ((2, 7), (3, 8)))
