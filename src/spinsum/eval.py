@@ -114,7 +114,7 @@ from .tensor import BudgetExceeded, GradedTensor, key_getter
 DEFAULT_MAX_OPEN_LEGS = 16
 DEFAULT_MAX_ENTRIES = 10**7
 BEAM_WIDTH = 32  # states the planner's beam search keeps per depth
-FUSED_TABLES_KEPT = 1024  # tables, and interned entry sets, kept
+FUSED_TABLES_KEPT = 1024  # entries of each of the two table caches
 
 
 @dataclass(frozen=True)
