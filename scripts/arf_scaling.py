@@ -13,7 +13,6 @@ import argparse
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from spinsum.algebra import builtin_clifford
@@ -23,16 +22,11 @@ from spinsum.spin import arf_invariant, classify_spin_structures, \
 from spinsum.surface import genus_g_closed_detail
 
 
-@dataclass(frozen=True)
-class Config:
-    max_genus: int
-
-
-def run(cfg: Config) -> bool:
+def run(max_genus: int) -> bool:
     """Tabulate every genus; True iff no class mismatches."""
     A = builtin_clifford()
     total = 0
-    for g in range(cfg.max_genus + 1):
+    for g in range(max_genus + 1):
         t0 = time.monotonic()
         detail = genus_g_closed_detail(g)
         basis = symplectic_basis(detail)
@@ -55,7 +49,7 @@ def main() -> None:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--max-genus", type=int, default=2)
     args = p.parse_args()
-    sys.exit(0 if run(Config(max_genus=args.max_genus)) else 1)
+    sys.exit(0 if run(args.max_genus) else 1)
 
 
 if __name__ == "__main__":

@@ -112,14 +112,27 @@ def _parse_spin(surface: str, spin: str):
 
 
 def _spin_surface(surface: str, spin, signs_path, types_csv=None):
-    """(tri, signs, types, args) of a built-in surface with --spin (args
-    as ``_parse_spin`` gives them), or of a surface file with --signs and
-    optional comma-separated --types (args None)."""
+    """(tri, signs, types, args) of the surface a command names.
+
+    A built-in spin surface (cylinder, torus, pants) takes a --spin
+    selector; args is what ``_parse_spin`` gives its closed form.  A
+    named closed surface (sphere, genus-G; genus-1 is the closed torus)
+    takes --spin K, class K of ``classify_spin_structures`` in the order
+    ``spinsum classify`` lists them, with types ().  A surface file takes
+    --signs and optional comma-separated --types.  args is None for both.
+    """
     if surface in _BUILTIN_SPIN_SURFACES:
         if spin is None:
             _fail(f"built-in surface {surface!r} needs --spin")
         return _parse_spin(surface, spin)
-    tri = _load_surface(surface)
+    detail, tri = _closed_surface(surface)
+    if detail is not None:
+        classes = classify_spin_structures(tri)
+        if spin is None or not spin.isdecimal() or int(spin) >= len(classes):
+            _fail(f"surface {surface!r} has {len(classes)} spin classes: "
+                  f"--spin must be a class index 0..{len(classes) - 1}, "
+                  f"got {spin!r}")
+        return tri, classes[int(spin)], (), None
     if signs_path is None:
         _fail("file surfaces need --signs")
     types = tuple(types_csv.split(",")) if types_csv else None
@@ -185,9 +198,11 @@ def cmd_validate_algebra(builtin_name, file_path, output):
 @click.option("--algebra", required=True,
               help="Built-in name or algebra JSON file.")
 @click.option("--surface", required=True,
-              help="cylinder | torus | pants | surface JSON file.")
+              help="cylinder | torus | pants | sphere | genus-G | surface "
+                   "JSON file.")
 @click.option("--spin", default=None,
-              help='Built-in spin selector, e.g. "NS+" or "NS,R,R:+-".')
+              help='Built-in spin selector, e.g. "NS+" or "NS,R,R:+-"; on '
+                   'sphere | genus-G a class index K, as classify lists them.')
 @click.option("--signs", "signs_path", default=None,
               help="JSON file {edge id: +1/-1} (for file surfaces).")
 @click.option("--types", "types_csv", default=None,
@@ -251,17 +266,27 @@ def cmd_classify(surface, output):
             entry["q"] = [list(qs) for qs in quadratic_pairs(tri, signs,
                                                              basis)]
         classes.append(entry)
-    _emit({"surface": surface, "genus": tri.genus(),
+    g = tri.genus()
+    _emit({"surface": surface, "genus": g,
            "count": len(classes), "classes": classes}, output)
+    if basis is not None:
+        # 4^g classes, (4^g - 2^g)/2 of them with Arf -1
+        odd = (4 ** g - 2 ** g) // 2
+        arfs = sorted(c["arf"] for c in classes)
+        if arfs != [-1] * odd + [1] * (4 ** g - odd):
+            _fail(f"genus {g}: {arfs.count(-1)} of {len(arfs)} classes have "
+                  f"Arf -1, expected {odd} of {4 ** g}", code=1)
     sys.exit(0)
 
 
 @main.command("pachner-fuzz")
 @click.option("--algebra", required=True)
 @click.option("--surface", required=True,
-              help='cylinder | torus | pants (with --spin) or a JSON file '
-                   'plus --signs.')
-@click.option("--spin", default=None)
+              help="cylinder | torus | pants | sphere | genus-G (with "
+                   "--spin) or a JSON file plus --signs.")
+@click.option("--spin", default=None,
+              help='Built-in spin selector, e.g. "NS+" or "NS,R,R:+-"; on '
+                   'sphere | genus-G a class index K, as classify lists them.')
 @click.option("--signs", "signs_path", default=None)
 @click.option("--seed", type=int, default=1)
 @click.option("--moves", type=int, default=200)

@@ -315,26 +315,24 @@ def contract_graph(graph: DiagramGraph, D: DerivedStructure,
 
 class _Step:
     """One triangle step of a compiled contraction (see ``_compile``)."""
-    __slots__ = ("index", "eids", "cons", "slots", "tget", "mget", "rget",
-                 "n_open", "layout", "shape", "graded")
+    __slots__ = ("index", "eids", "mget", "rget", "n_open", "layout",
+                 "shape", "graded")
 
     def __init__(self, index, n_before, matched, rest, used, free_ends):
         eids = sorted(used)
         self.index = index  # its position in the plan
         self.eids = tuple(eids)  # the copairings it consumes, by edge id
-        # per consumed copairing: its consumed leg indices, and their slots
-        self.cons = tuple(tuple(used[eid]) for eid in eids)
-        self.slots = tuple(tuple(used[eid].values()) for eid in eids)
-        # key getters: t key -> matched slots, blob key -> matched legs,
-        # blob key -> rest legs
-        matched_slots = tuple(s for s, _ in matched)
-        self.tget = key_getter(matched_slots)
+        # key getters: blob key -> matched legs, blob key -> rest legs
         self.mget = key_getter([q for _, q in matched])
         self.rget = key_getter(rest)
         self.n_open = len(rest) + len(free_ends)  # open legs after the step
         self.layout = (n_before, matched, rest, used, free_ends)
-        # what its fused table depends on besides the tensors
-        self.shape = (matched_slots, self.cons, self.slots)
+        # what its fused table depends on besides the tensors: the matched
+        # slots and, per consumed copairing, its consumed leg indices and
+        # their slots
+        self.shape = (tuple(s for s, _ in matched),
+                      tuple(tuple(used[eid]) for eid in eids),
+                      tuple(tuple(used[eid].values()) for eid in eids))
         # graded: ((shape, inputs of the table-part sign tables),
         # entry-sign selectors), built on the first graded run
         self.graded = None

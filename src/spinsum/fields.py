@@ -68,8 +68,6 @@ class RationalField(Field):
         return not a
 
     def of(self, x):
-        if isinstance(x, str):
-            return Fraction(x)
         return Fraction(x)
 
     def add(self, a, b):
@@ -166,7 +164,10 @@ def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
     if isinstance(obj, dict) and "Fp" in obj:
-        return PrimeField(int(obj["Fp"]))
+        p = obj["Fp"]
+        if type(p) is not int:
+            raise ValueError(f"field characteristic {p!r} is not an integer")
+        return PrimeField(p)
     raise ValueError(f"unrecognized field spec: {obj!r}")
 
 

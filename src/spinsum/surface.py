@@ -602,10 +602,20 @@ def to_json(tri: MarkedTriangulation) -> dict:
     }
 
 
+def _int_id(value, field: str) -> int:
+    """value, if it is an int (not a bool); ValueError naming field if not."""
+    if type(value) is not int:
+        raise ValueError(f"{field} {value!r} is not an integer id")
+    return value
+
+
 def from_json(obj: dict) -> MarkedTriangulation:
-    edges = {int(k): Edge(v["src"], v["dst"]) for k, v in obj["edges"].items()}
-    triangles = {int(k): Triangle(tuple(Slot(s["edge"], s["side"]) for s in v))
-                 for k, v in obj["triangles"].items()}
+    edges = {int(k): Edge(_int_id(v["src"], f"edge {k} src"),
+                          _int_id(v["dst"], f"edge {k} dst"))
+             for k, v in obj["edges"].items()}
+    triangles = {int(k): Triangle(tuple(
+        Slot(_int_id(s["edge"], f"triangle {k} slot edge"), s["side"])
+        for s in v)) for k, v in obj["triangles"].items()}
     bds = []
     for b in obj.get("boundaries", []):
         es = [None] * 3
@@ -616,7 +626,7 @@ def from_json(obj: dict) -> MarkedTriangulation:
                                  f"or 2")
             if es[pos] is not None:
                 raise ValueError(f"boundary position {pos} is given twice")
-            es[pos] = rec["edge"]
+            es[pos] = _int_id(rec["edge"], "boundary edge")
         bds.append(BoundaryComponent(tuple(es)))
     tri = MarkedTriangulation(edges, triangles, bds)
     errs = validate(tri)

@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -86,30 +82,6 @@ def test_pachner_fuzz_bad_counts_exit_2(runner, bad):
     assert "Traceback" not in res.output
 
 
-@pytest.mark.parametrize("bad", BAD_FUZZ_ARGS, ids=BAD_FUZZ_IDS)
-def test_pachner_fuzz_script_bad_counts_exit_2(bad):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    res = subprocess.run([sys.executable, str(root / "scripts/pachner_fuzz.py"),
-                          "--seeds", "1"] + bad, env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert res.returncode == 2
-    assert "must be at least 1" in res.stderr
-    assert "Traceback" not in res.stderr
-    assert res.stdout == ""
-
-
-def test_pachner_fuzz_script_walks_closed_genus_2():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    res = subprocess.run([sys.executable, str(root / "scripts/pachner_fuzz.py"),
-                          "--surface", "genus-2", "--seeds", "1", "2",
-                          "--moves", "60"], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.count("60 moves on genus-2 with clifford: pass") == 2
-
-
 def test_sign_scan_torus(runner):
     res = runner.invoke(main, ["sign-scan", "--algebra", "clifford",
                                "--surface", "torus"])
@@ -138,6 +110,61 @@ def test_named_surface_needs_a_genus(runner, command):
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert "sphere, torus or genus-G" in res.output
+
+
+@pytest.mark.parametrize("surface,k", [("sphere", 0), ("genus-2", 0),
+                                       ("genus-2", 5), ("genus-2", 15)])
+def test_amplitude_on_a_spin_class_of_a_named_surface(runner, surface, k):
+    from spinsum.algebra import builtin_clifford
+    from spinsum.eval import evaluate_raw
+    from spinsum.spin import classify_spin_structures
+    from spinsum.surface import named_closed_detail
+    # no --raw: the admissible path, with no boundary types
+    res = runner.invoke(main, ["amplitude", "--algebra", "clifford",
+                               "--surface", surface, "--spin", str(k)])
+    assert res.exit_code == 0, res.output
+    amp = json.loads(res.output)["amplitude"]
+    tri = named_closed_detail(surface).tri
+    signs = classify_spin_structures(tri)[k]
+    expected = evaluate_raw(tri, signs, builtin_clifford()).scalar_value()
+    assert amp["scalar"] == str(expected)
+    assert "types" not in amp
+
+
+def test_amplitude_oracle_on_genus_2_has_no_closed_form(runner):
+    res = runner.invoke(main, ["amplitude", "--algebra", "clifford",
+                               "--surface", "genus-2", "--spin", "0",
+                               "--oracle"])
+    assert res.exit_code == 2
+    assert "no closed form available for surface 'genus-2'" in res.output
+
+
+def test_pachner_fuzz_walks_a_spin_class_of_genus_2(runner):
+    res = runner.invoke(main, ["pachner-fuzz", "--algebra", "clifford",
+                               "--surface", "genus-2", "--spin", "5",
+                               "--moves", "60"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert (report["result"], report["moves"], report["checks"]) == \
+        ("pass", 60, 3)
+
+
+@pytest.mark.parametrize("command", ("amplitude", "pachner-fuzz"))
+@pytest.mark.parametrize("spin", (None, "16", "-1", "x"))
+def test_genus_2_needs_a_spin_class_index(runner, command, spin):
+    args = [command, "--algebra", "clifford", "--surface", "genus-2"]
+    res = runner.invoke(main, args + (["--spin", spin] if spin else []))
+    assert res.exit_code == 2
+    assert "has 16 spin classes" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_classify_exits_1_on_a_wrong_arf_split(runner, monkeypatch):
+    import spinsum.cli
+    monkeypatch.setattr(spinsum.cli, "arf_invariant", lambda *args: 1)
+    res = runner.invoke(main, ["classify", "--surface", "genus-2"])
+    assert res.exit_code == 1
+    assert "0 of 16 classes have Arf -1, expected 6 of 16" in res.output
 
 
 def test_deterministic_output(runner):
@@ -264,27 +291,6 @@ def test_over_budget_surface_exits_2(runner, big_torus_files, command):
                                  "exceed bound 16 after plan[")
 
 
-def test_pachner_fuzz_script_over_budget_exits_2(monkeypatch, capsys):
-    import importlib.util
-    from spinsum.tensor import BudgetExceeded
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "pachner_fuzz_script", root / "scripts/pachner_fuzz.py")
-    script = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, script)  # for @dataclass
-    spec.loader.exec_module(script)
-
-    def over_budget(*args, **kwargs):
-        raise BudgetExceeded("open legs 17 exceed bound 16")
-    monkeypatch.setattr(script, "run_pachner_fuzz", over_budget)
-    with pytest.raises(SystemExit) as exc:
-        script.run(script.Config("clifford", "cylinder", (1,), 10, 5))
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.err == "error: budget exceeded: open legs 17 exceed bound 16\n"
-    assert out.out == ""
-
-
 # -- algebra and surface files --------------------------------------------
 def _clifford_json():
     from spinsum import algebra
@@ -317,6 +323,16 @@ def test_algebra_file_mu_index_must_be_an_integer(runner, tmp_path, index):
     res = _validate_algebra_file(runner, tmp_path, obj)
     assert res.exit_code == 2
     assert "index outside 0..1" in res.output
+
+
+@pytest.mark.parametrize("p", (3.7, "3", True))
+def test_algebra_file_characteristic_must_be_an_integer(runner, tmp_path, p):
+    # int() would truncate 3.7 to 3 and load the algebra over F_3
+    obj = _clifford_json()
+    obj["field"] = {"Fp": p}
+    res = _validate_algebra_file(runner, tmp_path, obj)
+    assert res.exit_code == 2
+    assert f"field characteristic {p!r} is not an integer" in res.output
 
 
 @pytest.mark.parametrize("parity", (1.5, 1.0, 2, -1, "1", True))
@@ -406,6 +422,28 @@ def test_surface_file_boundary_positions(runner, tmp_path, position,
     res = runner.invoke(main, ["classify", "--surface", str(path)])
     assert res.exit_code == 2
     assert message in res.output
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("edges", "1", "src"), True, "edge 1 src True"),
+    (("edges", "1", "dst"), "2", "edge 1 dst '2'"),
+    (("triangles", "1", 0, "edge"), True, "triangle 1 slot edge True"),
+    (("boundaries", 0, 0, "edge"), True, "boundary edge True"),
+], ids=["src-bool", "dst-str", "slot-edge-bool", "boundary-edge-bool"])
+def test_surface_file_ids_must_be_integers(runner, tmp_path, path, value,
+                                           message):
+    # True would load as id 1; a string vertex id failed in a sort
+    from spinsum import surface
+    obj = surface.to_json(surface.build_cylinder())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    surf = tmp_path / "cylinder.json"
+    surf.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["classify", "--surface", str(surf)])
+    assert res.exit_code == 2
+    assert f"{message} is not an integer id" in res.output
 
 
 def test_surface_file_with_wrong_shape(runner, tmp_path):
