@@ -16,9 +16,9 @@ from .surface import (CurveSpec, CurveStep, Edge, MarkedTriangulation, Slot,
                       build_pair_of_pants, genus_g_closed,
                       genus_g_closed_detail, glue_boundaries, validate)
 from .tensor import BudgetExceeded, GradedTensor
-from .tft import (cylinder_closed_form, cylinder_spin, glue_amplitude,
-                  pants_closed_form, pants_spin, plus_part_state_sum,
-                  state_space, statistical_sign_sum, torus_closed_form,
-                  torus_spin, z_algebra)
+from .tft import (closed_form, cylinder_closed_form, cylinder_spin,
+                  glue_amplitude, pants_closed_form, pants_spin,
+                  plus_part_state_sum, spin_class_handles, state_space,
+                  statistical_sign_sum, torus_spin, z_algebra)
 
 __version__ = "0.1.0"

@@ -23,9 +23,9 @@ from .spin import (NS, R_TYPE, arf_invariant, classify_spin_structures,
                    quadratic_pairs, symplectic_basis)
 from .surface import named_closed_detail
 from .tensor import BudgetExceeded
-from .tft import (cylinder_closed_form, cylinder_spin, pants_closed_form,
-                  pants_spin, plus_part_state_sum, statistical_sign_sum,
-                  torus_closed_form, torus_spin)
+from .tft import (closed_form, cylinder_closed_form, cylinder_spin,
+                  pants_closed_form, pants_spin, plus_part_state_sum,
+                  spin_class_handles, statistical_sign_sum, torus_spin)
 
 
 def _fail(msg: str, code: int = 2):
@@ -64,7 +64,8 @@ def _load_signs(path: str, tri):
     """Read a {edge id: +1/-1} JSON file covering exactly the edges of tri."""
     try:
         with open(path) as fh:
-            signs = {int(k): v for k, v in json.load(fh).items()}
+            obj = json.load(fh, object_pairs_hook=surface_io.unique_keys)
+        signs = {surface_io.int_key(k, "edge"): v for k, v in obj.items()}
     except (OSError, ValueError, AttributeError) as exc:
         _fail(f"cannot load signs {path!r}: {exc}")
     if set(signs) != set(tri.edges):
@@ -80,7 +81,7 @@ def _load_signs(path: str, tri):
 _BUILTIN_SPIN_SURFACES = {
     "cylinder": (cylinder_spin, cylinder_closed_form),
     "torus": (lambda delta, eps: torus_spin(delta, eps) + (None,),
-              torus_closed_form),
+              lambda A, delta, eps: closed_form(A, [(delta, eps)])),
     "pants": (pants_spin, pants_closed_form),
 }
 
@@ -90,8 +91,8 @@ def _parse_spin(surface: str, spin: str):
 
     cylinder/torus: "NS+", "NS-", "R+", "R-".
     pants: "D1,D2,D3:EE" with D in {NS,R} and E in {+,-}, e.g. "NS,R,R:+-".
-    Returns (tri, signs, types or None for closed surfaces, args), args
-    as the surface's builder and closed form take them.
+    Returns (tri, signs, types or None for closed surfaces, oracle),
+    oracle(A) the surface's closed form.
     """
     eps_of = {"+": 1, "-": -1}
     try:
@@ -106,33 +107,42 @@ def _parse_spin(surface: str, spin: str):
             if delta not in (NS, R_TYPE) or eps_c not in eps_of:
                 raise ValueError(f"bad spin selector {spin!r}")
             args = (delta, eps_of[eps_c])
-        return _BUILTIN_SPIN_SURFACES[surface][0](*args) + (args,)
+        builder, form = _BUILTIN_SPIN_SURFACES[surface]
+        return builder(*args) + (lambda A: form(A, *args),)
     except (ValueError, KeyError, IndexError) as exc:
         _fail(str(exc))
 
 
 def _spin_surface(surface: str, spin, signs_path, types_csv=None):
-    """(tri, signs, types, args) of the surface a command names.
+    """(tri, signs, types, oracle) of the surface a command names.
 
     A built-in spin surface (cylinder, torus, pants) takes a --spin
-    selector; args is what ``_parse_spin`` gives its closed form.  A
-    named closed surface (sphere, genus-G; genus-1 is the closed torus)
-    takes --spin K, class K of ``classify_spin_structures`` in the order
-    ``spinsum classify`` lists them, with types ().  A surface file takes
-    --signs and optional comma-separated --types.  args is None for both.
+    selector; oracle(A) is its closed form (``_parse_spin``).  A named
+    closed surface (sphere, genus-G; genus-1 is the closed torus) takes
+    --spin K, class K of ``classify_spin_structures`` in the order
+    ``spinsum classify`` lists them, with types (); oracle(A) is the
+    class's ``closed_form``.  A surface file takes --signs and optional
+    comma-separated --types, and has no oracle (None).
     """
-    if surface in _BUILTIN_SPIN_SURFACES:
+    builtin = surface in _BUILTIN_SPIN_SURFACES
+    detail, tri = (None, None) if builtin else _closed_surface(surface)
+    named = builtin or detail is not None
+    if named and (signs_path, types_csv) != (None, None):
+        _fail(f"--signs and --types are for surface files; {surface!r} "
+              f"takes --spin only")
+    if builtin:
         if spin is None:
             _fail(f"built-in surface {surface!r} needs --spin")
         return _parse_spin(surface, spin)
-    detail, tri = _closed_surface(surface)
     if detail is not None:
         classes = classify_spin_structures(tri)
         if spin is None or not spin.isdecimal() or int(spin) >= len(classes):
             _fail(f"surface {surface!r} has {len(classes)} spin classes: "
                   f"--spin must be a class index 0..{len(classes) - 1}, "
                   f"got {spin!r}")
-        return tri, classes[int(spin)], (), None
+        signs = classes[int(spin)]
+        return tri, signs, (), lambda A: closed_form(
+            A, spin_class_handles(detail, signs))
     if signs_path is None:
         _fail("file surfaces need --signs")
     types = tuple(types_csv.split(",")) if types_csv else None
@@ -216,7 +226,7 @@ def cmd_amplitude(algebra, surface, spin, signs_path, types_csv, raw,
                   oracle, output):
     """Evaluate the state sum of a spin surface."""
     A = _load_algebra(algebra)
-    tri, signs, types, args = _spin_surface(surface, spin, signs_path,
+    tri, signs, types, form = _spin_surface(surface, spin, signs_path,
                                             types_csv)
     with _input_errors():
         if raw:
@@ -232,9 +242,9 @@ def cmd_amplitude(algebra, surface, spin, signs_path, types_csv, raw,
               "amplitude": _amplitude_json(amp, A)}
     code = 0
     if oracle:
-        if args is None:
+        if form is None:
             _fail(f"no closed form available for surface {surface!r}")
-        closed = _BUILTIN_SPIN_SURFACES[surface][1](A, *args)
+        closed = form(A)
         equal = (closed == amp if isinstance(closed, Amplitude)
                  else closed == amp.scalar_value())
         report["oracle"] = "equal" if equal else "MISMATCH"

@@ -609,11 +609,30 @@ def _int_id(value, field: str) -> int:
     return value
 
 
+def int_key(key: str, field: str) -> int:
+    """The id a JSON object key names; ValueError naming field unless the
+    key is the id's canonical decimal string ("4", not "+4" or "0_4")."""
+    if not key.removeprefix("-").isdecimal() or str(int(key)) != key:
+        raise ValueError(f"{field} key {key!r} is not a canonical integer id")
+    return int(key)
+
+
+def unique_keys(pairs: list) -> dict:
+    """json object_pairs_hook: ValueError on a key given twice, of which
+    json.load would keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def from_json(obj: dict) -> MarkedTriangulation:
-    edges = {int(k): Edge(_int_id(v["src"], f"edge {k} src"),
-                          _int_id(v["dst"], f"edge {k} dst"))
+    edges = {int_key(k, "edge"): Edge(_int_id(v["src"], f"edge {k} src"),
+                                      _int_id(v["dst"], f"edge {k} dst"))
              for k, v in obj["edges"].items()}
-    triangles = {int(k): Triangle(tuple(
+    triangles = {int_key(k, "triangle"): Triangle(tuple(
         Slot(_int_id(s["edge"], f"triangle {k} slot edge"), s["side"])
         for s in v)) for k, v in obj["triangles"].items()}
     bds = []
@@ -637,4 +656,4 @@ def from_json(obj: dict) -> MarkedTriangulation:
 
 def load(path: str) -> MarkedTriangulation:
     with open(path) as fh:
-        return from_json(json.load(fh))
+        return from_json(json.load(fh, object_pairs_hook=unique_keys))

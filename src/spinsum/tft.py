@@ -1,6 +1,7 @@
 """The TQFT layer: gluing of amplitudes, cylinder projectors and state
 spaces, the algebra on the total state space Z, closed forms for the
-cylinder / pair of pants / torus, and the statistical sign sum.
+cylinder and the pair of pants, the handle form of every closed spin
+surface, and the statistical sign sum.
 
 The state spaces Z_NS and Z_R are the images of the cylinder idempotents
 P_NS and P_R, and A_+ is the image of (id + N)/2.  Each idempotent P is
@@ -25,8 +26,8 @@ from .algebra import (DerivedStructure, GradedFrobeniusAlgebra, copairing,
                       derive)
 from .eval import Amplitude, build_graph, contract_network, plan_contraction
 from .fields import Field, row_reduce
-from .spin import NS, R_TYPE, nu_of
-from .surface import (MarkedTriangulation, build_cylinder,
+from .spin import NS, R_TYPE, arf_invariant, nu_of
+from .surface import (GenusGComplex, MarkedTriangulation, build_cylinder,
                       build_pair_of_pants, glue_boundaries)
 from .tensor import GradedTensor
 
@@ -251,12 +252,32 @@ def _precompose_leg(f: GradedTensor, i: int, m: GradedTensor) -> GradedTensor:
     return out
 
 
-def torus_closed_form(A: GradedFrobeniusAlgebra, delta: str, eps: int):
+def closed_form(A: GradedFrobeniusAlgebra, handles):
+    """eps o H_g o ... o H_1 o eta for handles [(delta_1, eps_1), ...],
+    with H_{delta,eps} = mu o ((P_delta o N_{-eps}) (x) id) o Delta.
+
+    A closed spin surface is fixed up to spin diffeomorphism by its genus
+    g and its Arf invariant (Atiyah, "Riemann surfaces and spin
+    structures", 1971).  Its amplitude is the form with g handles
+    (NS, +1), the last one made (R, +1) when the Arf invariant is -1; the
+    spin torus T_delta^eps is the single handle (delta, eps).
+    """
     D = derive(A)
-    comp = D.eps.compose(D.mu).compose(
-        (D.q(nu_of(delta)).compose(D.N_eps(-eps))).tensor(D.identity)).compose(
-        D.Delta).compose(D.eta)
-    return comp.scalar_value()
+    vec = D.eta
+    for delta, eps in handles:
+        twist = D.q(nu_of(delta)).compose(D.N_eps(-eps))
+        vec = D.mu.compose(twist.tensor(D.identity)).compose(D.Delta)\
+            .compose(vec)
+    return D.eps.compose(vec).scalar_value()
+
+
+def spin_class_handles(detail: GenusGComplex, signs) -> list:
+    """The handles of the class of signs on detail, as ``closed_form``
+    reads them off its genus and Arf invariant."""
+    handles = [(NS, 1)] * detail.g
+    if arf_invariant(detail, signs) == -1:
+        handles[-1] = (R_TYPE, 1)
+    return handles
 
 
 # -- reference spin surfaces -------------------------------------------

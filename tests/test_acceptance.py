@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinsum.algebra import builtin_by_name, derive
+from spinsum.algebra import builtin_by_name, derive, validate_predicates
 from spinsum.eval import (build_graph, contract_exhaustive, evaluate,
                           evaluate_raw, is_valid_schedule)
 from spinsum.pachner import random_pachner_move, run_pachner_fuzz
@@ -44,7 +44,7 @@ def test_torus_table_clifford(clifford):
 
 
 # -- 2. Arf scaling on closed genus-g surfaces ---------------------------
-def test_arf_scaling_genus_0_1_2(clifford):
+def test_arf_scaling_genus_0_to_3(clifford):
     t0 = time.monotonic()
     for g in (0, 1, 2, 3):
         detail = genus_g_closed_detail(g)
@@ -156,6 +156,26 @@ def test_closed_torus_raw_amplitude_zero_iff_inadmissible(clifford):
         assert (value == 0) == (not admissible)
         n_admissible += admissible
     assert n_admissible == 128
+
+
+@pytest.mark.parametrize("g", (2, 3))
+def test_closed_raw_amplitude_vanishing_needs_nakayama_times_id_zero(g):
+    """Off the admissible set the raw amplitude of Clifford, which has
+    N * id = 0, vanishes; that of group-z2, which has not, does not."""
+    clifford, z2 = builtin_by_name("clifford"), builtin_by_name("group-z2")
+    assert validate_predicates(clifford)["nakayama_times_id_zero"]
+    assert not validate_predicates(z2)["nakayama_times_id_zero"]
+    tri = genus_g_closed(g)
+    edge_ids = sorted(tri.edges)
+    rng = random.Random(g)
+    checked = 0
+    while checked < 100:
+        signs = {eid: rng.choice((1, -1)) for eid in edge_ids}
+        if is_admissible(tri, signs, ()):
+            continue
+        assert evaluate_raw(tri, signs, clifford).tensor.is_zero()
+        assert not evaluate_raw(tri, signs, z2).tensor.is_zero()
+        checked += 1
 
 
 # -- 7. classification counts --------------------------------------------

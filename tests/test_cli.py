@@ -131,12 +131,37 @@ def test_amplitude_on_a_spin_class_of_a_named_surface(runner, surface, k):
     assert "types" not in amp
 
 
-def test_amplitude_oracle_on_genus_2_has_no_closed_form(runner):
-    res = runner.invoke(main, ["amplitude", "--algebra", "clifford",
-                               "--surface", "genus-2", "--spin", "0",
+@pytest.mark.parametrize("algebra", ("clifford", "group-z2",
+                                     "twisted-matrix-3-f3",
+                                     "twisted-matrix-2-q"))
+@pytest.mark.parametrize("surface,k,arf", [("sphere", 0, 1),
+                                           ("genus-2", 0, -1),
+                                           ("genus-2", 1, 1)])
+def test_amplitude_oracle_on_a_spin_class_of_a_named_surface(
+        runner, algebra, surface, k, arf):
+    res = runner.invoke(main, ["classify", "--surface", surface])
+    assert json.loads(res.output)["classes"][k]["arf"] == arf
+    res = runner.invoke(main, ["amplitude", "--algebra", algebra,
+                               "--surface", surface, "--spin", str(k),
                                "--oracle"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["oracle"] == "equal"
+
+
+@pytest.mark.parametrize("surface,spin", [("torus", "R+"),
+                                          ("pants", "NS,R,R:+-"),
+                                          ("genus-2", "0"), ("sphere", "0")])
+@pytest.mark.parametrize("command,option,value", [
+    ("amplitude", "--signs", "nope.json"),
+    ("amplitude", "--types", "NS,NS,NS"),
+    ("pachner-fuzz", "--signs", "nope.json")])
+def test_signs_and_types_only_on_surface_files(runner, surface, spin,
+                                               command, option, value):
+    res = runner.invoke(main, [command, "--algebra", "clifford",
+                               "--surface", surface, "--spin", spin,
+                               option, value])
     assert res.exit_code == 2
-    assert "no closed form available for surface 'genus-2'" in res.output
+    assert "--signs and --types are for surface files" in res.output
 
 
 def test_pachner_fuzz_walks_a_spin_class_of_genus_2(runner):
@@ -245,6 +270,33 @@ def test_signs_must_be_plus_or_minus_one(runner, torus_files, command,
     res = _run_with_signs(runner, command, surf, str(path))
     assert res.exit_code == 2
     assert "not +1 or -1" in res.output
+
+
+@pytest.mark.parametrize("command", ("amplitude", "pachner-fuzz"))
+@pytest.mark.parametrize("alias", ("+{}", " {}", "0{}", "{}.0", "0_{}"))
+def test_signs_file_keys_must_be_canonical_ids(runner, torus_files, command,
+                                               alias):
+    # int() reads each alias as the same edge id
+    tmp, surf, signs = torus_files
+    key = min(signs, key=int)
+    signs[alias.format(key)] = signs.pop(key)
+    path = tmp / "signs.json"
+    path.write_text(json.dumps(signs))
+    res = _run_with_signs(runner, command, surf, str(path))
+    assert res.exit_code == 2
+    assert "is not a canonical integer id" in res.output
+
+
+@pytest.mark.parametrize("command", ("amplitude", "pachner-fuzz"))
+def test_signs_file_repeated_edge_exits_2(runner, torus_files, command):
+    tmp, surf, signs = torus_files
+    key = min(signs, key=int)
+    text = json.dumps(signs)
+    path = tmp / "signs.json"
+    path.write_text(text[:-1] + f', "{key}": {-signs[key]}}}')
+    res = _run_with_signs(runner, command, surf, str(path))
+    assert res.exit_code == 2
+    assert f"key '{key}' is given twice" in res.output
 
 
 def test_amplitude_type_count_error_has_a_message(runner, torus_files):
@@ -444,6 +496,34 @@ def test_surface_file_ids_must_be_integers(runner, tmp_path, path, value,
     res = runner.invoke(main, ["classify", "--surface", str(surf)])
     assert res.exit_code == 2
     assert f"{message} is not an integer id" in res.output
+
+
+@pytest.mark.parametrize("table", ("edges", "triangles"))
+@pytest.mark.parametrize("alias", ("+1", " 1", "01", "0_1"))
+def test_surface_file_keys_must_be_canonical_ids(runner, tmp_path, table,
+                                                 alias):
+    from spinsum import surface
+    obj = surface.to_json(surface.build_cylinder())
+    obj[table][alias] = obj[table].pop("1")
+    surf = tmp_path / "cylinder.json"
+    surf.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["classify", "--surface", str(surf)])
+    assert res.exit_code == 2
+    assert f"key {alias!r} is not a canonical integer id" in res.output
+
+
+@pytest.mark.parametrize("table", ("edges", "triangles"))
+def test_surface_file_repeated_id_exits_2(runner, tmp_path, table):
+    from spinsum import surface
+    obj = surface.to_json(surface.build_cylinder())
+    text = json.dumps(obj)
+    head = f'"{table}": {{'
+    first = json.dumps({"1": obj[table]["1"]})[1:-1]
+    surf = tmp_path / "cylinder.json"
+    surf.write_text(text.replace(head, head + first + ", ", 1))
+    res = runner.invoke(main, ["classify", "--surface", str(surf)])
+    assert res.exit_code == 2
+    assert "key '1' is given twice" in res.output
 
 
 def test_surface_file_with_wrong_shape(runner, tmp_path):

@@ -201,7 +201,7 @@ def test_unknown_boundary_type_rejected(clifford):
     with pytest.raises(ValueError, match="one boundary type"):
         is_admissible(tri, signs, (NS,))
     with pytest.raises(ValueError, match="boundary type"):
-        tft.torus_closed_form(clifford, "X", 1)
+        tft.closed_form(clifford, [(NS, 1), ("X", 1)])
     with pytest.raises(ValueError, match="boundary type"):
         tft.cylinder_closed_form(clifford, "bogus", 1)
     with pytest.raises(ValueError, match="nu must be"):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from spinsum.algebra import builtin_by_name, derive
 from spinsum.eval import evaluate, evaluate_raw
 from spinsum.fields import QQ, PrimeField
-from spinsum.spin import NS, R_TYPE
+from spinsum.spin import NS, R_TYPE, classify_spin_structures
 from spinsum.surface import genus_g_closed, genus_g_closed_detail
 from spinsum.tensor import GradedTensor
 from spinsum import tft
@@ -27,7 +28,31 @@ def test_gluing_cylinder_into_torus(name):
             ttri, tsigns = tft.torus_spin(delta, eps)
             assert glued.scalar_value() == \
                 evaluate_raw(ttri, tsigns, A).scalar_value()
-            assert glued.scalar_value() == tft.torus_closed_form(A, delta, eps)
+            assert glued.scalar_value() == tft.closed_form(A, [(delta, eps)])
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+@pytest.mark.parametrize("g", (0, 1, 2, 3))
+def test_closed_form_matches_every_spin_class(name, g):
+    A = builtin_by_name(name)
+    detail = genus_g_closed_detail(g)
+    classes = classify_spin_structures(detail.tri)
+    # about 0.1 s per class for the F3 matrix algebra at genus 3
+    step = 16 if (name, g) == ("twisted-matrix-3-f3", 3) else 1
+    for signs in classes[::step]:
+        assert tft.closed_form(A, tft.spin_class_handles(detail, signs)) == \
+            evaluate_raw(detail.tri, signs, A).scalar_value()
+
+
+@pytest.mark.parametrize("name", ("clifford", "twisted-matrix-2-q"))
+@pytest.mark.parametrize("g", (4, 5))
+def test_closed_form_matches_seeded_classes_at_higher_genus(name, g):
+    A = builtin_by_name(name)
+    detail = genus_g_closed_detail(g)
+    classes = classify_spin_structures(detail.tri)
+    for signs in random.Random(g).sample(classes, 3):
+        assert tft.closed_form(A, tft.spin_class_handles(detail, signs)) == \
+            evaluate_raw(detail.tri, signs, A).scalar_value()
 
 
 def test_glue_amplitude_rejects_bad_input(clifford):
