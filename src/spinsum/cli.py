@@ -122,7 +122,7 @@ def _spin_surface(surface: str, spin, signs_path, types_csv=None):
     --spin K, class K of ``classify_spin_structures`` in the order
     ``spinsum classify`` lists them, with types (); oracle(A) is the
     class's ``closed_form``.  A surface file takes --signs and optional
-    comma-separated --types, and has no oracle (None).
+    comma-separated --types but no --spin, and has no oracle (None).
     """
     builtin = surface in _BUILTIN_SPIN_SURFACES
     detail, tri = (None, None) if builtin else _closed_surface(surface)
@@ -143,6 +143,9 @@ def _spin_surface(surface: str, spin, signs_path, types_csv=None):
         signs = classes[int(spin)]
         return tri, signs, (), lambda A: closed_form(
             A, spin_class_handles(detail, signs))
+    if spin is not None:
+        _fail(f"--spin is for built-in and named surfaces; the surface file "
+              f"{surface!r} takes --signs and --types")
     if signs_path is None:
         _fail("file surfaces need --signs")
     types = tuple(types_csv.split(",")) if types_csv else None

@@ -1,7 +1,9 @@
 """The TQFT layer: gluing of amplitudes, cylinder projectors and state
 spaces, the algebra on the total state space Z, closed forms for the
 cylinder and the pair of pants, the handle form of every closed spin
-surface, and the statistical sign sum.
+surface, and the statistical sign sum.  Gluing and the cylinder and
+pants forms contract legs one group at a time (``_precompose``), in
+time linear in the entries of the tensor contracted.
 
 The state spaces Z_NS and Z_R are the images of the cylinder idempotents
 P_NS and P_R, and A_+ is the image of (id + N)/2.  Each idempotent P is
@@ -41,15 +43,12 @@ def reversal(D: DerivedStructure, n: int) -> GradedTensor:
 
 def iota13(D: DerivedStructure) -> GradedTensor:
     """A -> A^{(x)3}: reversal o (id (x) Delta) o Delta."""
-    ident = D.identity
-    comp = ident.tensor(D.Delta).compose(D.Delta)
-    return reversal(D, 3).compose(comp)
+    return reversal(D, 3).compose(D.identity.tensor(D.Delta)).compose(D.Delta)
 
 
 def pi31(D: DerivedStructure) -> GradedTensor:
     """A^{(x)3} -> A: mu o (id (x) mu) o reversal."""
-    ident = D.identity
-    return D.mu.compose(ident.tensor(D.mu)).compose(reversal(D, 3))
+    return D.mu.compose(D.identity.tensor(D.mu)).compose(reversal(D, 3))
 
 
 # -- gluing -------------------------------------------------------------
@@ -59,35 +58,52 @@ def glue_amplitude(T: Amplitude, i: int, j: int, eps: int,
 
     The k'th copairing (k = 1,2,3) feeds boundary i position k-1 with its
     first output and boundary j position 3-k with its second, realizing
-    the position pairing p <-> 2-p.
+    the position pairing p <-> 2-p.  The six glued legs are permuted to
+    the front in that order and contracted one copairing at a time.
     """
     B = T.boundaries
     if i == j or not (1 <= i <= B) or not (1 <= j <= B):
         raise ValueError(f"invalid boundary pair ({i}, {j})")
     if T.types and T.types[i - 1] != T.types[j - 1]:
         raise ValueError("glued boundaries must have equal type")
-    D = derive(A)
-    c = D.c(eps)
+    c = derive(A).c(eps)
     rest = [k for k in range(1, B + 1) if k not in (i, j)]
-    ident = GradedTensor.identity(D.mu.field, D.leg, 3 * len(rest))
-    gamma = c.tensor(c).tensor(c).tensor(ident)
-    # current output order: (i,0),(j,2),(i,1),(j,1),(i,2),(j,0), rest...
-    cur = [(i, 0), (j, 2), (i, 1), (j, 1), (i, 2), (j, 0)]
-    for bk in rest:
-        cur += [(bk, p) for p in range(3)]
-    target = T.leg_labels  # (boundary, position) per input leg of T
-    order = [cur.index(lbl) for lbl in target]
-    gamma = gamma.permute_out(order)
-    glued = T.tensor.compose(gamma)
-    labels = []
-    for nk, bk in enumerate(rest, start=1):
-        labels += [(nk, p) for p in range(3)]
-    types = ()
-    if T.types:
-        types = tuple(t for k, t in enumerate(T.types, start=1)
-                      if k not in (i, j))
-    out = Amplitude(glued, B - 2, labels, types)
-    return out
+    front = [(i, 0), (j, 2), (i, 1), (j, 1), (i, 2), (j, 0)]
+    front += [(bk, p) for bk in rest for p in range(3)]
+    glued = T.tensor.permute_in([T.leg_labels.index(lbl) for lbl in front])
+    for _ in range(3):
+        glued = _precompose(glued, 0, c)
+    labels = [(nk, p) for nk in range(1, len(rest) + 1) for p in range(3)]
+    types = tuple(t for k, t in enumerate(T.types, 1) if k not in (i, j))
+    return Amplitude(glued, B - 2, labels, types)
+
+
+def _precompose(f: GradedTensor, i: int, m: GradedTensor) -> GradedTensor:
+    """f o (id^(x)i (x) m (x) id^(x)...) for an even m: the m.n_out input
+    legs of f from leg i on become m's input legs, with no Koszul sign."""
+    k, p = m.n_out, f.n_out + i  # p: the key position of input leg i
+    if m.out_legs != f.in_legs[i:i + k]:
+        raise ValueError("leg mismatch in _precompose")
+    F = f.field
+    by_out: dict[tuple, list] = {}
+    for key, w in m.data.items():
+        by_out.setdefault(key[:k], []).append((key[k:], w))
+    # products of nonzero entries are nonzero, so only a sum can vanish
+    data, summed = {}, False
+    for key, v in f.data.items():
+        hits = by_out.get(key[p:p + k])
+        if hits:
+            head, tail = key[:p], key[p + k:]
+            for mk, w in hits:
+                nk = head + mk + tail
+                if nk in data:
+                    data[nk], summed = F.add(data[nk], F.mul(v, w)), True
+                else:
+                    data[nk] = F.mul(v, w)
+    if summed:
+        data = {nk: x for nk, x in data.items() if not F.is_zero(x)}
+    return GradedTensor(F, f.out_legs,
+                        f.in_legs[:i] + m.in_legs + f.in_legs[i + k:], data)
 
 
 # -- state spaces and the Z algebra -------------------------------------
@@ -200,14 +216,26 @@ def z_algebra(A: GradedFrobeniusAlgebra) -> ZAlgebra:
 
 
 # -- closed forms -------------------------------------------------------
+def _boundary_form(D: DerivedStructure, functional: GradedTensor,
+                   legmaps, types) -> Amplitude:
+    """functional o (legmap_1 (x) ... (x) legmap_n) o pi31^(x)n, built one
+    boundary leg at a time: the leg maps first, then pi31 on each leg,
+    last leg first so that the earlier leg positions stay put."""
+    comp = functional
+    for i, m in enumerate(legmaps):
+        comp = _precompose(comp, i, m)
+    pp = pi31(D)
+    for i in reversed(range(len(legmaps))):
+        comp = _precompose(comp, i, pp)
+    labels = [(b, p) for b in range(1, len(types) + 1) for p in range(3)]
+    return Amplitude(comp, len(types), labels, tuple(types))
+
+
 def cylinder_closed_form(A: GradedFrobeniusAlgebra, delta: str,
                          eps: int) -> Amplitude:
     D = derive(A)
-    pp = pi31(D)
-    comp = D.b.compose(D.q(nu_of(delta)).tensor(D.identity)).compose(
-        D.N_eps(-eps).tensor(D.identity)).compose(pp.tensor(pp))
-    labels = [(1, p) for p in range(3)] + [(2, p) for p in range(3)]
-    return Amplitude(comp, 2, labels, (delta, delta))
+    return _boundary_form(D, D.b, (D.q(nu_of(delta)).compose(D.N_eps(-eps)),
+                                   D.identity), (delta, delta))
 
 
 def pants_closed_form(A: GradedFrobeniusAlgebra, deltas: tuple[str, str, str],
@@ -216,40 +244,11 @@ def pants_closed_form(A: GradedFrobeniusAlgebra, deltas: tuple[str, str, str],
         raise ValueError("no spin structure: product of boundary types "
                          "must be +1")
     D = derive(A)
-    # b o (id (x) mu) o proj o (N (x) N (x) id) o (pi31 (x) pi31 (x) pi31),
-    # built one boundary leg at a time without the 3-fold tensor products:
-    # first the 3-input functional, then pi31 on each leg, last leg first
-    # so that the earlier leg positions stay put
     legmaps = (D.q(nu_of(deltas[0])).compose(D.N_eps(eps1)),
                D.q(nu_of(deltas[1])).compose(D.N_eps(eps2)),
                D.q(nu_of(deltas[2])))
-    comp = D.b.compose(D.identity.tensor(D.mu))
-    for i, m in enumerate(legmaps):
-        comp = _precompose_leg(comp, i, m)
-    pp = pi31(D)
-    for i in (2, 1, 0):
-        comp = _precompose_leg(comp, i, pp)
-    labels = [(b, p) for b in (1, 2, 3) for p in range(3)]
-    return Amplitude(comp, 3, labels, tuple(deltas))
-
-
-def _precompose_leg(f: GradedTensor, i: int, m: GradedTensor) -> GradedTensor:
-    """f o (id^(x)i (x) m (x) id^(x)...) for a tensor f without output
-    legs and a map m with one output leg: input leg i of f becomes m's
-    input legs.  m is even, so no Koszul sign enters."""
-    if f.n_out or m.n_out != 1 or m.out_legs[0] != f.in_legs[i]:
-        raise ValueError("leg mismatch in _precompose_leg")
-    F = f.field
-    by_out: dict[int, list] = {}
-    for key, w in m.data.items():
-        by_out.setdefault(key[0], []).append((key[1:], w))
-    out = GradedTensor(F, (), f.in_legs[:i] + m.in_legs + f.in_legs[i + 1:],
-                       {})
-    for key, v in f.data.items():
-        head, tail = key[:i], key[i + 1:]
-        for mk, w in by_out.get(key[i], ()):
-            out._add_to(head + mk + tail, F.mul(v, w))
-    return out
+    return _boundary_form(D, D.b.compose(D.identity.tensor(D.mu)), legmaps,
+                          deltas)
 
 
 def closed_form(A: GradedFrobeniusAlgebra, handles):

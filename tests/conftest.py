@@ -18,3 +18,12 @@ def clifford(algebras):
 @pytest.fixture(scope="session")
 def m3(algebras):
     return algebras["twisted-matrix-3-f3"]
+
+
+def glue_edge_signs(signs, glue_map, eps):
+    """Transport edge signs through glue_boundaries_with_map output."""
+    out = dict(signs)
+    for a_eid, b_eid in glue_map.pairs:
+        out[b_eid] = eps * signs[a_eid] * signs[b_eid]
+        del out[a_eid]
+    return out

@@ -227,6 +227,18 @@ def test_file_surface_with_valid_signs(runner, torus_files):
     assert json.loads(res.output)["amplitude"]["scalar"] == "1"
 
 
+@pytest.mark.parametrize("command", ("amplitude", "pachner-fuzz"))
+def test_spin_only_on_built_in_and_named_surfaces(runner, torus_files,
+                                                  command):
+    tmp, surf, signs = torus_files
+    path = tmp / "signs.json"
+    path.write_text(json.dumps(signs))
+    res = runner.invoke(main, [command, "--algebra", "clifford", "--surface",
+                               surf, "--signs", str(path), "--spin", "R-"])
+    assert res.exit_code == 2
+    assert "--spin is for built-in and named surfaces" in res.output
+
+
 def test_pachner_fuzz_missing_signs_file(runner, torus_files):
     tmp, surf, _ = torus_files
     res = _run_with_signs(runner, "pachner-fuzz", surf, str(tmp / "no.json"))

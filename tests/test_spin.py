@@ -15,6 +15,7 @@ from spinsum.surface import (R, GenusGComplex, build_cylinder,
                              genus_g_closed_detail, glue_boundaries_with_map)
 from spinsum import tft
 
+from conftest import glue_edge_signs
 from test_pachner import GOLDEN_LOGS, _walk_start
 
 
@@ -166,15 +167,6 @@ def test_arf_requires_admissible_signs():
     if not is_admissible(detail.tri, bad, ()):
         with pytest.raises(ValueError):
             arf_invariant(detail, bad)
-
-
-def glue_edge_signs(signs, glue_map, eps):
-    """Transport edge signs through glue_boundaries_with_map output."""
-    out = dict(signs)
-    for a_eid, b_eid in glue_map.pairs:
-        out[b_eid] = eps * signs[a_eid] * signs[b_eid]
-        del out[a_eid]
-    return out
 
 
 def test_glue_edge_signs_transport():

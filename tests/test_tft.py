@@ -5,18 +5,22 @@ from fractions import Fraction
 import pytest
 
 from spinsum.algebra import builtin_by_name, derive
-from spinsum.eval import evaluate, evaluate_raw
+from spinsum.eval import Amplitude, evaluate, evaluate_raw
 from spinsum.fields import QQ, PrimeField
+from spinsum.pachner import random_pachner_move
 from spinsum.spin import NS, R_TYPE, classify_spin_structures
-from spinsum.surface import genus_g_closed, genus_g_closed_detail
+from spinsum.surface import (disjoint_union, genus_g_closed,
+                             genus_g_closed_detail, glue_boundaries_with_map)
 from spinsum.tensor import GradedTensor
 from spinsum import tft
+
+from conftest import glue_edge_signs
 
 ALL_BUILTINS = ("clifford", "group-z2", "twisted-matrix-3-f3",
                 "twisted-matrix-2-q")
 
 
-@pytest.mark.parametrize("name", ("clifford", "twisted-matrix-3-f3"))
+@pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_gluing_cylinder_into_torus(name):
     A = builtin_by_name(name)
     for delta in (NS, R_TYPE):
@@ -66,6 +70,96 @@ def test_glue_amplitude_rejects_bad_input(clifford):
                      (NS, R_TYPE, R_TYPE), clifford)
     with pytest.raises(ValueError, match="equal type"):
         tft.glue_amplitude(mixed, 1, 2, -1, clifford)
+
+
+def test_glue_amplitude_rejects_another_algebras_copairing(clifford, m3):
+    tri, signs, types = tft.cylinder_spin(NS, 1)
+    amp = evaluate(tri, signs, types, clifford)
+    with pytest.raises(ValueError, match="leg mismatch"):
+        tft.glue_amplitude(amp, 1, 2, -1, m3)
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_precompose_is_composition_with_identities(name):
+    D = derive(builtin_by_name(name))
+    ident, pp = D.identity, tft.pi31(D)
+    f = D.b.compose(ident.tensor(D.mu))  # three input legs
+    for i, m, full in ((0, D.N, D.N.tensor(ident).tensor(ident)),
+                       (1, D.Delta, ident.tensor(D.Delta)),
+                       (0, D.c(-1), D.c(-1).tensor(ident)),
+                       (2, pp, ident.tensor(ident).tensor(pp))):
+        assert tft._precompose(f, i, m) == f.compose(full)
+
+
+def test_precompose_drops_cancelled_entries():
+    one = QQ.one()
+    f = GradedTensor(QQ, (), ((0, 0),), {(0,): one, (1,): one})
+    m = GradedTensor.from_matrix(QQ, (0, 0), (0,), [[one], [-one]])
+    assert tft._precompose(f, 0, m) == GradedTensor.zero(QQ, (), ((0,),))
+    with pytest.raises(ValueError, match="leg mismatch"):
+        tft._precompose(f, 1, m)
+
+
+def _assert_glue_is_the_glued_state_sum(amp, tri, signs, i, j, A):
+    """glue_amplitude of amp along boundaries i, j equals evaluate_raw on
+    the glued triangulation, for both copairings."""
+    glued, gmap = glue_boundaries_with_map(tri, i, j)
+    for eps in (1, -1):
+        assert tft.glue_amplitude(amp, i, j, eps, A) == \
+            evaluate_raw(glued, glue_edge_signs(signs, gmap, eps), A)
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_self_glued_walked_pants_is_the_glued_state_sum(name):
+    """Each spin pants, walked 10 seeded Pachner moves, glued along two
+    boundaries of equal type into a torus with one boundary."""
+    A = builtin_by_name(name)
+    seed = itertools.count()
+    for deltas, i, j in (((NS, NS, NS), 1, 3), ((R_TYPE, R_TYPE, NS), 2, 1),
+                         ((NS, R_TYPE, R_TYPE), 2, 3)):
+        for eps1, eps2 in itertools.product((1, -1), repeat=2):
+            tri, signs, types = tft.pants_spin(deltas, eps1, eps2)
+            rng = random.Random(next(seed))
+            for _ in range(10):
+                tri, signs, _move = random_pachner_move(tri, signs, rng)
+            amp = evaluate(tri, signs, types, A)
+            _assert_glue_is_the_glued_state_sum(amp, tri, signs, i, j, A)
+
+
+def _disjoint_union(a1, a2):
+    """The amplitude of a disjoint union: the tensor product, with a2's
+    boundaries numbered after a1's."""
+    B = a1.boundaries
+    return Amplitude(a1.tensor.tensor(a2.tensor), B + a2.boundaries,
+                     a1.leg_labels + [(b + B, p) for b, p in a2.leg_labels],
+                     a1.types + a2.types)
+
+
+# the (eps1, eps2) of the pants NS,R,R and the glued boundaries (one on
+# each pants, in either order) of its union with the pants R,NS,R, which
+# has boundaries 4-6
+_EQUAL_TYPE_PAIRS = ((1, 5), (4, 2), (2, 6), (4, 3), (3, 6))
+_FOUR_HOLED_CASES = {
+    "clifford": [(eps, i, j) for eps in itertools.product((1, -1), repeat=2)
+                 for i, j in _EQUAL_TYPE_PAIRS],
+    "group-z2": [((1, -1), 3, 4)],
+    "twisted-matrix-2-q": [((-1, 1), 2, 6)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOUR_HOLED_CASES))
+def test_glued_pants_pair_is_the_glued_state_sum(name):
+    """Two spin pants glued along one boundary into a four-holed sphere.
+    F3 is left out: its 18-leg union is too large for the suite."""
+    A = builtin_by_name(name)
+    t2, s2, ty2 = tft.pants_spin((R_TYPE, NS, R_TYPE), -1, 1)
+    a2 = evaluate(t2, s2, ty2, A)
+    for (eps1, eps2), i, j in _FOUR_HOLED_CASES[name]:
+        t1, s1, ty1 = tft.pants_spin((NS, R_TYPE, R_TYPE), eps1, eps2)
+        tri, eo, _, _ = disjoint_union(t1, t2)
+        signs = {**s1, **{e + eo: s for e, s in s2.items()}}
+        amp = _disjoint_union(evaluate(t1, s1, ty1, A), a2)
+        _assert_glue_is_the_glued_state_sum(amp, tri, signs, i, j, A)
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
