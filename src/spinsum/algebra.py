@@ -95,10 +95,9 @@ def unit_and_associativity(mu: GradedTensor, eta: GradedTensor,
                            ident: GradedTensor) -> dict[str, bool]:
     """Whether mu is associative and eta a two-sided unit for it."""
     return {
-        "associative": (mu.compose(mu.tensor(ident))
-                        == mu.compose(ident.tensor(mu))),
-        "unital": (mu.compose(eta.tensor(ident)) == ident
-                   and mu.compose(ident.tensor(eta)) == ident),
+        "associative": mu.precompose(0, mu) == mu.precompose(1, mu),
+        "unital": (mu.precompose(0, eta) == ident
+                   and mu.precompose(1, eta) == ident),
     }
 
 
@@ -187,16 +186,15 @@ def derive(A: GradedFrobeniusAlgebra) -> DerivedStructure:
     b = eps.compose(mu)  # b(x, y) = eps(xy)
     c_minus = copairing(b)
     c_plus = sigma.compose(c_minus)
-    # N = (b (x) id) o (id (x) sigma) o (id (x) c_minus)
-    step1 = ident.tensor(c_minus)
-    step2 = ident.tensor(sigma).compose(step1)
-    N = b.tensor(ident).compose(step2)
-    Delta = mu.tensor(ident).compose(ident.tensor(c_minus))
-    t = b.compose(mu.tensor(ident))
+    # N = (b (x) id) o (id (x) sigma) o (id (x) c_minus), and sigma o
+    # c_minus is c_plus
+    N = b.tensor(ident).precompose(1, c_plus)
+    Delta = mu.tensor(ident).precompose(1, c_minus)
+    t = b.precompose(0, mu)
     # q_nu = mu o sigma o (N_{-nu} (x) id) o Delta
     def make_q(nu):
         n_eps = ident if -nu == +1 else N
-        return mu.compose(sigma).compose(n_eps.tensor(ident)).compose(Delta)
+        return mu.compose(sigma).precompose(0, n_eps).compose(Delta)
     return DerivedStructure(A, leg, mu, eta, eps, b, c_minus, c_plus, Delta,
                             N, t, make_q(+1), make_q(-1), ident, sigma)
 
@@ -220,8 +218,8 @@ def validate_predicates(A: GradedFrobeniusAlgebra) -> dict[str, bool]:
     report = unit_and_associativity(mu, D.eta, ident)
     frob_mid = Delta.compose(mu)
     report["frobenius"] = (
-        mu.tensor(ident).compose(ident.tensor(Delta)) == frob_mid
-        and ident.tensor(mu).compose(Delta.tensor(ident)) == frob_mid)
+        mu.tensor(ident).precompose(1, Delta) == frob_mid
+        and ident.tensor(mu).precompose(0, Delta) == frob_mid)
     report["delta_separable"] = mu.compose(Delta) == ident
     report["nakayama_involution"] = D.N.compose(D.N) == ident
     unit_conv = D.eta.compose(D.eps)

@@ -270,6 +270,8 @@ def cmd_classify(surface, output):
         reps = classify_spin_structures(tri)
     except RuntimeError as exc:
         _fail(str(exc), code=1)
+    except ValueError as exc:
+        _fail(str(exc))
     basis = symplectic_basis(detail) if detail is not None else None
     classes = []
     for signs in reps:

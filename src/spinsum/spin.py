@@ -156,6 +156,12 @@ def classify_spin_structures(tri: MarkedTriangulation) -> list[Signs]:
     reps = gf2.coset_representatives(space, leaf_exchange_vectors(tri))
     expected = 1 << (2 * tri.genus())
     if len(reps) != expected:
+        forest, _ = _spanning_forest(
+            (eid, e.src, e.dst) for eid, e in tri.edges.items())
+        components = len(tri.vertices) - len(forest)
+        if components > 1:
+            raise ValueError(f"classification needs a connected surface; "
+                             f"this one has {components} components")
         raise RuntimeError(
             f"classification found {len(reps)} classes, expected {expected}; "
             f"leaf-exchange quotient assumption violated")

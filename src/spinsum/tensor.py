@@ -9,10 +9,13 @@ output indices and input indices.
 Sign discipline: every structure map handled here (multiplication, unit,
 counit, pairing, copairing, Nakayama map, the triangle tensor) is
 parity-even, and composition/tensor product of even morphisms carries no
-Koszul sign.  All Koszul signs therefore live in explicit permutations:
-``braiding`` legs, ``permute_out``/``permute_in``, and the relabel of the
-amplitude's outputs as inputs in ``flip_out_to_in``.  Each of those
-multiplies an entry by (-1)^(sum of |a||b| over inverted pairs).
+Koszul sign.  So ``precompose``, the one composition loop, only
+multiplies entries: it composes a morphism into a group of adjacent
+input legs, and ``compose`` is its case of all input legs.  All Koszul
+signs therefore live in explicit permutations: ``braiding`` legs,
+``permute_out``/``permute_in``, and the relabel of the amplitude's
+outputs as inputs in ``flip_out_to_in``.  Each of those multiplies an
+entry by (-1)^(sum of |a||b| over inverted pairs).
 
 The permutations and the relabel build no Python generator per entry: a
 permutation remaps each key with one ``operator.itemgetter``
@@ -158,29 +161,41 @@ class GradedTensor:
 
     # -- algebra of morphisms -------------------------------------------
     def compose(self, other: "GradedTensor") -> "GradedTensor":
-        """self o other (apply other first).
+        """self o other (apply other first)."""
+        if self.in_legs != other.out_legs:
+            raise ValueError("leg mismatch in compose")
+        return self.precompose(0, other)
+
+    def precompose(self, i: int, m: "GradedTensor") -> "GradedTensor":
+        """self o (id^(x)i (x) m (x) id^(x)...): the m.n_out input legs of
+        self from leg i on become m's input legs.
 
         Valid without extra signs because all generator tensors are even;
         composition of morphisms never introduces Koszul signs.
         """
-        if self.in_legs != other.out_legs:
-            raise ValueError("leg mismatch in compose")
+        k, p = m.n_out, self.n_out + i  # p: the key position of input leg i
+        if not 0 <= i <= self.n_in or m.out_legs != self.in_legs[i:i + k]:
+            raise ValueError("leg mismatch in precompose")
         F = self.field
-        out = GradedTensor(F, self.out_legs, other.in_legs, {})
-        no, ni = self.n_out, self.n_in
-        oo = other.n_out
-        by_mid: dict[tuple, list] = {}
+        by_out: dict[tuple, list] = {}
+        for key, w in m.data.items():
+            by_out.setdefault(key[:k], []).append((key[k:], w))
+        # products of nonzero entries are nonzero, so only a sum can vanish
+        data, summed = {}, False
         for key, v in self.data.items():
-            by_mid.setdefault(key[no:], []).append((key[:no], v))
-        for key, w in other.data.items():
-            mid = key[:oo]
-            hits = by_mid.get(mid)
-            if not hits:
-                continue
-            tail = key[oo:]
-            for head, v in hits:
-                out._add_to(head + tail, F.mul(v, w))
-        return out
+            hits = by_out.get(key[p:p + k])
+            if hits:
+                head, tail = key[:p], key[p + k:]
+                for mk, w in hits:
+                    nk = head + mk + tail
+                    if nk in data:
+                        data[nk], summed = F.add(data[nk], F.mul(v, w)), True
+                    else:
+                        data[nk] = F.mul(v, w)
+        if summed:
+            data = {nk: x for nk, x in data.items() if not F.is_zero(x)}
+        return GradedTensor(F, self.out_legs, self.in_legs[:i] + m.in_legs
+                            + self.in_legs[i + k:], data)
 
     def tensor(self, other: "GradedTensor") -> "GradedTensor":
         """Tensor product; sign-free for even morphisms (the only kind built here)."""

@@ -1,8 +1,9 @@
 """The TQFT layer: gluing of amplitudes, cylinder projectors and state
 spaces, the algebra on the total state space Z, closed forms for the
 cylinder and the pair of pants, the handle form of every closed spin
-surface, and the statistical sign sum.  Gluing and the cylinder and
-pants forms contract legs one group at a time (``_precompose``), in
+surface, and the statistical sign sum.  Every composition, gluing and
+the cylinder and pants forms included, goes through
+``GradedTensor.precompose``, which contracts a group of input legs in
 time linear in the entries of the tensor contracted.
 
 The state spaces Z_NS and Z_R are the images of the cylinder idempotents
@@ -43,12 +44,12 @@ def reversal(D: DerivedStructure, n: int) -> GradedTensor:
 
 def iota13(D: DerivedStructure) -> GradedTensor:
     """A -> A^{(x)3}: reversal o (id (x) Delta) o Delta."""
-    return reversal(D, 3).compose(D.identity.tensor(D.Delta)).compose(D.Delta)
+    return reversal(D, 3).precompose(1, D.Delta).compose(D.Delta)
 
 
 def pi31(D: DerivedStructure) -> GradedTensor:
     """A^{(x)3} -> A: mu o (id (x) mu) o reversal."""
-    return D.mu.compose(D.identity.tensor(D.mu)).compose(reversal(D, 3))
+    return D.mu.precompose(1, D.mu).compose(reversal(D, 3))
 
 
 # -- gluing -------------------------------------------------------------
@@ -59,7 +60,7 @@ def glue_amplitude(T: Amplitude, i: int, j: int, eps: int,
     The k'th copairing (k = 1,2,3) feeds boundary i position k-1 with its
     first output and boundary j position 3-k with its second, realizing
     the position pairing p <-> 2-p.  The six glued legs are permuted to
-    the front in that order and contracted one copairing at a time.
+    the front in that order and contracted with c (x) c (x) c in one pass.
     """
     B = T.boundaries
     if i == j or not (1 <= i <= B) or not (1 <= j <= B):
@@ -71,39 +72,10 @@ def glue_amplitude(T: Amplitude, i: int, j: int, eps: int,
     front = [(i, 0), (j, 2), (i, 1), (j, 1), (i, 2), (j, 0)]
     front += [(bk, p) for bk in rest for p in range(3)]
     glued = T.tensor.permute_in([T.leg_labels.index(lbl) for lbl in front])
-    for _ in range(3):
-        glued = _precompose(glued, 0, c)
+    glued = glued.precompose(0, c.tensor(c).tensor(c))
     labels = [(nk, p) for nk in range(1, len(rest) + 1) for p in range(3)]
     types = tuple(t for k, t in enumerate(T.types, 1) if k not in (i, j))
     return Amplitude(glued, B - 2, labels, types)
-
-
-def _precompose(f: GradedTensor, i: int, m: GradedTensor) -> GradedTensor:
-    """f o (id^(x)i (x) m (x) id^(x)...) for an even m: the m.n_out input
-    legs of f from leg i on become m's input legs, with no Koszul sign."""
-    k, p = m.n_out, f.n_out + i  # p: the key position of input leg i
-    if m.out_legs != f.in_legs[i:i + k]:
-        raise ValueError("leg mismatch in _precompose")
-    F = f.field
-    by_out: dict[tuple, list] = {}
-    for key, w in m.data.items():
-        by_out.setdefault(key[:k], []).append((key[k:], w))
-    # products of nonzero entries are nonzero, so only a sum can vanish
-    data, summed = {}, False
-    for key, v in f.data.items():
-        hits = by_out.get(key[p:p + k])
-        if hits:
-            head, tail = key[:p], key[p + k:]
-            for mk, w in hits:
-                nk = head + mk + tail
-                if nk in data:
-                    data[nk], summed = F.add(data[nk], F.mul(v, w)), True
-                else:
-                    data[nk] = F.mul(v, w)
-    if summed:
-        data = {nk: x for nk, x in data.items() if not F.is_zero(x)}
-    return GradedTensor(F, f.out_legs,
-                        f.in_legs[:i] + m.in_legs + f.in_legs[i + k:], data)
 
 
 # -- state spaces and the Z algebra -------------------------------------
@@ -196,7 +168,7 @@ def z_algebra(A: GradedFrobeniusAlgebra) -> ZAlgebra:
     pairs = list(itertools.product((+1, -1), repeat=2))
     mu_z = _in_z(F, zleg, 1, 2, [
         ((off[a * b], off[a], off[b]),
-         f[a * b].compose(D.mu).compose(e[a].tensor(e[b])))
+         f[a * b].compose(D.mu).precompose(0, e[a]).precompose(1, e[b]))
         for a, b in pairs])
     delta_z = _in_z(F, zleg, 2, 1, [
         ((off[a], off[b], off[a * b]),
@@ -223,10 +195,10 @@ def _boundary_form(D: DerivedStructure, functional: GradedTensor,
     last leg first so that the earlier leg positions stay put."""
     comp = functional
     for i, m in enumerate(legmaps):
-        comp = _precompose(comp, i, m)
+        comp = comp.precompose(i, m)
     pp = pi31(D)
     for i in reversed(range(len(legmaps))):
-        comp = _precompose(comp, i, pp)
+        comp = comp.precompose(i, pp)
     labels = [(b, p) for b in range(1, len(types) + 1) for p in range(3)]
     return Amplitude(comp, len(types), labels, tuple(types))
 
@@ -247,8 +219,7 @@ def pants_closed_form(A: GradedFrobeniusAlgebra, deltas: tuple[str, str, str],
     legmaps = (D.q(nu_of(deltas[0])).compose(D.N_eps(eps1)),
                D.q(nu_of(deltas[1])).compose(D.N_eps(eps2)),
                D.q(nu_of(deltas[2])))
-    return _boundary_form(D, D.b.compose(D.identity.tensor(D.mu)), legmaps,
-                          deltas)
+    return _boundary_form(D, D.b.precompose(1, D.mu), legmaps, deltas)
 
 
 def closed_form(A: GradedFrobeniusAlgebra, handles):
@@ -265,8 +236,7 @@ def closed_form(A: GradedFrobeniusAlgebra, handles):
     vec = D.eta
     for delta, eps in handles:
         twist = D.q(nu_of(delta)).compose(D.N_eps(-eps))
-        vec = D.mu.compose(twist.tensor(D.identity)).compose(D.Delta)\
-            .compose(vec)
+        vec = D.mu.precompose(0, twist).compose(D.Delta).compose(vec)
     return D.eps.compose(vec).scalar_value()
 
 
@@ -339,13 +309,12 @@ def plus_part_state_sum(tri: MarkedTriangulation, A: GradedFrobeniusAlgebra):
     enter.
     """
     def plus_part(D: DerivedStructure, half):
-        F = A.field
-        iota_t, pi_t, zleg = _split_idempotent(
-            F, D.identity.add(D.N).scale(half), D.leg)
+        iota_t, pi_t, _ = _split_idempotent(
+            A.field, D.identity.add(D.N).scale(half), D.leg)
         # Frobenius data of A_+ restricted through (iota, pi)
-        mu_p = pi_t.compose(D.mu).compose(iota_t.tensor(iota_t))
+        mu_p = pi_t.compose(D.mu).precompose(0, iota_t).precompose(1, iota_t)
         b_p = D.eps.compose(iota_t).compose(mu_p)
-        t_p = b_p.compose(mu_p.tensor(GradedTensor.identity(F, zleg)))
+        t_p = b_p.precompose(0, mu_p)
         return copairing(b_p), t_p
     return _closed_state_sum(tri, A, plus_part)
 

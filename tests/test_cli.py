@@ -580,3 +580,120 @@ def test_classify_genus_three_reports_arf(runner):
     for c in classes:
         odd_pairs = sum(qa * qb for qa, qb in c["q"])
         assert c["arf"] == (-1) ** odd_pairs
+
+
+# -- exit paths of the selectors, the oracle and the fuzz ------------------
+def test_pants_selector_with_oracle(runner):
+    res = runner.invoke(main, ["amplitude", "--algebra", "clifford",
+                               "--surface", "pants", "--spin", "NS,R,R:+-",
+                               "--oracle"])
+    assert res.exit_code == 0
+    report = json.loads(res.output)
+    assert report["oracle"] == "equal"
+    assert report["amplitude"]["types"] == ["NS", "R", "R"]
+
+
+@pytest.mark.parametrize("spin", ("NS,R:+-", "NS,R,R:+", "NS,R,R+-"))
+def test_bad_pants_selector_exits_2(runner, spin):
+    res = runner.invoke(main, ["amplitude", "--algebra", "clifford",
+                               "--surface", "pants", "--spin", spin])
+    assert res.exit_code == 2
+    assert res.output.startswith("error: ")
+
+
+def test_oracle_mismatch_exits_1(runner, monkeypatch):
+    import spinsum.cli
+    from spinsum.eval import Amplitude
+    evaluate = spinsum.cli.evaluate
+
+    def doubled(*args):
+        amp = evaluate(*args)
+        return Amplitude(amp.tensor.scale(2), amp.boundaries,
+                         amp.leg_labels, amp.types)
+    monkeypatch.setattr(spinsum.cli, "evaluate", doubled)
+    res = runner.invoke(main, ["amplitude", "--algebra", "clifford",
+                               "--surface", "cylinder", "--spin", "NS+",
+                               "--oracle"])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["oracle"] == "MISMATCH"
+
+
+def test_pachner_fuzz_failure_exits_1_with_the_move_log(runner, monkeypatch):
+    import spinsum.pachner
+    # a new object per evaluation never equals the base amplitude
+    monkeypatch.setattr(spinsum.pachner, "evaluate_raw", lambda *a: object())
+    res = runner.invoke(main, ["pachner-fuzz", "--algebra", "clifford",
+                               "--surface", "cylinder", "--spin", "NS+",
+                               "--moves", "4", "--check-every", "2"])
+    assert res.exit_code == 1
+    report = json.loads(res.output)
+    assert (report["result"], report["checks"], report["moves"]) == \
+        ("FAIL", 1, 2)
+    assert len(report["move_log"]) == 2
+
+
+def test_output_file_holds_what_stdout_prints(runner, tmp_path):
+    path = tmp_path / "report.json"
+    res = runner.invoke(main, ["classify", "--surface", "torus",
+                               "--output", str(path)])
+    assert res.exit_code == 0
+    assert path.read_text() == res.output
+    assert json.loads(res.output)["count"] == 4
+
+
+def test_classify_rejects_an_open_surface_file(runner, tmp_path):
+    from spinsum import surface
+    path = tmp_path / "cylinder.json"
+    path.write_text(json.dumps(surface.to_json(surface.build_cylinder())))
+    res = runner.invoke(main, ["classify", "--surface", str(path)])
+    assert res.exit_code == 2
+    assert "classification needs a closed surface" in res.output
+
+
+@pytest.mark.parametrize("command", ("amplitude", "pachner-fuzz"))
+def test_built_in_surface_needs_spin(runner, command):
+    res = runner.invoke(main, [command, "--algebra", "clifford",
+                               "--surface", "cylinder"])
+    assert res.exit_code == 2
+    assert "built-in surface 'cylinder' needs --spin" in res.output
+
+
+@pytest.mark.parametrize("command", ("amplitude", "pachner-fuzz"))
+def test_surface_file_needs_signs(runner, torus_files, command):
+    _, surf, _ = torus_files
+    res = runner.invoke(main, [command, "--algebra", "clifford",
+                               "--surface", surf])
+    assert res.exit_code == 2
+    assert "file surfaces need --signs" in res.output
+
+
+@pytest.fixture()
+def two_tori_files(tmp_path):
+    """Two disjoint tori as one surface file, and all-+1 signs for it."""
+    from spinsum import surface, tft
+    tri, _ = tft.torus_spin("NS", 1)
+    union = surface.disjoint_union(tri, tri)[0]
+    assert surface.validate(union) == [] and union.genus() == 1
+    surf, signs_path = tmp_path / "two_tori.json", tmp_path / "signs.json"
+    surf.write_text(json.dumps(surface.to_json(union)))
+    signs_path.write_text(json.dumps({str(e): 1 for e in union.edges}))
+    return str(surf), str(signs_path)
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"], ["sign-scan", "--algebra", "clifford"]])
+def test_disconnected_surface_file_exits_2(runner, two_tori_files, command):
+    surf, _ = two_tori_files
+    res = runner.invoke(main, command + ["--surface", surf])
+    assert res.exit_code == 2
+    assert res.output == ("error: classification needs a connected surface; "
+                          "this one has 2 components\n")
+
+
+def test_raw_amplitude_of_a_disconnected_surface_file(runner, two_tori_files):
+    surf, signs_path = two_tori_files
+    res = runner.invoke(main, ["amplitude", "--algebra", "clifford",
+                               "--surface", surf, "--signs", signs_path,
+                               "--raw"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["amplitude"]["scalar"] == "1"

@@ -12,7 +12,8 @@ from spinsum.spin import (NS, R_TYPE, MarkingMove, apply_marking_move,
                           is_admissible, leaf_exchange_vectors, nu_of,
                           quadratic_form, signs_to_vector, symplectic_basis)
 from spinsum.surface import (R, GenusGComplex, build_cylinder,
-                             genus_g_closed_detail, glue_boundaries_with_map)
+                             disjoint_union, genus_g_closed_detail,
+                             glue_boundaries_with_map)
 from spinsum import tft
 
 from conftest import glue_edge_signs
@@ -148,6 +149,14 @@ def test_torus_classes_separated_by_quadratic_form():
         qs.add((quadratic_form(detail.tri, signs, a),
                 quadratic_form(detail.tri, signs, b)))
     assert qs == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("g", (1, 2))
+def test_classification_rejects_a_disconnected_surface(g):
+    tri = genus_g_closed_detail(g).tri
+    union = disjoint_union(disjoint_union(tri, tri)[0], tri)[0]
+    with pytest.raises(ValueError, match="has 3 components"):
+        classify_spin_structures(union)
 
 
 def test_curve_lift_sign_is_plus_minus_one():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinsum.algebra import builtin_by_name, derive
 from spinsum.fields import QQ, PrimeField
 from spinsum.tensor import GradedTensor, inversion_pairs
 
@@ -118,6 +119,86 @@ def test_compose_leg_mismatch_raises():
     other = GradedTensor.identity(QQ, (0, 0, 1), 1)
     with pytest.raises(ValueError, match="leg mismatch in compose"):
         t.compose(other)
+
+
+def test_compose_needs_every_input_leg():
+    # mu's first input leg matches eta's output leg, but compose needs both
+    D = derive(builtin_by_name("clifford"))
+    with pytest.raises(ValueError, match="leg mismatch in compose"):
+        D.mu.compose(D.eta)
+    assert D.mu.precompose(0, D.eta) == D.identity
+
+
+def test_precompose_rejects_bad_offsets():
+    t = GradedTensor.identity(QQ, EVEN_ODD, 2)
+    scalar = GradedTensor.scalar(QQ, QQ.one())
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match="leg mismatch in precompose"):
+            t.precompose(i, scalar)
+    with pytest.raises(ValueError, match="leg mismatch in precompose"):
+        t.precompose(2, GradedTensor.identity(QQ, EVEN_ODD))
+
+
+# -- precompose against a brute-force sum over the contracted indices --
+PRECOMPOSE_SHAPES = [(0, 1), (0, 3), (1, 2), (2, 3)]  # (n_out, n_in) of f
+INNER_SHAPES = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 0),
+                (3, 1)]  # (n_out, n_in) of m
+
+
+def _sparse_tensor(rng, out_legs, in_legs, field):
+    """Random tensor with about 40 % of all keys set to +-1 or +-2."""
+    legs = list(out_legs) + list(in_legs)
+    data = {}
+    for key in itertools.product(*(range(len(leg)) for leg in legs)):
+        if rng.random() < 0.4:
+            data[key] = field.of(rng.choice((-2, -1, 1, 2)))
+    return GradedTensor(field, tuple(out_legs), tuple(in_legs), data)
+
+
+def _reference_precompose(f, i, m):
+    """Every key of f o (id^(x)i (x) m (x) id^(x)...), its value summed
+    over all indices on the contracted legs; zero sums are left out."""
+    F, k = f.field, m.n_out
+    ranges = [range(len(leg)) for leg in m.out_legs]
+    data, cancelled = {}, False
+    out_legs = f.out_legs + f.in_legs[:i] + m.in_legs + f.in_legs[i + k:]
+    for key in itertools.product(*(range(len(leg)) for leg in out_legs)):
+        head = key[:f.n_out + i]
+        inner = key[f.n_out + i:f.n_out + i + m.n_in]
+        tail = key[f.n_out + i + m.n_in:]
+        total, terms = F.zero(), 0
+        for x in itertools.product(*ranges):
+            v, w = f.data.get(head + x + tail), m.data.get(x + inner)
+            if v is not None and w is not None:
+                total, terms = F.add(total, F.mul(v, w)), terms + 1
+        if not F.is_zero(total):
+            data[key] = total
+        cancelled |= terms > 0 and F.is_zero(total)
+    return data, cancelled
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+@pytest.mark.parametrize("kind", ["even", "graded"])
+def test_precompose_matches_per_entry_reference(field, kind):
+    rng = random.Random(f"precompose-{field.characteristic}-{kind}")
+    any_cancelled = False
+    for n_out, n_in in PRECOMPOSE_SHAPES:
+        legs = LEG_KINDS[kind](n_out + n_in)
+        f = _sparse_tensor(rng, legs[:n_out], legs[n_out:], field)
+        before = dict(f.data)
+        for k, m_in in INNER_SHAPES:
+            for i in range(n_in - k + 1):
+                m = _sparse_tensor(rng, f.in_legs[i:i + k],
+                                   LEG_KINDS[kind](m_in), field)
+                got = f.precompose(i, m)
+                want, cancelled = _reference_precompose(f, i, m)
+                assert got.out_legs == f.out_legs
+                assert got.in_legs == (f.in_legs[:i] + m.in_legs
+                                       + f.in_legs[i + k:])
+                assert got.data == want
+                any_cancelled |= cancelled
+        assert f.data == before  # the input is never edited
+    assert any_cancelled  # the zero drop was exercised
 
 
 # -- permute and relabel against a per-entry reference -----------------

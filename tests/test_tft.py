@@ -88,16 +88,16 @@ def test_precompose_is_composition_with_identities(name):
                        (1, D.Delta, ident.tensor(D.Delta)),
                        (0, D.c(-1), D.c(-1).tensor(ident)),
                        (2, pp, ident.tensor(ident).tensor(pp))):
-        assert tft._precompose(f, i, m) == f.compose(full)
+        assert f.precompose(i, m) == f.compose(full)
 
 
 def test_precompose_drops_cancelled_entries():
     one = QQ.one()
     f = GradedTensor(QQ, (), ((0, 0),), {(0,): one, (1,): one})
     m = GradedTensor.from_matrix(QQ, (0, 0), (0,), [[one], [-one]])
-    assert tft._precompose(f, 0, m) == GradedTensor.zero(QQ, (), ((0,),))
+    assert f.precompose(0, m) == GradedTensor.zero(QQ, (), ((0,),))
     with pytest.raises(ValueError, match="leg mismatch"):
-        tft._precompose(f, 1, m)
+        f.precompose(1, m)
 
 
 def _assert_glue_is_the_glued_state_sum(amp, tri, signs, i, j, A):
