@@ -364,17 +364,29 @@ def from_json(obj: dict) -> GradedFrobeniusAlgebra:
         if not all(_is_index(x, n) for x in (k, i, j)):
             raise ValueError(f"mu entry [{k}, {i}, {j}] has an index outside "
                              f"0..{n - 1}")
-        mu[k][i][j] = F.of(v)
+        mu[k][i][j] = _value(F, v, f"mu entry [{k}, {i}, {j}]")
     for key in ("eta", "eps"):
         if len(obj[key]) != n:
             raise ValueError(f"{key} needs {n} entries, got {len(obj[key])}")
-    eta = tuple(F.of(v) for v in obj["eta"])
-    eps = tuple(F.of(v) for v in obj["eps"])
+    eta = tuple(_value(F, v, f"eta[{i}]") for i, v in enumerate(obj["eta"]))
+    eps = tuple(_value(F, v, f"eps[{i}]") for i, v in enumerate(obj["eps"]))
     A = GradedFrobeniusAlgebra(
         F, n, parity,
         tuple(tuple(tuple(row) for row in plane) for plane in mu), eta, eps)
     derive(A)  # rejects every defect, a degenerate pairing included
     return A
+
+
+def _value(F: Field, v, where: str):
+    """F.of(v) for an int (not a bool) or a "p/q" string; ValueError
+    naming the entry for any other value, a float or a bool included."""
+    try:
+        if type(v) is int or isinstance(v, str):
+            return F.of(v)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{where} is {v!r}; values must be integers or \"p/q\" "
+                     f"strings with q invertible in the field")
 
 
 def _is_index(x, n: int) -> bool:

@@ -17,7 +17,7 @@ from . import algebra as algebra_io
 from . import surface as surface_io
 from .algebra import (BUILTIN_NAMES, builtin_by_name,
                       passes_invariance_predicates, validate_predicates)
-from .eval import Amplitude, evaluate, evaluate_raw
+from .eval import Amplitude, boundary_legs, evaluate, evaluate_raw
 from .pachner import run_pachner_fuzz
 from .spin import (NS, R_TYPE, arf_invariant, classify_spin_structures,
                    quadratic_pairs, symplectic_basis)
@@ -73,9 +73,9 @@ def _load_signs(path: str, tri):
               f"missing {sorted(set(tri.edges) - set(signs))}, "
               f"unknown {sorted(set(signs) - set(tri.edges))}")
     for eid, s in sorted(signs.items()):
-        if isinstance(s, bool) or s not in (1, -1):
+        if type(s) is not int or s not in (1, -1):
             _fail(f"signs {path!r}: edge {eid} has sign {s!r}, not +1 or -1")
-    return {eid: int(s) for eid, s in signs.items()}
+    return signs
 
 
 _BUILTIN_SPIN_SURFACES = {
@@ -168,7 +168,7 @@ def _amplitude_json(amp: Amplitude, A) -> dict:
     entries = sorted((list(k), F.format(v)) for k, v in amp.tensor.data.items())
     out = {
         "boundaries": amp.boundaries,
-        "legs": [list(lbl) for lbl in amp.leg_labels],
+        "legs": [list(lbl) for lbl in boundary_legs(amp.boundaries)],
         "entries": [[k, v] for k, v in entries],
     }
     if amp.boundaries == 0:

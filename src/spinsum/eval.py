@@ -9,8 +9,8 @@ with its boundary leg already turned into an input through the pairing
 b; since c_- is the inverse of b and c_+ = sigma o c_-, that composite
 (b (x) id) o (id (x) c_s) is N_eps(-s) (id for s = -1, N for s = +1),
 stored transposed so that leg 0 holds the input index.  The amplitude
-contracts this diagram and relabels the 3 legs per boundary component
-(ordered by boundary index, then position 0,1,2) as inputs.
+contracts this diagram and relabels the 3 legs per boundary component as
+inputs, in the order of ``boundary_legs``.
 
 The schedule comes from ``plan_contraction``.  A face order is scored
 symbolically by the sum of 3^(open legs) after each triangle step, the
@@ -132,7 +132,18 @@ class DiagramGraph:
     signs: Signs
     # per edge id: (target of first output leg, target of second output leg)
     wires: dict[int, tuple[WireTarget, WireTarget]]
-    cod_order: list[tuple[int, int]]  # (boundary index, position)
+
+
+def boundary_legs(boundaries: int) -> list[tuple[int, int]]:
+    """The leg layout of an amplitude with the given number of boundary
+    circles: leg 3(b-1)+p is position p of boundary b, as (b, p)."""
+    return [(b, p) for b in range(1, boundaries + 1) for p in range(3)]
+
+
+def _codomain(tri: MarkedTriangulation) -> list[WireTarget]:
+    """The diagram's codomain wire targets in amplitude leg order."""
+    return [WireTarget("cod", boundary=b, position=p)
+            for b, p in boundary_legs(len(tri.boundaries))]
 
 
 def build_graph(tri: MarkedTriangulation, signs: Signs) -> DiagramGraph:
@@ -144,9 +155,7 @@ def build_graph(tri: MarkedTriangulation, signs: Signs) -> DiagramGraph:
         edge_sign(signs, eid)
     if tri._wires is None:
         tri._wires = _build_wires(tri)
-    cod_order = [(bi, p) for bi in range(1, len(tri.boundaries) + 1)
-                 for p in range(3)]
-    return DiagramGraph(tri, signs, tri._wires, cod_order)
+    return DiagramGraph(tri, signs, tri._wires)
 
 
 def _build_wires(tri: MarkedTriangulation) -> dict:
@@ -170,10 +179,17 @@ def _build_wires(tri: MarkedTriangulation) -> dict:
 
 @dataclass
 class Amplitude:
-    tensor: GradedTensor  # all legs are inputs (or a scalar)
-    boundaries: int
-    leg_labels: list[tuple[int, int]]  # (boundary index, position) per leg
+    """The amplitude of a spin surface with B boundary circles: a map
+    A^(x)3B -> k, every leg an input (a scalar when B = 0).  Leg
+    3(b-1)+p is position p of boundary b (``boundary_legs``), and
+    ``types`` holds the boundary types when they are known.  Two
+    amplitudes are equal when their tensors are."""
+    tensor: GradedTensor
     types: tuple[str, ...] = ()
+
+    @property
+    def boundaries(self) -> int:
+        return self.tensor.n_in // 3
 
     def scalar_value(self):
         return self.tensor.scalar_value()
@@ -181,8 +197,7 @@ class Amplitude:
     def __eq__(self, other):
         if not isinstance(other, Amplitude):
             return NotImplemented
-        return (self.tensor == other.tensor
-                and self.leg_labels == other.leg_labels)
+        return self.tensor == other.tensor
 
 
 def plan_contraction(graph: DiagramGraph) -> list[tuple[str, int]]:
@@ -340,11 +355,12 @@ class _Step:
 
 class _Program:
     """The sign-independent part of a contraction (see ``_compile``)."""
-    __slots__ = ("steps", "edges", "order")
+    __slots__ = ("steps", "edges", "legs", "order")
 
-    def __init__(self, steps, edges, order):
+    def __init__(self, steps, edges, legs, order):
         self.steps = steps  # the triangle steps, as ``_Step``
         self.edges = edges  # edge ids in plan order
+        self.legs = legs    # number of codomain legs
         self.order = order  # final ``permute_out``, None if already in order
 
 
@@ -398,13 +414,12 @@ def _compile(graph: DiagramGraph, plan) -> _Program:
         open_ends = [open_ends[q] for q in rest] + free_ends
         at = {end: q for q, end in enumerate(open_ends)}
     targets = [graph.wires[eid][li] for eid, li in open_ends]
-    want = [WireTarget("cod", boundary=bi, position=q)
-            for bi, q in graph.cod_order]
+    want = _codomain(graph.tri)
     if pending or Counter(targets) != Counter(want):
         raise RuntimeError("contraction did not end on the codomain legs")
     at = {w: q for q, w in enumerate(targets)}
     order = [at[w] for w in want]
-    return _Program(steps, tuple(edges),
+    return _Program(steps, tuple(edges), len(want),
                     None if order == sorted(order) else order)
 
 
@@ -515,7 +530,7 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
     if not p:
         for key, v in blob.items():
             blob[key] = Fraction(v, denom)  # the one division
-    out = GradedTensor(F, tuple([leg] * len(graph.cod_order)), (), blob)
+    out = GradedTensor(F, (leg,) * program.legs, (), blob)
     return out if program.order is None else out.permute_out(program.order)
 
 
@@ -679,8 +694,7 @@ def evaluate_raw(tri: MarkedTriangulation, signs: Signs,
     D = derive(A)
     graph = build_graph(tri, signs)
     raw = contract_graph(graph, D, plan, max_open_legs, max_entries)
-    return Amplitude(raw.flip_out_to_in(), len(tri.boundaries),
-                     list(graph.cod_order))
+    return Amplitude(raw.flip_out_to_in())
 
 
 def evaluate(tri: MarkedTriangulation, signs: Signs, types: tuple[str, ...],
@@ -717,17 +731,10 @@ def contract_exhaustive(graph: DiagramGraph,
         src_pos[(eid, 0)] = 2 * k
         src_pos[(eid, 1)] = 2 * k + 1
     # target order: triangles then codomain
-    tgt_index = {}
-    pos = 0
-    for fid in sorted(tri.triangles):
-        for slot in range(3):
-            tgt_index[WireTarget("face", face=fid, slot=slot)] = pos
-            pos += 1
-    cod_positions = []
-    for bi, p in graph.cod_order:
-        tgt_index[WireTarget("cod", boundary=bi, position=p)] = pos
-        cod_positions.append(pos)
-        pos += 1
+    faces = [WireTarget("face", face=fid, slot=slot)
+             for fid in sorted(tri.triangles) for slot in range(3)]
+    codomain = _codomain(tri)
+    tgt_index = {w: q for q, w in enumerate(faces + codomain)}
     # permutation: source position -> target position
     perm = [0] * (2 * len(edge_ids))
     for eid in edge_ids:
@@ -741,12 +748,13 @@ def contract_exhaustive(graph: DiagramGraph,
     for eid in edge_ids:
         c = D.c(graph.signs[eid])
         c_entries[eid] = list(c.data.items())
-    # triangle membership for pruning: face -> its three source wire ends
-    face_sources: dict[int, list[tuple[int, int]]] = {}
-    for eid in edge_ids:
-        for li, tgt in enumerate(graph.wires[eid]):
-            if tgt.kind == "face":
-                face_sources.setdefault(tgt.face, []).append((eid, li))
+    # the wire end (edge id, leg index) at each target, looked up once:
+    # per face its three slots', and the codomain legs' in order
+    end_of = {w: (eid, li) for eid, ends in graph.wires.items()
+              for li, w in enumerate(ends)}
+    face_ends = {fid: [end_of[WireTarget("face", face=fid, slot=s)]
+                       for s in range(3)] for fid in tri.triangles}
+    cod_ends = [end_of[w] for w in codomain]
     # order edges so triangles complete as early as possible
     order: list[int] = []
     seen: set[int] = set()
@@ -756,9 +764,6 @@ def contract_exhaustive(graph: DiagramGraph,
             if eid not in seen:
                 seen.add(eid)
                 order.append(eid)
-    for eid in edge_ids:
-        if eid not in seen:
-            order.append(eid)
     # which faces complete at each step of the order
     complete_at: list[list[int]] = [[] for _ in order]
     rank = {eid: k for k, eid in enumerate(order)}
@@ -770,11 +775,7 @@ def contract_exhaustive(graph: DiagramGraph,
     assign: dict[tuple[int, int], int] = {}  # (eid, leg index) -> basis index
 
     def face_value(fid) -> object | None:
-        key = [0, 0, 0]
-        for eid, li in face_sources[fid]:
-            tgt = graph.wires[eid][li]
-            key[tgt.slot] = assign[(eid, li)]
-        return D.t.data.get(tuple(key))
+        return D.t.data.get(tuple(assign[end] for end in face_ends[fid]))
 
     def rec(k: int, acc):
         if k == len(order):
@@ -787,14 +788,7 @@ def contract_exhaustive(graph: DiagramGraph,
             for a, b in cross:
                 s += parity[flat[a]] * parity[flat[b]]
             val = acc if s % 2 == 0 else F.neg(acc)
-            out_key = []
-            for bi, p in graph.cod_order:
-                t = WireTarget("cod", boundary=bi, position=p)
-                for eid in edge_ids:
-                    for li in range(2):
-                        if graph.wires[eid][li] == t:
-                            out_key.append(assign[(eid, li)])
-            out_key = tuple(out_key)
+            out_key = tuple(assign[end] for end in cod_ends)
             result[out_key] = F.add(result.get(out_key, F.zero()), val)
             return
         eid = order[k]
@@ -816,7 +810,7 @@ def contract_exhaustive(graph: DiagramGraph,
 
     rec(0, F.one())
     leg = tuple(parity)
-    m = len(graph.cod_order)
+    m = len(codomain)
     pre = GradedTensor(F, tuple([leg] * m), (), {})
     for key, v in result.items():
         if not F.is_zero(v):
@@ -841,4 +835,4 @@ def contract_exhaustive(graph: DiagramGraph,
                 coeff = F.mul(coeff, bv)
             if coeff is not None and not F.is_zero(coeff):
                 flipped._add_to(xkey, coeff)
-    return Amplitude(flipped, len(tri.boundaries), list(graph.cod_order))
+    return Amplitude(flipped)

@@ -36,7 +36,7 @@ from typing import Iterator
 
 from . import gf2
 from .surface import (CurveSpec, CurveStep, Edge, GenusGComplex, L,
-                      MarkedTriangulation, R, Slot, Triangle)
+                      MarkedTriangulation, R, Slot, Triangle, union)
 
 NS, R_TYPE = "NS", "R"
 
@@ -156,8 +156,8 @@ def classify_spin_structures(tri: MarkedTriangulation) -> list[Signs]:
     reps = gf2.coset_representatives(space, leaf_exchange_vectors(tri))
     expected = 1 << (2 * tri.genus())
     if len(reps) != expected:
-        forest, _ = _spanning_forest(
-            (eid, e.src, e.dst) for eid, e in tri.edges.items())
+        forest, _ = _spanning_forest(tri.vertices, (
+            (eid, e.src, e.dst) for eid, e in tri.edges.items()))
         components = len(tri.vertices) - len(forest)
         if components > 1:
             raise ValueError(f"classification needs a connected surface; "
@@ -244,25 +244,13 @@ def curve_lift_sign(tri: MarkedTriangulation, signs: Signs,
 
 
 # -- tree-cotree cycles and the Arf invariant ---------------------------
-def _spanning_forest(links):
-    """Split (id, u, v) links into spanning-forest ids and leftover ids."""
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _spanning_forest(nodes, links):
+    """Split (id, u, v) links between nodes into spanning-forest ids and
+    leftover ids, in link order."""
+    parent = {x: x for x in nodes}
     kept, rest = [], []
     for lid, u, v in links:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            rest.append(lid)
-        else:
-            parent[ru] = rv
-            kept.append(lid)
+        (kept if union(parent, u, v) else rest).append(lid)
     return kept, rest
 
 
@@ -270,12 +258,12 @@ def _tree_cotree_cycles(tri: MarkedTriangulation) -> list[CurveSpec]:
     """One embedded dual cycle per edge outside a tree and a cotree."""
     if not tri.is_closed():
         raise ValueError("symplectic basis requires a closed surface")
-    tree, _ = _spanning_forest(
-        (eid, e.src, e.dst) for eid, e in sorted(tri.edges.items()))
+    tree, _ = _spanning_forest(tri.vertices, (
+        (eid, e.src, e.dst) for eid, e in sorted(tri.edges.items())))
     tree = set(tree)
     dual = [(eid, tri.incidences(eid)[0][0], tri.incidences(eid)[1][0])
             for eid in sorted(tri.edges) if eid not in tree]
-    cotree, leftover = _spanning_forest(dual)
+    cotree, leftover = _spanning_forest(tri.triangles, dual)
     # cross[f][h] = (slot in f, slot in h) of the cotree edge joining f, h
     cross: dict[int, dict[int, tuple[int, int]]] = {}
     for eid in cotree:

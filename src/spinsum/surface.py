@@ -295,6 +295,25 @@ class MarkedTriangulation:
         return errs
 
 
+# -- union-find ---------------------------------------------------------
+def find(parent: dict, x):
+    """The root of x's class in the forest ``parent`` (every element maps
+    to its parent, a root to itself), halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def union(parent: dict, x, y) -> bool:
+    """Merge the classes of x and y under the smaller root; False if
+    they already were one class."""
+    rx, ry = find(parent, x), find(parent, y)
+    if rx == ry:
+        return False
+    parent[max(rx, ry)] = min(rx, ry)
+    return True
+
+
 # -- validation ---------------------------------------------------------
 def validate(tri: MarkedTriangulation) -> list[str]:
     errs: list[str] = []
@@ -373,22 +392,15 @@ def _vertex_link_errors(tri: MarkedTriangulation) -> list[str]:
     (f, s - 1) to (g, t); a vertex whose corners fall into several
     classes is a non-manifold point."""
     parent = {(fid, c): (fid, c) for fid in tri.triangles for c in range(3)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     for inc in tri._incidence.values():
         if len(inc) == 2:
             (f, s), (g, t) = inc
-            for a, b in (((f, s), (g, (t - 1) % 3)),
-                         ((f, (s - 1) % 3), (g, t))):
-                parent[find(a)] = find(b)
+            union(parent, (f, s), (g, (t - 1) % 3))
+            union(parent, (f, (s - 1) % 3), (g, t))
     classes: dict[int, set] = {}
     for corner in parent:
         classes.setdefault(tri.corner_vertex(*corner), set()).add(
-            find(corner))
+            find(parent, corner))
     return [f"vertex {v}: its corners form {len(cs)} separate cycles or "
             f"fans, not one (non-manifold vertex)"
             for v, cs in sorted(classes.items()) if len(cs) > 1]
@@ -470,25 +482,14 @@ def glue_boundaries_with_map(tri: MarkedTriangulation, i: int, j: int):
         raise ValueError(f"invalid boundary pair ({i}, {j})")
     bi, bj = tri.boundaries[i - 1], tri.boundaries[j - 1]
     pairs = tuple((bi.edges[p], bj.edges[(2 - p) % 3]) for p in range(3))
-    # vertex identifications: a.dst ~ b.src and a.src ~ b.dst per pair
-    parent: dict[int, int] = {v: v for v in tri.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    # vertex identifications: a.dst ~ b.src and a.src ~ b.dst per pair,
+    # each class named by its smallest vertex
+    parent = {v: v for v in tri.vertices}
     for a_eid, b_eid in pairs:
         a, b = tri.edges[a_eid], tri.edges[b_eid]
-        union(a.dst, b.src)
-        union(a.src, b.dst)
-    vmap = {v: find(v) for v in tri.vertices}
+        union(parent, a.dst, b.src)
+        union(parent, a.src, b.dst)
+    vmap = {v: find(parent, v) for v in tri.vertices}
 
     removed = {a for a, _ in pairs}
     edge_rename = {a: b for a, b in pairs}
@@ -536,9 +537,12 @@ def disjoint_union(t1: MarkedTriangulation, t2: MarkedTriangulation):
 
 @dataclass
 class GenusGComplex:
-    """A closed genus-g complex."""
+    """A closed complex, with its genus g read off the triangulation."""
     tri: MarkedTriangulation
-    g: int
+
+    @property
+    def g(self) -> int:
+        return self.tri.genus()
 
 
 def genus_g_closed_detail(g: int) -> GenusGComplex:
@@ -546,9 +550,9 @@ def genus_g_closed_detail(g: int) -> GenusGComplex:
         raise ValueError("genus must be nonnegative")
     if g == 0:
         two, *_ = disjoint_union(build_disk(), build_disk())
-        return GenusGComplex(glue_boundaries(two, 1, 2), 0)
+        return GenusGComplex(glue_boundaries(two, 1, 2))
     if g == 1:
-        return GenusGComplex(glue_boundaries(build_cylinder(), 1, 2), 1)
+        return GenusGComplex(glue_boundaries(build_cylinder(), 1, 2))
     # g >= 2: cyclic chain of 2g-2 pairs of pants.  Boundary bookkeeping:
     # after each glue the remaining boundaries keep their relative order.
     n = 2 * g - 2
@@ -570,7 +574,7 @@ def genus_g_closed_detail(g: int) -> GenusGComplex:
         glue((k, 3), ((k + 1) % n, 1))
     for k in range(0, n, 2):
         glue((k, 2), (k + 1, 2))
-    return GenusGComplex(tri, g)
+    return GenusGComplex(tri)
 
 
 def genus_g_closed(g: int) -> MarkedTriangulation:

@@ -69,13 +69,12 @@ def glue_amplitude(T: Amplitude, i: int, j: int, eps: int,
         raise ValueError("glued boundaries must have equal type")
     c = derive(A).c(eps)
     rest = [k for k in range(1, B + 1) if k not in (i, j)]
-    front = [(i, 0), (j, 2), (i, 1), (j, 1), (i, 2), (j, 0)]
-    front += [(bk, p) for bk in rest for p in range(3)]
-    glued = T.tensor.permute_in([T.leg_labels.index(lbl) for lbl in front])
-    glued = glued.precompose(0, c.tensor(c).tensor(c))
-    labels = [(nk, p) for nk in range(1, len(rest) + 1) for p in range(3)]
+    a, b = 3 * (i - 1), 3 * (j - 1)  # leg 3(k-1)+p is position p of k
+    front = [a, b + 2, a + 1, b + 1, a + 2, b]
+    front += [3 * (k - 1) + p for k in rest for p in range(3)]
+    glued = T.tensor.permute_in(front).precompose(0, c.tensor(c).tensor(c))
     types = tuple(t for k, t in enumerate(T.types, 1) if k not in (i, j))
-    return Amplitude(glued, B - 2, labels, types)
+    return Amplitude(glued, types)
 
 
 # -- state spaces and the Z algebra -------------------------------------
@@ -199,8 +198,7 @@ def _boundary_form(D: DerivedStructure, functional: GradedTensor,
     pp = pi31(D)
     for i in reversed(range(len(legmaps))):
         comp = comp.precompose(i, pp)
-    labels = [(b, p) for b in range(1, len(types) + 1) for p in range(3)]
-    return Amplitude(comp, len(types), labels, tuple(types))
+    return Amplitude(comp, tuple(types))
 
 
 def cylinder_closed_form(A: GradedFrobeniusAlgebra, delta: str,

@@ -192,6 +192,18 @@ def test_classify_exits_1_on_a_wrong_arf_split(runner, monkeypatch):
     assert "0 of 16 classes have Arf -1, expected 6 of 16" in res.output
 
 
+def test_classify_exits_1_when_the_classification_fails(runner, monkeypatch):
+    import spinsum.cli
+
+    def fail(tri):
+        raise RuntimeError("classification found 3 classes, expected 4")
+    monkeypatch.setattr(spinsum.cli, "classify_spin_structures", fail)
+    res = runner.invoke(main, ["classify", "--surface", "torus"])
+    assert res.exit_code == 1
+    assert res.output == ("error: classification found 3 classes, "
+                          "expected 4\n")
+
+
 def test_deterministic_output(runner):
     args = ["pachner-fuzz", "--algebra", "clifford", "--surface", "cylinder",
             "--spin", "R-", "--seed", "9", "--moves", "30"]
@@ -239,6 +251,17 @@ def test_spin_only_on_built_in_and_named_surfaces(runner, torus_files,
     assert "--spin is for built-in and named surfaces" in res.output
 
 
+def test_oracle_on_a_surface_file_exits_2(runner, torus_files):
+    tmp, surf, signs = torus_files
+    path = tmp / "signs.json"
+    path.write_text(json.dumps(signs))
+    res = runner.invoke(main, ["amplitude", "--algebra", "clifford",
+                               "--surface", surf, "--signs", str(path),
+                               "--oracle"])
+    assert res.exit_code == 2
+    assert "no closed form available for surface" in res.output
+
+
 def test_pachner_fuzz_missing_signs_file(runner, torus_files):
     tmp, surf, _ = torus_files
     res = _run_with_signs(runner, "pachner-fuzz", surf, str(tmp / "no.json"))
@@ -272,7 +295,7 @@ def test_signs_must_name_exactly_the_edges(runner, torus_files, command,
 
 
 @pytest.mark.parametrize("command", ("amplitude", "pachner-fuzz"))
-@pytest.mark.parametrize("value", (2, 0, "x"))
+@pytest.mark.parametrize("value", (2, 0, "x", -1.0, 1.0, True))
 def test_signs_must_be_plus_or_minus_one(runner, torus_files, command,
                                          value):
     tmp, surf, signs = torus_files
@@ -436,6 +459,45 @@ def test_algebra_file_unit_and_counit_lengths(runner, tmp_path, key, length):
     assert f"{key} needs 2 entries, got {length}" in res.output
 
 
+def _f3_json():
+    from spinsum import algebra
+    return algebra.to_json(algebra.builtin_by_name("twisted-matrix-3-f3"))
+
+
+@pytest.mark.parametrize("make,path,value", [
+    (_clifford_json, ("eta", 0), True),     # loaded as 1: Clifford again
+    (_clifford_json, ("mu", 0, 3), True),   # loaded as 1: Clifford again
+    (_f3_json, ("mu", 0, 3), 1.0),          # died in pow()
+    (_clifford_json, ("mu", 0, 3), 0.1),    # loaded as the double's value
+    (_clifford_json, ("eps", 0), "2/0"),
+    (_f3_json, ("eps", 8), "1/3"),          # 3 has no inverse in F_3
+], ids=["eta-bool", "mu-bool", "f3-float", "q-float", "zero-denominator",
+        "f3-denominator"])
+def test_algebra_file_values_must_be_ints_or_fractions(runner, tmp_path,
+                                                       make, path, value):
+    obj = make()
+    key, k, *rest = path
+    if rest:
+        where = "mu entry [{}, {}, {}]".format(*obj[key][k][:3])
+        obj[key][k][rest[0]] = value
+    else:
+        where = f"{key}[{k}]"
+        obj[key][k] = value
+    res = _validate_algebra_file(runner, tmp_path, obj)
+    assert res.exit_code == 2
+    assert f"{where} is {value!r}; values must be integers" in res.output
+
+
+def test_algebra_file_takes_int_values(runner, tmp_path):
+    obj = _clifford_json()
+    obj["eta"], obj["eps"] = [1, 0], [2, 0]
+    for entry in obj["mu"]:
+        entry[3] = int(entry[3])
+    res = _validate_algebra_file(runner, tmp_path, obj)
+    assert res.exit_code == 0
+    assert json.loads(res.output)["all"] is True
+
+
 def _degenerate_json():
     # a zero counit makes the pairing b(x, y) = eps(xy) vanish
     obj = _clifford_json()
@@ -471,6 +533,20 @@ def test_algebra_file_that_is_not_a_frobenius_algebra(runner, tmp_path,
     assert defect in res.output
 
 
+def _classify_cylinder_with(runner, tmp_path, path, value):
+    """``classify`` on the cylinder's surface file with the value at
+    ``path`` (a key sequence into its JSON) replaced by ``value``."""
+    from spinsum import surface
+    obj = surface.to_json(surface.build_cylinder())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    surf = tmp_path / "cylinder.json"
+    surf.write_text(json.dumps(obj))
+    return runner.invoke(main, ["classify", "--surface", str(surf)])
+
+
 @pytest.mark.parametrize("position,message", [
     (3, "position 3 is not 0, 1 or 2"),
     (-1, "position -1 is not 0, 1 or 2"),
@@ -478,12 +554,8 @@ def test_algebra_file_that_is_not_a_frobenius_algebra(runner, tmp_path,
 ])
 def test_surface_file_boundary_positions(runner, tmp_path, position,
                                          message):
-    from spinsum import surface
-    obj = surface.to_json(surface.build_cylinder())
-    obj["boundaries"][0][0]["position"] = position
-    path = tmp_path / "cylinder.json"
-    path.write_text(json.dumps(obj))
-    res = runner.invoke(main, ["classify", "--surface", str(path)])
+    res = _classify_cylinder_with(
+        runner, tmp_path, ("boundaries", 0, 0, "position"), position)
     assert res.exit_code == 2
     assert message in res.output
 
@@ -497,15 +569,7 @@ def test_surface_file_boundary_positions(runner, tmp_path, position,
 def test_surface_file_ids_must_be_integers(runner, tmp_path, path, value,
                                            message):
     # True would load as id 1; a string vertex id failed in a sort
-    from spinsum import surface
-    obj = surface.to_json(surface.build_cylinder())
-    target = obj
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    surf = tmp_path / "cylinder.json"
-    surf.write_text(json.dumps(obj))
-    res = runner.invoke(main, ["classify", "--surface", str(surf)])
+    res = _classify_cylinder_with(runner, tmp_path, path, value)
     assert res.exit_code == 2
     assert f"{message} is not an integer id" in res.output
 
@@ -536,6 +600,58 @@ def test_surface_file_repeated_id_exits_2(runner, tmp_path, table):
     res = runner.invoke(main, ["classify", "--surface", str(surf)])
     assert res.exit_code == 2
     assert "key '1' is given twice" in res.output
+
+
+def _boundary(*edges):
+    return [{"edge": e, "position": p} for p, e in enumerate(edges)]
+
+
+# one defect each of the cylinder's file (edges 1-3 and 4-6 bound it; face
+# 1 holds edges 7 L, 8 R, 1 R) and a message that validate gives for it
+SURFACE_DEFECTS = {
+    "slot-count": (("triangles", "1"), [{"edge": 7, "side": "L"},
+                                        {"edge": 8, "side": "R"}],
+                   "triangle 1: must have 3 slots"),
+    "unknown-edge": (("triangles", "1", 0, "edge"), 99,
+                     "triangle 1 slot 0: unknown edge 99"),
+    "bad-side": (("triangles", "1", 0, "side"), "X",
+                 "triangle 1 slot 0: bad side X"),
+    "unchained": (("triangles", "1"), [{"edge": 1, "side": "R"},
+                                       {"edge": 8, "side": "R"},
+                                       {"edge": 7, "side": "L"}],
+                  "triangle 1: slot traversals do not chain at corner"),
+    "orphan-edge": (("edges", "99"), {"src": 1, "dst": 2},
+                    "edge 99: not incident to any triangle"),
+    "non-manifold-edge": (("triangles", "1", 0, "edge"), 8,
+                          "edge 8: non-manifold edge (3 slots)"),
+    "equal-sides": (("triangles", "1", 1, "side"), "L",
+                    "edge 8: both incident slots on side L"),
+    "inner-edge-on-boundary": (("boundaries", 0, 0, "edge"), 7,
+                               "edge 7: listed on a boundary but has two "
+                               "incident triangles"),
+    "unlisted-boundary": (("boundaries",), [_boundary(1, 2, 3)],
+                          "edge 4: single incidence but not listed on a "
+                          "boundary"),
+    "boundary-orientation": (("triangles", "1", 2, "side"), "L",
+                             "edge 1: boundary edge orientation convention "
+                             "violated"),
+    "unknown-boundary-edge": (("boundaries", 0, 0, "edge"), 99,
+                              "boundary 1: unknown edges [99]"),
+    "boundary-chain": (("boundaries", 0), _boundary(1, 3, 2),
+                       "boundary 1: edges at positions 0,1 do not chain "
+                       "head-to-tail"),
+    "boundary-vertices": (("boundaries", 0, 2, "edge"), 6,
+                          "boundary 1: must have 3 vertices"),
+}
+
+
+@pytest.mark.parametrize("defect", SURFACE_DEFECTS)
+def test_surface_file_defect_exits_2_and_names_it(runner, tmp_path, defect):
+    path, value, message = SURFACE_DEFECTS[defect]
+    res = _classify_cylinder_with(runner, tmp_path, path, value)
+    assert res.exit_code == 2
+    assert res.output.startswith("error: cannot load surface")
+    assert message in res.output
 
 
 def test_surface_file_with_wrong_shape(runner, tmp_path):
@@ -608,8 +724,7 @@ def test_oracle_mismatch_exits_1(runner, monkeypatch):
 
     def doubled(*args):
         amp = evaluate(*args)
-        return Amplitude(amp.tensor.scale(2), amp.boundaries,
-                         amp.leg_labels, amp.types)
+        return Amplitude(amp.tensor.scale(2), amp.types)
     monkeypatch.setattr(spinsum.cli, "evaluate", doubled)
     res = runner.invoke(main, ["amplitude", "--algebra", "clifford",
                                "--surface", "cylinder", "--spin", "NS+",

@@ -10,9 +10,9 @@ from spinsum.algebra import (BUILTIN_NAMES, GradedFrobeniusAlgebra,
                              passes_invariance_predicates)
 import spinsum.eval as engine
 from spinsum.eval import (FUSED_TABLES_KEPT, WireTarget, _program,
-                          build_graph, contract_exhaustive, contract_graph,
-                          contract_network, evaluate, evaluate_raw,
-                          is_valid_schedule, plan_contraction)
+                          boundary_legs, build_graph, contract_exhaustive,
+                          contract_graph, contract_network, evaluate,
+                          evaluate_raw, is_valid_schedule, plan_contraction)
 from spinsum.fields import QQ, PrimeField
 from spinsum.pachner import random_pachner_move
 from spinsum.spin import (arf_invariant, classify_spin_structures,
@@ -290,7 +290,7 @@ def _blob_reference(graph, D, plan):
             blob = contract_out_with(blob.permute_out(rest + pos), D.t)
             open_targets = [open_targets[p] for p in rest]
     want = [WireTarget("cod", boundary=bi, position=p)
-            for bi, p in graph.cod_order]
+            for bi, p in boundary_legs(len(graph.tri.boundaries))]
     return blob.permute_out([open_targets.index(w) for w in want])
 
 

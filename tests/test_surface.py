@@ -1,6 +1,7 @@
 import pytest
 
-from spinsum.surface import (Edge, MarkedTriangulation, build_cylinder,
+from spinsum.surface import (BoundaryComponent, Edge, MarkedTriangulation,
+                             build_cylinder,
                              build_disk, build_pair_of_pants,
                              disjoint_union, from_json, genus_g_closed,
                              genus_g_closed_detail, glue_boundaries,
@@ -109,3 +110,12 @@ def test_validate_rejects_non_manifold_vertices():
     assert validate(wedge) == ["vertex 1: its corners form 2 separate "
                                "cycles or fans, not one (non-manifold "
                                "vertex)"]
+
+
+def test_validate_rejects_a_boundary_without_three_edges():
+    # from_json always gives a boundary three positions, so only a complex
+    # built in code reaches this check
+    tri = build_cylinder()
+    short = MarkedTriangulation(tri.edges, tri.triangles,
+                                [BoundaryComponent((1, 2)), tri.boundaries[1]])
+    assert "boundary 1: must have 3 edges" in validate(short)

@@ -129,10 +129,7 @@ def test_self_glued_walked_pants_is_the_glued_state_sum(name):
 def _disjoint_union(a1, a2):
     """The amplitude of a disjoint union: the tensor product, with a2's
     boundaries numbered after a1's."""
-    B = a1.boundaries
-    return Amplitude(a1.tensor.tensor(a2.tensor), B + a2.boundaries,
-                     a1.leg_labels + [(b + B, p) for b, p in a2.leg_labels],
-                     a1.types + a2.types)
+    return Amplitude(a1.tensor.tensor(a2.tensor), a1.types + a2.types)
 
 
 # the (eps1, eps2) of the pants NS,R,R and the glued boundaries (one on
