@@ -586,7 +586,7 @@ def named_closed_detail(name: str) -> GenusGComplex:
     genus = {"sphere": "0", "torus": "1"}.get(name)
     if genus is None and name.startswith("genus-"):
         genus = name[len("genus-"):]
-    if genus is None or not genus.isdecimal():
+    if genus is None or not genus.isdecimal() or str(int(genus)) != genus:
         raise ValueError(f"closed surface must be sphere, torus or genus-G "
                          f"with G a nonnegative integer, got {name!r}")
     return genus_g_closed_detail(int(genus))
@@ -640,7 +640,7 @@ def from_json(obj: dict) -> MarkedTriangulation:
         Slot(_int_id(s["edge"], f"triangle {k} slot edge"), s["side"])
         for s in v)) for k, v in obj["triangles"].items()}
     bds = []
-    for b in obj.get("boundaries", []):
+    for bi, b in enumerate(obj.get("boundaries", []), 1):
         es = [None] * 3
         for rec in b:
             pos = rec["position"]
@@ -650,6 +650,9 @@ def from_json(obj: dict) -> MarkedTriangulation:
             if es[pos] is not None:
                 raise ValueError(f"boundary position {pos} is given twice")
             es[pos] = _int_id(rec["edge"], "boundary edge")
+        if None in es:
+            raise ValueError(f"boundary {bi}: position {es.index(None)} is "
+                             f"missing")
         bds.append(BoundaryComponent(tuple(es)))
     tri = MarkedTriangulation(edges, triangles, bds)
     errs = validate(tri)

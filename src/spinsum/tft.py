@@ -1,10 +1,10 @@
 """The TQFT layer: gluing of amplitudes, cylinder projectors and state
-spaces, the algebra on the total state space Z, closed forms for the
-cylinder and the pair of pants, the handle form of every closed spin
-surface, and the statistical sign sum.  Every composition, gluing and
-the cylinder and pants forms included, goes through
-``GradedTensor.precompose``, which contracts a group of input legs in
-time linear in the entries of the tensor contracted.
+spaces, the algebra on the total state space Z, one closed form for
+every spin surface (``closed_form``: a handle element per unit of genus
+and a leg map per boundary; the cylinder and the pants are its cases),
+and the statistical sign sum.  Every composition and gluing goes
+through ``GradedTensor.precompose``, which contracts a group of input
+legs in time linear in the entries of the tensor contracted.
 
 The state spaces Z_NS and Z_R are the images of the cylinder idempotents
 P_NS and P_R, and A_+ is the image of (id + N)/2.  Each idempotent P is
@@ -22,6 +22,7 @@ sum_s prod_e c_{s(e)} = prod_e (c_+ + c_-): one contraction at any genus.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -187,42 +188,13 @@ def z_algebra(A: GradedFrobeniusAlgebra) -> ZAlgebra:
 
 
 # -- closed forms -------------------------------------------------------
-def _boundary_form(D: DerivedStructure, functional: GradedTensor,
-                   legmaps, types) -> Amplitude:
-    """functional o (legmap_1 (x) ... (x) legmap_n) o pi31^(x)n, built one
-    boundary leg at a time: the leg maps first, then pi31 on each leg,
-    last leg first so that the earlier leg positions stay put."""
-    comp = functional
-    for i, m in enumerate(legmaps):
-        comp = comp.precompose(i, m)
-    pp = pi31(D)
-    for i in reversed(range(len(legmaps))):
-        comp = comp.precompose(i, pp)
-    return Amplitude(comp, tuple(types))
-
-
-def cylinder_closed_form(A: GradedFrobeniusAlgebra, delta: str,
-                         eps: int) -> Amplitude:
-    D = derive(A)
-    return _boundary_form(D, D.b, (D.q(nu_of(delta)).compose(D.N_eps(-eps)),
-                                   D.identity), (delta, delta))
-
-
-def pants_closed_form(A: GradedFrobeniusAlgebra, deltas: tuple[str, str, str],
-                      eps1: int, eps2: int) -> Amplitude:
-    if nu_of(deltas[0]) * nu_of(deltas[1]) * nu_of(deltas[2]) != 1:
-        raise ValueError("no spin structure: product of boundary types "
-                         "must be +1")
-    D = derive(A)
-    legmaps = (D.q(nu_of(deltas[0])).compose(D.N_eps(eps1)),
-               D.q(nu_of(deltas[1])).compose(D.N_eps(eps2)),
-               D.q(nu_of(deltas[2])))
-    return _boundary_form(D, D.b.precompose(1, D.mu), legmaps, deltas)
-
-
-def closed_form(A: GradedFrobeniusAlgebra, handles):
-    """eps o H_g o ... o H_1 o eta for handles [(delta_1, eps_1), ...],
-    with H_{delta,eps} = mu o ((P_delta o N_{-eps}) (x) id) o Delta.
+def closed_form(A: GradedFrobeniusAlgebra, handles=(),
+                boundaries=()) -> Amplitude:
+    """eps o H_g o ... o H_1 o mu^(n) o (L_1 (x) ... (x) L_n) o pi31^(x)n,
+    typed by the boundaries' deltas: H_{delta,eps} = mu o ((P_delta o
+    N_{-eps}) (x) id) o Delta per handle, L_{delta,eps} = P_delta o N_eps
+    per boundary, and mu^(n) the n-fold product (mu^(0) = eta).  pi31
+    comes last, one leg at a time and last leg first.
 
     A closed spin surface is fixed up to spin diffeomorphism by its genus
     g and its Arf invariant (Atiyah, "Riemann surfaces and spin
@@ -230,12 +202,37 @@ def closed_form(A: GradedFrobeniusAlgebra, handles):
     (NS, +1), the last one made (R, +1) when the Arf invariant is -1; the
     spin torus T_delta^eps is the single handle (delta, eps).
     """
+    types = tuple(delta for delta, _ in boundaries)
+    if math.prod(map(nu_of, types)) != 1:
+        raise ValueError("no spin structure: product of boundary types "
+                         "must be +1")
     D = derive(A)
-    vec = D.eta
+    vec = D.identity if boundaries else D.eta
+    for _ in boundaries[1:]:
+        vec = vec.precompose(0, D.mu)
     for delta, eps in handles:
         twist = D.q(nu_of(delta)).compose(D.N_eps(-eps))
         vec = D.mu.precompose(0, twist).compose(D.Delta).compose(vec)
-    return D.eps.compose(vec).scalar_value()
+    form = D.eps.compose(vec)
+    for i, (delta, eps) in enumerate(boundaries):
+        form = form.precompose(i, D.q(nu_of(delta)).compose(D.N_eps(eps)))
+    pp = pi31(D)
+    for i in reversed(range(len(boundaries))):
+        form = form.precompose(i, pp)
+    return Amplitude(form, types)
+
+
+def cylinder_closed_form(A: GradedFrobeniusAlgebra, delta: str,
+                         eps: int) -> Amplitude:
+    """The spin cylinder C_delta^eps of ``cylinder_spin``."""
+    return closed_form(A, (), ((delta, -eps), (delta, 1)))
+
+
+def pants_closed_form(A: GradedFrobeniusAlgebra, deltas: tuple[str, str, str],
+                      eps1: int, eps2: int) -> Amplitude:
+    """The spin pair of pants of ``pants_spin``."""
+    return closed_form(A, (), ((deltas[0], eps1), (deltas[1], eps2),
+                               (deltas[2], 1)))
 
 
 def spin_class_handles(detail: GenusGComplex, signs) -> list:

@@ -112,6 +112,14 @@ def test_named_surface_needs_a_genus(runner, command):
     assert "sphere, torus or genus-G" in res.output
 
 
+@pytest.mark.parametrize("surface", ("genus-\u0662", "genus-02"))
+def test_named_surface_genus_must_be_canonical(runner, surface):
+    # an Arabic-Indic 2 and a leading zero passed str.isdecimal
+    res = runner.invoke(main, ["classify", "--surface", surface])
+    assert res.exit_code == 2
+    assert "sphere, torus or genus-G" in res.output
+
+
 @pytest.mark.parametrize("surface,k", [("sphere", 0), ("genus-2", 0),
                                        ("genus-2", 5), ("genus-2", 15)])
 def test_amplitude_on_a_spin_class_of_a_named_surface(runner, surface, k):
@@ -175,7 +183,7 @@ def test_pachner_fuzz_walks_a_spin_class_of_genus_2(runner):
 
 
 @pytest.mark.parametrize("command", ("amplitude", "pachner-fuzz"))
-@pytest.mark.parametrize("spin", (None, "16", "-1", "x"))
+@pytest.mark.parametrize("spin", (None, "16", "-1", "x", "03", "\u0663"))
 def test_genus_2_needs_a_spin_class_index(runner, command, spin):
     args = [command, "--algebra", "clifford", "--surface", "genus-2"]
     res = runner.invoke(main, args + (["--spin", spin] if spin else []))
@@ -558,6 +566,15 @@ def test_surface_file_boundary_positions(runner, tmp_path, position,
         runner, tmp_path, ("boundaries", 0, 0, "position"), position)
     assert res.exit_code == 2
     assert message in res.output
+
+
+def test_surface_file_boundary_needs_every_position(runner, tmp_path):
+    from spinsum import surface
+    records = surface.to_json(surface.build_cylinder())["boundaries"][0]
+    res = _classify_cylinder_with(runner, tmp_path, ("boundaries", 0),
+                                  records[:2])
+    assert res.exit_code == 2
+    assert "boundary 1: position 2 is missing" in res.output
 
 
 @pytest.mark.parametrize("path,value,message", [

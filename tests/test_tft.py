@@ -8,8 +8,9 @@ from spinsum.algebra import builtin_by_name, derive
 from spinsum.eval import Amplitude, evaluate, evaluate_raw
 from spinsum.fields import QQ, PrimeField
 from spinsum.pachner import random_pachner_move
-from spinsum.spin import NS, R_TYPE, classify_spin_structures
-from spinsum.surface import (disjoint_union, genus_g_closed,
+from spinsum.spin import (NS, R_TYPE, classify_spin_structures,
+                          enumerate_admissible)
+from spinsum.surface import (build_disk, disjoint_union, genus_g_closed,
                              genus_g_closed_detail, glue_boundaries_with_map)
 from spinsum.tensor import GradedTensor
 from spinsum import tft
@@ -32,7 +33,19 @@ def test_gluing_cylinder_into_torus(name):
             ttri, tsigns = tft.torus_spin(delta, eps)
             assert glued.scalar_value() == \
                 evaluate_raw(ttri, tsigns, A).scalar_value()
-            assert glued.scalar_value() == tft.closed_form(A, [(delta, eps)])
+            assert glued.scalar_value() == \
+                tft.closed_form(A, [(delta, eps)]).scalar_value()
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_disk_is_the_closed_form_of_one_ns_boundary(name):
+    A = builtin_by_name(name)
+    admissible = list(enumerate_admissible(build_disk(), (NS,)))
+    assert len(admissible) == 2
+    for signs in admissible:
+        amp = evaluate(build_disk(), signs, (NS,), A)
+        for eps in (1, -1):
+            assert amp == tft.closed_form(A, (), [(NS, eps)])
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
@@ -44,7 +57,8 @@ def test_closed_form_matches_every_spin_class(name, g):
     # about 0.1 s per class for the F3 matrix algebra at genus 3
     step = 16 if (name, g) == ("twisted-matrix-3-f3", 3) else 1
     for signs in classes[::step]:
-        assert tft.closed_form(A, tft.spin_class_handles(detail, signs)) == \
+        handles = tft.spin_class_handles(detail, signs)
+        assert tft.closed_form(A, handles).scalar_value() == \
             evaluate_raw(detail.tri, signs, A).scalar_value()
 
 
@@ -55,7 +69,8 @@ def test_closed_form_matches_seeded_classes_at_higher_genus(name, g):
     detail = genus_g_closed_detail(g)
     classes = classify_spin_structures(detail.tri)
     for signs in random.Random(g).sample(classes, 3):
-        assert tft.closed_form(A, tft.spin_class_handles(detail, signs)) == \
+        handles = tft.spin_class_handles(detail, signs)
+        assert tft.closed_form(A, handles).scalar_value() == \
             evaluate_raw(detail.tri, signs, A).scalar_value()
 
 
@@ -102,28 +117,42 @@ def test_precompose_drops_cancelled_entries():
 
 def _assert_glue_is_the_glued_state_sum(amp, tri, signs, i, j, A):
     """glue_amplitude of amp along boundaries i, j equals evaluate_raw on
-    the glued triangulation, for both copairings."""
+    the glued triangulation, for both copairings; returns both gluings."""
     glued, gmap = glue_boundaries_with_map(tri, i, j)
-    for eps in (1, -1):
-        assert tft.glue_amplitude(amp, i, j, eps, A) == \
+    amps = [tft.glue_amplitude(amp, i, j, eps, A) for eps in (1, -1)]
+    for eps, amp_eps in zip((1, -1), amps):
+        assert amp_eps == \
             evaluate_raw(glued, glue_edge_signs(signs, gmap, eps), A)
+    return amps
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_self_glued_walked_pants_is_the_glued_state_sum(name):
     """Each spin pants, walked 10 seeded Pachner moves, glued along two
-    boundaries of equal type into a torus with one boundary."""
+    boundaries of equal type into a torus with one boundary.  Each gluing
+    is also the closed form of one handle, (NS, +1) or (R, +1), on the
+    remaining boundary (delta_rest, +1)."""
     A = builtin_by_name(name)
     seed = itertools.count()
+    handles_seen = set()
     for deltas, i, j in (((NS, NS, NS), 1, 3), ((R_TYPE, R_TYPE, NS), 2, 1),
                          ((NS, R_TYPE, R_TYPE), 2, 3)):
+        rest, = {1, 2, 3} - {i, j}
+        forms = {h: tft.closed_form(A, [h], [(deltas[rest - 1], 1)])
+                 for h in ((NS, 1), (R_TYPE, 1))}
         for eps1, eps2 in itertools.product((1, -1), repeat=2):
             tri, signs, types = tft.pants_spin(deltas, eps1, eps2)
             rng = random.Random(next(seed))
             for _ in range(10):
                 tri, signs, _move = random_pachner_move(tri, signs, rng)
             amp = evaluate(tri, signs, types, A)
-            _assert_glue_is_the_glued_state_sum(amp, tri, signs, i, j, A)
+            for glued in _assert_glue_is_the_glued_state_sum(amp, tri, signs,
+                                                             i, j, A):
+                handles = [h for h, form in forms.items() if form == glued]
+                assert handles
+                handles_seen.update(handles)
+    if name == "clifford":
+        assert handles_seen == {(NS, 1), (R_TYPE, 1)}
 
 
 def _disjoint_union(a1, a2):
@@ -310,5 +339,10 @@ def test_statistical_sum_rejects_open_or_char2(clifford):
 def test_pants_closed_form_rejects_odd_type_product(clifford):
     with pytest.raises(ValueError, match="\\+1"):
         tft.pants_closed_form(clifford, (NS, NS, R_TYPE), 1, 1)
+    with pytest.raises(ValueError, match="\\+1"):
+        tft.closed_form(clifford, (), [(R_TYPE, 1)])
+    with pytest.raises(ValueError, match="\\+1"):
+        tft.closed_form(clifford, [(NS, 1)], [(NS, 1), (R_TYPE, 1)])
+    assert list(enumerate_admissible(build_disk(), (R_TYPE,))) == []
     with pytest.raises(ValueError, match="\\+1"):
         tft.pants_spin((NS, NS, R_TYPE), 1, 1)
