@@ -118,9 +118,11 @@ class DerivedStructure:
     q_minus: GradedTensor
     identity: GradedTensor
     sigma: GradedTensor   # braiding A (x) A -> A (x) A
-    # boundary_map per edge sign, built on first use
-    _boundary: dict = dataclasses.field(default_factory=dict, repr=False,
-                                        compare=False)
+    # tensors built from the fields above on first use (``cached``): the
+    # boundary maps and tft's sign-sum tensors.  derive caches D per
+    # algebra, so derive.cache_clear() drops them with D.
+    _cache: dict = dataclasses.field(default_factory=dict, repr=False,
+                                     compare=False)
 
     def c(self, sign: int) -> GradedTensor:
         if sign == +1:
@@ -137,17 +139,20 @@ class DerivedStructure:
             return self.N
         raise ValueError(f"sign must be +1 or -1, not {eps!r}")
 
+    def cached(self, build, *args):
+        """build(self, *args), built on the first call with these
+        arguments and the same object on every later one."""
+        key = (build, *args)
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = build(self, *args)
+        return got
+
     def boundary_map(self, sign: int) -> GradedTensor:
         """What a boundary edge of that sign carries: N_eps(-sign) as a
         2-out tensor keyed (input index, index toward the face).  Built
         once per sign, so every evaluation passes the same object."""
-        got = self._boundary.get(sign)
-        if got is None:
-            data = self.N_eps(-sign).data
-            got = self._boundary[sign] = GradedTensor(
-                self.t.field, (self.leg, self.leg), (),
-                {(x, y): v for (y, x), v in data.items()})
-        return got
+        return self.cached(_boundary_map, sign)
 
     def q(self, nu: int) -> GradedTensor:
         if nu == +1:
@@ -155,6 +160,12 @@ class DerivedStructure:
         if nu == -1:
             return self.q_minus
         raise ValueError(f"boundary sign nu must be +1 or -1, not {nu!r}")
+
+
+def _boundary_map(D: DerivedStructure, sign: int) -> GradedTensor:
+    data = D.N_eps(-sign).data
+    return GradedTensor(D.t.field, (D.leg, D.leg), (),
+                        {(x, y): v for (y, x), v in data.items()})
 
 
 def copairing(b: GradedTensor) -> GradedTensor:

@@ -62,12 +62,14 @@ the shape, the field's characteristic, t's leg parities and the entries
 of t and of each consumed copairing, cached with ``functools.lru_cache``
 for every step of every program: a Pachner walk, whose triangulations
 are all new, finds the tables of the shapes it has met, and so do
-callers that rebuild equal tensors on every call, such as ``tft``'s sign
-sums.  Each call turns each tensor into the frozenset of its entries
-once and interns it (``_interned``), so a hit compares those sets by
-identity.  Nothing cached refers to a tensor, so a tensor may be changed
-between calls.  What depends on blob positions stays on the compiled
-step: its key getters, its open-leg count and its entry-sign selectors.
+tensors that are equal but not the same objects: those of two algebras
+with equal entries (clifford and group-z2 share t and c_-), or those that
+``derive`` builds again after ``derive.cache_clear()``.  Each call turns
+each tensor into the frozenset of its entries once and interns it
+(``_interned``), so a hit compares those sets by identity.  Nothing
+cached refers to a tensor, so a tensor may be changed between calls.
+What depends on blob positions stays on the compiled step: its key
+getters, its open-leg count and its entry-sign selectors.
 Both caches keep the ``FUSED_TABLES_KEPT`` (1,024) most recently used
 entries.  200-move Pachner walks on the cylinder, the pants and genus 2,
 evaluated every 25 moves, plus the class sweeps of genus 1 to 3 (eight

@@ -17,6 +17,11 @@ The statistical sign sum (1/2)^E 2^V sum_s T'_A(s) over all edge-sign
 assignments s of a closed surface equals the oriented state sum of A_+.
 T'_A is multilinear in the edge copairings, so
 sum_s prod_e c_{s(e)} = prod_e (c_+ + c_-): one contraction at any genus.
+Both sums take an edge copairing and a triangle tensor that depend on the
+algebra alone: c_sym = (c_+ + c_-)/2 with t (``symmetric_copairing``),
+and A_+'s own pair (``plus_part``).  Each pair is built on the first call
+for an algebra and kept on ``derive(A)`` (``DerivedStructure.cached``),
+so a later call only builds the diagram and contracts it.
 """
 
 from __future__ import annotations
@@ -280,16 +285,38 @@ def pants_spin(deltas: tuple[str, str, str], eps1: int, eps2: int):
 
 
 # -- statistical sign sum ----------------------------------------------
+def _half(D: DerivedStructure):
+    F = D.A.field
+    return F.inv(F.of(2))
+
+
+def plus_part(D: DerivedStructure) -> tuple[GradedTensor, GradedTensor]:
+    """A_+'s copairing and triangle tensor: the Frobenius data of A
+    restricted through the split (iota, pi) of (1/2)(id + N)."""
+    iota_t, pi_t, _ = _split_idempotent(
+        D.A.field, D.identity.add(D.N).scale(_half(D)), D.leg)
+    mu_p = pi_t.compose(D.mu).precompose(0, iota_t).precompose(1, iota_t)
+    b_p = D.eps.compose(iota_t).compose(mu_p)
+    return copairing(b_p), b_p.precompose(0, mu_p)
+
+
+def symmetric_copairing(D: DerivedStructure
+                        ) -> tuple[GradedTensor, GradedTensor]:
+    """c_sym = (c_+ + c_-)/2 and A's own triangle tensor."""
+    return D.c(+1).add(D.c(-1)).scale(_half(D)), D.t
+
+
 def _closed_state_sum(tri: MarkedTriangulation, A: GradedFrobeniusAlgebra,
                       tensors):
     """2^V times the contraction of the closed surface tri with c on every
-    edge and t on every face, where (c, t) = tensors(derive(A), 1/2)."""
+    edge and t on every face, where (c, t) = tensors(derive(A)), built
+    once per algebra and kept on derive(A)."""
     if not tri.is_closed():
         raise ValueError("closed surface required")
     F = A.field
     if F.characteristic == 2:
         raise ValueError("the weight 1/2 needs characteristic != 2")
-    c, t = tensors(derive(A), F.inv(F.of(2)))
+    c, t = derive(A).cached(tensors)
     graph = build_graph(tri, {eid: -1 for eid in tri.edges})
     value = contract_network(graph, plan_contraction(graph),
                              dict.fromkeys(graph.wires, c), t).scalar_value()
@@ -300,17 +327,9 @@ def plus_part_state_sum(tri: MarkedTriangulation, A: GradedFrobeniusAlgebra):
     """Oriented state sum of A_+ = im(1/2 (id + N)) with vertex weight 2.
 
     The oriented sum places the copairing of A_+'s own Frobenius form on
-    every edge and its triangle tensor on every triangle; no spin signs
-    enter.
+    every edge and its triangle tensor on every triangle (``plus_part``);
+    no spin signs enter.
     """
-    def plus_part(D: DerivedStructure, half):
-        iota_t, pi_t, _ = _split_idempotent(
-            A.field, D.identity.add(D.N).scale(half), D.leg)
-        # Frobenius data of A_+ restricted through (iota, pi)
-        mu_p = pi_t.compose(D.mu).precompose(0, iota_t).precompose(1, iota_t)
-        b_p = D.eps.compose(iota_t).compose(mu_p)
-        t_p = b_p.precompose(0, mu_p)
-        return copairing(b_p), t_p
     return _closed_state_sum(tri, A, plus_part)
 
 
@@ -318,8 +337,8 @@ def statistical_sign_sum(tri: MarkedTriangulation, A: GradedFrobeniusAlgebra):
     """(1/2)^E 2^V  sum over all 2^E sign assignments s of T'_A(s).
 
     As sum_s prod_e c_{s(e)} = prod_e (c_+ + c_-), this is 2^V times one
-    contraction with c_sym = (c_+ + c_-)/2 on every edge.  c_+ and c_- are
-    even, so the Koszul signs depend on entry keys only and stay linear.
+    contraction with c_sym = (c_+ + c_-)/2 on every edge
+    (``symmetric_copairing``).  c_+ and c_- are even, so the Koszul signs
+    depend on entry keys only and stay linear.
     """
-    return _closed_state_sum(tri, A, lambda D, half: (
-        D.c(+1).add(D.c(-1)).scale(half), D.t))
+    return _closed_state_sum(tri, A, symmetric_copairing)

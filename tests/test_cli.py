@@ -704,6 +704,19 @@ def test_sign_scan_rejects_an_open_surface(runner, tmp_path):
     assert "closed surface" in res.output
 
 
+def test_sign_scan_rejects_characteristic_two(runner, tmp_path):
+    from spinsum import algebra
+    from spinsum.fields import PrimeField
+    path = tmp_path / "f2.json"
+    A = algebra.builtin_twisted_matrix(1, PrimeField(2), [[1]], 1)
+    path.write_text(json.dumps(algebra.to_json(A)))
+    res = runner.invoke(main, ["sign-scan", "--algebra", str(path),
+                               "--surface", "torus"])
+    assert res.exit_code == 2
+    assert "the weight 1/2 needs characteristic != 2" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_classify_genus_three_reports_arf(runner):
     res = runner.invoke(main, ["classify", "--surface", "genus-3"])
     assert res.exit_code == 0

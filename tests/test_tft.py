@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from spinsum.algebra import builtin_by_name, derive
+import spinsum.algebra as algebra
+import spinsum.eval as engine
+from spinsum.algebra import builtin_by_name, builtin_twisted_matrix, derive
 from spinsum.eval import Amplitude, evaluate, evaluate_raw
 from spinsum.fields import QQ, PrimeField
 from spinsum.pachner import random_pachner_move
 from spinsum.spin import (NS, R_TYPE, classify_spin_structures,
                           enumerate_admissible)
-from spinsum.surface import (build_disk, disjoint_union, genus_g_closed,
-                             genus_g_closed_detail, glue_boundaries_with_map)
+from spinsum.surface import (build_cylinder, build_disk, disjoint_union,
+                             genus_g_closed, genus_g_closed_detail,
+                             glue_boundaries_with_map)
 from spinsum.tensor import GradedTensor
 from spinsum import tft
 
@@ -46,6 +49,39 @@ def test_disk_is_the_closed_form_of_one_ns_boundary(name):
         amp = evaluate(build_disk(), signs, (NS,), A)
         for eps in (1, -1):
             assert amp == tft.closed_form(A, (), [(NS, eps)])
+
+
+def _boundary_candidates(A, types):
+    """closed_form(A, (), [(delta_i, eps_i)]) for every choice of the
+    eps_i with the last one +1, keyed by that choice."""
+    return {epss + (1,): tft.closed_form(A, (), list(zip(types, epss + (1,))))
+            for epss in itertools.product((1, -1), repeat=len(types) - 1)}
+
+
+def test_open_amplitudes_lie_among_their_boundary_closed_forms():
+    """Every admissible sign vector of the disk (NS) and of the NS,NS and
+    R,R cylinders evaluates to the closed form of some boundary signs
+    eps_i with eps_n = +1, for each built-in.  Clifford tells the two
+    R,R candidates apart, and its 128 vectors split 64/64 between them."""
+    surfaces = ((build_disk(), (NS,)), (build_cylinder(), (NS, NS)),
+                (build_cylinder(), (R_TYPE, R_TYPE)))
+    vectors = 0
+    for name in ALL_BUILTINS:
+        A = builtin_by_name(name)
+        for tri, types in surfaces:
+            candidates = _boundary_candidates(A, types)
+            hits = dict.fromkeys(candidates, 0)
+            for signs in enumerate_admissible(tri, types):
+                amp = evaluate(tri, signs, types, A)
+                matched = [k for k, form in candidates.items() if amp == form]
+                assert matched, (name, types, signs)
+                for k in matched:
+                    hits[k] += 1
+                vectors += 1
+            if (name, types) == ("clifford", (R_TYPE, R_TYPE)):
+                assert candidates[(1, 1)] != candidates[(-1, 1)]
+                assert hits == {(1, 1): 64, (-1, 1): 64}
+    assert vectors == 4 * (2 + 128 + 128)
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
@@ -334,6 +370,71 @@ def test_statistical_sum_rejects_open_or_char2(clifford):
         tft.statistical_sign_sum(tri, clifford)
     with pytest.raises(ValueError, match="closed"):
         tft.plus_part_state_sum(tri, clifford)
+
+
+def test_sign_sums_reject_characteristic_two_on_every_call():
+    """The characteristic check runs on every call, before the tensors
+    kept on derive(A) are looked up, so a second call raises too."""
+    A = builtin_twisted_matrix(1, PrimeField(2), [[1]], 1)
+    torus, _ = tft.torus_spin(NS, 1)
+    for _ in range(2):
+        for sign_sum in (tft.statistical_sign_sum, tft.plus_part_state_sum):
+            with pytest.raises(ValueError, match="characteristic"):
+                sign_sum(torus, A)
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends name to calls."""
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return fn(*args)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("sign_sum, tensors", (
+    (tft.statistical_sign_sum, tft.symmetric_copairing),
+    (tft.plus_part_state_sum, tft.plus_part)))
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_sign_sum_tensors_are_built_once_per_algebra(monkeypatch, name,
+                                                     sign_sum, tensors):
+    """A second call on the same algebra splits no idempotent, inverts no
+    pairing and builds no fused table; after derive.cache_clear() the next
+    call builds new, equal tensors and returns the same value."""
+    A = builtin_by_name(name)
+    torus, _ = tft.torus_spin(NS, 1)
+    want = sign_sum(torus, A)
+    first = derive(A).cached(tensors)
+    calls = []
+    _counting(monkeypatch, tft, "_split_idempotent", calls)
+    _counting(monkeypatch, tft, "copairing", calls)
+    _counting(monkeypatch, algebra, "copairing", calls)
+    built = engine._fused_table.cache_info().misses
+    assert sign_sum(torus, A) == want
+    assert calls == []
+    assert engine._fused_table.cache_info().misses == built
+    assert derive(A).cached(tensors) is first
+    derive.cache_clear()
+    assert sign_sum(torus, A) == want
+    assert calls
+    again = derive(A).cached(tensors)
+    assert again is not first and again == first
+
+
+def test_warm_sign_sums_of_the_builtins_in_turn_match_brute_force():
+    """With every algebra's tensors already kept, the four built-ins taking
+    turns still give the brute-force sign sum at genus 0 and 1."""
+    algebras = [builtin_by_name(name) for name in ALL_BUILTINS]
+    tris = [genus_g_closed(g) for g in (0, 1)]
+    want = {(g, A.name): _brute_sign_sum(tri, A)
+            for g, tri in enumerate(tris) for A in algebras}
+    for A in algebras:
+        tft.statistical_sign_sum(tris[0], A)
+    for turn in range(2):
+        for g, tri in enumerate(tris):
+            for A in algebras[turn:] + algebras[:turn]:
+                assert tft.statistical_sign_sum(tri, A) == want[g, A.name]
 
 
 def test_pants_closed_form_rejects_odd_type_product(clifford):
