@@ -22,8 +22,8 @@ the faces on its frontier (any unplaced face when that is empty), and
 two states with one mask keep the lower score.  The cheapest complete
 state gives the face order.  Any order gives the same exact result, so
 the search only saves work.  The plan depends on the triangulation alone
-and is cached on it, so the per-class evaluations of one surface share
-one plan.
+and is kept in its memo (``MarkedTriangulation.cached``), so the
+per-class evaluations of one surface share one plan.
 
 One executor, ``contract_network``, contracts the diagram for every
 algebra.  It grows a pure-output "blob" tensor along a schedule of
@@ -47,11 +47,11 @@ positions its slots match, the rest positions, the copairing ends it
 consumes, the free ends and their key getters, and the open-leg count
 after the step; at the end the permutation into codomain order.  None of
 it depends on signs, tensors or the algebra, so the program of the
-cached plan is cached on the triangulation next to it, and a class sweep
-or a scan over algebras compiles each triangulation once; any other
-plan is compiled per call.  The first graded run adds each step's sign
-tables (see below).  The wires of ``build_graph`` are cached on the
-triangulation too; each call only checks the signs.
+memo's plan is kept in the memo next to it, and a class sweep or a scan
+over algebras compiles each triangulation once; any other plan is
+compiled per call.  The first graded run adds each step's sign tables
+(see below).  The wires of ``build_graph`` are kept in the memo too;
+each call only checks the signs.
 
 A fused table never depends on where its legs sit in the blob, only on
 the step's shape and on its tensors.  The shape is the matched slots,
@@ -151,13 +151,11 @@ def _codomain(tri: MarkedTriangulation) -> list[WireTarget]:
 def build_graph(tri: MarkedTriangulation, signs: Signs) -> DiagramGraph:
     """The dual diagram of tri with the given edge signs.  Every sign is
     checked on every call; the wires depend on the triangulation alone,
-    so they are built once and cached on it (callers must not modify
+    so they are built once and kept in its memo (callers must not modify
     them)."""
     for eid in tri.edges:
         edge_sign(signs, eid)
-    if tri._wires is None:
-        tri._wires = _build_wires(tri)
-    return DiagramGraph(tri, signs, tri._wires)
+    return DiagramGraph(tri, signs, tri.cached(_build_wires))
 
 
 def _build_wires(tri: MarkedTriangulation) -> dict:
@@ -210,14 +208,11 @@ def plan_contraction(graph: DiagramGraph) -> list[tuple[str, int]]:
     placed-face bitmasks, grown along the frontier, picks the order (see
     ``_beam_order``).  Each face's missing copairings are absorbed in
     edge-id order just before it.
-    The plan depends only on the triangulation, so it is stored on
-    ``graph.tri`` and every later call for a graph on that triangulation
+    The plan depends only on the triangulation, so it is kept in the memo
+    of ``graph.tri`` and every later call for a graph on that triangulation
     returns the same list (callers must not modify it).
     """
-    tri = graph.tri
-    if tri._plan is None:
-        tri._plan = _search_plan(tri)
-    return tri._plan
+    return graph.tri.cached(_search_plan)
 
 
 def _search_plan(tri: MarkedTriangulation) -> list[tuple[str, int]]:
@@ -367,24 +362,27 @@ class _Program:
 
 
 def _program(graph: DiagramGraph, plan) -> _Program:
-    """The compiled program of ``plan``: cached on the triangulation when
-    ``plan`` is its cached plan, compiled afresh for any other plan."""
+    """The compiled program of ``plan``: kept in the triangulation's memo
+    when ``plan`` is the memo's plan, compiled afresh for any other plan."""
     tri = graph.tri
-    if plan is not tri._plan:
-        return _compile(graph, plan)
-    if tri._program is None:
-        tri._program = _compile(graph, plan)
-    return tri._program
+    if plan is not tri.cached(_search_plan):
+        return _compile(tri, plan)
+    return tri.cached(_compile_plan)
 
 
-def _compile(graph: DiagramGraph, plan) -> _Program:
+def _compile_plan(tri: MarkedTriangulation) -> _Program:
+    return _compile(tri, tri.cached(_search_plan))
+
+
+def _compile(tri: MarkedTriangulation, plan) -> _Program:
     """Replay ``plan`` on wire ends alone: per triangle step the blob
     positions its slots match, the copairing ends it consumes and the
     free ends that become open legs, and at the end the permutation into
     codomain order.  Depends only on the triangulation (the wires) and
     the plan, never on signs or tensors."""
     # the wire end (edge id, leg index) feeding each triangle slot
-    end_at = {(w.face, w.slot): (eid, li) for eid, ends in graph.wires.items()
+    wires = tri.cached(_build_wires)
+    end_at = {(w.face, w.slot): (eid, li) for eid, ends in wires.items()
               for li, w in enumerate(ends) if w.kind == "face"}
     open_ends: list[tuple[int, int]] = []  # wire end of each blob leg
     at: dict[tuple[int, int], int] = {}  # wire end -> its blob position
@@ -415,8 +413,8 @@ def _compile(graph: DiagramGraph, plan) -> _Program:
                            free_ends))
         open_ends = [open_ends[q] for q in rest] + free_ends
         at = {end: q for q, end in enumerate(open_ends)}
-    targets = [graph.wires[eid][li] for eid, li in open_ends]
-    want = _codomain(graph.tri)
+    targets = [wires[eid][li] for eid, li in open_ends]
+    want = _codomain(tri)
     if pending or Counter(targets) != Counter(want):
         raise RuntimeError("contraction did not end on the codomain legs")
     at = {w: q for q, w in enumerate(targets)}
@@ -433,12 +431,12 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
     Puts ``copairings[eid]`` on each edge and t on each face; returns a
     pure-output tensor in codomain leg order with t's leg parities and
     values in t's field.  All bookkeeping comes from the compiled
-    program (``_program``): cached on ``graph.tri`` for its cached plan,
-    whose wires depend on the triangulation alone, and built afresh for
-    any other plan.  This function only folds the fused tables its steps
-    lack, sweeps the blob once per triangle and reduces.  The loop runs
-    on plain ints: over Q the tensors are scaled to integers and the
-    product of their scales divides every entry once at the end; over
+    program (``_program``): kept in the memo of ``graph.tri`` for the
+    memo's plan, whose wires depend on the triangulation alone, and built
+    afresh for any other plan.  This function only folds the fused tables
+    its steps lack, sweeps the blob once per triangle and reduces.  The
+    loop runs on plain ints: over Q the tensors are scaled to integers and
+    the product of their scales divides every entry once at the end; over
     F_p each triangle step reduces its sums mod p once.
 
     The fused tables come from ``_fused_table``'s cache, keyed on the

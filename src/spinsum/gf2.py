@@ -2,6 +2,10 @@
 
 Vectors in F_2^n are Python ints (bit i = coordinate i).  Systems are
 given as rows ``(mask, rhs)`` meaning ``parity(x & mask) == rhs``.
+
+Every routine runs on one elimination: ``_echelon`` keys vectors by
+their leading bit and ``_reduce`` clears those pivot bits of a vector,
+highest first; a full reduction is unique given the span and its pivots.
 """
 
 from __future__ import annotations
@@ -34,78 +38,54 @@ class AffineSolutionSpace:
             yield x
 
 
+def _reduce(pivots: dict[int, int], v: int) -> int:
+    """v with each pivot bit cleared, highest first; pivots[p] leads at p."""
+    p = v.bit_length()
+    while rest := v & ((1 << p) - 1):  # the bits below the last one seen
+        p = rest.bit_length() - 1
+        if p in pivots:
+            v ^= pivots[p]
+    return v
+
+
+def _echelon(vectors: Iterable[int], pivots: dict[int, int]) -> dict[int, int]:
+    """pivots grown by each vector reduced against those before it, keyed
+    by leading bit; new keys follow in the order of ``vectors``."""
+    for v in vectors:
+        v = _reduce(pivots, v)
+        if v:
+            pivots[v.bit_length() - 1] = v
+    return pivots
+
+
 def solve_affine(n: int, rows: Iterable[tuple[int, int]]) -> AffineSolutionSpace | None:
-    """Solve the system; returns None if inconsistent."""
-    # Row-reduce (mask, rhs) pairs, tracking pivot columns.
-    pivots: dict[int, tuple[int, int]] = {}
-    for mask, rhs in rows:
-        mask &= (1 << n) - 1
-        rhs &= 1
-        while mask:
-            p = mask.bit_length() - 1
-            if p in pivots:
-                pm, pr = pivots[p]
-                mask ^= pm
-                rhs ^= pr
-            else:
-                pivots[p] = (mask, rhs)
-                break
-        else:
-            if rhs:
-                return None
-    # Back-substitute to make each pivot column appear in exactly one row.
-    cols = sorted(pivots, reverse=True)
-    for p in cols:
-        pm, pr = pivots[p]
-        for q in cols:
-            if q > p and (pivots[q][0] >> p) & 1:
-                qm, qr = pivots[q]
-                pivots[q] = (qm ^ pm, qr ^ pr)
-    particular = 0
-    for p, (_, pr) in pivots.items():
-        if pr:
-            particular |= 1 << p
-    free = [i for i in range(n) if i not in pivots]
-    basis = []
-    for f in free:
-        v = 1 << f
-        for p, (pm, _) in pivots.items():
-            if (pm >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return AffineSolutionSpace(n, particular, basis)
+    """Solve the system; returns None if inconsistent.
+
+    Row (mask, rhs) is eliminated as mask << 1 | rhs, so a pivot at bit 0
+    reads 0 = 1.  Each pivot row reduced against the others, the rows give
+    the particular solution and one basis vector per free column, in order.
+    """
+    pivots = _echelon([(m << 1 | r & 1) & ((2 << n) - 1) for m, r in rows], {})
+    if 0 in pivots:
+        return None
+    for p, row in pivots.items():
+        pivots[p] = 1 << p | _reduce(pivots, row ^ 1 << p)
+
+    def column(c):  # bit c of each pivot row, at its pivot column p - 1
+        return sum(1 << (p - 1) for p, row in pivots.items() if (row >> c) & 1)
+    basis = [1 << f | column(f + 1) for f in range(n) if f + 1 not in pivots]
+    return AffineSolutionSpace(n, column(0), basis)
 
 
 def echelon_basis(vectors: Iterable[int]) -> list[int]:
     """Echelon basis of the span: distinct leading bits, highest first.
     Not reduced: a vector may hold the leading bit of a later one."""
-    basis: list[int] = []
-    for v in vectors:
-        v = _reduce(basis, v)
-        if v:
-            basis.append(v)
-            basis.sort(key=int.bit_length, reverse=True)
-    return basis
-
-
-def _reduce(basis: list[int], v: int) -> int:
-    changed = True
-    while changed:
-        changed = False
-        for b in basis:
-            if v and (v >> (b.bit_length() - 1)) & 1:
-                v ^= b
-                changed = True
-    return v
+    return sorted(_echelon(vectors, {}).values(), reverse=True)
 
 
 def reduce_against(basis: list[int], v: int) -> int:
     """Reduce v against a spanning set (not necessarily echelon)."""
-    eb = echelon_basis(basis)
-    for b in eb:
-        if v and (v >> (b.bit_length() - 1)) & 1:
-            v ^= b
-    return v
+    return _reduce(_echelon(basis, {}), v)
 
 
 def coset_representatives(space: AffineSolutionSpace,
@@ -118,16 +98,8 @@ def coset_representatives(space: AffineSolutionSpace,
     the subspace, so the count is 2^(dim - rank of the subspace part)
     without enumerating the space.
     """
-    acc = echelon_basis(subspace_gens)
-    comp: list[int] = []
-    for b in space.basis:
-        v = b
-        for w in acc:
-            if v and (v >> (w.bit_length() - 1)) & 1:
-                v ^= w
-        if v:
-            # no vector of acc holds the leading bit of an earlier one,
-            # so one pass in list order reduces fully
-            comp.append(v)
-            acc.append(v)
+    sub = _echelon(subspace_gens, {})
+    # C: the basis vectors that stay independent of sub and of those kept
+    # before them, each reduced; _echelon adds their keys after sub's
+    comp = list(_echelon(space.basis, dict(sub)).values())[len(sub):]
     return list(AffineSolutionSpace(space.n, space.particular, comp))

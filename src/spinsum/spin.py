@@ -54,9 +54,11 @@ def nu_of(delta: str) -> int:
 # -- admissibility as an F2 system --------------------------------------
 def _edge_bits(tri: MarkedTriangulation) -> dict[int, int]:
     """Edge id -> bit index, cached on the triangulation."""
-    if tri._bits is None:
-        tri._bits = {eid: k for k, eid in enumerate(sorted(tri.edges))}
-    return tri._bits
+    return tri.cached(_bit_indices)
+
+
+def _bit_indices(tri: MarkedTriangulation) -> dict[int, int]:
+    return {eid: k for k, eid in enumerate(sorted(tri.edges))}
 
 
 def _vertex_equations(tri: MarkedTriangulation, types: tuple[str, ...]):
@@ -65,9 +67,10 @@ def _vertex_equations(tri: MarkedTriangulation, types: tuple[str, ...]):
     One row per vertex (inner ones first, each group sorted) from one pass
     over the corners, cached on the triangulation per boundary types.
     """
-    types = tuple(types)
-    if types in tri._equations:
-        return tri._equations[types]
+    return tri.cached(_equations, tuple(types))
+
+
+def _equations(tri: MarkedTriangulation, types: tuple[str, ...]):
     if len(types) != len(tri.boundaries):
         raise ValueError("one boundary type per boundary component required")
     bits = _edge_bits(tri)
@@ -86,10 +89,8 @@ def _vertex_equations(tri: MarkedTriangulation, types: tuple[str, ...]):
             v = tri.edges[eid].dst
             mask[v] ^= 1 << bits[eid]
             rhs[v] ^= p == 2 and delta == NS  # v is the distinguished one
-    rows = tri._equations[types] = tuple(
-        (mask[v], rhs[v]) for v in (sorted(tri.inner_vertices())
-                                    + sorted(tri.all_boundary_vertices())))
-    return rows
+    order = sorted(tri.inner_vertices()) + sorted(tri.all_boundary_vertices())
+    return tuple((mask[v], rhs[v]) for v in order)
 
 
 def is_admissible(tri: MarkedTriangulation, signs: Signs,
@@ -137,14 +138,10 @@ def enumerate_admissible(tri: MarkedTriangulation,
 
 
 def leaf_exchange_vectors(tri: MarkedTriangulation) -> list[int]:
-    bits = _edge_bits(tri)
-    out = []
-    for fid in sorted(tri.triangles):
-        mask = 0
-        for slot in tri.triangles[fid].slots:
-            mask ^= 1 << bits[slot.edge]
-        out.append(mask)
-    return out
+    """Per face in id order, the edges whose signs its leaf exchange flips."""
+    bits, faces = _edge_bits(tri), tri.triangles
+    return [(1 << bits[a.edge]) ^ (1 << bits[b.edge]) ^ (1 << bits[c.edge])
+            for a, b, c in (faces[fid].slots for fid in sorted(faces))]
 
 
 def classify_spin_structures(tri: MarkedTriangulation) -> list[Signs]:

@@ -89,15 +89,17 @@ class MarkedTriangulation:
         # that each star_cycle call (3-1 Pachner moves only) resumes
         self._first_corner: dict[int, tuple[int, int]] = {}
         self._unscanned = iter(self.triangles)
-        # the dual diagram's wires (eval.build_graph), the contraction
-        # plan (eval.plan_contraction) and the executor's program compiled
-        # from it (eval._program), each set on first use
-        self._wires: dict | None = None
-        self._plan: list[tuple[str, int]] | None = None
-        self._program = None
-        # spin._edge_bits and spin._vertex_equations (per boundary types)
-        self._bits: dict[int, int] | None = None
-        self._equations: dict[tuple[str, ...], tuple] = {}
+        # what other modules build from the triangulation alone (``cached``):
+        # eval's wires, plan and program, spin's edge bits and equations
+        self._cache: dict = {}
+
+    def cached(self, build, *args):
+        """build(self, *args), built once per args; later calls return it."""
+        key = (build, *args) if args else build  # no tuple on the hot path
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = build(self, *args)
+        return got
 
     @classmethod
     def _patched(cls, parent: MarkedTriangulation, edges: dict[int, Edge],
@@ -316,7 +318,7 @@ def union(parent: dict, x, y) -> bool:
 
 # -- validation ---------------------------------------------------------
 def validate(tri: MarkedTriangulation) -> list[str]:
-    errs: list[str] = []
+    errs = [] if tri.triangles else ["surface has no triangles"]
     for fid, t in tri.triangles.items():
         if len(t.slots) != 3:
             errs.append(f"triangle {fid}: must have 3 slots")

@@ -694,6 +694,21 @@ def test_non_manifold_surface_file_exits_2(runner, tmp_path, command):
     assert "vertex 0: its corners form 3 separate cycles" in res.output
 
 
+@pytest.mark.parametrize("command", [
+    ["amplitude", "--algebra", "clifford", "--signs", "SIGNS"],
+    ["classify"], ["sign-scan", "--algebra", "clifford"]])
+def test_empty_surface_file_exits_2(runner, tmp_path, command):
+    """A file without triangles is no surface, not a torus of genus 1."""
+    path, signs = tmp_path / "empty.json", tmp_path / "signs.json"
+    path.write_text(json.dumps({"edges": {}, "triangles": {}}))
+    signs.write_text("{}")
+    command = [str(signs) if a == "SIGNS" else a for a in command]
+    res = runner.invoke(main, command + ["--surface", str(path)])
+    assert res.exit_code == 2
+    assert res.output == (f"error: cannot load surface {str(path)!r}: "
+                          "invalid surface file: surface has no triangles\n")
+
+
 def test_sign_scan_rejects_an_open_surface(runner, tmp_path):
     from spinsum import surface
     path = tmp_path / "cylinder.json"

@@ -556,12 +556,13 @@ def test_custom_plan_is_compiled_but_not_cached(clifford):
     custom = _greedy_from(tri, max(tri.triangles))
     assert custom != plan_contraction(graph)
     want = contract_graph(build_graph(_fresh(tri), signs), D)
+    compiled = engine._compile_plan  # the memo's key of its program
     assert contract_graph(graph, D, custom) == want
-    assert tri._program is None
+    assert compiled not in tri._cache
     assert contract_graph(graph, D) == want
-    program = tri._program
+    program = tri._cache[compiled]
     assert contract_graph(graph, D, custom) == want
-    assert tri._program is program
+    assert tri._cache[compiled] is program
     assert _program(graph, custom) is not _program(graph, custom)
     assert _program(graph, plan_contraction(graph)) is program
 
@@ -580,7 +581,7 @@ def test_fused_table_store_stays_bounded():
     plan = plan_contraction(graph)
     base = contract_network(graph, plan,
                             {eid: D.c(s) for eid, s in signs.items()}, D.t)
-    first = tri._program.steps[0]
+    first = _program(graph, plan).steps[0]
     kept = {eid: D.c(signs[eid]) for eid in first.eids}
     scaled = len(signs) - len(kept)
     # the first step's cache key, with entry sets equal to the interned ones

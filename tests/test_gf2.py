@@ -56,6 +56,46 @@ def test_coset_representatives_partition():
     assert covered == set(space)
 
 
+def _old_solve_affine(n, rows):
+    """solve_affine as it was: pivot dict, then back-substitution; returns
+    (particular, basis), or None if inconsistent."""
+    pivots = {}
+    for mask, rhs in rows:
+        mask &= (1 << n) - 1
+        rhs &= 1
+        while mask:
+            p = mask.bit_length() - 1
+            if p in pivots:
+                pm, pr = pivots[p]
+                mask ^= pm
+                rhs ^= pr
+            else:
+                pivots[p] = (mask, rhs)
+                break
+        else:
+            if rhs:
+                return None
+    cols = sorted(pivots, reverse=True)
+    for p in cols:
+        pm, pr = pivots[p]
+        for q in cols:
+            if q > p and (pivots[q][0] >> p) & 1:
+                qm, qr = pivots[q]
+                pivots[q] = (qm ^ pm, qr ^ pr)
+    particular = 0
+    for p, (_, pr) in pivots.items():
+        if pr:
+            particular |= 1 << p
+    basis = []
+    for f in (i for i in range(n) if i not in pivots):
+        v = 1 << f
+        for p, (pm, _) in pivots.items():
+            if (pm >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return particular, basis
+
+
 def _old_reduce(basis, v):
     changed = True
     while changed:
@@ -131,3 +171,23 @@ def test_echelon_and_cosets_match_previous_implementation():
         gens += [rng.choice(space.basis) for _ in range(2) if space.basis]
         assert (gf2.coset_representatives(space, gens)
                 == _old_coset_representatives(space, gens))
+
+
+def test_solve_affine_matches_previous_implementation_exactly():
+    """The particular solution and the basis, not just the solution set:
+    the basis order fixes the spin class representatives and their order.
+    Masks and right-hand sides carry stray high bits, which are ignored."""
+    rng = random.Random(27)
+    consistent = 0
+    for _ in range(1500):
+        n = rng.randrange(1, 40)
+        rows = [(rng.getrandbits(n + rng.randrange(0, 3)), rng.getrandbits(2))
+                for _ in range(rng.randrange(0, n + 5))]
+        space = gf2.solve_affine(n, rows)
+        old = _old_solve_affine(n, rows)
+        if space is None:
+            assert old is None, rows
+            continue
+        consistent += 1
+        assert (space.particular, space.basis) == old, rows
+    assert consistent > 1000

@@ -170,9 +170,7 @@ def _rebuild_mismatches(tri):
     """Ways a moved triangulation differs from a full rebuild of itself."""
     full = MarkedTriangulation(tri.edges, tri.triangles, tri.boundaries)
     bad = []
-    if (tri._wires is not None or tri._plan is not None
-            or tri._program is not None or tri._bits is not None
-            or tri._equations or tri._first_corner):
+    if tri._cache or tri._first_corner:
         bad.append("caches not fresh")
     if tri._incidence != full._incidence:  # every entry, in order
         bad.append("incidences")
