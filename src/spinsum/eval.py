@@ -49,25 +49,27 @@ after the step; at the end the permutation into codomain order.  None of
 it depends on signs, tensors or the algebra, so the program of the
 memo's plan is kept in the memo next to it, and a class sweep or a scan
 over algebras compiles each triangulation once; any other plan is
-compiled per call.  The first graded run adds each step's sign tables
-(see below).  The wires of ``build_graph`` are kept in the memo too;
-each call only checks the signs.
+checked and compiled per call.  The first graded run adds each step's
+sign pairs and entry-sign selectors (see below).  The wires of
+``build_graph`` are kept in the memo too; each call only checks the
+signs.
 
 A fused table never depends on where its legs sit in the blob, only on
 the step's shape and on its tensors.  The shape is the matched slots,
 per consumed copairing (in edge-id order) its consumed leg indices and
-their slots, and for a graded algebra the inputs of the table-part sign
-tables (``_slot_crossings``).  So ``_fused_table`` is a pure function of
-the shape, the field's characteristic, t's leg parities and the entries
-of t and of each consumed copairing, cached with ``functools.lru_cache``
-for every step of every program: a Pachner walk, whose triangulations
-are all new, finds the tables of the shapes it has met, and so do
-tensors that are equal but not the same objects: those of two algebras
-with equal entries (clifford and group-z2 share t and c_-), or those that
-``derive`` builds again after ``derive.cache_clear()``.  Each call turns
-each tensor into the frozenset of its entries once and interns it
-(``_interned``), so a hit compares those sets by identity.  Nothing
-cached refers to a tensor, so a tensor may be changed between calls.
+their slots, and for a graded algebra the inverted leg pairs of the
+sign's table part (``_graded_tables``).  So ``_fused_table`` is a pure
+function of the shape, the field's characteristic, t's leg parities and
+the entries of t and of each consumed copairing, cached with
+``functools.lru_cache`` for every step of every program: a Pachner
+walk, whose triangulations are all new, finds the tables of the shapes
+it has met, and so do tensors that are equal but not the same objects:
+those of two algebras with equal entries (clifford and group-z2 share t
+and c_-), or those that ``derive`` builds again after
+``derive.cache_clear()``.  Each call turns each tensor into the
+frozenset of its entries once and interns it (``_interned``), so a hit
+compares those sets by identity.  Nothing cached refers to a tensor, so
+a tensor may be changed between calls.
 What depends on blob positions stays on the compiled step: its key
 getters, its open-leg count and its entry-sign selectors.
 Both caches keep the ``FUSED_TABLES_KEPT`` (1,024) most recently used
@@ -78,15 +80,21 @@ use 435 tables over 94 shapes, so the bound does not evict on such
 traffic; 300 rounds of both torus sign sums for the four algebras use
 24.  No result is cached: every call sweeps the blob through every step.
 
-Koszul signs come in two parts.  The table part covers the crossings of
-the three slot legs with each other and with the free ends; a table row
-fixes all those parities, so it is folded into the row's coefficient.
-The entry part covers each odd matched blob leg crossing the odd blob
-legs after it; the sweep reads it off each blob key's parities through
-one precompiled getter, per bitmask of odd matched legs, of the rest
-legs that count.  When every leg parity is even all sign work is
-skipped.  The surviving legs end in codomain order or are put there by
-one final ``permute_out``, itself one ``itemgetter`` remap per entry.
+Each triangle step is one leg permutation and carries the Koszul sign
+of ``tensor``'s permutations: (-1)^(sum of |a||b| over its inverted
+pairs).  The legs start as the blob legs, then the consumed copairings'
+legs by (edge id, leg index); they end as the rest legs, the free ends,
+and the slot legs in slot order next to t's inputs.  One
+``inversion_pairs`` call per step gives the pairs, in two parts.  The
+table part is the inverted pairs among slot legs and free ends: a table
+row fixes all their parities, so it is folded into the row's
+coefficient.  The entry part is the inverted (matched blob leg, rest
+leg) pairs; the sweep reads it off each blob key's parities through one
+precompiled getter, per bitmask of odd matched legs, of the rest legs
+that count.  No other pair is inverted.  When every leg parity is even
+all sign work is skipped.  The surviving legs end in codomain order or
+are put there by one final ``permute_out``, itself one ``itemgetter``
+remap per entry.
 Budget: after each triangle at most max_open_legs open legs (read off
 the program before the step's sweep) and max_entries stored entries,
 else ``BudgetExceeded`` names the step, its action and the plan length.
@@ -98,7 +106,6 @@ layering, in the field's own arithmetic.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
 import itertools
@@ -111,7 +118,8 @@ from .algebra import DerivedStructure, GradedFrobeniusAlgebra, derive, \
     passes_invariance_predicates
 from .spin import Signs, edge_sign, is_admissible
 from .surface import MarkedTriangulation
-from .tensor import BudgetExceeded, GradedTensor, key_getter
+from .tensor import BudgetExceeded, GradedTensor, inversion_pairs, \
+    key_getter
 
 DEFAULT_MAX_OPEN_LEGS = 16
 DEFAULT_MAX_ENTRIES = 10**7
@@ -315,8 +323,6 @@ def contract_graph(graph: DiagramGraph, D: DerivedStructure,
     """
     if plan is None:
         plan = plan_contraction(graph)
-    elif not is_valid_schedule(graph, plan):
-        raise ValueError("invalid contraction schedule")
     edge_tensors = {
         eid: (D.boundary_map(graph.signs[eid]) if first.kind == "cod"
               else D.c(graph.signs[eid]))
@@ -345,8 +351,8 @@ class _Step:
         self.shape = (tuple(s for s, _ in matched),
                       tuple(tuple(used[eid]) for eid in eids),
                       tuple(tuple(used[eid].values()) for eid in eids))
-        # graded: ((shape, inputs of the table-part sign tables),
-        # entry-sign selectors), built on the first graded run
+        # graded: ((shape, table-part sign pairs), entry-sign selectors),
+        # built on the first graded run (``_graded_tables``)
         self.graded = None
 
 
@@ -363,9 +369,12 @@ class _Program:
 
 def _program(graph: DiagramGraph, plan) -> _Program:
     """The compiled program of ``plan``: kept in the triangulation's memo
-    when ``plan`` is the memo's plan, compiled afresh for any other plan."""
+    when ``plan`` is the memo's plan, checked (``is_valid_schedule``) and
+    compiled afresh for any other plan."""
     tri = graph.tri
     if plan is not tri.cached(_search_plan):
+        if not is_valid_schedule(graph, plan):
+            raise ValueError("invalid contraction schedule")
         return _compile(tri, plan)
     return tri.cached(_compile_plan)
 
@@ -399,10 +408,8 @@ def _compile(tri: MarkedTriangulation, plan) -> _Program:
             end = end_at[tid, s]
             if end[0] in pending:
                 used.setdefault(end[0], {})[end[1]] = s
-            elif end in at:
+            else:  # a valid schedule left it open
                 matched.append((s, at[end]))
-            else:
-                raise ValueError("invalid contraction schedule")
         pending.difference_update(used)
         # new open legs: the unconsumed ends of the copairings used here
         free_ends = [(eid, li) for eid in sorted(used) for li in (0, 1)
@@ -473,8 +480,8 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
         shape, selectors = step.shape, None
         if graded:
             if step.graded is None:
-                crossings, sels = _graded_tables(step)
-                step.graded = (shape, crossings), sels
+                pairs, sels = _graded_tables(step)
+                step.graded = (shape, pairs), sels
             shape, selectors = step.graded
         fused, masks = _fused_table(shape, p, leg, tset, *[
             content(copairings[eid])[0] for eid in step.eids])
@@ -577,19 +584,19 @@ def _fused_table(shape, p, leg, t_entries, *copairing_entries):
 
     ``shape`` is the step's (matched slots, consumed leg indices and
     their slots per copairing), paired for a graded algebra (t's leg
-    parities ``leg`` not all even) with the inputs of its sign tables;
-    ``p`` is the characteristic, and the entries are those of t and of
-    each consumed copairing.  The table maps the matched slots' indices
-    of a t key to [(the free ends' indices, coeff)]: t times the
-    copairings, in ints (``_integral``), with the table part of the
-    Koszul sign folded into each coeff.  The masks map each matched key
+    parities ``leg`` not all even) with the table part's inverted pairs
+    (``_graded_tables``) as positions in a row's t key followed by its
+    free ends; ``p`` is the characteristic, and the entries are those of
+    t and of each consumed copairing.  The table maps the matched slots'
+    indices of a t key to [(the free ends' indices, coeff)]: t times the
+    copairings, in ints (``_integral``), each coeff times
+    (-1)^(sum of |a||b| over those pairs).  The masks map each matched key
     with an odd index to the bitmask of its odd matched legs; None when
     ungraded.
     """
     graded = any(leg)
     if graded:
-        shape, crossings = shape
-        slot_sign, cross_idx = _sign_tables(*crossings)
+        shape, pairs = shape
     matched_slots, cons_of, slots_of = shape
     tget = key_getter(matched_slots)
     opts = [(slots, _by_fixed(_integral(dict(entries), p), cons))
@@ -605,13 +612,13 @@ def _fused_table(shape, p, leg, t_entries, *copairing_entries):
             acc = [(nk + free, av * cv)
                    for nk, av in acc for free, cv in hits]
         else:
-            if graded:
-                odd = leg[tkey[0]] | leg[tkey[1]] << 1 | leg[tkey[2]] << 2
-                flip, idx = slot_sign[odd], cross_idx[odd]
-                if flip or idx:
-                    acc = [(nk, -cv if (flip + sum(
-                        leg[nk[i]] for i in idx)) & 1 else cv)
-                        for nk, cv in acc]
+            if graded and pairs:
+                signed = []
+                for nk, cv in acc:
+                    row = tkey + nk
+                    odd = sum(leg[row[a]] & leg[row[b]] for a, b in pairs) & 1
+                    signed.append((nk, -cv if odd else cv))
+                acc = signed
             fused.setdefault(tget(tkey), []).extend(acc)
     if not graded:
         return fused, None
@@ -621,69 +628,45 @@ def _fused_table(shape, p, leg, t_entries, *copairing_entries):
 
 
 def _graded_tables(step: _Step):
-    """(crossings, selectors) of one triangle step.
+    """(table pairs, selectors) of one triangle step, both read off the
+    inverted pairs of its one leg permutation.
 
-    ``crossings`` holds the inputs of the table part's sign tables
-    (``_slot_crossings``).  ``selectors[mask]``, per bitmask of the odd
-    matched legs (bit i: the i'th matched slot), is the getter of the
-    rest legs with an odd number of odd matched legs before them, or
-    None; ``selectors`` is None when no rest leg lies behind a matched
-    one, so the entry part is always even.
+    The legs start as the blob legs, then the consumed copairings' legs
+    by (edge id, leg index), and end as the rest legs, the free ends and
+    the slot legs in slot order.  ``table pairs`` are the inverted pairs
+    among slot legs and free ends, as positions in a fused table row's
+    t key followed by its free ends.  The other inverted pairs are
+    (matched blob leg, rest leg) pairs: ``selectors[mask]``, per bitmask
+    of the odd matched legs (bit i: the i'th matched slot), is the getter
+    of the rest legs in an odd number of them, or None; ``selectors`` is
+    None when no such pair exists.
     """
     n_open, matched, rest, used, free_ends = step.layout
-    crossings = _slot_crossings(n_open, matched, used, free_ends)
-    matched_pos = [q for _, q in matched]
-    if not matched_pos or not rest or min(matched_pos) > rest[-1]:
-        return crossings, None
+    old = {(eid, li): n_open + 2 * k + li for k, eid in enumerate(step.eids)
+           for li in (0, 1)}  # old position of each consumed copairing leg
+    slot_legs = [0, 0, 0]
+    for s, q in matched:
+        slot_legs[s] = q
+    for eid, legs in used.items():
+        for li, s in legs.items():
+            slot_legs[s] = old[eid, li]
+    free_legs = [old[end] for end in free_ends]
+    pairs = inversion_pairs(rest + free_legs + slot_legs)
+    row = {q: i for i, q in enumerate(slot_legs + free_legs)}
+    table_pairs = tuple((row[a], row[b]) for a, b in pairs
+                        if a in row and b in row)
+    bit = {q: 1 << i for i, (_, q) in enumerate(matched)}
+    over = dict.fromkeys(rest, 0)  # rest leg -> matched legs it passes
+    for a, b in pairs:
+        if a in bit and b in over:
+            over[b] |= bit[a]
+    if not any(over.values()):
+        return table_pairs, None
     selectors = []
-    for mask in range(1 << len(matched_pos)):
-        odd_pos = sorted(q for i, q in enumerate(matched_pos) if mask >> i & 1)
-        sel = [r for r in rest if bisect.bisect_left(odd_pos, r) & 1]
+    for mask in range(1 << len(matched)):
+        sel = [r for r in rest if (over[r] & mask).bit_count() & 1]
         selectors.append(key_getter(sel) if sel else None)
-    return crossings, selectors
-
-
-def _slot_crossings(n_open, matched, used, free_ends):
-    """(inverted, cross): what the table part of one triangle's sign
-    depends on (``_sign_tables`` turns it into the tables).
-
-    Legs start as: blob legs, then the used copairings' legs by (edge id,
-    leg index).  The slot legs move, in slot order, behind the free ends:
-    a matched one jumps over every free end, a consumed one over those
-    after it.  ``inverted`` flags the slot pairs (0, 1), (0, 2), (1, 2)
-    that start in reverse order, and ``cross`` the free ends (bitmask)
-    each slot leg jumps over.
-    """
-    rank = [0, 0, 0]   # old position of each slot leg
-    cross = [0, 0, 0]  # free ends (bitmask) each slot leg jumps over
-    all_free = (1 << len(free_ends)) - 1
-    for s, p in matched:
-        rank[s] = p
-        cross[s] = all_free
-    for eid in sorted(used):
-        for li, s in used[eid].items():
-            rank[s] = n_open + 2 * eid + li
-            before = bisect.bisect_left(free_ends, (eid, li))
-            cross[s] = all_free >> before << before
-    inverted = (rank[0] > rank[1], rank[0] > rank[2], rank[1] > rank[2])
-    return inverted, tuple(cross)
-
-
-def _sign_tables(inverted, cross):
-    """Per 3-bit mask of odd slots: the parity of the inverted pairs of
-    odd slots, and the free ends crossed by an odd number of them."""
-    pairs = [(a, b) for (a, b), inv in zip(((0, 1), (0, 2), (1, 2)),
-                                           inverted) if inv]
-    slot_sign, crossed = [], []
-    for odd in range(8):
-        slot_sign.append(sum(odd >> a & odd >> b & 1 for a, b in pairs) & 1)
-        mask = 0
-        for s in range(3):
-            if odd >> s & 1:
-                mask ^= cross[s]
-        crossed.append(tuple(i for i in range(mask.bit_length())
-                             if mask >> i & 1))
-    return tuple(slot_sign), tuple(crossed)
+    return table_pairs, selectors
 
 
 def evaluate_raw(tri: MarkedTriangulation, signs: Signs,
@@ -698,13 +681,17 @@ def evaluate_raw(tri: MarkedTriangulation, signs: Signs,
 
 
 def evaluate(tri: MarkedTriangulation, signs: Signs, types: tuple[str, ...],
-             A: GradedFrobeniusAlgebra, plan=None) -> Amplitude:
+             A: GradedFrobeniusAlgebra) -> Amplitude:
+    """T_A: the state sum of a spin surface.  Raises ``ValueError`` unless
+    the signs are admissible for the boundary ``types`` and A passes the
+    invariance predicates; the amplitude is ``evaluate_raw``'s, with
+    ``types`` recorded."""
     if not is_admissible(tri, signs, types):
         raise ValueError("edge signs are not admissible for the given "
                          "boundary types")
     if not passes_invariance_predicates(A):
         raise ValueError("algebra does not satisfy the invariance predicates")
-    amp = evaluate_raw(tri, signs, A, plan)
+    amp = evaluate_raw(tri, signs, A)
     amp.types = tuple(types)
     return amp
 

@@ -207,19 +207,19 @@ def pachner_13(tri: MarkedTriangulation, signs: Signs, fid: int,
 
 
 def random_pachner_move(tri: MarkedTriangulation, signs: Signs, rng,
-                        bias_faces: int | None = None):
+                        bias_faces: int):
     """Apply one random valid move; returns (tri, signs, move).
 
-    The kind mix is biased to keep the face count near ``bias_faces``
-    (default: the current count), so long random walks stay bounded.
-    A move the patch does not allow is retried with a new draw; a bad
-    or missing sign on the patch raises ``SignError``.
+    The kind mix is biased to keep the face count near ``bias_faces``:
+    a walk that starts at ``bias_faces`` faces stays within
+    ``bias_faces`` to ``bias_faces + 4`` faces.  A move the patch does
+    not allow is retried with a new draw; a bad or missing sign on the
+    patch raises ``SignError``.
     """
-    n0 = bias_faces if bias_faces is not None else len(tri.triangles)
     n_f = len(tri.triangles)
-    if n_f <= n0:
+    if n_f <= bias_faces:
         kinds = ["one_three", "one_three", "two_two"]
-    elif n_f >= n0 + 4:
+    elif n_f >= bias_faces + 4:
         kinds = ["three_one", "three_one", "two_two"]
     else:
         kinds = ["one_three", "two_two", "three_one"]

@@ -187,7 +187,8 @@ def test_classification_counts_and_move_invariance(g, count):
     rng = random.Random(7)
     cur, signs = tri, classes[0]
     for _ in range(50):
-        cur, signs, _move = random_pachner_move(cur, signs, rng)
+        cur, signs, _move = random_pachner_move(cur, signs, rng,
+                                                len(tri.triangles))
     assert len(classify(cur)) == count
 
 

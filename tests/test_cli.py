@@ -355,16 +355,16 @@ def test_amplitude_type_count_error_has_a_message(runner, torus_files):
 
 @pytest.fixture()
 def big_torus_files(tmp_path):
-    """A torus walked 200 unbiased Pachner moves (274 faces, whose plan
-    peaks at 23 open legs, past the default bound of 16), written as a
-    surface file and a signs file."""
+    """A torus walked 200 Pachner moves biased to grow (274 faces, whose
+    plan peaks at 23 open legs, past the default bound of 16), written as
+    a surface file and a signs file."""
     import random
     from spinsum import surface, tft
     from spinsum.pachner import random_pachner_move
     tri, signs = tft.torus_spin("NS", 1)
     rng = random.Random(3)
     for _ in range(200):
-        tri, signs, _ = random_pachner_move(tri, signs, rng, bias_faces=None)
+        tri, signs, _ = random_pachner_move(tri, signs, rng, bias_faces=10**6)
     assert len(tri.triangles) == 274
     surf, signs_path = tmp_path / "torus.json", tmp_path / "signs.json"
     surf.write_text(json.dumps(surface.to_json(tri)))

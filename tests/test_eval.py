@@ -67,6 +67,27 @@ def test_invalid_schedule_rejected(clifford):
             contract_graph(graph, derive(clifford), plan=bad)
 
 
+def test_contract_network_rejects_an_invalid_plan(clifford):
+    """The executor itself checks every plan but the memo's: an inner
+    copairing absorbed twice (which would count its scale of 2 twice over
+    Q and halve every entry), an unknown face and an unknown edge each
+    raise the same ValueError."""
+    tri, signs, _ = tft.cylinder_spin("NS", 1)
+    graph = build_graph(tri, signs)
+    plan = plan_contraction(graph)
+    D = derive(clifford)
+    cops = {eid: D.boundary_map(signs[eid]) if first.kind == "cod"
+            else D.c(signs[eid]) for eid, (first, _) in graph.wires.items()}
+    inner = min(eid for eid, (first, _) in graph.wires.items()
+                if first.kind == "face")
+    for bad in ([("c", inner)] + plan, plan + [("t", 999)],
+                plan + [("c", 999)]):
+        with pytest.raises(ValueError, match="invalid contraction schedule"):
+            contract_network(graph, bad, cops, D.t)
+    assert contract_network(graph, list(plan), cops, D.t) == \
+        contract_graph(graph, D)
+
+
 def _greedy_from(tri, start):
     """Reference greedy plan with a forced first face: then the face with
     the fewest unabsorbed edges (ties: smallest id), each face right
@@ -178,7 +199,8 @@ def test_plan_is_cached_per_triangulation():
     flipped = {eid: -s for eid, s in signs.items()}
     plan = plan_contraction(build_graph(tri, signs))
     assert plan_contraction(build_graph(tri, flipped)) is plan
-    tri2, signs2, _ = random_pachner_move(tri, signs, random.Random(1))
+    tri2, signs2, _ = random_pachner_move(tri, signs, random.Random(1),
+                                          len(tri.triangles))
     graph2 = build_graph(tri2, signs2)
     plan2 = plan_contraction(graph2)
     assert plan2 is not plan and plan2 != plan

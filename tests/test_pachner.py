@@ -60,6 +60,26 @@ def test_moves_preserve_admissibility(cyl):
     assert validate(tri) == []
 
 
+@pytest.mark.parametrize("surface,band", [("genus-1", (6, 10)),
+                                          ("genus-2", (22, 26)),
+                                          ("pants", (11, 15))])
+def test_walk_stays_within_four_faces_of_its_bias(surface, band):
+    """A walk that starts at ``bias_faces`` faces stays within
+    ``bias_faces`` to ``bias_faces + 4`` faces and reaches both ends."""
+    if surface == "pants":
+        tri, signs, _ = tft.pants_spin((NS, R_TYPE, R_TYPE), 1, -1)
+    else:
+        tri = genus_g_closed(int(surface[-1]))
+        signs = classify_spin_structures(tri)[0]
+    bias = len(tri.triangles)
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(3000):
+        tri, signs, _ = random_pachner_move(tri, signs, rng, bias)
+        seen.add(len(tri.triangles))
+    assert (min(seen), max(seen)) == band == (bias, bias + 4)
+
+
 def test_three_one_rejects_wrong_sign_product(cyl):
     tri, signs, _ = cyl
     fid = sorted(tri.triangles)[0]
@@ -254,8 +274,8 @@ def test_moves_name_a_bad_or_missing_patch_sign(cyl, kind, bad):
     with pytest.raises(SignError, match=rf"edge 7: sign must be \+1 or -1, "
                                         rf"{what}"):
         if kind == "walk":
-            rng = random.Random(1)
+            rng, bias = random.Random(1), len(tri.triangles)
             for _ in range(20):
-                tri, signs, _ = random_pachner_move(tri, signs, rng)
+                tri, signs, _ = random_pachner_move(tri, signs, rng, bias)
         else:
             apply_pachner_move(tri, signs, PachnerMove(kind, target))
