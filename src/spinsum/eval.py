@@ -29,35 +29,41 @@ One executor, ``contract_network``, contracts the diagram for every
 algebra.  It grows a pure-output "blob" tensor along a schedule of
 ('c', edge) / ('t', face) steps.  A copairing stays pending until a
 triangle consumes one of its legs.  Per triangle, t and the pending
-copairings it consumes are folded into a small fused table (blob-leg
-indices it matches -> indices of the copairings' free ends, coefficient),
-applied in one sweep over the blob; the free ends become new open legs.
-The sweep slices each blob key with ``operator.itemgetter`` and works on
-plain Python ints, not field elements.  Over Q, t and each copairing are
-scaled to integers by the lcm of their denominators, the product of the
-scales absorbed so far is kept as one denominator, and each entry of the
-result becomes the exact ``Fraction(v, denom)`` once at the end.  Over
-F_p the values already are ints: a step sums them without reduction and
-reduces its new blob mod p once.  Either way the zero sums are dropped
-from the new blob in place before the budget check.
+copairings it consumes are folded into a small fused table (the indices
+of the blob legs on its t slots -> indices of the copairings' free ends,
+coefficient), applied in one sweep over the blob; the free ends become
+new open legs.  The blob is a dict from int to int.  Each open leg owns
+a fixed field of the key, its slot, for its whole life: W =
+(dim-1).bit_length() bits (at least one) for the basis index, below them
+one parity bit when the algebra is graded.  A step reads its matched legs
+as ``mk = key & mask``, finds the rows of ``mk`` in its table re-keyed to
+those slots, and writes ``(key ^ mk) | nk``: the free ends fill the
+lowest free slots.  No tuple is built per entry.  Over Q, t and each
+copairing are scaled to integers by the lcm of their denominators, the
+product of the scales absorbed so far is kept as one denominator, and
+each entry of the result becomes the exact ``Fraction(v, denom)`` once
+at the end.  Over F_p the values already are ints: a step sums them
+without reduction and reduces its new blob mod p once.  Either way the
+zero sums are dropped from the new blob in place before the budget
+check.  The final blob is decoded once, one column of indices per slot.
 
 The executor is split into a program and a numeric loop.  ``_compile``
-replays the schedule on wire ends alone: per triangle step the blob
-positions its slots match, the rest positions, the copairing ends it
-consumes, the free ends and their key getters, and the open-leg count
-after the step; at the end the permutation into codomain order.  None of
-it depends on signs, tensors or the algebra, so the program of the
-memo's plan is kept in the memo next to it, and a class sweep or a scan
-over algebras compiles each triangulation once; any other plan is
-checked and compiled per call.  The first graded run adds each step's
-sign pairs and entry-sign selectors (see below).  The wires of
-``build_graph`` are kept in the memo too; each call only checks the
-signs.
+replays the schedule on wire ends alone and assigns the slots: per
+triangle step the slots of the blob legs its t slots match, the slots it
+keeps, the copairing ends it consumes, the slots its free ends take, and
+the open-leg count after the step; at the end the final slots and the
+permutation into codomain order.  None of it depends on signs, tensors
+or the algebra, so the program of the memo's plan is kept in the memo
+next to it, and a class sweep or a scan over algebras compiles each
+triangulation once; any other plan is checked and compiled per call.
+The first graded run adds each step's sign pairs and crossings (see
+below).  The wires of ``build_graph`` are kept in the memo too; each
+call only checks the signs.
 
 A fused table never depends on where its legs sit in the blob, only on
-the step's shape and on its tensors.  The shape is the matched slots,
+the step's shape and on its tensors.  The shape is the matched t slots,
 per consumed copairing (in edge-id order) its consumed leg indices and
-their slots, and for a graded algebra the inverted leg pairs of the
+their t slots, and for a graded algebra the inverted leg pairs of the
 sign's table part (``_graded_tables``).  So ``_fused_table`` is a pure
 function of the shape, the field's characteristic, t's leg parities and
 the entries of t and of each consumed copairing, cached with
@@ -70,38 +76,49 @@ and c_-), or those that ``derive`` builds again after
 frozenset of its entries once and interns it (``_interned``), so a hit
 compares those sets by identity.  Nothing cached refers to a tensor, so
 a tensor may be changed between calls.
-What depends on blob positions stays on the compiled step: its key
-getters, its open-leg count and its entry-sign selectors.
 Both caches keep the ``FUSED_TABLES_KEPT`` (1,024) most recently used
 entries.  200-move Pachner walks on the cylinder, the pants and genus 2,
 evaluated every 25 moves, plus the class sweeps of genus 1 to 3 (eight
 F3 classes at genus 3), for all four built-in algebras in one process,
-use 435 tables over 94 shapes, so the bound does not evict on such
+use 459 tables over 101 shapes, so the bound does not evict on such
 traffic; 300 rounds of both torus sign sums for the four algebras use
-24.  No result is cached: every call sweeps the blob through every step.
+24.
+What depends on slots stays on the compiled step: its open-leg count,
+its crossings, and its packed tables (``_pack``), the fused table
+re-keyed to its slots.  A step keeps the packed tables of the last
+``PACKED_TABLES_PER_STEP`` (8) tensor sets it met, keyed by the
+characteristic, t's leg parities and the interned entries of t and of
+its copairings, so a class sweep (up to 2^3 sign patterns on the
+copairings a step consumes) or a scan over algebras packs each table
+once.  They go with the program.  No result is cached: every call
+sweeps the blob through every step.
 
 Each triangle step is one leg permutation and carries the Koszul sign
 of ``tensor``'s permutations: (-1)^(sum of |a||b| over its inverted
-pairs).  The legs start as the blob legs, then the consumed copairings'
-legs by (edge id, leg index); they end as the rest legs, the free ends,
-and the slot legs in slot order next to t's inputs.  One
-``inversion_pairs`` call per step gives the pairs, in two parts.  The
-table part is the inverted pairs among slot legs and free ends: a table
-row fixes all their parities, so it is folded into the row's
-coefficient.  The entry part is the inverted (matched blob leg, rest
-leg) pairs; the sweep reads it off each blob key's parities through one
-precompiled getter, per bitmask of odd matched legs, of the rest legs
-that count.  No other pair is inverted.  When every leg parity is even
-all sign work is skipped.  The surviving legs end in codomain order or
-are put there by one final ``permute_out``, itself one ``itemgetter``
-remap per entry.
+pairs).  Legs are ordered by slot.  The permutation starts with the
+blob legs by slot, then the consumed copairings' legs by (edge id, leg
+index); it ends with the new open legs by slot, then the slot legs in t
+slot order next to t's inputs.  One ``inversion_pairs`` call per step
+gives the pairs, in two parts.  The table part is the inverted pairs
+among slot legs and free ends: a table row fixes all their parities, so
+it is folded into the row's coefficient.  Every other inverted pair is
+a rest leg r against an odd leg x, where x is a matched leg whose slot
+is below r's or a free end whose new slot is below r's.  So each packed
+row carries one int: the XOR, over its odd matched and free-end legs, of
+the parity bits of the rest legs above them; the hit is negated when the
+blob key has an odd number of those bits set (``int.bit_count``).  When
+every leg parity is even all sign work is skipped.  The final legs are
+read in slot order and put into codomain order by one ``permute_out``;
+without odd basis vectors that reorder has no sign, and the decode reads
+the slots in codomain order directly.
 Budget: after each triangle at most max_open_legs open legs (read off
 the program before the step's sweep) and max_entries stored entries,
 else ``BudgetExceeded`` names the step, its action and the plan length.
 
 An independent exhaustive oracle assigns basis indices to every edge
 directly and multiplies explicit crossing signs of a fixed planar
-layering, in the field's own arithmetic.
+layering, in the field's own arithmetic.  It cuts a branch once a
+face's assigned legs match no key of t.
 """
 
 from __future__ import annotations
@@ -113,6 +130,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem, xor
 
 from .algebra import DerivedStructure, GradedFrobeniusAlgebra, derive, \
     passes_invariance_predicates
@@ -125,6 +143,7 @@ DEFAULT_MAX_OPEN_LEGS = 16
 DEFAULT_MAX_ENTRIES = 10**7
 BEAM_WIDTH = 32  # states the planner's beam search keeps per depth
 FUSED_TABLES_KEPT = 1024  # entries of each of the two table caches
+PACKED_TABLES_PER_STEP = 8  # packed tables each compiled step keeps
 
 
 @dataclass(frozen=True)
@@ -333,37 +352,43 @@ def contract_graph(graph: DiagramGraph, D: DerivedStructure,
 
 class _Step:
     """One triangle step of a compiled contraction (see ``_compile``)."""
-    __slots__ = ("index", "eids", "mget", "rget", "n_open", "layout",
-                 "shape", "graded")
+    __slots__ = ("index", "eids", "matched", "rest", "free", "n_open",
+                 "shape", "graded", "packed")
 
-    def __init__(self, index, n_before, matched, rest, used, free_ends):
+    def __init__(self, index, matched, rest, used, free):
         eids = sorted(used)
         self.index = index  # its position in the plan
         self.eids = tuple(eids)  # the copairings it consumes, by edge id
-        # key getters: blob key -> matched legs, blob key -> rest legs
-        self.mget = key_getter([q for _, q in matched])
-        self.rget = key_getter(rest)
-        self.n_open = len(rest) + len(free_ends)  # open legs after the step
-        self.layout = (n_before, matched, rest, used, free_ends)
+        # slots: (t slot, slot of the blob leg feeding it) in t-slot order,
+        # the slots of the blob legs it keeps, and the slot each free end
+        # takes, in (edge id, leg index) order
+        self.matched = tuple(matched)
+        self.rest = tuple(rest)
+        self.free = tuple(free)
+        self.n_open = len(rest) + len(free)  # open legs after the step
         # what its fused table depends on besides the tensors: the matched
-        # slots and, per consumed copairing, its consumed leg indices and
-        # their slots
+        # t slots and, per consumed copairing, its consumed leg indices and
+        # their t slots
         self.shape = (tuple(s for s, _ in matched),
                       tuple(tuple(used[eid]) for eid in eids),
                       tuple(tuple(used[eid].values()) for eid in eids))
-        # graded: ((shape, table-part sign pairs), entry-sign selectors),
-        # built on the first graded run (``_graded_tables``)
+        # graded: ((shape, table-part sign pairs), crossings), built on the
+        # first graded run (``_graded_tables``)
         self.graded = None
+        # (characteristic, t's leg parities, interned entries of t and of
+        # the consumed copairings) -> (packed table, matched mask, signed)
+        # (``_pack``), for the last PACKED_TABLES_PER_STEP tensor sets
+        self.packed = {}
 
 
 class _Program:
     """The sign-independent part of a contraction (see ``_compile``)."""
-    __slots__ = ("steps", "edges", "legs", "order")
+    __slots__ = ("steps", "edges", "slots", "order")
 
-    def __init__(self, steps, edges, legs, order):
+    def __init__(self, steps, edges, slots, order):
         self.steps = steps  # the triangle steps, as ``_Step``
         self.edges = edges  # edge ids in plan order
-        self.legs = legs    # number of codomain legs
+        self.slots = slots  # the final open legs' slots, ascending
         self.order = order  # final ``permute_out``, None if already in order
 
 
@@ -384,17 +409,16 @@ def _compile_plan(tri: MarkedTriangulation) -> _Program:
 
 
 def _compile(tri: MarkedTriangulation, plan) -> _Program:
-    """Replay ``plan`` on wire ends alone: per triangle step the blob
-    positions its slots match, the copairing ends it consumes and the
-    free ends that become open legs, and at the end the permutation into
-    codomain order.  Depends only on the triangulation (the wires) and
-    the plan, never on signs or tensors."""
+    """Replay ``plan`` on wire ends alone: per triangle step the slots of
+    the blob legs its t slots match, the copairing ends it consumes and
+    the free ends that become open legs, each in the lowest free slot, and
+    at the end the permutation into codomain order.  Depends only on the
+    triangulation (the wires) and the plan, never on signs or tensors."""
     # the wire end (edge id, leg index) feeding each triangle slot
     wires = tri.cached(_build_wires)
     end_at = {(w.face, w.slot): (eid, li) for eid, ends in wires.items()
               for li, w in enumerate(ends) if w.kind == "face"}
-    open_ends: list[tuple[int, int]] = []  # wire end of each blob leg
-    at: dict[tuple[int, int], int] = {}  # wire end -> its blob position
+    slot_of: dict[tuple[int, int], int] = {}  # open wire end -> its slot
     pending: set[int] = set()  # copairings no triangle has consumed yet
     edges, steps = [], []
     for index, (kind, tid) in enumerate(plan):
@@ -402,31 +426,37 @@ def _compile(tri: MarkedTriangulation, plan) -> _Program:
             pending.add(tid)
             edges.append(tid)
             continue
-        matched = []  # (slot, blob position) of slots fed by open legs
-        used: dict[int, dict[int, int]] = {}  # eid -> {leg index: slot}
+        matched = []  # (t slot, slot) of t slots fed by open legs
+        used: dict[int, dict[int, int]] = {}  # eid -> {leg index: t slot}
         for s in range(3):
             end = end_at[tid, s]
             if end[0] in pending:
                 used.setdefault(end[0], {})[end[1]] = s
             else:  # a valid schedule left it open
-                matched.append((s, at[end]))
+                matched.append((s, slot_of.pop(end)))
         pending.difference_update(used)
         # new open legs: the unconsumed ends of the copairings used here
         free_ends = [(eid, li) for eid in sorted(used) for li in (0, 1)
                      if li not in used[eid]]
-        matched_pos = [q for _, q in matched]
-        rest = [q for q in range(len(open_ends)) if q not in matched_pos]
-        steps.append(_Step(index, len(open_ends), matched, rest, used,
-                           free_ends))
-        open_ends = [open_ends[q] for q in rest] + free_ends
-        at = {end: q for q, end in enumerate(open_ends)}
+        rest = sorted(slot_of.values())
+        taken, free = set(rest), []
+        slot = 0
+        for end in free_ends:
+            while slot in taken:
+                slot += 1
+            slot_of[end] = slot
+            free.append(slot)
+            slot += 1
+        steps.append(_Step(index, matched, rest, used, free))
+    open_ends = sorted(slot_of, key=slot_of.get)
     targets = [wires[eid][li] for eid, li in open_ends]
     want = _codomain(tri)
     if pending or Counter(targets) != Counter(want):
         raise RuntimeError("contraction did not end on the codomain legs")
     at = {w: q for q, w in enumerate(targets)}
     order = [at[w] for w in want]
-    return _Program(steps, tuple(edges), len(want),
+    return _Program(steps, tuple(edges),
+                    tuple(slot_of[end] for end in open_ends),
                     None if order == sorted(order) else order)
 
 
@@ -440,23 +470,26 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
     values in t's field.  All bookkeeping comes from the compiled
     program (``_program``): kept in the memo of ``graph.tri`` for the
     memo's plan, whose wires depend on the triangulation alone, and built
-    afresh for any other plan.  This function only folds the fused tables
-    its steps lack, sweeps the blob once per triangle and reduces.  The
-    loop runs on plain ints: over Q the tensors are scaled to integers and
-    the product of their scales divides every entry once at the end; over
-    F_p each triangle step reduces its sums mod p once.
+    afresh for any other plan.  This function only packs the tables its
+    steps lack, sweeps the blob once per triangle, reduces and decodes.
+    The loop runs on plain ints, keys included: over Q the tensors are
+    scaled to integers and the product of their scales divides every
+    entry once at the end; over F_p each triangle step reduces its sums
+    mod p once.
 
-    The fused tables come from ``_fused_table``'s cache, keyed on the
-    step's shape, the characteristic, t's leg parities and the interned
-    entries of t and of the copairings the step consumes.  The key holds
-    no tensor, so a tensor equal to an earlier one finds its tables, and
-    changing a tensor between calls is safe.
+    A step's packed table is looked up on the step, then its fused table
+    in ``_fused_table``'s cache; both are keyed on the characteristic,
+    t's leg parities and the interned entries of t and of the copairings
+    the step consumes, the fused one also on the step's shape.  No key
+    holds a tensor, so a tensor equal to an earlier one finds its tables,
+    and changing a tensor between calls is safe.
     """
     program = _program(graph, plan)
     F = t.field
     p = F.characteristic
     leg = t.in_legs[0]
     graded = any(leg)
+    width = _field_width(leg)
     memo: dict[int, tuple] = {}  # id(tensor) -> (interned entries, scale)
 
     def content(x):
@@ -472,49 +505,51 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
         denom = tscale ** len(program.steps)
         for eid in program.edges:
             denom *= content(copairings[eid])[1]
-    blob: dict[tuple, int] = {(): 1}
+    blob: dict[int, int] = {0: 1}
     for step in program.steps:
         if step.n_open > max_open_legs:
             raise BudgetExceeded(f"open legs {step.n_open} exceed bound "
                                  f"{max_open_legs} {_where(plan, step)}")
-        shape, selectors = step.shape, None
-        if graded:
-            if step.graded is None:
-                pairs, sels = _graded_tables(step)
-                step.graded = (shape, pairs), sels
-            shape, selectors = step.graded
-        fused, masks = _fused_table(shape, p, leg, tset, *[
-            content(copairings[eid])[0] for eid in step.eids])
-        # the entry-sign getter of each matched key whose sign can be odd
-        sel_of = selectors and masks and {
-            mk: sel for mk, m in masks.items()
-            if (sel := selectors[m]) is not None}
-        mget, rget = step.mget, step.rget
-        new_blob: dict[tuple, int] = {}
+        entries = [content(copairings[eid])[0] for eid in step.eids]
+        tensors = (p, leg, tset, *entries)
+        packed = step.packed.get(tensors)
+        if packed is None:
+            shape = step.shape
+            if graded:
+                if step.graded is None:
+                    step.graded = _graded_tables(step)
+                shape = step.graded[0]
+            packed = _pack(step, _fused_table(shape, p, leg, tset, *entries),
+                           leg, width)
+            if len(step.packed) == PACKED_TABLES_PER_STEP:
+                del step.packed[next(iter(step.packed))]  # the oldest
+            step.packed[tensors] = packed
+        table, mmask, signed = packed
+        new_blob: dict[int, int] = {}
         get = new_blob.get
-        if sel_of:
-            # the same sweep, negating v by the entry part of the sign
-            parity, sel_get = leg.__getitem__, sel_of.get
+        if signed:
+            # the same sweep, negating a hit by the entry part of its sign
             for key, v in blob.items():
-                mk = mget(key)
-                hits = fused.get(mk)
+                mk = key & mmask
+                hits = table.get(mk)
                 if hits is None:
                     continue
-                sel = sel_get(mk)
-                if sel is not None and sum(map(parity, sel(key))) & 1:
-                    v = -v
-                base = rget(key)
-                for nk, cv in hits:
-                    k2 = base + nk
-                    new_blob[k2] = get(k2, 0) + v * cv
+                base = key ^ mk
+                for nk, cv, odd in hits:
+                    k2 = base | nk
+                    if (key & odd).bit_count() & 1:
+                        new_blob[k2] = get(k2, 0) - v * cv
+                    else:
+                        new_blob[k2] = get(k2, 0) + v * cv
         else:
             for key, v in blob.items():
-                hits = fused.get(mget(key))
+                mk = key & mmask
+                hits = table.get(mk)
                 if hits is None:
                     continue
-                base = rget(key)
+                base = key ^ mk
                 for nk, cv in hits:
-                    k2 = base + nk
+                    k2 = base | nk
                     new_blob[k2] = get(k2, 0) + v * cv
         # reduce and drop the zero sums in place, before the budget check
         zeros = []
@@ -525,7 +560,7 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                     new_blob[k2] = v
                 else:
                     zeros.append(k2)
-        else:
+        elif 0 in new_blob.values():
             zeros = [k2 for k2, v in new_blob.items() if not v]
         for k2 in zeros:
             del new_blob[k2]
@@ -534,16 +569,43 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
             raise BudgetExceeded(f"{len(blob)} stored coefficients exceed "
                                  f"budget {max_entries} "
                                  f"{_where(plan, step)}")
+    values = blob.values()
     if not p:
-        for key, v in blob.items():
-            blob[key] = Fraction(v, denom)  # the one division
-    out = GradedTensor(F, (leg,) * program.legs, (), blob)
-    return out if program.order is None else out.permute_out(program.order)
+        values = [Fraction(v, denom) for v in values]  # the one division
+    slots, order = program.slots, program.order
+    if order is not None and not graded:  # no sign: read in codomain order
+        slots, order = [slots[q] for q in order], None
+    keys = _decode(blob, slots, width, graded) if slots else [()] * len(blob)
+    out = GradedTensor(F, (leg,) * len(slots), (), dict(zip(keys, values)))
+    return out if order is None else out.permute_out(order)
 
 
 def _where(plan, step: _Step) -> str:
     k = step.index
     return f"after plan[{k}] = {tuple(plan[k])!r} of {len(plan)} steps"
+
+
+def _field_width(leg) -> int:
+    """Bits of one slot of a packed blob key: enough for the basis indices
+    of ``leg`` (at least one), plus a lowest parity bit when it has odd
+    basis vectors."""
+    return max(1, (len(leg) - 1).bit_length()) + any(leg)
+
+
+def _encoding(leg) -> list[int]:
+    """The slot value of each basis index: the index, shifted over its
+    parity bit when ``leg`` has odd basis vectors."""
+    if not any(leg):
+        return list(range(len(leg)))
+    return [i << 1 | odd for i, odd in enumerate(leg)]
+
+
+def _decode(blob, slots, width, graded) -> list[tuple]:
+    """The blob's packed keys, in order, as tuples of the basis indices at
+    ``slots``: one column of indices per slot, zipped."""
+    mask = (1 << width - graded) - 1
+    return list(zip(*[[key >> shift & mask for key in blob]
+                      for shift in (q * width + graded for q in slots)]))
 
 
 @functools.lru_cache(maxsize=FUSED_TABLES_KEPT)
@@ -580,7 +642,7 @@ def _by_fixed(data, cons):
 
 @functools.lru_cache(maxsize=FUSED_TABLES_KEPT)
 def _fused_table(shape, p, leg, t_entries, *copairing_entries):
-    """The fused table of one triangle step and the odd-masks of its keys.
+    """The fused table of one triangle step.
 
     ``shape`` is the step's (matched slots, consumed leg indices and
     their slots per copairing), paired for a graded algebra (t's leg
@@ -590,9 +652,8 @@ def _fused_table(shape, p, leg, t_entries, *copairing_entries):
     t and of each consumed copairing.  The table maps the matched slots'
     indices of a t key to [(the free ends' indices, coeff)]: t times the
     copairings, in ints (``_integral``), each coeff times
-    (-1)^(sum of |a||b| over those pairs).  The masks map each matched key
-    with an odd index to the bitmask of its odd matched legs; None when
-    ungraded.
+    (-1)^(sum of |a||b| over those pairs).  It holds no blob slot, so
+    every step of that shape shares it; ``_pack`` places it.
     """
     graded = any(leg)
     if graded:
@@ -620,53 +681,98 @@ def _fused_table(shape, p, leg, t_entries, *copairing_entries):
                     signed.append((nk, -cv if odd else cv))
                 acc = signed
             fused.setdefault(tget(tkey), []).extend(acc)
-    if not graded:
-        return fused, None
-    masks = {mk: m for mk in fused
-             if (m := sum(leg[x] << i for i, x in enumerate(mk)))}
-    return fused, masks
+    return fused
 
 
 def _graded_tables(step: _Step):
-    """(table pairs, selectors) of one triangle step, both read off the
-    inverted pairs of its one leg permutation.
+    """((shape, table pairs), crossings) of one triangle step, both read
+    off the inverted pairs of its one leg permutation.
 
-    The legs start as the blob legs, then the consumed copairings' legs
-    by (edge id, leg index), and end as the rest legs, the free ends and
-    the slot legs in slot order.  ``table pairs`` are the inverted pairs
-    among slot legs and free ends, as positions in a fused table row's
-    t key followed by its free ends.  The other inverted pairs are
-    (matched blob leg, rest leg) pairs: ``selectors[mask]``, per bitmask
-    of the odd matched legs (bit i: the i'th matched slot), is the getter
-    of the rest legs in an odd number of them, or None; ``selectors`` is
-    None when no such pair exists.
+    Legs are ordered by slot.  The permutation starts with the blob legs
+    by slot, then the consumed copairings' legs by (edge id, leg index),
+    and ends with the new open legs by slot, then the slot legs in slot
+    order.  ``table pairs`` are the inverted pairs among slot legs and
+    free ends, as positions in a fused table row's t key followed by its
+    free ends.  Every other inverted pair is a rest leg against a matched
+    leg below its slot or against a free end whose new slot is below it:
+    ``crossings`` lists, per matched leg (in t-slot order) and then per
+    free end, the slots of the rest legs it crosses, or is None when
+    there are none.
     """
-    n_open, matched, rest, used, free_ends = step.layout
-    old = {(eid, li): n_open + 2 * k + li for k, eid in enumerate(step.eids)
-           for li in (0, 1)}  # old position of each consumed copairing leg
-    slot_legs = [0, 0, 0]
-    for s, q in matched:
-        slot_legs[s] = q
-    for eid, legs in used.items():
-        for li, s in legs.items():
-            slot_legs[s] = old[eid, li]
-    free_legs = [old[end] for end in free_ends]
-    pairs = inversion_pairs(rest + free_legs + slot_legs)
-    row = {q: i for i, q in enumerate(slot_legs + free_legs)}
+    matched_slots, cons_of, _ = step.shape
+    blob = sorted(step.rest + tuple(q for _, q in step.matched))
+    start = [("b", q) for q in blob] + [
+        ("c", eid, li) for eid in step.eids for li in (0, 1)]
+    free = [("c", eid, li) for eid, cons in zip(step.eids, cons_of)
+            for li in (0, 1) if li not in cons]
+    slot_legs = [None] * 3
+    for s, q in step.matched:
+        slot_legs[s] = ("b", q)
+    for eid, cons, slots in zip(step.eids, cons_of, step.shape[2]):
+        for li, s in zip(cons, slots):
+            slot_legs[s] = ("c", eid, li)
+    new_open = sorted([(q, ("b", q)) for q in step.rest]
+                      + list(zip(step.free, free)))
+    pos = {name: i for i, name in enumerate(start)}
+    pairs = inversion_pairs([pos[name] for name in
+                             [name for _, name in new_open] + slot_legs])
+    row = {pos[name]: i for i, name in enumerate(slot_legs + free)}
     table_pairs = tuple((row[a], row[b]) for a, b in pairs
                         if a in row and b in row)
-    bit = {q: 1 << i for i, (_, q) in enumerate(matched)}
-    over = dict.fromkeys(rest, 0)  # rest leg -> matched legs it passes
+    rest = {pos["b", q]: q for q in step.rest}
+    movers = [pos[slot_legs[s]] for s in matched_slots] + [
+        pos[name] for name in free]
+    crossed = {x: [] for x in movers}
     for a, b in pairs:
-        if a in bit and b in over:
-            over[b] |= bit[a]
-    if not any(over.values()):
-        return table_pairs, None
-    selectors = []
-    for mask in range(1 << len(matched)):
-        sel = [r for r in rest if (over[r] & mask).bit_count() & 1]
-        selectors.append(key_getter(sel) if sel else None)
-    return table_pairs, selectors
+        if a in rest and b in crossed:
+            crossed[b].append(rest[a])
+        elif b in rest and a in crossed:
+            crossed[a].append(rest[b])
+    crossings = tuple(tuple(crossed[x]) for x in movers)
+    return (step.shape, table_pairs), (crossings if any(crossings)
+                                       else None)
+
+
+def _pack(step: _Step, fused, leg, width):
+    """(packed table, matched mask, signed) of one triangle step.
+
+    The packed table re-keys ``fused`` to the step's slots of ``width``
+    bits, each holding ``_encoding(leg)`` of its index: a blob key masked
+    with the matched mask finds its rows, and a row's free ends are the
+    bits it ors into the key once the matched legs are cleared.  For a
+    step with crossings (``_graded_tables``) each row also carries the
+    XOR, over its odd matched and odd free-end indices, of the parity bits
+    of the rest legs that leg crosses; ``signed`` is True unless all are
+    0, and a hit is negated when the blob key has an odd number of them
+    set.
+    """
+    enc = _encoding(leg)
+    mshifts = [q * width for _, q in step.matched]
+    mcodes = [[e << shift for e in enc] for shift in mshifts]
+    fcodes = [[e << q * width for e in enc] for q in step.free]
+    mmask = sum(((1 << width) - 1) << shift for shift in mshifts)
+    crossings = any(leg) and step.graded[1]
+    if not crossings:
+        return {sum(map(getitem, mcodes, mk)):
+                [(sum(map(getitem, fcodes, nk)), cv) for nk, cv in rows]
+                for mk, rows in fused.items()}, mmask, False
+    # flips: per crossing leg, its index -> the rest legs' parity bits it
+    # crosses if that index is odd, else 0
+    flips = [[bits if odd else 0 for odd in leg]
+             for bits in (sum(1 << r * width for r in slots)
+                          for slots in crossings)]
+    mflips, fflips = flips[:len(mshifts)], flips[len(mshifts):]
+    table, signed = {}, False
+    for mk, rows in fused.items():
+        odd = functools.reduce(xor, map(getitem, mflips, mk), 0)
+        packed = table[sum(map(getitem, mcodes, mk))] = []
+        for nk, cv in rows:
+            flip = functools.reduce(xor, map(getitem, fflips, nk), odd)
+            signed = signed or flip != 0
+            packed.append((sum(map(getitem, fcodes, nk)), cv, flip))
+    if not signed:  # no odd index crosses a rest leg
+        table = {mk: [row[:2] for row in rows] for mk, rows in table.items()}
+    return table, mmask, signed
 
 
 def evaluate_raw(tri: MarkedTriangulation, signs: Signs,
@@ -706,7 +812,9 @@ def contract_exhaustive(graph: DiagramGraph,
     in-legs (face-id order, slots 0,1,2) followed by the codomain legs.
     Each wire assignment contributes the product of copairing and
     triangle coefficients times (-1)^(sum of |a||b| over crossing pairs
-    of the layering).  The output flip through b is applied entrywise.
+    of the layering).  The edges are assigned one at a time, and a branch
+    ends as soon as a face's assigned slots match no key of t.  The output
+    flip through b is applied entrywise, over the nonzero entries of b.
     """
     D = derive(A)
     F = A.field
@@ -753,10 +861,19 @@ def contract_exhaustive(graph: DiagramGraph,
                 order.append(eid)
     # which faces complete at each step of the order
     complete_at: list[list[int]] = [[] for _ in order]
+    # and, per step, the faces it leaves partly assigned: the t keys'
+    # values at the assigned slots, and the wire ends at those slots
+    partial_at: list[list] = [[] for _ in order]
+    t_at = {mask: {tuple(key[s] for s in range(3) if mask >> s & 1)
+                   for key in D.t.data} for mask in range(1, 7)}
     rank = {eid: k for k, eid in enumerate(order)}
     for fid in sorted(tri.triangles):
-        last = max(rank[s.edge] for s in tri.triangles[fid].slots)
-        complete_at[last].append(fid)
+        ranks = [rank[s.edge] for s in tri.triangles[fid].slots]
+        complete_at[max(ranks)].append(fid)
+        for k in sorted(set(ranks))[:-1]:
+            mask = sum(1 << s for s, r in enumerate(ranks) if r <= k)
+            partial_at[k].append((t_at[mask], [face_ends[fid][s] for s in
+                                               range(3) if mask >> s & 1]))
     parity = A.parity
     result: dict[tuple, object] = {}
     assign: dict[tuple[int, int], int] = {}  # (eid, leg index) -> basis index
@@ -783,8 +900,9 @@ def contract_exhaustive(graph: DiagramGraph,
             assign[(eid, 0)] = i
             assign[(eid, 1)] = j
             term = F.mul(acc, cval)
-            ok = True
-            for fid in complete_at[k]:
+            ok = all(tuple(assign[end] for end in ends) in keys
+                     for keys, ends in partial_at[k])
+            for fid in complete_at[k] if ok else ():
                 tv = face_value(fid)
                 if tv is None:
                     ok = False
@@ -802,24 +920,21 @@ def contract_exhaustive(graph: DiagramGraph,
     for key, v in result.items():
         if not F.is_zero(v):
             pre.data[key] = v
-    # independent output flip: sum_a sign(a) prod_i b(x_i, a_i) T[a]
-    bdat = D.b.data
+    # independent output flip: sum_a sign(a) prod_i b(x_i, a_i) T[a], over
+    # the nonzero b(x, a) of each a alone
+    cols: dict[int, list] = {}  # a -> [(x, b(x, a))]
+    for (x, a), bv in D.b.data.items():
+        cols.setdefault(a, []).append((x, bv))
     flipped = GradedTensor(F, (), tuple([leg] * m), {})
-    dim = A.dim
     for akey, v in pre.data.items():
         s = 0
         for ii in range(m):
             for jj in range(ii + 1, m):
                 s += parity[akey[ii]] * parity[akey[jj]]
         base = v if s % 2 == 0 else F.neg(v)
-        for xkey in itertools.product(range(dim), repeat=m):
+        for column in itertools.product(*(cols.get(a, ()) for a in akey)):
             coeff = base
-            for x, a in zip(xkey, akey):
-                bv = bdat.get((x, a))
-                if bv is None:
-                    coeff = None
-                    break
+            for _, bv in column:
                 coeff = F.mul(coeff, bv)
-            if coeff is not None and not F.is_zero(coeff):
-                flipped._add_to(xkey, coeff)
+            flipped._add_to(tuple(x for x, _ in column), coeff)
     return Amplitude(flipped)

@@ -9,10 +9,11 @@ from spinsum.algebra import (BUILTIN_NAMES, GradedFrobeniusAlgebra,
                              builtin_by_name, builtin_clifford, derive,
                              passes_invariance_predicates)
 import spinsum.eval as engine
-from spinsum.eval import (FUSED_TABLES_KEPT, WireTarget, _program,
-                          boundary_legs, build_graph, contract_exhaustive,
-                          contract_graph, contract_network, evaluate,
-                          evaluate_raw, is_valid_schedule, plan_contraction)
+from spinsum.eval import (FUSED_TABLES_KEPT, PACKED_TABLES_PER_STEP,
+                          WireTarget, _program, boundary_legs, build_graph,
+                          contract_exhaustive, contract_graph,
+                          contract_network, evaluate, evaluate_raw,
+                          is_valid_schedule, plan_contraction)
 from spinsum.fields import QQ, PrimeField
 from spinsum.pachner import random_pachner_move
 from spinsum.spin import (arf_invariant, classify_spin_structures,
@@ -427,6 +428,35 @@ def test_dim4_graded_algebra_matches_exhaustive_oracle():
     assert nonzero >= 2
 
 
+@pytest.mark.parametrize("name, surface", (
+    ("twisted-matrix-3-f3", "NS+"), ("twisted-matrix-3-f3", "R-"),
+    ("twisted-matrix-2-q", "NS+"), ("twisted-matrix-2-q", "R-"),
+    ("twisted-matrix-2-q", "NS,R,R:+-"), ("clifford", "NS+"),
+    ("clifford", "R-"), ("clifford", "NS,R,R:+-")))
+def test_open_surfaces_match_exhaustive_oracle(name, surface):
+    """The engine against the independent oracle on open surfaces: F3
+    (4-bit slots), 2-q (2-bit slots; neither has an odd basis vector) and
+    clifford (a 1-bit index and a parity bit per slot).  The start and
+    two checkpoints of a Pachner walk, each with its admissible signs and
+    with random signs, cover the decoding of the final blob and its
+    reorder into codomain order, with Koszul signs for clifford."""
+    A = builtin_by_name(name)
+    if surface.startswith("NS,"):
+        tri, signs, _ = tft.pants_spin(("NS", "R", "R"), 1, -1)
+    else:
+        tri, signs, _ = tft.cylinder_spin(surface[:-1],
+                                          1 if surface[-1] == "+" else -1)
+    rng = random.Random(29)
+    nonzero = 0
+    for tri, signs in _checkpoints(tri, signs, 29, 16, 8):
+        for signs in (signs, {e: rng.choice((1, -1)) for e in tri.edges}):
+            amp = evaluate_raw(tri, signs, A)
+            assert amp == contract_exhaustive(build_graph(tri, signs), A), \
+                signs
+            nonzero += not amp.tensor.is_zero()
+    assert nonzero >= 3
+
+
 def test_amplitude_equality_ignores_types(clifford):
     tri, signs, types = tft.cylinder_spin("NS", 1)
     a = evaluate(tri, signs, types, clifford)
@@ -593,23 +623,21 @@ def test_fused_table_store_stays_bounded():
     """1,200 calls, each with the copairings of every edge but those of the
     first step scaled by its own factor, give the scaled contraction and
     fill the table cache and the interned entry sets to
-    FUSED_TABLES_KEPT, never past it.  The first step's table, used by
-    every call, is never the least recently used one, so it is built once
-    and outlives the evictions.  Then the torus sign sums, whose tensors
-    are rebuilt on every call, build no table when called again."""
+    FUSED_TABLES_KEPT, never past it.  No compiled step keeps more than
+    PACKED_TABLES_PER_STEP packed tables.  The first step's tensors never
+    change, so it packs its table once and keeps it through the evictions
+    of the store.  Then the torus sign sums, whose tensors are rebuilt on
+    every call, build no table when called again."""
     D = derive(builtin_by_name("clifford"))
     tri, signs, _ = tft.cylinder_spin("NS", 1)
     graph = build_graph(tri, signs)
     plan = plan_contraction(graph)
     base = contract_network(graph, plan,
                             {eid: D.c(s) for eid, s in signs.items()}, D.t)
-    first = _program(graph, plan).steps[0]
+    steps = _program(graph, plan).steps
+    first = steps[0]
     kept = {eid: D.c(signs[eid]) for eid in first.eids}
     scaled = len(signs) - len(kept)
-    # the first step's cache key, with entry sets equal to the interned ones
-    first_key = (first.graded[0], 0, D.t.in_legs[0],
-                 frozenset(D.t.data.items()),
-                 *(frozenset(kept[eid].data.items()) for eid in first.eids))
     _clear()
     for k in range(1, 1201):
         cops = {eid: kept[eid] if eid in kept else D.c(s).scale(Fraction(k))
@@ -617,14 +645,15 @@ def test_fused_table_store_stays_bounded():
         assert contract_network(graph, plan, cops, D.t) == \
             base.scale(Fraction(k) ** scaled), k
         assert max(_cache_sizes()) <= FUSED_TABLES_KEPT
+        assert max(len(step.packed) for step in steps) <= \
+            PACKED_TABLES_PER_STEP, k
         if k == 1:
-            built = _count_builds()
-            hot = engine._fused_table(*first_key)
-            assert _count_builds() == built
+            [hot] = first.packed.values()
     assert _cache_sizes() == (FUSED_TABLES_KEPT, FUSED_TABLES_KEPT)
-    built = _count_builds()
-    assert engine._fused_table(*first_key) is hot
-    assert _count_builds() == built
+    assert all(len(step.packed) == PACKED_TABLES_PER_STEP
+               for step in steps[1:] if step.eids)
+    [table] = first.packed.values()
+    assert table is hot
     torus, _ = tft.torus_spin("NS", 1)
     A = builtin_by_name("clifford")
 
