@@ -38,27 +38,44 @@ a fixed field of the key, its slot, for its whole life: W =
 one parity bit when the algebra is graded.  A step reads its matched legs
 as ``mk = key & mask``, finds the rows of ``mk`` in its table re-keyed to
 those slots, and writes ``(key ^ mk) | nk``: the free ends fill the
-lowest free slots.  No tuple is built per entry.  Over Q, t and each
-copairing are scaled to integers by the lcm of their denominators, the
-product of the scales absorbed so far is kept as one denominator, and
-each entry of the result becomes the exact ``Fraction(v, denom)`` once
-at the end.  Over F_p the values already are ints: a step sums them
-without reduction and reduces its new blob mod p once.  Either way the
-zero sums are dropped from the new blob in place before the budget
-check.  The final blob is decoded once, one column of indices per slot.
+lowest free slots.  No tuple is built per entry.
+Most sweeps take two consecutive triangle steps at once, a pair, so the
+blob between them is never built: on a closed surface that blob often
+doubles (one leg opened) only for the next step to merge it back.  A
+pair's table is keyed on its group mask: the first member's matched
+legs and the second's matched legs that were rest legs of the first
+(the second's other matched legs are free ends of the first).  A masked
+key's rows are composed on its first miss, by running the key through
+both members' packed tables (``_compose``), and stored even when there
+are none; rows with equal bits merge, so a pair costs at most the
+per-key work of its two steps once, and nothing after.
+Over Q, t and each copairing are scaled to integers by the lcm of their
+denominators, the product of the scales absorbed so far is kept as one
+denominator, and each entry of the result becomes the exact
+``Fraction(v, denom)`` once at the end.  Over F_p the values already are
+ints: a sweep sums them without reduction (composed rows included) and
+reduces its new blob mod p once.  Either way the zero sums are dropped
+from the new blob in place before the budget check.
+The final blob is decoded once, one column of indices per slot.
 
 The executor is split into a program and a numeric loop.  ``_compile``
 replays the schedule on wire ends alone and assigns the slots: per
 triangle step the slots of the blob legs its t slots match, the slots it
 keeps, the copairing ends it consumes, the slots its free ends take, and
 the open-leg count after the step; at the end the final slots and the
-permutation into codomain order.  None of it depends on signs, tensors
-or the algebra, so the program of the memo's plan is kept in the memo
-next to it, and a class sweep or a scan over algebras compiles each
-triangulation once; any other plan is checked and compiled per call.
-The first graded run adds each step's sign pairs and crossings (see
-below).  The wires of ``build_graph`` are kept in the memo too; each
-call only checks the signs.
+permutation into codomain order.  Then it cuts the steps into sweeps of
+one step or a pair (``_groups``), by a DP that minimises the planner's
+own symbolic score: a sweep pays 3^(open legs before it) for its visits
+plus 3^(its members' largest open-leg count) for its output paths, and
+nothing for the blob between its members.  Two adjacent single sweeps
+always score more than their pair, so no two singles are adjacent and
+the DP only picks where the singles go.  None of it depends on
+signs, tensors or the algebra, so the program of the memo's plan is kept
+in the memo next to it, and a class sweep or a scan over algebras
+compiles each triangulation once; any other plan is checked and
+compiled per call.  The first graded run adds each step's sign pairs and
+crossings (see below).  The wires of ``build_graph`` are kept in the
+memo too; each call only checks the signs.
 
 A fused table never depends on where its legs sit in the blob, only on
 the step's shape and on its tensors.  The shape is the matched t slots,
@@ -77,21 +94,32 @@ frozenset of its entries once and interns it (``_interned``), so a hit
 compares those sets by identity.  Nothing cached refers to a tensor, so
 a tensor may be changed between calls.
 Both caches keep the ``FUSED_TABLES_KEPT`` (1,024) most recently used
-entries.  200-move Pachner walks on the cylinder, the pants and genus 2,
-evaluated every 25 moves, plus the class sweeps of genus 1 to 3 (eight
-F3 classes at genus 3), for all four built-in algebras in one process,
-use 459 tables over 101 shapes, so the bound does not evict on such
-traffic; 300 rounds of both torus sign sums for the four algebras use
-24.
+entries.  Seeded (28) 200-move Pachner walks on the NS+ cylinder, the
+NS,R,R:+- pants and genus 2, evaluated at the start and every 25 moves,
+plus the class sweeps of genus 1 to 3 (eight F3 classes at genus 3),
+for all four built-in algebras in one process, use 452 tables over 95
+shapes, so the bound does not evict on such traffic; 300 rounds of both
+torus sign sums for the four algebras use 24.  A pair packs its
+members' tables as single steps would, so pairs build no more tables:
+the same traffic builds the same 452 when every sweep is one step.
 What depends on slots stays on the compiled step: its open-leg count,
 its crossings, and its packed tables (``_pack``), the fused table
-re-keyed to its slots.  A step keeps the packed tables of the last
-``PACKED_TABLES_PER_STEP`` (8) tensor sets it met, keyed by the
-characteristic, t's leg parities and the interned entries of t and of
-its copairings, so a class sweep (up to 2^3 sign patterns on the
-copairings a step consumes) or a scan over algebras packs each table
-once.  They go with the program.  No result is cached: every call
-sweeps the blob through every step.
+re-keyed to its slots.  A pair keeps its composed tables.  Both stores
+are keyed by the characteristic, t's leg parities and the interned
+entries of t and of the copairings the step or pair consumes, and both
+keep the tables of the tensor sets used last (``_lru``: a hit moves its
+table to the end, a miss in a full store drops the first).  A step keeps
+``PACKED_TABLES_PER_STEP`` (8): a class sweep gives it at most 2^3 sign
+patterns on the up to three copairings it consumes, and a scan over
+algebras 4 algebras x 2 sign sums.  A pair keeps 2^k tables, where k is
+the number of copairings it consumes, and at least 8: one algebra's
+classes, gauge-shifted or not, differ on them only by c_+ or c_- per
+edge, so a warm pass over any classes of one surface composes no row
+(at genus 3 the first pair consumes five copairings, and three
+gauge-shifted copies of the 64 classes meet all 32 patterns), and a
+scan over algebras fits as it does in a step.  A pair's members are
+only read when the pair composes.  The tables go with the program.  No
+result is cached: every call sweeps the blob through every sweep.
 
 Each triangle step is one leg permutation and carries the Koszul sign
 of ``tensor``'s permutations: (-1)^(sum of |a||b| over its inverted
@@ -106,14 +134,21 @@ a rest leg r against an odd leg x, where x is a matched leg whose slot
 is below r's or a free end whose new slot is below r's.  So each packed
 row carries one int: the XOR, over its odd matched and free-end legs, of
 the parity bits of the rest legs above them; the hit is negated when the
-blob key has an odd number of those bits set (``int.bit_count``).  When
-every leg parity is even all sign work is skipped.  The final legs are
-read in slot order and put into codomain order by one ``permute_out``;
-without odd basis vectors that reorder has no sign, and the decode reads
-the slots in codomain order directly.
-Budget: after each triangle at most max_open_legs open legs (read off
-the program before the step's sweep) and max_entries stored entries,
-else ``BudgetExceeded`` names the step, its action and the plan length.
+blob key has an odd number of those bits set (``int.bit_count``).  A
+composed row carries one such ``odd`` mask too.  Of the first member's
+mask, the bits on the second's matched legs are fixed by the pair's key;
+of the second's, the bits on the first's free ends are fixed by the
+first's row.  The parity of those fixed bits goes into the row's
+coefficient, and the members' other bits, all on legs outside the pair,
+XOR into its ``odd``.  When every leg parity is even all sign work is
+skipped.  The final legs are read in slot order and put into codomain
+order by one ``permute_out``; without odd basis vectors that reorder has
+no sign, and the decode reads the slots in codomain order directly.
+Budget: at most max_open_legs open legs after each triangle, read off
+the program for every member before a sweep, and at most max_entries
+entries in each stored blob (a pair builds none between its members),
+else ``BudgetExceeded`` names the first member over the leg bound or the
+sweep's last member, its action and the plan length.
 
 An independent exhaustive oracle assigns basis indices to every edge
 directly and multiplies explicit crossing signs of a fixed planar
@@ -377,16 +412,39 @@ class _Step:
         self.graded = None
         # (characteristic, t's leg parities, interned entries of t and of
         # the consumed copairings) -> (packed table, matched mask, signed)
-        # (``_pack``), for the last PACKED_TABLES_PER_STEP tensor sets
+        # (``_pack``), for the PACKED_TABLES_PER_STEP tensor sets it used
+        # last
         self.packed = {}
+
+    @property
+    def members(self):
+        """A step swept alone is its own group of one."""
+        return (self,)
+
+
+class _Pair:
+    """Two consecutive triangle steps swept as one (see ``_groups``)."""
+    __slots__ = ("members", "eids", "kept", "tables")
+
+    def __init__(self, first: _Step, second: _Step):
+        self.members = (first, second)
+        self.eids = first.eids + second.eids
+        # one table per sign pattern of its copairings, and at least as
+        # many as a step keeps (see the module docstring)
+        self.kept = max(PACKED_TABLES_PER_STEP, 1 << len(self.eids))
+        # (characteristic, t's leg parities, interned entries of t and of
+        # the members' copairings) -> (composed table, group mask, signed,
+        # what ``_compose`` reads), for the ``kept`` tensor sets used last
+        self.tables = {}
 
 
 class _Program:
     """The sign-independent part of a contraction (see ``_compile``)."""
-    __slots__ = ("steps", "edges", "slots", "order")
+    __slots__ = ("steps", "groups", "edges", "slots", "order")
 
-    def __init__(self, steps, edges, slots, order):
+    def __init__(self, steps, groups, edges, slots, order):
         self.steps = steps  # the triangle steps, as ``_Step``
+        self.groups = groups  # the sweeps: a ``_Step`` or a ``_Pair`` each
         self.edges = edges  # edge ids in plan order
         self.slots = slots  # the final open legs' slots, ascending
         self.order = order  # final ``permute_out``, None if already in order
@@ -455,9 +513,35 @@ def _compile(tri: MarkedTriangulation, plan) -> _Program:
         raise RuntimeError("contraction did not end on the codomain legs")
     at = {w: q for q, w in enumerate(targets)}
     order = [at[w] for w in want]
-    return _Program(steps, tuple(edges),
+    return _Program(steps, _groups(steps), tuple(edges),
                     tuple(slot_of[end] for end in open_ends),
                     None if order == sorted(order) else order)
+
+
+def _groups(steps: list[_Step]) -> tuple:
+    """The steps cut into sweeps of one step or of a ``_Pair`` of two
+    consecutive ones, by a DP over the cut points that minimises the
+    planner's symbolic score: a sweep pays 3^(open legs before it) for its
+    visits plus 3^(the largest open-leg count after a member) for its
+    output paths, and nothing for the blob between two members."""
+    before = [0] + [step.n_open for step in steps]
+    # cost[j]: the cheapest cut of steps[:j]; size[j]: its last sweep's size
+    cost, size = [0], [0]
+    for j, step in enumerate(steps, 1):
+        best, size_j = cost[j - 1] + 3 ** before[j - 1] + 3 ** step.n_open, 1
+        if j > 1:
+            pair = (cost[j - 2] + 3 ** before[j - 2]
+                    + 3 ** max(before[j - 1], step.n_open))
+            if pair <= best:
+                best, size_j = pair, 2
+        cost.append(best)
+        size.append(size_j)
+    groups, j = [], len(steps)
+    while j:
+        k = size[j]
+        groups.append(steps[j - 1] if k == 1 else _Pair(*steps[j - 2:j]))
+        j -= k
+    return tuple(groups[::-1])
 
 
 def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
@@ -471,18 +555,19 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
     program (``_program``): kept in the memo of ``graph.tri`` for the
     memo's plan, whose wires depend on the triangulation alone, and built
     afresh for any other plan.  This function only packs the tables its
-    steps lack, sweeps the blob once per triangle, reduces and decodes.
-    The loop runs on plain ints, keys included: over Q the tensors are
-    scaled to integers and the product of their scales divides every
-    entry once at the end; over F_p each triangle step reduces its sums
-    mod p once.
+    steps lack, sweeps the blob once per single step or pair of steps
+    (composing the pair rows it meets first), reduces and decodes.  The
+    loop runs on plain ints, keys included: over Q the tensors are scaled
+    to integers and the product of their scales divides every entry once
+    at the end; over F_p each sweep reduces its sums mod p once.
 
-    A step's packed table is looked up on the step, then its fused table
-    in ``_fused_table``'s cache; both are keyed on the characteristic,
-    t's leg parities and the interned entries of t and of the copairings
-    the step consumes, the fused one also on the step's shape.  No key
-    holds a tensor, so a tensor equal to an earlier one finds its tables,
-    and changing a tensor between calls is safe.
+    A pair's composed table is looked up on the pair; a step's packed
+    table on the step, then its fused table in ``_fused_table``'s cache.
+    All are keyed on the characteristic, t's leg parities and the
+    interned entries of t and of the copairings the step or pair
+    consumes, the fused one also on the step's shape.  No key holds a
+    tensor, so a tensor equal to an earlier one finds its tables, and
+    changing a tensor between calls is safe.
     """
     program = _program(graph, plan)
     F = t.field
@@ -506,25 +591,21 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
         for eid in program.edges:
             denom *= content(copairings[eid])[1]
     blob: dict[int, int] = {0: 1}
-    for step in program.steps:
-        if step.n_open > max_open_legs:
-            raise BudgetExceeded(f"open legs {step.n_open} exceed bound "
-                                 f"{max_open_legs} {_where(plan, step)}")
-        entries = [content(copairings[eid])[0] for eid in step.eids]
-        tensors = (p, leg, tset, *entries)
-        packed = step.packed.get(tensors)
-        if packed is None:
-            shape = step.shape
-            if graded:
-                if step.graded is None:
-                    step.graded = _graded_tables(step)
-                shape = step.graded[0]
-            packed = _pack(step, _fused_table(shape, p, leg, tset, *entries),
-                           leg, width)
-            if len(step.packed) == PACKED_TABLES_PER_STEP:
-                del step.packed[next(iter(step.packed))]  # the oldest
-            step.packed[tensors] = packed
-        table, mmask, signed = packed
+    for group in program.groups:
+        members = group.members
+        for step in members:
+            if step.n_open > max_open_legs:
+                raise BudgetExceeded(f"open legs {step.n_open} exceed bound "
+                                     f"{max_open_legs} {_where(plan, step)}")
+        tensors = (p, leg, tset,
+                   *[content(copairings[eid])[0] for eid in group.eids])
+        if len(members) == 1:
+            table, mmask, signed = _packed(group, tensors, width)
+            parts = None  # a step's packed table holds all its rows
+        else:  # a pair's table is composed row by row, on a miss
+            table, mmask, signed, parts = _lru(
+                group.tables, group.kept, tensors, _pair_table, group,
+                tensors, width)
         new_blob: dict[int, int] = {}
         get = new_blob.get
         if signed:
@@ -533,7 +614,9 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                 mk = key & mmask
                 hits = table.get(mk)
                 if hits is None:
-                    continue
+                    if parts is None:
+                        continue
+                    hits = table[mk] = _compose(mk, *parts)
                 base = key ^ mk
                 for nk, cv, odd in hits:
                     k2 = base | nk
@@ -546,7 +629,9 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                 mk = key & mmask
                 hits = table.get(mk)
                 if hits is None:
-                    continue
+                    if parts is None:
+                        continue
+                    hits = table[mk] = _compose(mk, *parts)
                 base = key ^ mk
                 for nk, cv in hits:
                     k2 = base | nk
@@ -568,7 +653,7 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
         if len(blob) > max_entries:
             raise BudgetExceeded(f"{len(blob)} stored coefficients exceed "
                                  f"budget {max_entries} "
-                                 f"{_where(plan, step)}")
+                                 f"{_where(plan, members[-1])}")
     values = blob.values()
     if not p:
         values = [Fraction(v, denom) for v in values]  # the one division
@@ -773,6 +858,95 @@ def _pack(step: _Step, fused, leg, width):
     if not signed:  # no odd index crosses a rest leg
         table = {mk: [row[:2] for row in rows] for mk, rows in table.items()}
     return table, mmask, signed
+
+
+def _lru(store: dict, kept: int, key, build, *args):
+    """``store[key]``, made by ``build(*args)`` when missing.  The store
+    keeps the ``kept`` entries used last: a hit moves its entry to the
+    end, and a miss in a full store drops the first one."""
+    got = store.pop(key, None)
+    if got is None:
+        got = build(*args)
+        if len(store) >= kept:
+            del store[next(iter(store))]  # the least recently used
+    store[key] = got
+    return got
+
+
+def _packed(step: _Step, tensors, width):
+    """The step's packed table for ``tensors`` = (characteristic, t's leg
+    parities, interned entries of t and of its copairings), from its
+    store or packed from ``_fused_table``."""
+    return _lru(step.packed, PACKED_TABLES_PER_STEP, tensors, _pack_step,
+                step, tensors, width)
+
+
+def _pack_step(step: _Step, tensors, width):
+    shape, leg = step.shape, tensors[1]
+    if any(leg):
+        if step.graded is None:
+            step.graded = _graded_tables(step)
+        shape = step.graded[0]
+    return _pack(step, _fused_table(shape, *tensors), leg, width)
+
+
+def _pair_table(pair: _Pair, tensors, width):
+    """(composed table, group mask, signed, parts) of a pair for
+    ``tensors``, the table still empty: ``_compose(key, *parts)`` fills
+    in the rows of a masked blob key."""
+    first, second = pair.members
+    n = 3 + len(first.eids)
+    ta, ma, sa = _packed(first, tensors[:n], width)
+    tb, mb, sb = _packed(second, tensors[:3] + tensors[n:], width)
+    fa = sum(((1 << width) - 1) << q * width for q in first.free)
+    return ({}, ma | mb & ~fa, sa or sb,
+            (ta, ma, sa, tb, mb, sb, fa))
+
+
+def _compose(gk, ta, ma, sa, tb, mb, sb, fa):
+    """The rows of a pair's masked blob key ``gk``: it runs through the
+    first member's packed table ``ta`` (matched mask ``ma``, signed
+    ``sa``), then the second's, whose matched legs are the first's free
+    ends (slots in ``fa``) or rest legs fixed by ``gk``.  A row ors in the
+    first's free ends the second keeps and the second's free ends.  The
+    parity of the legs the pair fixes itself, the second's matched legs
+    among the first's rest legs and the first's free ends among the
+    second's rest legs, goes into the coefficient; the other bits of the
+    members' ``odd`` masks XOR into the row's.  Rows with equal bits and
+    ``odd`` merge, and zero sums are dropped; over F_p the sums are not
+    reduced, as the sweep reduces its new blob anyway."""
+    ka = gk & ma
+    rest = gk ^ ka  # the second's matched legs among the first's rest legs
+    keep, getb, merged = ~mb, tb.get, {}
+    mget = merged.get
+    signed = sa or sb
+    if not signed:  # rows keyed on their bits alone
+        for nka, cva in ta.get(ka, ()):
+            hits = getb((rest | nka) & mb)
+            if hits:
+                carry = nka & keep
+                for nkb, cvb in hits:
+                    nk = carry | nkb
+                    merged[nk] = mget(nk, 0) + cva * cvb
+    else:  # rows keyed on (bits, odd)
+        for rowa in ta.get(ka, ()):
+            nka, cva = rowa[0], rowa[1]
+            odda = rowa[2] if sa else 0
+            hits = getb((rest | nka) & mb)
+            if not hits:
+                continue
+            carry, outer = nka & keep, odda & keep
+            inner = (rest & odda).bit_count()
+            for rowb in hits:
+                oddb = rowb[2] if sb else 0
+                cv = cva * rowb[1]
+                if (inner + (nka & oddb).bit_count()) & 1:
+                    cv = -cv
+                k = (carry | rowb[0], outer ^ (oddb & ~fa))
+                merged[k] = mget(k, 0) + cv
+    if signed:
+        return [(nk, cv, odd) for (nk, odd), cv in merged.items() if cv]
+    return [row for row in merged.items() if row[1]]
 
 
 def evaluate_raw(tri: MarkedTriangulation, signs: Signs,

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -414,13 +415,15 @@ def _cl1_cl1():
 
 def test_dim4_graded_algebra_matches_exhaustive_oracle():
     """A graded algebra with two odd basis vectors: the engine against
-    the independent oracle, for spin-structure and random signs."""
+    the independent oracle on the R- torus and the NS+ and R- cylinders,
+    for spin-structure and random signs."""
     A = _cl1_cl1()
     assert passes_invariance_predicates(A)
     rng = random.Random(7)
     nonzero = 0
     for tri, signs in (tft.torus_spin("R", -1),
-                       tft.cylinder_spin("NS", 1)[:2]):
+                       tft.cylinder_spin("NS", 1)[:2],
+                       tft.cylinder_spin("R", -1)[:2]):
         for signs in (signs, {e: rng.choice((1, -1)) for e in tri.edges}):
             amp = evaluate_raw(tri, signs, A)
             assert amp == contract_exhaustive(build_graph(tri, signs), A)
@@ -663,6 +666,110 @@ def test_fused_table_store_stays_bounded():
     want = sums()
     built = _count_builds()
     assert sums() == want
+    assert _count_builds() == built
+
+
+def test_stores_keep_the_tensor_set_they_reuse():
+    """Tensor sets cycle through the stores, one set reused between each
+    two others; the stores drop the set used longest ago, so the reused
+    set is never packed or composed again.  First the first step's
+    copairings cycle through 9 sets while every other copairing is scaled
+    anew on every call, so every pair composes and reads its members'
+    packed tables: the first step keeps the reused set's table.  Then
+    every copairing cycles through one set more than any sweep keeps, and
+    every sweep keeps the reused set's table, no row of it composed
+    again."""
+    D = derive(builtin_by_name("clifford"))
+    tri, signs, _ = tft.cylinder_spin("NS", 1)
+    graph = build_graph(tri, signs)
+    base = contract_network(graph, plan_contraction(graph),
+                            {eid: D.c(s) for eid, s in signs.items()}, D.t)
+
+    def run(graph, factor, first_factor=None):
+        """The contraction with every copairing scaled by ``factor``, but
+        those of the first step by ``first_factor`` when given."""
+        plan = plan_contraction(graph)
+        first = set(_program(graph, plan).steps[0].eids)
+        scale = {eid: Fraction(first_factor if first_factor and eid in first
+                               else factor) for eid in signs}
+        got = contract_network(graph, plan, {eid: D.c(s).scale(scale[eid])
+                                             for eid, s in signs.items()},
+                               D.t)
+        assert got == base.scale(math.prod(scale.values()))
+
+    graph = build_graph(_fresh(tri), signs)
+    first = _program(graph, plan_contraction(graph)).steps[0]
+    for call, k in enumerate(itertools.chain.from_iterable(
+            (1, k) for k in range(2, 10))):
+        run(graph, 100 + call, k)
+        if call == 0:
+            [hot] = first.packed.values()
+        assert any(table is hot for table in first.packed.values()), call
+    assert len(first.packed) == PACKED_TABLES_PER_STEP
+
+    graph = build_graph(_fresh(tri), signs)
+    groups = _program(graph, plan_contraction(graph)).groups
+    stores, kept = zip(*[
+        (group.tables, group.kept) if isinstance(group, engine._Pair)
+        else (group.packed, PACKED_TABLES_PER_STEP) for group in groups])
+    run(graph, 1)
+    hot = [next(iter(store.values())) for store in stores]
+    sizes = [len(table) for table, *_ in hot]
+    for k in range(2, max(kept) + 3):
+        run(graph, k)
+        run(graph, 1)
+        for store, table in zip(stores, hot):
+            assert any(got is table for got in store.values()), k
+    assert [len(table) for table, *_ in hot] == sizes
+    assert tuple(map(len, stores)) == kept
+
+
+def _gauge_shifted(tri, signs, rng):
+    """A random leaf-exchange image of signs: the same spin class."""
+    out = dict(signs)
+    for fid in sorted(tri.triangles):
+        if rng.getrandbits(1):
+            for slot in tri.triangles[fid].slots:
+                out[slot.edge] = -out[slot.edge]
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_classes_twice_in_shuffled_order_equal_closed_forms(name):
+    """Gauge-shifted representatives of every spin class, at genus 1 to 3
+    for clifford (84 classes) and at genus 2 for the other built-ins
+    (16), evaluated twice in a shuffled order, equal their closed forms.
+    The second pass composes no row and builds no fused table: every
+    pair keeps the same tables at the same sizes, and ``_fused_table``
+    has no new miss."""
+    A = builtin_by_name(name)
+    rng = random.Random(30)
+    work, programs = [], []
+    for g in (1, 2, 3) if name == "clifford" else (2,):
+        detail = genus_g_closed_detail(g)
+        classes = classify_spin_structures(detail.tri)
+        for signs in classes:
+            form = tft.closed_form(A, tft.spin_class_handles(detail, signs))
+            work.append((detail.tri, _gauge_shifted(detail.tri, signs, rng),
+                         form.scalar_value()))
+        graph = build_graph(detail.tri, classes[0])
+        programs.append(_program(graph, plan_contraction(graph)))
+    assert len(work) == (84 if name == "clifford" else 16)
+
+    def sweep():
+        rng.shuffle(work)
+        for tri, signs, want in work:
+            assert evaluate_raw(tri, signs, A).scalar_value() == want
+
+    def pair_tables():
+        return {(id(group), key): len(table)
+                for program in programs for group in program.groups
+                if isinstance(group, engine._Pair)
+                for key, (table, *_) in group.tables.items()}
+    sweep()
+    composed, built = pair_tables(), _count_builds()
+    sweep()
+    assert pair_tables() == composed
     assert _count_builds() == built
 
 

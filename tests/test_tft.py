@@ -12,7 +12,8 @@ from spinsum.fields import QQ, PrimeField
 from spinsum.pachner import random_pachner_move
 from spinsum.spin import (NS, R_TYPE, classify_spin_structures,
                           enumerate_admissible)
-from spinsum.surface import (build_cylinder, build_disk, disjoint_union,
+from spinsum.surface import (build_cylinder, build_disk,
+                             build_pair_of_pants, disjoint_union,
                              genus_g_closed, genus_g_closed_detail,
                              glue_boundaries_with_map)
 from spinsum.tensor import GradedTensor
@@ -60,28 +61,46 @@ def _boundary_candidates(A, types):
 
 def test_open_amplitudes_lie_among_their_boundary_closed_forms():
     """Every admissible sign vector of the disk (NS) and of the NS,NS and
-    R,R cylinders evaluates to the closed form of some boundary signs
-    eps_i with eps_n = +1, for each built-in.  Clifford tells the two
-    R,R candidates apart, and its 128 vectors split 64/64 between them."""
+    R,R cylinders, and seeded samples of the 8,192 of each of the
+    NS,NS,NS, NS,R,R and R,R,NS pants (32 per pants, 6 for F3), evaluate
+    to the closed form of some boundary signs eps_i with eps_n = +1, for
+    each built-in.  Clifford tells the two R,R candidates apart, and its
+    128 vectors split 64/64 between them; on each pants with two R
+    boundaries its samples take both of its two distinct candidates."""
+    pants = build_pair_of_pants()
     surfaces = ((build_disk(), (NS,)), (build_cylinder(), (NS, NS)),
-                (build_cylinder(), (R_TYPE, R_TYPE)))
+                (build_cylinder(), (R_TYPE, R_TYPE)),
+                (pants, (NS, NS, NS)), (pants, (NS, R_TYPE, R_TYPE)),
+                (pants, (R_TYPE, R_TYPE, NS)))
+    rng = random.Random(30)
     vectors = 0
     for name in ALL_BUILTINS:
         A = builtin_by_name(name)
         for tri, types in surfaces:
             candidates = _boundary_candidates(A, types)
             hits = dict.fromkeys(candidates, 0)
-            for signs in enumerate_admissible(tri, types):
+            taken = set()  # the candidate values matched, as key sets
+            vecs = list(enumerate_admissible(tri, types))
+            if tri is pants:
+                assert len(vecs) == 8192
+                vecs = rng.sample(vecs, 6 if name == "twisted-matrix-3-f3"
+                                  else 32)
+            for signs in vecs:
                 amp = evaluate(tri, signs, types, A)
                 matched = [k for k, form in candidates.items() if amp == form]
                 assert matched, (name, types, signs)
                 for k in matched:
                     hits[k] += 1
+                taken.add(frozenset(matched))
                 vectors += 1
             if (name, types) == ("clifford", (R_TYPE, R_TYPE)):
                 assert candidates[(1, 1)] != candidates[(-1, 1)]
                 assert hits == {(1, 1): 64, (-1, 1): 64}
-    assert vectors == 4 * (2 + 128 + 128)
+            if name == "clifford" and types.count(R_TYPE) == 2:
+                forms = list(candidates.values())
+                assert len(taken) == 2 == sum(
+                    form not in forms[:k] for k, form in enumerate(forms))
+    assert vectors == 4 * (2 + 128 + 128) + 3 * (3 * 32 + 6)
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
