@@ -39,16 +39,17 @@ one parity bit when the algebra is graded.  A step reads its matched legs
 as ``mk = key & mask``, finds the rows of ``mk`` in its table re-keyed to
 those slots, and writes ``(key ^ mk) | nk``: the free ends fill the
 lowest free slots.  No tuple is built per entry.
-Most sweeps take two consecutive triangle steps at once, a pair, so the
-blob between them is never built: on a closed surface that blob often
-doubles (one leg opened) only for the next step to merge it back.  A
-pair's table is keyed on its group mask: the first member's matched
-legs and the second's matched legs that were rest legs of the first
-(the second's other matched legs are free ends of the first).  A masked
-key's rows are composed on its first miss, by running the key through
-both members' packed tables (``_compose``), and stored even when there
-are none; rows with equal bits merge, so a pair costs at most the
-per-key work of its two steps once, and nothing after.
+Most sweeps take consecutive triangle steps at once, a run, so the
+blobs between them are never built: on a closed surface such a blob
+often doubles (one leg opened) only for the next step to merge it back.
+A run's table is keyed on its group mask: its members' matched legs
+that no earlier member produced (the other matched legs are free ends
+of earlier members).  A masked key's rows are composed on its first
+miss and stored even when there are none: a mini-blob {key: 1} runs
+through the members' packed tables (``_compose``; ``_compose_pair`` is
+the same for a run of two, unrolled), and rows with equal bits merge,
+so a run costs at most the per-key work of its steps once, and nothing
+after.
 Over Q, t and each copairing are scaled to integers by the lcm of their
 denominators, the product of the scales absorbed so far is kept as one
 denominator, and each entry of the result becomes the exact
@@ -64,18 +65,25 @@ triangle step the slots of the blob legs its t slots match, the slots it
 keeps, the copairing ends it consumes, the slots its free ends take, and
 the open-leg count after the step; at the end the final slots and the
 permutation into codomain order.  Then it cuts the steps into sweeps of
-one step or a pair (``_groups``), by a DP that minimises the planner's
-own symbolic score: a sweep pays 3^(open legs before it) for its visits
-plus 3^(its members' largest open-leg count) for its output paths, and
-nothing for the blob between its members.  Two adjacent single sweeps
-always score more than their pair, so no two singles are adjacent and
-the DP only picks where the singles go.  None of it depends on
+one step or a run of two, a pair (``_groups``), by a DP that minimises
+the planner's own symbolic score: a sweep pays 3^(open legs before it)
+for its visits plus 3^(its members' largest open-leg count) for its
+output paths, and nothing for the blobs between its members; ties go to
+the longer run.  Two adjacent single sweeps always score more than
+their pair, so no two singles are adjacent.  None of it depends on
 signs, tensors or the algebra, so the program of the memo's plan is kept
 in the memo next to it, and a class sweep or a scan over algebras
 compiles each triangulation once; any other plan is checked and
-compiled per call.  The first graded run adds each step's sign pairs and
-crossings (see below).  The wires of ``build_graph`` are kept in the
-memo too; each call only checks the signs.
+compiled per call.  A program counts the calls that return.  The
+second call of a kept program cuts its steps again, into runs of up to
+``RUN_STEPS`` (4): a reused program composes the longer runs' rows once
+and skips their blobs on every later call, while a program run once,
+every Pachner checkpoint's and every custom plan's, keeps the singles
+and pairs, which cost the least to compose.  A call that raises does
+not count, so a budget failure leaves the sweeps as they were.  The
+first graded call adds each step's sign pairs and crossings (see
+below).  The wires of ``build_graph`` are kept in the memo too; each
+call only checks the signs.
 
 A fused table never depends on where its legs sit in the blob, only on
 the step's shape and on its tensors.  The shape is the matched t slots,
@@ -99,27 +107,31 @@ NS,R,R:+- pants and genus 2, evaluated at the start and every 25 moves,
 plus the class sweeps of genus 1 to 3 (eight F3 classes at genus 3),
 for all four built-in algebras in one process, use 452 tables over 95
 shapes, so the bound does not evict on such traffic; 300 rounds of both
-torus sign sums for the four algebras use 24.  A pair packs its
-members' tables as single steps would, so pairs build no more tables:
-the same traffic builds the same 452 when every sweep is one step.
+torus sign sums for the four algebras use 24.  A run packs its
+members' tables as single steps would, so runs build no more tables:
+the same traffic builds the same 452 with pairs only, with the runs of
+reused programs, or when every sweep is one step.
 What depends on slots stays on the compiled step: its open-leg count,
 its crossings, and its packed tables (``_pack``), the fused table
-re-keyed to its slots.  A pair keeps its composed tables.  Both stores
+re-keyed to its slots.  A run keeps its composed tables.  Both stores
 are keyed by the characteristic, t's leg parities and the interned
-entries of t and of the copairings the step or pair consumes, and both
+entries of t and of the copairings the step or run consumes, and both
 keep the tables of the tensor sets used last (``_lru``: a hit moves its
 table to the end, a miss in a full store drops the first).  A step keeps
 ``PACKED_TABLES_PER_STEP`` (8): a class sweep gives it at most 2^3 sign
 patterns on the up to three copairings it consumes, and a scan over
-algebras 4 algebras x 2 sign sums.  A pair keeps 2^k tables, where k is
+algebras 4 algebras x 2 sign sums.  A run keeps 2^k tables, where k is
 the number of copairings it consumes, and at least 8: one algebra's
 classes, gauge-shifted or not, differ on them only by c_+ or c_- per
-edge, so a warm pass over any classes of one surface composes no row
-(at genus 3 the first pair consumes five copairings, and three
-gauge-shifted copies of the 64 classes meet all 32 patterns), and a
-scan over algebras fits as it does in a step.  A pair's members are
-only read when the pair composes.  The tables go with the program.  No
-result is cached: every call sweeps the blob through every sweep.
+edge, so a warm pass over any classes of one surface composes no row,
+and a scan over algebras fits as it does in a step.  At genus 3 the
+first pair consumes five copairings; after the regroup, runs of four
+consume up to eight at genus 2 and seven at genus 3, so one run may
+keep 256 tables.  The rows of runs longer than two are interned
+(``_row``), so such tables share the rows they repeat.  A run's members
+are only read when the run composes.  The tables go with the program,
+and a regroup drops the pairs' tables with the pairs.  No result is
+cached: every call sweeps the blob through every sweep.
 
 Each triangle step is one leg permutation and carries the Koszul sign
 of ``tensor``'s permutations: (-1)^(sum of |a||b| over its inverted
@@ -135,20 +147,21 @@ is below r's or a free end whose new slot is below r's.  So each packed
 row carries one int: the XOR, over its odd matched and free-end legs, of
 the parity bits of the rest legs above them; the hit is negated when the
 blob key has an odd number of those bits set (``int.bit_count``).  A
-composed row carries one such ``odd`` mask too.  Of the first member's
-mask, the bits on the second's matched legs are fixed by the pair's key;
-of the second's, the bits on the first's free ends are fixed by the
-first's row.  The parity of those fixed bits goes into the row's
-coefficient, and the members' other bits, all on legs outside the pair,
-XOR into its ``odd``.  When every leg parity is even all sign work is
-skipped.  The final legs are read in slot order and put into codomain
-order by one ``permute_out``; without odd basis vectors that reorder has
-no sign, and the decode reads the slots in codomain order directly.
+composed row carries one such ``odd`` mask too.  The legs a run knows
+are its group mask and its members' free ends: the key fixes the first,
+and the rows of earlier members the second.  So the parity of a
+member's bits on those legs goes into the row's coefficient, and its
+other bits, all on blob legs the run never reads, XOR into the row's
+``odd``.  When every leg parity is even all sign work is skipped.  The
+final legs are read in slot order and put into codomain order by one
+``permute_out``; without odd basis vectors that reorder has no sign, and
+the decode reads the slots in codomain order directly.
 Budget: at most max_open_legs open legs after each triangle, read off
 the program for every member before a sweep, and at most max_entries
-entries in each stored blob (a pair builds none between its members),
-else ``BudgetExceeded`` names the first member over the leg bound or the
-sweep's last member, its action and the plan length.
+entries in each stored blob (a run builds none between its members, so
+a regrouped call stores fewer blobs), else ``BudgetExceeded`` names the
+first member over the leg bound or the sweep's last member, its action
+and the plan length.
 
 An independent exhaustive oracle assigns basis indices to every edge
 directly and multiplies explicit crossing signs of a fixed planar
@@ -179,6 +192,7 @@ DEFAULT_MAX_ENTRIES = 10**7
 BEAM_WIDTH = 32  # states the planner's beam search keeps per depth
 FUSED_TABLES_KEPT = 1024  # entries of each of the two table caches
 PACKED_TABLES_PER_STEP = 8  # packed tables each compiled step keeps
+RUN_STEPS = 4  # the most steps a sweep of a reused program takes
 
 
 @dataclass(frozen=True)
@@ -422,32 +436,33 @@ class _Step:
         return (self,)
 
 
-class _Pair:
-    """Two consecutive triangle steps swept as one (see ``_groups``)."""
+class _Run:
+    """Consecutive triangle steps swept as one (see ``_groups``)."""
     __slots__ = ("members", "eids", "kept", "tables")
 
-    def __init__(self, first: _Step, second: _Step):
-        self.members = (first, second)
-        self.eids = first.eids + second.eids
+    def __init__(self, members):
+        self.members = tuple(members)
+        self.eids = sum((step.eids for step in members), ())
         # one table per sign pattern of its copairings, and at least as
         # many as a step keeps (see the module docstring)
         self.kept = max(PACKED_TABLES_PER_STEP, 1 << len(self.eids))
         # (characteristic, t's leg parities, interned entries of t and of
         # the members' copairings) -> (composed table, group mask, signed,
-        # what ``_compose`` reads), for the ``kept`` tensor sets used last
+        # compose) (``_run_table``), for the ``kept`` tensor sets used last
         self.tables = {}
 
 
 class _Program:
     """The sign-independent part of a contraction (see ``_compile``)."""
-    __slots__ = ("steps", "groups", "edges", "slots", "order")
+    __slots__ = ("steps", "groups", "edges", "slots", "order", "calls")
 
     def __init__(self, steps, groups, edges, slots, order):
         self.steps = steps  # the triangle steps, as ``_Step``
-        self.groups = groups  # the sweeps: a ``_Step`` or a ``_Pair`` each
+        self.groups = groups  # the sweeps: a ``_Step`` or a ``_Run`` each
         self.edges = edges  # edge ids in plan order
         self.slots = slots  # the final open legs' slots, ascending
         self.order = order  # final ``permute_out``, None if already in order
+        self.calls = 0  # the calls that returned
 
 
 def _program(graph: DiagramGraph, plan) -> _Program:
@@ -513,33 +528,36 @@ def _compile(tri: MarkedTriangulation, plan) -> _Program:
         raise RuntimeError("contraction did not end on the codomain legs")
     at = {w: q for q, w in enumerate(targets)}
     order = [at[w] for w in want]
-    return _Program(steps, _groups(steps), tuple(edges),
+    # pairs at most until a second call: a program run once composes
+    # every row it meets, and pairs compose the fewest
+    return _Program(steps, _groups(steps, 2), tuple(edges),
                     tuple(slot_of[end] for end in open_ends),
                     None if order == sorted(order) else order)
 
 
-def _groups(steps: list[_Step]) -> tuple:
-    """The steps cut into sweeps of one step or of a ``_Pair`` of two
-    consecutive ones, by a DP over the cut points that minimises the
-    planner's symbolic score: a sweep pays 3^(open legs before it) for its
-    visits plus 3^(the largest open-leg count after a member) for its
-    output paths, and nothing for the blob between two members."""
+def _groups(steps: list[_Step], longest: int) -> tuple:
+    """The steps cut into sweeps of one step or of a ``_Run`` of up to
+    ``longest`` consecutive ones, by a DP over the cut points that
+    minimises the planner's symbolic score: a sweep pays 3^(open legs
+    before it) for its visits plus 3^(the largest open-leg count after a
+    member) for its output paths, and nothing for the blobs between its
+    members.  Ties go to the longer run."""
     before = [0] + [step.n_open for step in steps]
     # cost[j]: the cheapest cut of steps[:j]; size[j]: its last sweep's size
     cost, size = [0], [0]
-    for j, step in enumerate(steps, 1):
-        best, size_j = cost[j - 1] + 3 ** before[j - 1] + 3 ** step.n_open, 1
-        if j > 1:
-            pair = (cost[j - 2] + 3 ** before[j - 2]
-                    + 3 ** max(before[j - 1], step.n_open))
-            if pair <= best:
-                best, size_j = pair, 2
+    for j in range(1, len(steps) + 1):
+        peak = 0
+        for k in range(1, min(longest, j) + 1):
+            peak = max(peak, before[j - k + 1])
+            score = cost[j - k] + 3 ** before[j - k] + 3 ** peak
+            if k == 1 or score <= best:
+                best, size_j = score, k
         cost.append(best)
         size.append(size_j)
     groups, j = [], len(steps)
     while j:
         k = size[j]
-        groups.append(steps[j - 1] if k == 1 else _Pair(*steps[j - 2:j]))
+        groups.append(steps[j - 1] if k == 1 else _Run(steps[j - k:j]))
         j -= k
     return tuple(groups[::-1])
 
@@ -555,21 +573,24 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
     program (``_program``): kept in the memo of ``graph.tri`` for the
     memo's plan, whose wires depend on the triangulation alone, and built
     afresh for any other plan.  This function only packs the tables its
-    steps lack, sweeps the blob once per single step or pair of steps
-    (composing the pair rows it meets first), reduces and decodes.  The
-    loop runs on plain ints, keys included: over Q the tensors are scaled
-    to integers and the product of their scales divides every entry once
-    at the end; over F_p each sweep reduces its sums mod p once.
+    steps lack, regroups the kept program on its second call, sweeps the
+    blob once per single step or run of steps (composing the run rows it
+    meets first), reduces and decodes.  The loop runs on plain ints, keys
+    included: over Q the tensors are scaled to integers and the product
+    of their scales divides every entry once at the end; over F_p each
+    sweep reduces its sums mod p once.
 
-    A pair's composed table is looked up on the pair; a step's packed
+    A run's composed table is looked up on the run; a step's packed
     table on the step, then its fused table in ``_fused_table``'s cache.
     All are keyed on the characteristic, t's leg parities and the
-    interned entries of t and of the copairings the step or pair
+    interned entries of t and of the copairings the step or run
     consumes, the fused one also on the step's shape.  No key holds a
     tensor, so a tensor equal to an earlier one finds its tables, and
     changing a tensor between calls is safe.
     """
     program = _program(graph, plan)
+    if program.calls == 1:  # reused: regroup into longer runs
+        program.groups = _groups(program.steps, RUN_STEPS)
     F = t.field
     p = F.characteristic
     leg = t.in_legs[0]
@@ -601,10 +622,10 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                    *[content(copairings[eid])[0] for eid in group.eids])
         if len(members) == 1:
             table, mmask, signed = _packed(group, tensors, width)
-            parts = None  # a step's packed table holds all its rows
-        else:  # a pair's table is composed row by row, on a miss
-            table, mmask, signed, parts = _lru(
-                group.tables, group.kept, tensors, _pair_table, group,
+            compose = None  # a step's packed table holds all its rows
+        else:  # a run's table is composed row by row, on a miss
+            table, mmask, signed, compose = _lru(
+                group.tables, group.kept, tensors, _run_table, group,
                 tensors, width)
         new_blob: dict[int, int] = {}
         get = new_blob.get
@@ -614,9 +635,9 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                 mk = key & mmask
                 hits = table.get(mk)
                 if hits is None:
-                    if parts is None:
+                    if compose is None:
                         continue
-                    hits = table[mk] = _compose(mk, *parts)
+                    hits = table[mk] = compose(mk)
                 base = key ^ mk
                 for nk, cv, odd in hits:
                     k2 = base | nk
@@ -629,9 +650,9 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
                 mk = key & mmask
                 hits = table.get(mk)
                 if hits is None:
-                    if parts is None:
+                    if compose is None:
                         continue
-                    hits = table[mk] = _compose(mk, *parts)
+                    hits = table[mk] = compose(mk)
                 base = key ^ mk
                 for nk, cv in hits:
                     k2 = base | nk
@@ -654,6 +675,7 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
             raise BudgetExceeded(f"{len(blob)} stored coefficients exceed "
                                  f"budget {max_entries} "
                                  f"{_where(plan, members[-1])}")
+    program.calls += 1
     values = blob.values()
     if not p:
         values = [Fraction(v, denom) for v in values]  # the one division
@@ -835,7 +857,7 @@ def _pack(step: _Step, fused, leg, width):
     mshifts = [q * width for _, q in step.matched]
     mcodes = [[e << shift for e in enc] for shift in mshifts]
     fcodes = [[e << q * width for e in enc] for q in step.free]
-    mmask = sum(((1 << width) - 1) << shift for shift in mshifts)
+    mmask = _fields([q for _, q in step.matched], width)
     crossings = any(leg) and step.graded[1]
     if not crossings:
         return {sum(map(getitem, mcodes, mk)):
@@ -890,21 +912,75 @@ def _pack_step(step: _Step, tensors, width):
     return _pack(step, _fused_table(shape, *tensors), leg, width)
 
 
-def _pair_table(pair: _Pair, tensors, width):
-    """(composed table, group mask, signed, parts) of a pair for
-    ``tensors``, the table still empty: ``_compose(key, *parts)`` fills
-    in the rows of a masked blob key."""
-    first, second = pair.members
-    n = 3 + len(first.eids)
-    ta, ma, sa = _packed(first, tensors[:n], width)
-    tb, mb, sb = _packed(second, tensors[:3] + tensors[n:], width)
-    fa = sum(((1 << width) - 1) << q * width for q in first.free)
-    return ({}, ma | mb & ~fa, sa or sb,
-            (ta, ma, sa, tb, mb, sb, fa))
+def _fields(slots, width) -> int:
+    """The mask of the key fields of ``slots``, ``width`` bits each."""
+    return sum(((1 << width) - 1) << q * width for q in slots)
 
 
-def _compose(gk, ta, ma, sa, tb, mb, sb, fa):
-    """The rows of a pair's masked blob key ``gk``: it runs through the
+def _run_table(run: _Run, tensors, width):
+    """(composed table, group mask, signed, compose) of a run for
+    ``tensors``, the table still empty: ``compose(key)`` gives the rows of
+    a masked blob key.  The group mask is the members' matched legs that
+    no earlier member produced."""
+    parts, at, gmask, made = [], 3, 0, 0
+    for step in run.members:
+        end = at + len(step.eids)
+        parts.append(_packed(step, tensors[:3] + tensors[at:end], width))
+        gmask |= parts[-1][1] & ~made
+        made |= _fields(step.free, width)
+        at = end
+    signed = any(part[2] for part in parts)
+    if len(parts) == 2:  # faster than the generic compose on cold pairs
+        compose = functools.partial(_compose_pair, *parts[0], *parts[1],
+                                    _fields(run.members[0].free, width))
+    else:
+        compose = functools.partial(_compose, parts, signed,
+                                    ~(gmask | made))
+    return {}, gmask, signed, compose
+
+
+def _compose(parts, signed, outer, gk):
+    """The rows of a run's masked blob key ``gk``: a mini-blob {gk: 1}
+    runs through each member's (packed table, matched mask, signed) in
+    ``parts``, as the sweep runs a blob.  The mini-blob holds only the
+    legs the run knows: the group mask and the members' free ends.  So a
+    member's ``odd`` bits on those legs give a hit's sign at once, and its
+    other bits, on the legs ``outer`` of the blob the run never reads, XOR
+    into the row's ``odd``; when no member is signed the mini-blob is
+    keyed on its bits alone.  Rows with equal bits and ``odd`` merge, and
+    zero sums are dropped; over F_p the sums are not reduced, as the
+    sweep reduces its new blob anyway.  Each row is interned (``_row``)."""
+    blob = {(gk, 0) if signed else gk: 1}
+    for table, mmask, step_signed in parts:
+        new: dict = {}
+        get = new.get
+        for key, v in blob.items():
+            key, odd = key if signed else (key, 0)
+            mk = key & mmask
+            base = key ^ mk
+            for row in table.get(mk, ()):
+                flip = row[2] if step_signed else 0
+                k = (base | row[0], odd ^ flip & outer) if signed \
+                    else base | row[0]
+                cv = -v if (key & flip).bit_count() & 1 else v
+                new[k] = get(k, 0) + cv * row[1]
+        blob = new
+    if signed:
+        return [_row((nk, cv, odd)) for (nk, odd), cv in blob.items() if cv]
+    return [_row(row) for row in blob.items() if row[1]]
+
+
+@functools.lru_cache(maxsize=FUSED_TABLES_KEPT)
+def _row(row: tuple) -> tuple:
+    """The composed row equal to ``row`` that the runs' tables share: a
+    run's keys and tensor sets mostly repeat rows (a Clifford sweep over
+    the classes of genus 1 to 3 composes 17,343 rows, 358 of them
+    distinct)."""
+    return row
+
+
+def _compose_pair(ta, ma, sa, tb, mb, sb, fa, gk):
+    """``_compose`` for a run of two, unrolled: the key runs through the
     first member's packed table ``ta`` (matched mask ``ma``, signed
     ``sa``), then the second's, whose matched legs are the first's free
     ends (slots in ``fa``) or rest legs fixed by ``gk``.  A row ors in the
@@ -912,9 +988,7 @@ def _compose(gk, ta, ma, sa, tb, mb, sb, fa):
     parity of the legs the pair fixes itself, the second's matched legs
     among the first's rest legs and the first's free ends among the
     second's rest legs, goes into the coefficient; the other bits of the
-    members' ``odd`` masks XOR into the row's.  Rows with equal bits and
-    ``odd`` merge, and zero sums are dropped; over F_p the sums are not
-    reduced, as the sweep reduces its new blob anyway."""
+    members' ``odd`` masks XOR into the row's."""
     ka = gk & ma
     rest = gk ^ ka  # the second's matched legs among the first's rest legs
     keep, getb, merged = ~mb, tb.get, {}

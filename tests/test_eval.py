@@ -11,8 +11,8 @@ from spinsum.algebra import (BUILTIN_NAMES, GradedFrobeniusAlgebra,
                              passes_invariance_predicates)
 import spinsum.eval as engine
 from spinsum.eval import (FUSED_TABLES_KEPT, PACKED_TABLES_PER_STEP,
-                          WireTarget, _program, boundary_legs, build_graph,
-                          contract_exhaustive, contract_graph,
+                          RUN_STEPS, WireTarget, _program, boundary_legs,
+                          build_graph, contract_exhaustive, contract_graph,
                           contract_network, evaluate, evaluate_raw,
                           is_valid_schedule, plan_contraction)
 from spinsum.fields import QQ, PrimeField
@@ -246,25 +246,37 @@ def test_budget_enforced(clifford):
 
 
 def test_budget_message_names_step_and_plan(clifford):
+    """Each bound raises a message naming the step and the plan, and
+    raises the same message when the call is repeated: a call that raises
+    does not count toward regrouping, so the program keeps its sweeps."""
     tri, signs, _ = tft.pants_spin(("NS", "NS", "NS"), 1, 1)
     graph = build_graph(tri, signs)
     plan = plan_contraction(graph)
     D = derive(clifford)
+    program = _program(graph, plan)
+    groups = program.groups
+    assert program.calls == 0
     # replay: the first triangle after which more than 4 legs are open
     n_open = 0
     for step, (kind, tid) in enumerate(plan):
         n_open += 2 if kind == "c" else -3
         if kind == "t" and n_open > 4:
             break
-    with pytest.raises(BudgetExceeded) as exc:
-        contract_graph(graph, D, plan, max_open_legs=4)
-    assert str(exc.value) == (f"open legs {n_open} exceed bound 4 after "
-                              f"plan[{step}] = ('t', {tid}) of {len(plan)} "
-                              f"steps")
-    with pytest.raises(BudgetExceeded, match=r"stored coefficients exceed "
-                       r"budget 1 after plan\[\d+\] = \('t', \d+\) of "
-                       rf"{len(plan)} steps"):
-        contract_graph(graph, D, plan, max_entries=1)
+    for _ in range(3):
+        with pytest.raises(BudgetExceeded) as exc:
+            contract_graph(graph, D, plan, max_open_legs=4)
+        assert str(exc.value) == (f"open legs {n_open} exceed bound 4 "
+                                  f"after plan[{step}] = ('t', {tid}) of "
+                                  f"{len(plan)} steps")
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(BudgetExceeded, match=r"stored coefficients "
+                           r"exceed budget 1 after plan\[\d+\] = "
+                           rf"\('t', \d+\) of {len(plan)} steps") as exc:
+            contract_graph(graph, D, plan, max_entries=1)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+    assert program.groups is groups and program.calls == 0
 
 
 def _random_face_schedule(graph, rng):
@@ -674,8 +686,9 @@ def test_stores_keep_the_tensor_set_they_reuse():
     two others; the stores drop the set used longest ago, so the reused
     set is never packed or composed again.  First the first step's
     copairings cycle through 9 sets while every other copairing is scaled
-    anew on every call, so every pair composes and reads its members'
-    packed tables: the first step keeps the reused set's table.  Then
+    anew on every call, so every pair or run composes and reads its
+    members' packed tables: the first step keeps the reused set's table.
+    Then, on a fresh copy called twice so that it has regrouped into runs,
     every copairing cycles through one set more than any sweep keeps, and
     every sweep keeps the reused set's table, no row of it composed
     again."""
@@ -708,11 +721,13 @@ def test_stores_keep_the_tensor_set_they_reuse():
     assert len(first.packed) == PACKED_TABLES_PER_STEP
 
     graph = build_graph(_fresh(tri), signs)
-    groups = _program(graph, plan_contraction(graph)).groups
-    stores, kept = zip(*[
-        (group.tables, group.kept) if isinstance(group, engine._Pair)
-        else (group.packed, PACKED_TABLES_PER_STEP) for group in groups])
     run(graph, 1)
+    run(graph, 1)  # the second call regroups: read the sweeps after it
+    groups = _program(graph, plan_contraction(graph)).groups
+    assert any(len(group.members) > 2 for group in groups)
+    stores, kept = zip(*[
+        (group.tables, group.kept) if len(group.members) > 1
+        else (group.packed, PACKED_TABLES_PER_STEP) for group in groups])
     hot = [next(iter(store.values())) for store in stores]
     sizes = [len(table) for table, *_ in hot]
     for k in range(2, max(kept) + 3):
@@ -738,10 +753,11 @@ def _gauge_shifted(tri, signs, rng):
 def test_classes_twice_in_shuffled_order_equal_closed_forms(name):
     """Gauge-shifted representatives of every spin class, at genus 1 to 3
     for clifford (84 classes) and at genus 2 for the other built-ins
-    (16), evaluated twice in a shuffled order, equal their closed forms.
-    The second pass composes no row and builds no fused table: every
-    pair keeps the same tables at the same sizes, and ``_fused_table``
-    has no new miss."""
+    (16), evaluated twice in a shuffled order after one call of each
+    surface's program, equal their closed forms.  The second pass
+    composes no row and builds no fused table: every sweep of more than
+    one step keeps the same tables, none of them empty, at the same
+    sizes, and ``_fused_table`` has no new miss."""
     A = builtin_by_name(name)
     rng = random.Random(30)
     work, programs = [], []
@@ -754,6 +770,10 @@ def test_classes_twice_in_shuffled_order_equal_closed_forms(name):
                          form.scalar_value()))
         graph = build_graph(detail.tri, classes[0])
         programs.append(_program(graph, plan_contraction(graph)))
+        # a first call, whose pairs the second call's regroup replaces
+        assert evaluate_raw(detail.tri, classes[0], A).scalar_value() == \
+            tft.closed_form(A, tft.spin_class_handles(detail, classes[0])
+                            ).scalar_value()
     assert len(work) == (84 if name == "clifford" else 16)
 
     def sweep():
@@ -761,16 +781,109 @@ def test_classes_twice_in_shuffled_order_equal_closed_forms(name):
         for tri, signs, want in work:
             assert evaluate_raw(tri, signs, A).scalar_value() == want
 
-    def pair_tables():
-        return {(id(group), key): len(table)
-                for program in programs for group in program.groups
-                if isinstance(group, engine._Pair)
+    def run_tables():
+        runs = [group for program in programs for group in program.groups
+                if len(group.members) > 1]
+        assert runs and all(group.tables for group in runs)
+        return {(id(group), key): len(table) for group in runs
                 for key, (table, *_) in group.tables.items()}
     sweep()
-    composed, built = pair_tables(), _count_builds()
+    composed, built = run_tables(), _count_builds()
     sweep()
-    assert pair_tables() == composed
+    assert run_tables() == composed
     assert _count_builds() == built
+
+
+def _longest_sweep(tri):
+    """The most steps one sweep of tri's kept program takes."""
+    return max(len(group.members)
+               for group in tri.cached(engine._compile_plan).groups)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_first_second_and_third_calls_equal_closed_forms(name):
+    """A program's first call sweeps singles and pairs, and its second
+    call regroups it into runs of up to ``RUN_STEPS`` steps.  On a fresh
+    copy of the triangulation per class, each of the three calls equals
+    the closed form: every class at genus 2, every class at genus 3 for
+    clifford and 2-q, and eight F3 classes at genus 3."""
+    A = builtin_by_name(name)
+    genera = {"clifford": (2, 3), "twisted-matrix-2-q": (2, 3),
+              "twisted-matrix-3-f3": (2, 3)}.get(name, (2,))
+    for g in genera:
+        detail = genus_g_closed_detail(g)
+        classes = classify_spin_structures(detail.tri)
+        if g == 3 and name == "twisted-matrix-3-f3":
+            classes = classes[::8]
+        assert len(classes) in (8, 4 ** g)
+        for k, signs in enumerate(classes):
+            want = tft.closed_form(A, tft.spin_class_handles(detail, signs))
+            tri = _fresh(detail.tri)
+            for call, longest in enumerate((2, RUN_STEPS, RUN_STEPS)):
+                got = evaluate_raw(tri, signs, A).scalar_value()
+                assert got == want.scalar_value(), (g, k, call)
+                assert _longest_sweep(tri) == longest, (g, k, call)
+
+
+def _open_walks():
+    """Walked checkpoints of the NS+ and R- cylinders and the NS,R,R:+-
+    pants, with their closed forms."""
+    cases = [(tft.cylinder_spin("NS", 1)[:2],
+              lambda A: tft.cylinder_closed_form(A, "NS", 1)),
+             (tft.cylinder_spin("R", -1)[:2],
+              lambda A: tft.cylinder_closed_form(A, "R", -1)),
+             (tft.pants_spin(("NS", "R", "R"), 1, -1)[:2],
+              lambda A: tft.pants_closed_form(A, ("NS", "R", "R"), 1, -1))]
+    return [(points, form) for seed, (start, form) in enumerate(cases, 31)
+            for points in [_checkpoints(*start, seed, 60, 20)]]
+
+
+@pytest.mark.parametrize("name", ("clifford", "twisted-matrix-2-q",
+                                  "twisted-matrix-3-f3"))
+def test_walked_checkpoints_equal_when_evaluated_three_times(name):
+    """Each walked checkpoint of the NS+ and R- cylinders and the
+    NS,R,R:+- pants, evaluated three times (pairs, then runs twice),
+    gives its closed form every time; some checkpoint regroups into runs
+    of more than two steps."""
+    A = builtin_by_name(name)
+    longest = 0
+    for points, form in _open_walks():
+        want = form(A)
+        for k, (tri, signs) in enumerate(points):
+            for call in range(3):
+                assert evaluate_raw(tri, signs, A) == want, (k, call)
+            longest = max(longest, _longest_sweep(tri))
+    assert longest > 2
+
+
+def test_regrouped_runs_match_exhaustive_oracle():
+    """After a first call with its spin signs regroups the program, the
+    R- cylinder and the torus with clifford and with Cl_1 (x) Cl_1 equal
+    the exhaustive oracle, for the spin signs and random signs."""
+    rng = random.Random(31)
+    for A in (builtin_by_name("clifford"), _cl1_cl1()):
+        for tri, signs in (tft.cylinder_spin("R", -1)[:2],
+                           tft.torus_spin("R", -1)):
+            evaluate_raw(tri, signs, A)
+            for signs in [signs] + [{e: rng.choice((1, -1))
+                                     for e in tri.edges} for _ in range(3)]:
+                assert evaluate_raw(tri, signs, A) == \
+                    contract_exhaustive(build_graph(tri, signs), A), signs
+                assert _longest_sweep(tri) > 2
+
+
+def test_once_evaluated_checkpoint_keeps_singles_and_pairs():
+    """A Pachner checkpoint evaluated once, as a walk evaluates it, never
+    regroups: its kept program sweeps single steps and pairs only."""
+    A = builtin_by_name("clifford")
+    detail = genus_g_closed_detail(2)
+    walks = [_checkpoints(detail.tri, classify_spin_structures(
+        detail.tri)[0], 5, 40, 10)[1:]] + [
+        points[1:] for points, _ in _open_walks()]
+    for tri, signs in itertools.chain.from_iterable(walks):
+        evaluate_raw(tri, signs, A)
+        assert tri.cached(engine._compile_plan).calls == 1
+        assert _longest_sweep(tri) <= 2
 
 
 def _regraded_cl1_cl1():
