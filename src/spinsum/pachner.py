@@ -7,13 +7,16 @@ moves accept a patch with any marking.  Each first applies the marking
 moves that put the patch into its reference configuration (rotations of
 a triangle's marked slot and orientation flips of inner edges, each
 negating signs as ``spin.apply_marking_move`` does), in place on copies
-of the edge, triangle and sign dicts.  The new triangulation is then
-patched from the old one: only the incidences of the edges and the
-corner counts of the vertices on the removed and added faces are
-recomputed, so a move costs O(patch) rather than O(surface).  A 3-1
-move rejects a vertex whose corner count is not 3 before any star
-walk.  Sign transport is a literal transcription of the local rules on
-the reference configuration:
+of the edge, triangle and sign dicts; the marked faces are replaced, so
+their rotations are never stored.  The new triangulation is then patched from the
+old one (``MarkedTriangulation._patched``), so a move costs O(patch)
+rather than O(surface): the incidences, corner counts, corner map
+entries and largest ids around the removed and added faces are all it
+recomputes.  A 3-1 move rejects a vertex whose corner count is not 3
+before any star walk, and walks the star from the kept corner map.
+``random_pachner_move`` takes the 2-2 targets from the edges minus the
+kept one-sided edges.  Sign transport is a literal transcription of the
+local rules on the reference configuration:
 
 2-2 (diagonal flip): both triangles marked on the shared diagonal e.
 With sigma1 = left face of e = [e, A, B] and sigma2 = right face =
@@ -36,7 +39,7 @@ import random
 from dataclasses import dataclass
 
 from .eval import evaluate_raw
-from .spin import SignError, Signs, edge_sign, flip_edge, mark_slot
+from .spin import SignError, Signs, edge_sign, flip_edge, marked_slots
 from .surface import Edge, L, MarkedTriangulation, R, Slot, Triangle
 
 
@@ -48,11 +51,11 @@ class PachnerMove:
 
 
 def _fresh_edge_id(tri: MarkedTriangulation) -> int:
-    return max(tri.edges) + 1
+    return tri._top_edge + 1
 
 
 def _fresh_face_id(tri: MarkedTriangulation) -> int:
-    return max(tri.triangles) + 1
+    return tri._top_face + 1
 
 
 def _check_patch_signs(tri: MarkedTriangulation, signs: Signs,
@@ -69,20 +72,23 @@ def _check_patch_signs(tri: MarkedTriangulation, signs: Signs,
 
 # -- 2-2 ----------------------------------------------------------------
 def pachner_22(tri: MarkedTriangulation, signs: Signs, eid: int):
-    if tri.is_boundary_edge(eid):
+    incs = tri.incidences(eid)
+    if len(incs) == 1:
         raise ValueError(f"edge {eid} is a boundary edge")
-    left, right = tri.sigma_L(eid), tri.sigma_R(eid)
+    sides = {}  # side -> the diagonal's first incidence on it
+    for fid, si in incs:
+        sides.setdefault(tri.triangles[fid].slots[si].side, (fid, si))
+    left, right = sides.get(L), sides.get(R)
     if left is None or right is None or left[0] == right[0]:
         raise ValueError(f"2-2 move undefined at edge {eid}")
     f1, s1 = left
     f2, s2 = right
     _check_patch_signs(tri, signs, (f1, f2))
-    triangles, new_signs = dict(tri.triangles), dict(signs)
-    mark_slot(triangles, new_signs, f1, s1)
-    mark_slot(triangles, new_signs, f2, s2)
-    t1, t2 = triangles[f1], triangles[f2]
-    A, B = t1.slots[1], t1.slots[2]
-    C, D = t2.slots[1], t2.slots[2]
+    new_signs = signs.copy()
+    # both faces marked on the diagonal, [e, A, B] and [e, C, D]; the
+    # faces are replaced, so the rotated ones are never stored
+    _, A, B = marked_slots(new_signs, tri.triangles[f1].slots, s1)
+    _, C, D = marked_slots(new_signs, tri.triangles[f2].slots, s2)
     outer = {A.edge, B.edge, C.edge, D.edge}
     if len(outer) != 4 or eid in outer:
         raise ValueError("2-2 move needs four distinct outer edges")
@@ -91,7 +97,7 @@ def pachner_22(tri: MarkedTriangulation, signs: Signs, eid: int):
     new_eid = _fresh_edge_id(tri)
     f3 = _fresh_face_id(tri)
     f4 = f3 + 1
-    edges = dict(tri.edges)
+    edges, triangles = tri.edges.copy(), tri.triangles.copy()
     del edges[eid]
     edges[new_eid] = Edge(v1, v3)
     del triangles[f1]
@@ -119,27 +125,29 @@ def pachner_31(tri: MarkedTriangulation, signs: Signs, v: int):
         raise ValueError(f"star of vertex {v} is degenerate")
     ids = [fid for fid, _ in star]
     _check_patch_signs(tri, signs, ids)
-    edges, triangles = dict(tri.edges), dict(tri.triangles)
-    new_signs = dict(signs)
+    edges, triangles = tri.edges.copy(), tri.triangles.copy()
+    new_signs = signs.copy()
     # reference configuration: inner edges point toward v, each face is
-    # marked on its outer edge
+    # marked on its outer edge; the faces are replaced, so the marked
+    # ones are never stored
     for eid in inner_edges:
         if edges[eid].src == v:
             flip_edge(tri, edges, triangles, new_signs, eid)
+    marked = {}
     for fid in ids:
         slots = triangles[fid].slots
-        mark_slot(triangles, new_signs, fid, next(
+        marked[fid] = marked_slots(new_signs, slots, next(
             k for k in range(3) if slots[k].edge not in inner_edges))
     # faces counterclockwise from the smallest id; A, B, C their outer slots
     rot = ids.index(min(ids))
     faces = ids[rot:] + ids[:rot]
-    outer = [triangles[fid].slots[0] for fid in faces]
-    inner = [triangles[fid].slots[1].edge for fid in faces]
+    outer = [marked[fid][0] for fid in faces]
+    inner = [marked[fid][1].edge for fid in faces]
     for k, fid in enumerate(faces):
-        t = triangles[fid]
+        _, nxt, prv = marked[fid]
         e_next, e_prev = inner[k], inner[k - 1]
-        if (t.slots[1] != Slot(e_next, L) or t.slots[2] != Slot(e_prev, R)
-                or edges[e_next].dst != v):
+        if (nxt.edge != e_next or nxt.side != L or prv.edge != e_prev
+                or prv.side != R or edges[e_next].dst != v):
             raise ValueError(f"star of vertex {v} is not a triangulated disk")
     e12, e23, e31 = inner
     if len({e12, e23, e31}) != 3:
@@ -184,21 +192,21 @@ def pachner_13(tri: MarkedTriangulation, signs: Signs, fid: int,
     v0 = tri.traversal(fid, 0)[0]
     v1 = tri.traversal(fid, 1)[0]
     v2 = tri.traversal(fid, 2)[0]
-    v = max(tri.vertices) + 1
+    v = max(tri._vertices) + 1
     e12 = _fresh_edge_id(tri)
     e23, e31 = e12 + 1, e12 + 2
     f1 = _fresh_face_id(tri)
     f2, f3 = f1 + 1, f1 + 2
-    edges = dict(tri.edges)
+    edges = tri.edges.copy()
     edges[e12] = Edge(v1, v)
     edges[e23] = Edge(v2, v)
     edges[e31] = Edge(v0, v)
-    triangles = dict(tri.triangles)
+    triangles = tri.triangles.copy()
     del triangles[fid]
     triangles[f1] = Triangle((A, Slot(e12, L), Slot(e31, R)))
     triangles[f2] = Triangle((B, Slot(e23, L), Slot(e12, R)))
     triangles[f3] = Triangle((C, Slot(e31, L), Slot(e23, R)))
-    new_signs = dict(signs)
+    new_signs = signs.copy()
     new_signs[e12], new_signs[e23], new_signs[e31] = s12, s23, s31
     new_signs[B.edge] = s12 * signs[B.edge]
     new_signs[C.edge] = -s31 * signs[C.edge]
@@ -228,9 +236,9 @@ def random_pachner_move(tri: MarkedTriangulation, signs: Signs, rng,
         kind = rng.choice(kinds)
         if kind not in cands:
             if kind == "two_two":
-                inc = tri._incidence
-                cands[kind] = [e for e in sorted(tri.edges)
-                               if len(inc.get(e, ())) != 1]
+                one_sided = tri._one_sided  # empty on a closed surface
+                cands[kind] = sorted(tri.edges.keys() - one_sided
+                                     if one_sided else tri.edges)
             elif kind == "three_one":
                 cands[kind] = sorted(tri.inner_vertices())
             else:

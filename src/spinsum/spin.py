@@ -172,14 +172,20 @@ class MarkingMove:
     target: int  # face id for leaf_exchange/rotate_marking, edge id for flip
 
 
+def marked_slots(signs: Signs, slots: tuple[Slot, Slot, Slot],
+                 k: int) -> tuple[Slot, Slot, Slot]:
+    """A face's slots rotated so that slot k is marked, negating in place
+    the signs of the edges in slots 0..k-1 (one per single rotation)."""
+    for slot in slots[:k]:
+        signs[slot.edge] = -signs[slot.edge]
+    return slots[k:] + slots[:k]
+
+
 def mark_slot(triangles: dict[int, Triangle], signs: Signs, fid: int,
               k: int) -> None:
     """Rotate face fid in place so that its slot k is marked, negating
-    the signs of the edges in slots 0..k-1 (one per single rotation)."""
-    slots = triangles[fid].slots
-    for slot in slots[:k]:
-        signs[slot.edge] = -signs[slot.edge]
-    triangles[fid] = Triangle(slots[k:] + slots[:k])
+    the signs as ``marked_slots`` does."""
+    triangles[fid] = Triangle(marked_slots(signs, triangles[fid].slots, k))
 
 
 def flip_edge(tri: MarkedTriangulation, edges: dict[int, Edge],

@@ -70,27 +70,32 @@ class MarkedTriangulation:
         self.triangles = dict(triangles)
         self.boundaries = tuple(boundaries)
         incidence: dict[int, list[tuple[int, int]]] = {}
+        valence: dict[int, int] = {}
+        corner: dict[int, tuple[int, int]] = {}
         for fid, tri in self.triangles.items():
-            for si, slot in enumerate(tri.slots):
-                incidence.setdefault(slot.edge, []).append((fid, si))
+            for c, slot in enumerate(tri.slots):
+                incidence.setdefault(slot.edge, []).append((fid, c))
+                e = self.edges.get(slot.edge)  # validate reports unknown ones
+                if e is not None:
+                    v = e.dst if slot.side == L else e.src  # corner c
+                    valence[v] = valence.get(v, 0) + 1
+                    corner.setdefault(v, (fid, c))
         # edge -> its (fid, slot) incidences in triangle order, as tuples
         # that triangulations patched from this one share
         self._incidence = {e: tuple(inc) for e, inc in incidence.items()}
+        # edges with exactly one incidence: the boundary edges
+        self._one_sided = {e for e, inc in incidence.items() if len(inc) == 1}
         self._vertices = {v for e in self.edges.values()
                           for v in (e.src, e.dst)}
-        # vertex -> number of corners, counted on first use
-        self._valence: dict[int, int] | None = None
-        self._fresh_caches()
-
-    def _fresh_caches(self) -> None:
-        # A triangulation is never edited after construction, so these
-        # lazy caches stay valid for the object's lifetime.
-        # vertex -> first corner (fid, c), from one scan of the triangles
-        # that each star_cycle call (3-1 Pachner moves only) resumes
-        self._first_corner: dict[int, tuple[int, int]] = {}
-        self._unscanned = iter(self.triangles)
+        self._valence = valence  # vertex -> number of corners
+        self._corner = corner  # vertex -> one of its corners (fid, c)
+        # the largest edge and face ids, from which moves number new ones
+        self._top_edge = max(self.edges, default=0)
+        self._top_face = max(self.triangles, default=0)
         # what other modules build from the triangulation alone (``cached``):
-        # eval's wires, plan and program, spin's edge bits and equations
+        # eval's wires, plan and program, spin's edge bits and equations.
+        # A triangulation is never edited after construction, so it stays
+        # valid for the object's lifetime.
         self._cache: dict = {}
 
     def cached(self, build, *args):
@@ -108,58 +113,81 @@ class MarkedTriangulation:
 
         ``triangles`` must hold parent's other faces unchanged and in
         parent's order, followed by ``added`` in order; both dicts are
-        taken over.  Only the incidence entries of edges on removed or
-        added faces and the corner counts of their vertices are
-        recomputed, and each equals what ``__init__`` builds.
+        taken over.  Every vertex of a removed face that keeps a corner
+        must be a vertex of an added face, as in a Pachner move.  Each
+        container is copied at most once, and the vertex and one-sided
+        edge sets are shared with parent unless the patch changes them.
+        Only what the patch touches is recomputed: the incidences of
+        edges on removed or added faces (the parent's entries minus the
+        removed faces, then the added corners) and which of those edges
+        are one-sided, the corner counts of their vertices, the largest
+        ids, and the corner map, which points every vertex of an added
+        face at its last corner there.  Each equals what ``__init__``
+        builds, except that a corner map entry may name another corner
+        of its vertex.
         """
         self = cls.__new__(cls)
         self.edges, self.triangles = edges, triangles
         self.boundaries = parent.boundaries
-        gone = set(removed)
-        valence = dict(parent._corner_counts())
+        # dict.copy clones the parent's table, where dict() would insert
+        # entry by entry into a table that deletions have left sparse
+        self._incidence = incidence = parent._incidence.copy()
+        self._valence = valence = parent._valence.copy()
+        self._corner = corner = parent._corner.copy()
         entries: dict[int, list[tuple[int, int]]] = {}  # touched edges
-        corners = set()
-        for faces, face_of, edge_of, step in (
-                (removed, parent.triangles, parent.edges, -1),
-                (added, triangles, edges, 1)):
-            for fid in faces:
-                for c, slot in enumerate(face_of[fid].slots):
-                    eid = slot.edge
-                    if eid not in entries:
-                        entries[eid] = [inc for inc in parent.incidences(eid)
-                                        if inc[0] not in gone]
-                    if step > 0:
-                        entries[eid].append((fid, c))
-                    e = edge_of[eid]
-                    v = e.dst if slot.side == L else e.src  # corner c
-                    valence[v] = valence.get(v, 0) + step
-                    corners.add(v)
-        self._incidence = dict(parent._incidence)
+        emptied = []  # vertices whose last corner was removed
+        for fid in removed:
+            for slot in parent.triangles[fid].slots:
+                eid = slot.edge
+                if eid not in entries:
+                    entries[eid] = [inc for inc in incidence.get(eid, ())
+                                    if inc[0] not in removed]
+                e = parent.edges[eid]
+                v = e.dst if slot.side == L else e.src  # this corner's vertex
+                n = valence[v] - 1
+                valence[v] = n
+                if not n:
+                    emptied.append(v)
+        known = len(valence)
+        top_edge, top_face = parent._top_edge, parent._top_face
+        if top_edge not in edges:
+            top_edge = max(edges, default=0)
+        if top_face not in triangles:
+            top_face = max(triangles, default=0)
+        for fid in added:
+            if fid > top_face:
+                top_face = fid
+            for c, slot in enumerate(triangles[fid].slots):
+                eid = slot.edge
+                if eid > top_edge:
+                    top_edge = eid
+                entry = entries.get(eid)
+                if entry is None:
+                    entry = entries[eid] = list(incidence.get(eid, ()))
+                entry.append((fid, c))
+                e = edges[eid]
+                v = e.dst if slot.side == L else e.src
+                valence[v] = valence.get(v, 0) + 1
+                corner[v] = fid, c
+        one_sided = parent._one_sided
         for eid, entry in entries.items():
             if entry:
-                self._incidence[eid] = tuple(entry)
+                incidence[eid] = tuple(entry)
             else:
-                del self._incidence[eid]
-        self._vertices = set(parent._vertices)
-        for v in corners:
-            if valence[v]:
-                self._vertices.add(v)
-            else:
-                del valence[v]
-                self._vertices.discard(v)
-        self._valence = valence
-        self._fresh_caches()
+                del incidence[eid]
+            if (len(entry) == 1) != (eid in one_sided):
+                one_sided = one_sided ^ {eid}
+        self._one_sided = one_sided
+        self._top_edge, self._top_face = top_edge, top_face
+        self._vertices = parent._vertices
+        lost = [v for v in emptied if not valence[v]]
+        if lost or len(valence) > known:
+            for v in lost:
+                del valence[v], corner[v]
+            self._vertices = (parent._vertices.difference(lost)
+                              .union(corner.keys() - parent._corner.keys()))
+        self._cache = {}
         return self
-
-    def _corner_counts(self) -> dict[int, int]:
-        if self._valence is None:
-            counts: dict[int, int] = {}
-            for fid in self.triangles:
-                for c in range(3):
-                    v = self.corner_vertex(fid, c)
-                    counts[v] = counts.get(v, 0) + 1
-            self._valence = counts
-        return self._valence
 
     # -- basic queries --------------------------------------------------
     @property
@@ -168,13 +196,13 @@ class MarkedTriangulation:
 
     def valence(self, v: int) -> int:
         """Number of triangle corners at vertex v (0 if v is unknown)."""
-        return self._corner_counts().get(v, 0)
+        return self._valence.get(v, 0)
 
     def incidences(self, eid: int) -> tuple[tuple[int, int], ...]:
         return self._incidence.get(eid, ())
 
     def is_boundary_edge(self, eid: int) -> bool:
-        return len(self.incidences(eid)) == 1
+        return eid in self._one_sided
 
     def face_on_side(self, eid: int, side: str) -> tuple[int, int] | None:
         for fid, si in self.incidences(eid):
@@ -242,21 +270,21 @@ class MarkedTriangulation:
         """Counterclockwise cycle of the star of an inner vertex.
 
         Returns one (fid, exit_eid) pair per triangle corner at v, in
-        walk order from v's first corner: the walk leaves the corner
-        (fid, c) through slot c, whose edge is exit_eid, into the other
-        face on that edge.  Only the 3-1 Pachner move walks stars.
+        walk order from v's smallest corner (fid, c): the walk leaves the
+        corner (fid, c) through slot c, whose edge is exit_eid, into the
+        other face on that edge.  The walk starts at v's entry in the
+        corner map, so it costs the star, not the surface; the rotation
+        makes the output independent of which corner that entry names.
+        Only the 3-1 Pachner move walks stars.
         """
-        while v not in self._first_corner:
-            fid = next(self._unscanned, None)
-            if fid is None:
-                raise ValueError(f"vertex {v} has no incident corner")
-            for c in range(3):
-                self._first_corner.setdefault(self.corner_vertex(fid, c),
-                                              (fid, c))
-        start = fid, c = self._first_corner[v]
-        out = []
+        start = self._corner.get(v)
+        if start is None:
+            raise ValueError(f"vertex {v} has no incident corner")
+        fid, c = start
+        corners, out = [], []
         while True:
             eid = self.triangles[fid].slots[c].edge
+            corners.append((fid, c))
             out.append((fid, eid))
             nxt = None
             for gfid, gsi in self.incidences(eid):
@@ -268,7 +296,8 @@ class MarkedTriangulation:
             if self.corner_vertex(fid, c) != v:
                 raise ValueError("star walk left the vertex (invalid complex)")
             if nxt == start:
-                return out
+                k = corners.index(min(corners))
+                return out[k:] + out[:k]
 
     # -- curves ---------------------------------------------------------
     def curve_exit_slot(self, step: CurveStep) -> int:

@@ -11,7 +11,7 @@ from spinsum.spin import (NS, R_TYPE, MarkingMove, SignError,
                           apply_marking_move, classify_spin_structures,
                           is_admissible)
 from spinsum.surface import MarkedTriangulation, genus_g_closed, validate
-from spinsum import tft
+from spinsum import pachner, tft
 
 
 @pytest.fixture(scope="module")
@@ -190,18 +190,27 @@ def _rebuild_mismatches(tri):
     """Ways a moved triangulation differs from a full rebuild of itself."""
     full = MarkedTriangulation(tri.edges, tri.triangles, tri.boundaries)
     bad = []
-    if tri._cache or tri._first_corner:
-        bad.append("caches not fresh")
+    if tri._cache:
+        bad.append("cache not fresh")
     if tri._incidence != full._incidence:  # every entry, in order
         bad.append("incidences")
+    if tri._one_sided != full._one_sided:
+        bad.append("one-sided edges")
+    if (tri._top_edge, tri._top_face) != (full._top_edge, full._top_face):
+        bad.append("largest ids")
     if tri.vertices != full.vertices:
         bad.append("vertices")
     if tri.inner_vertices() != full.inner_vertices():
         bad.append("inner vertices")
     if any(tri.valence(v) != full.valence(v) for v in full.vertices):
         bad.append("valence")
-    if tri._corner_counts() != full._corner_counts():
+    if tri._valence != full._valence:
         bad.append("corner counts")
+    if tri._corner.keys() != full._corner.keys():
+        bad.append("corner map keys")
+    if any(fid not in tri.triangles or tri.corner_vertex(fid, c) != v
+           for v, (fid, c) in tri._corner.items()):
+        bad.append("corner map entries")
     if any(tri.star_cycle(v) != full.star_cycle(v)
            for v in sorted(full.inner_vertices())):
         bad.append("star cycles")
@@ -221,10 +230,9 @@ GOLDEN_LOGS = [
 ]
 
 
-@pytest.mark.parametrize("surface,seed,digest", GOLDEN_LOGS,
-                         ids=[s for s, _, _ in GOLDEN_LOGS])
-def test_walk_matches_rebuild_oracle_and_golden_log(surface, seed, digest):
-    tri, signs = _walk_start(surface)
+def _walk_digest(tri, signs, seed, check=None):
+    """(sha256 of a 1000-move walk's log, the walk's last triangulation);
+    check(tri, step, move) runs after every move."""
     rng = random.Random(seed)
     bias = len(tri.triangles)
     h = hashlib.sha256()
@@ -232,11 +240,66 @@ def test_walk_matches_rebuild_oracle_and_golden_log(surface, seed, digest):
         tri, signs, m = random_pachner_move(tri, signs, rng, bias_faces=bias)
         h.update(repr((m.kind, m.target, m.choice,
                        sorted(signs.items()))).encode())
+        if check is not None:
+            check(tri, step, m)
+    return h.hexdigest(), tri
+
+
+@pytest.mark.parametrize("surface,seed,digest", GOLDEN_LOGS,
+                         ids=[s for s, _, _ in GOLDEN_LOGS])
+def test_walk_matches_rebuild_oracle_and_golden_log(surface, seed, digest):
+    def check(tri, step, m):
         assert _rebuild_mismatches(tri) == [], (step, m)
-    assert h.hexdigest() == digest
+
+    got, tri = _walk_digest(*_walk_start(surface), seed, check)
+    assert got == digest
     vs = tri.vertices
     vs.add(-1)
     assert -1 not in tri.vertices
+
+
+# module-level apply_pachner_move calls of the golden walks: one per
+# attempt, which the benchmark's pachner.attempts counter counts
+GOLDEN_ATTEMPTS = {"genus-2": 2170, "cylinder": 1956, "pants": 1774}
+
+
+@pytest.mark.parametrize("surface,seed", [(s, n) for s, n, _ in GOLDEN_LOGS],
+                         ids=[s for s, _, _ in GOLDEN_LOGS])
+def test_walk_calls_apply_pachner_move_once_per_attempt(monkeypatch, surface,
+                                                         seed):
+    apply, calls = pachner.apply_pachner_move, []
+
+    def counted(tri, signs, move):
+        calls.append(move)
+        return apply(tri, signs, move)
+
+    monkeypatch.setattr(pachner, "apply_pachner_move", counted)
+    _walk_digest(*_walk_start(surface), seed)
+    assert len(calls) == GOLDEN_ATTEMPTS[surface]
+
+
+@pytest.mark.parametrize("surface,seed,digest",
+                         [g for g in GOLDEN_LOGS if g[0] != "cylinder"],
+                         ids=["genus-2", "pants"])
+def test_walk_does_not_depend_on_dict_order(surface, seed, digest):
+    """The start rebuilt with its triangle and edge dicts (and signs)
+    inserted in shuffled order walks the golden log, and every star
+    starts at the same corner."""
+    tri, signs = _walk_start(surface)
+    rng = random.Random(7)
+
+    def shuffled(d):
+        keys = list(d)
+        rng.shuffle(keys)
+        return {k: d[k] for k in keys}
+
+    mixed = MarkedTriangulation(shuffled(tri.edges), shuffled(tri.triangles),
+                                tri.boundaries)
+    assert list(mixed.triangles) != sorted(mixed.triangles)
+    assert list(mixed.edges) != sorted(mixed.edges)
+    assert all(mixed.star_cycle(v) == tri.star_cycle(v)
+               for v in sorted(tri.inner_vertices()))
+    assert _walk_digest(mixed, shuffled(signs), seed)[0] == digest
 
 
 @pytest.mark.parametrize("surface,seed", [(s, n) for s, n, _ in GOLDEN_LOGS],
@@ -244,12 +307,10 @@ def test_walk_matches_rebuild_oracle_and_golden_log(surface, seed, digest):
 def test_walk_surfaces_pass_validation(surface, seed):
     """Every surface along the golden walks is a manifold: in particular
     the corners at each vertex form one cycle or one boundary fan."""
-    tri, signs = _walk_start(surface)
-    rng = random.Random(seed)
-    bias = len(tri.triangles)
-    for step in range(1000):
-        tri, signs, m = random_pachner_move(tri, signs, rng, bias_faces=bias)
+    def check(tri, step, m):
         assert validate(tri) == [], (step, m)
+
+    _walk_digest(*_walk_start(surface), seed, check)
 
 
 @pytest.mark.parametrize("bad", [None, 0], ids=["missing", "zero"])
