@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 
 from .fields import Field, QQ, PrimeField, field_from_json, mat_inverse
+from .surface import unique_keys
 from .tensor import GradedTensor
 
 
@@ -125,19 +126,11 @@ class DerivedStructure:
                                      compare=False)
 
     def c(self, sign: int) -> GradedTensor:
-        if sign == +1:
-            return self.c_plus
-        if sign == -1:
-            return self.c_minus
-        raise ValueError(f"edge sign must be +1 or -1, not {sign!r}")
+        return _by_sign(sign, self.c_plus, self.c_minus, "edge sign")
 
     def N_eps(self, eps: int) -> GradedTensor:
         """N_{+1} = id, N_{-1} = N."""
-        if eps == +1:
-            return self.identity
-        if eps == -1:
-            return self.N
-        raise ValueError(f"sign must be +1 or -1, not {eps!r}")
+        return _by_sign(eps, self.identity, self.N, "sign")
 
     def cached(self, build, *args):
         """build(self, *args), built on the first call with these
@@ -155,11 +148,16 @@ class DerivedStructure:
         return self.cached(_boundary_map, sign)
 
     def q(self, nu: int) -> GradedTensor:
-        if nu == +1:
-            return self.q_plus
-        if nu == -1:
-            return self.q_minus
-        raise ValueError(f"boundary sign nu must be +1 or -1, not {nu!r}")
+        return _by_sign(nu, self.q_plus, self.q_minus, "boundary sign nu")
+
+
+def _by_sign(sign: int, plus, minus, what: str):
+    """plus for sign +1, minus for -1; ValueError naming what otherwise."""
+    if sign == +1:
+        return plus
+    if sign == -1:
+        return minus
+    raise ValueError(f"{what} must be +1 or -1, not {sign!r}")
 
 
 def _boundary_map(D: DerivedStructure, sign: int) -> GradedTensor:
@@ -251,14 +249,7 @@ def passes_invariance_predicates(A: GradedFrobeniusAlgebra) -> bool:
 
 # -- built-in algebras --------------------------------------------------
 def builtin_clifford(field: Field = QQ) -> GradedFrobeniusAlgebra:
-    if field.characteristic == 2:
-        raise ValueError("Clifford algebra needs characteristic != 2")
-    F = field
-    z, o = F.zero(), F.one()
-    two = F.add(o, o)
-    mu = (((o, z), (z, o)), ((z, o), (o, z)))
-    return GradedFrobeniusAlgebra(F, 2, (0, 1), mu, (o, z), (two, z),
-                                  name="clifford")
+    return _square_root_of_one(field, (0, 1), "clifford", "Clifford algebra")
 
 
 def builtin_group_z2(field: Field = QQ) -> GradedFrobeniusAlgebra:
@@ -266,14 +257,20 @@ def builtin_group_z2(field: Field = QQ) -> GradedFrobeniusAlgebra:
 
     A trivially graded, symmetric, Delta-separable dimension-2 fixture.
     """
-    if field.characteristic == 2:
-        raise ValueError("k[Z2] fixture needs characteristic != 2")
-    F = field
+    return _square_root_of_one(field, (0, 0), "group-z2", "k[Z2] fixture")
+
+
+def _square_root_of_one(F: Field, parity: tuple[int, int], name: str,
+                        noun: str) -> GradedFrobeniusAlgebra:
+    """k[x]/(x^2 - 1) on the basis 1, x with the given parities, unit 1
+    and counit 2*(coefficient of 1); ValueError naming noun in
+    characteristic 2, where the pairing degenerates."""
+    if F.characteristic == 2:
+        raise ValueError(f"{noun} needs characteristic != 2")
     z, o = F.zero(), F.one()
-    two = F.add(o, o)
     mu = (((o, z), (z, o)), ((z, o), (o, z)))
-    return GradedFrobeniusAlgebra(F, 2, (0, 0), mu, (o, z), (two, z),
-                                  name="group-z2")
+    return GradedFrobeniusAlgebra(F, 2, parity, mu, (o, z), (F.add(o, o), z),
+                                  name=name)
 
 
 def builtin_twisted_matrix(n: int, field: Field, X, lam
@@ -369,21 +366,25 @@ def from_json(obj: dict) -> GradedFrobeniusAlgebra:
     parity = tuple(obj["parity"])
     if not all(_is_index(p, 2) for p in parity):
         raise ValueError(f"parity entries must be 0 or 1, got {list(parity)}")
-    z = F.zero()
-    mu = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for k, i, j, v in obj["mu"]:
-        if not all(_is_index(x, n) for x in (k, i, j)):
-            raise ValueError(f"mu entry [{k}, {i}, {j}] has an index outside "
-                             f"0..{n - 1}")
-        mu[k][i][j] = _value(F, v, f"mu entry [{k}, {i}, {j}]")
-    for key in ("eta", "eps"):
+    # every length is checked before the dim^3 mu table is built, so a
+    # mistyped dim fails here instead of exhausting memory
+    for key in ("parity", "eta", "eps"):
         if len(obj[key]) != n:
             raise ValueError(f"{key} needs {n} entries, got {len(obj[key])}")
+    entries = {}
+    for k, i, j, v in obj["mu"]:
+        where = f"mu entry [{k}, {i}, {j}]"
+        if not all(_is_index(x, n) for x in (k, i, j)):
+            raise ValueError(f"{where} has an index outside 0..{n - 1}")
+        if (k, i, j) in entries:
+            raise ValueError(f"{where} is given twice")
+        entries[k, i, j] = _value(F, v, where)
     eta = tuple(_value(F, v, f"eta[{i}]") for i, v in enumerate(obj["eta"]))
     eps = tuple(_value(F, v, f"eps[{i}]") for i, v in enumerate(obj["eps"]))
-    A = GradedFrobeniusAlgebra(
-        F, n, parity,
-        tuple(tuple(tuple(row) for row in plane) for plane in mu), eta, eps)
+    z, basis = F.zero(), range(n)
+    mu = tuple(tuple(tuple(entries.get((k, i, j), z) for j in basis)
+                     for i in basis) for k in basis)
+    A = GradedFrobeniusAlgebra(F, n, parity, mu, eta, eps)
     derive(A)  # rejects every defect, a degenerate pairing included
     return A
 
@@ -407,4 +408,4 @@ def _is_index(x, n: int) -> bool:
 
 def load(path: str) -> GradedFrobeniusAlgebra:
     with open(path) as fh:
-        return from_json(json.load(fh))
+        return from_json(json.load(fh, object_pairs_hook=unique_keys))

@@ -193,7 +193,7 @@ from operator import getitem, xor
 from .algebra import DerivedStructure, GradedFrobeniusAlgebra, derive, \
     passes_invariance_predicates
 from .spin import Signs, edge_sign, is_admissible
-from .surface import MarkedTriangulation
+from .surface import L, MarkedTriangulation, R
 from .tensor import BudgetExceeded, GradedTensor, inversion_pairs, \
     key_getter
 
@@ -247,8 +247,8 @@ def build_graph(tri: MarkedTriangulation, signs: Signs) -> DiagramGraph:
 def _build_wires(tri: MarkedTriangulation) -> dict:
     wires = {}
     for eid in tri.edges:
-        left = tri.sigma_L(eid)
-        right = tri.sigma_R(eid)
+        left = tri.face_on_side(eid, L)
+        right = tri.face_on_side(eid, R)
         if right is None:
             raise ValueError(f"edge {eid}: no face on the right side")
         if left is None:

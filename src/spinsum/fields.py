@@ -12,45 +12,16 @@ from fractions import Fraction
 
 
 class Field:
-    """Common interface for exact fields."""
+    """Common interface for exact fields.
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def of(self, x):
-        """Coerce an int, string ("p/q"), or native element into the field."""
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
+    Each field defines ``zero``, ``one``, ``of`` (coerce an int, a "p/q"
+    string or a native element), ``add``, ``sub``, ``mul``, ``neg``,
+    ``inv``, ``is_zero``, the ``characteristic`` property and
+    ``to_json``; ``div`` and ``format`` are shared.
+    """
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a):
-        return a == self.zero()
-
-    @property
-    def characteristic(self) -> int:
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
 
     def format(self, a) -> str:
         return str(a)

@@ -181,19 +181,12 @@ def marked_slots(signs: Signs, slots: tuple[Slot, Slot, Slot],
     return slots[k:] + slots[:k]
 
 
-def mark_slot(triangles: dict[int, Triangle], signs: Signs, fid: int,
-              k: int) -> None:
-    """Rotate face fid in place so that its slot k is marked, negating
-    the signs as ``marked_slots`` does."""
-    triangles[fid] = Triangle(marked_slots(signs, triangles[fid].slots, k))
-
-
 def flip_edge(tri: MarkedTriangulation, edges: dict[int, Edge],
               triangles: dict[int, Triangle], signs: Signs, eid: int) -> None:
     """Reverse edge eid in place, toggling its slot sides and its sign.
 
     The slots are found through tri's incidences, so flip before any
-    ``mark_slot`` moves slots in the working dicts.
+    rotation moves slots in the working dicts.
     """
     e = edges[eid]
     edges[eid] = Edge(e.dst, e.src)
@@ -224,7 +217,8 @@ def apply_marking_move(tri: MarkedTriangulation, signs: Signs,
             raise ValueError("cannot flip a boundary edge")
         flip_edge(tri, edges, triangles, signs, move.target)
     else:
-        mark_slot(triangles, signs, move.target, 1)
+        triangles[move.target] = Triangle(
+            marked_slots(signs, triangles[move.target].slots, 1))
     return MarkedTriangulation(edges, triangles, tri.boundaries), signs
 
 

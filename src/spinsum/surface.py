@@ -210,12 +210,6 @@ class MarkedTriangulation:
                 return fid, si
         return None
 
-    def sigma_L(self, eid: int) -> tuple[int, int] | None:
-        return self.face_on_side(eid, L)
-
-    def sigma_R(self, eid: int) -> tuple[int, int] | None:
-        return self.face_on_side(eid, R)
-
     def traversal(self, fid: int, si: int) -> tuple[int, int]:
         """(start, end) vertices of slot si traversed counterclockwise."""
         slot = self.triangles[fid].slots[si]
@@ -500,11 +494,9 @@ class GlueMap:
     """Relabeling data of a glue_boundaries call.
 
     pairs[p] = (i-side edge id, j-side edge id) for positions p on
-    boundary i (the j-side edge survives).  vertex_map sends every old
-    vertex id to its representative in the quotient.
+    boundary i (the j-side edge survives).
     """
     pairs: tuple[tuple[int, int], ...]
-    vertex_map: dict[int, int]
 
 
 def glue_boundaries_with_map(tri: MarkedTriangulation, i: int, j: int):
@@ -541,7 +533,7 @@ def glue_boundaries_with_map(tri: MarkedTriangulation, i: int, j: int):
         new_triangles[fid] = Triangle(tuple(slots))
     new_bd = [b for k, b in enumerate(tri.boundaries, start=1) if k not in (i, j)]
     out = MarkedTriangulation(new_edges, new_triangles, new_bd)
-    return out, GlueMap(pairs, vmap)
+    return out, GlueMap(pairs)
 
 
 def glue_boundaries(tri: MarkedTriangulation, i: int, j: int) -> MarkedTriangulation:

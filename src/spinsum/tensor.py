@@ -141,20 +141,14 @@ class GradedTensor:
             M[i][j] = v
         return M
 
-    def _set(self, key, val):
+    def _add_to(self, key, val):
+        cur = self.data.get(key)
+        if cur is not None:
+            val = self.field.add(cur, val)
         if self.field.is_zero(val):
             self.data.pop(key, None)
         else:
             self.data[key] = val
-
-    def _add_to(self, key, val):
-        cur = self.data.get(key)
-        if cur is None:
-            if not self.field.is_zero(val):
-                self.data[key] = val
-        else:
-            s = self.field.add(cur, val)
-            self._set(key, s)
 
     def __eq__(self, other):
         if not isinstance(other, GradedTensor):

@@ -86,7 +86,6 @@ def glue_amplitude(T: Amplitude, i: int, j: int, eps: int,
 # -- state spaces and the Z algebra -------------------------------------
 @dataclass
 class StateSpace:
-    delta: str
     dim: int
     iota: GradedTensor  # Z -> A
     pi: GradedTensor    # A -> Z
@@ -126,7 +125,7 @@ def state_space(A: GradedFrobeniusAlgebra, delta: str) -> StateSpace:
     if iota_t.compose(pi_t) != P:
         raise RuntimeError(f"{delta} state space: iota o pi is not the "
                            "idempotent")
-    return StateSpace(delta, len(zleg), iota_t, pi_t, zleg)
+    return StateSpace(len(zleg), iota_t, pi_t, zleg)
 
 
 @dataclass

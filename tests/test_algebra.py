@@ -1,13 +1,14 @@
 import dataclasses
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from spinsum.algebra import (GradedFrobeniusAlgebra, builtin_by_name,
-                             builtin_clifford, builtin_twisted_matrix,
-                             convolution, derive, from_json, to_json,
-                             validate_predicates)
+                             builtin_clifford, builtin_group_z2,
+                             builtin_twisted_matrix, convolution, derive,
+                             from_json, to_json, validate_predicates)
 from spinsum.fields import QQ, PrimeField
 from spinsum.tensor import GradedTensor
 
@@ -147,3 +148,54 @@ def test_json_roundtrip(name):
     B = from_json(to_json(A))
     assert (B.dim, B.parity, B.mu, B.eta, B.eps) == \
         (A.dim, A.parity, A.mu, A.eta, A.eps)
+
+
+@pytest.mark.parametrize("field,field_json", [(QQ, "Q"),
+                                              (PrimeField(5), {"Fp": 5})])
+@pytest.mark.parametrize("build,name,parity", [
+    (builtin_clifford, "clifford", [0, 1]),
+    (builtin_group_z2, "group-z2", [0, 0])])
+def test_dimension_two_builtins_match_golden_json(build, name, parity, field,
+                                                  field_json):
+    A = build(field)
+    assert A.name == name
+    assert to_json(A) == {
+        "field": field_json, "dim": 2, "parity": parity,
+        "mu": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"],
+               [1, 1, 0, "1"]],
+        "eta": ["1", "0"], "eps": ["2", "0"]}
+
+
+@pytest.mark.parametrize("build,message", [
+    (builtin_clifford, "Clifford algebra needs characteristic != 2"),
+    (builtin_group_z2, "k[Z2] fixture needs characteristic != 2")])
+def test_dimension_two_builtins_reject_characteristic_two(build, message):
+    with pytest.raises(ValueError) as exc:
+        build(PrimeField(2))
+    assert str(exc.value) == message
+
+
+def test_from_json_rejects_a_mu_entry_given_twice():
+    # the second entry would silently make x^2 = -1, a valid algebra
+    obj = to_json(builtin_clifford())
+    obj["mu"].append([0, 1, 1, "-1"])
+    with pytest.raises(ValueError,
+                       match=re.escape("mu entry [0, 1, 1] is given twice")):
+        from_json(obj)
+
+
+@pytest.mark.parametrize("short", ("parity", "eta", "eps"))
+def test_from_json_checks_lengths_before_building_mu(short):
+    # the mu table has dim^3 entries: 8.6 MB at dim 100 if built first
+    obj = to_json(builtin_clifford())
+    obj.update(dim=100, parity=[0] * 100, eta=["0"] * 100, eps=["0"] * 100)
+    obj[short] = obj[short][:2]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{short} needs 100 entries, "
+                                             f"got 2"):
+            from_json(obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

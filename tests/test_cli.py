@@ -496,6 +496,19 @@ def test_algebra_file_values_must_be_ints_or_fractions(runner, tmp_path,
     assert f"{where} is {value!r}; values must be integers" in res.output
 
 
+@pytest.mark.parametrize("key", ("eta", "mu", "field"))
+def test_algebra_file_key_given_twice_exits_2(runner, tmp_path, key):
+    # json.load would keep the second value silently; it repeats the
+    # first here, so only the duplicate-key rule can reject the file
+    obj = _clifford_json()
+    text = json.dumps(obj)
+    path = tmp_path / "algebra.json"
+    path.write_text(text[:-1] + f', "{key}": {json.dumps(obj[key])}}}')
+    res = runner.invoke(main, ["validate-algebra", "--file", str(path)])
+    assert res.exit_code == 2
+    assert f"key '{key}' is given twice" in res.output
+
+
 def test_algebra_file_takes_int_values(runner, tmp_path):
     obj = _clifford_json()
     obj["eta"], obj["eps"] = [1, 0], [2, 0]
