@@ -153,13 +153,17 @@ def _spin_surface(surface: str, spin, signs_path, types_csv=None):
 
 
 def _closed_surface(spec: str):
-    """(detail, tri) of sphere | torus | genus-G; (None, tri) of a file."""
+    """(detail, tri) of sphere | torus | genus-G; (None, tri) of a file.
+    The open built-ins (cylinder, pants) exit 2."""
     if spec in ("sphere", "torus") or spec.startswith("genus-"):
         try:
             detail = named_closed_detail(spec)
         except ValueError as exc:
             _fail(str(exc))
         return detail, detail.tri
+    if spec in _BUILTIN_SPIN_SURFACES:
+        _fail(f"surface {spec!r} is open; this command takes sphere, torus, "
+              f"genus-G or a closed surface file")
     return None, _load_surface(spec)
 
 
@@ -181,8 +185,11 @@ def _amplitude_json(amp: Amplitude, A) -> dict:
 def _emit(obj: dict, output: str | None):
     text = json.dumps(obj, sort_keys=True, indent=2)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            _fail(f"cannot write output {output!r}: {exc}")
     click.echo(text)
 
 

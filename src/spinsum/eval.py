@@ -39,10 +39,12 @@ one parity bit when the algebra is graded.  A step reads its matched legs
 as ``mk = key & mask``, finds the rows of ``mk`` in its table re-keyed to
 those slots, and writes ``(key ^ mk) | nk``: the free ends fill the
 lowest free slots.  No tuple is built per entry.
-Most sweeps take consecutive triangle steps at once, a run, so the
+Every sweep is a run of consecutive triangle steps (``_Run``), a single
+step being a run of one.  Most runs take two or more steps, so the
 blobs between them are never built: on a closed surface such a blob
 often doubles (one leg opened) only for the next step to merge it back.
-A run's table is keyed on its group mask: its members' matched legs
+A run of one sweeps its step's packed table, which holds all its rows.
+A longer run's table is keyed on its group mask: its members' matched legs
 that no earlier member produced (the other matched legs are free ends
 of earlier members).  A masked key's rows are composed on its first
 miss and stored even when there are none: a mini-blob {key: 1} runs
@@ -71,8 +73,8 @@ replays the schedule on wire ends alone and assigns the slots: per
 triangle step the slots of the blob legs its t slots match, the slots it
 keeps, the copairing ends it consumes, the slots its free ends take, and
 the open-leg count after the step; at the end the final slots and the
-permutation into codomain order.  Then it cuts the steps into sweeps of
-one step or a run of two, a pair (``_groups``), by a DP that minimises
+permutation into codomain order.  Then it cuts the steps into runs of
+one or two steps, singles and pairs (``_groups``), by a DP that minimises
 the planner's own symbolic score: a sweep pays 3^(open legs before it)
 for its visits plus 3^(its members' largest open-leg count) for its
 output paths, and nothing for the blobs between its members; ties go to
@@ -116,32 +118,44 @@ NS,R,R:+- pants and genus 2, evaluated at the start and every 25 moves,
 plus the class sweeps of genus 1 to 3 (eight F3 classes at genus 3),
 for all four built-in algebras in one process, use 452 tables over 95
 shapes, so the bound does not evict on such traffic; 300 rounds of both
-torus sign sums for the four algebras use 24.  A run packs its
-members' tables as single steps would, so runs build no more tables:
-the same traffic builds the same 452 with pairs only, with the runs of
-reused programs, or when every sweep is one step.
-What depends on slots stays on the compiled step: its open-leg count,
-its crossings, and its packed tables (``_pack``), the fused table
-re-keyed to its slots.  A run keeps its composed tables.  Both stores
-are keyed by the characteristic, t's leg parities and the interned
-entries of t and of the copairings the step or run consumes, and both
-keep the tables of the tensor sets used last (``_lru``: a hit moves its
-table to the end, a miss in a full store drops the first).  A step keeps
-``PACKED_TABLES_PER_STEP`` (8): a class sweep gives it at most 2^3 sign
-patterns on the up to three copairings it consumes, and a scan over
-algebras 4 algebras x 2 sign sums.  A run keeps 2^k tables, where k is
-the number of copairings it consumes, and at least 8: one algebra's
+torus sign sums for the four algebras use 24.  A run packs each
+member's table from that member's fused table, so longer runs build no
+more fused tables: the same traffic builds the same 452 with pairs
+only, with the runs of reused programs, or when every run is one step.
+What depends on slots stays on the compiled step: its open-leg count
+and its crossings.  Each sweep has the one table store, on its run:
+keyed by the characteristic, t's leg parities and the interned entries
+of t and of the copairings the run consumes, it keeps the tables of the
+tensor sets used last (``_lru``: a hit moves its table to the end, a
+miss in a full store drops the first).  On a miss ``_run_table`` packs
+each member's table afresh (``_pack``, the fused table re-keyed to the
+member's slots): a run of one keeps that packed table, a longer run an
+empty composed table whose compose holds the packed tables of its
+members.  A run keeps 2^k tables, where k is the number of copairings
+it consumes, and at least ``TABLES_KEPT_PER_SWEEP`` (8): one algebra's
 classes, gauge-shifted or not, differ on them only by c_+ or c_- per
-edge, so a warm pass over any classes of one surface composes no row,
-and a scan over algebras fits as it does in a step.  At genus 3 the
-first pair consumes five copairings; after the regroup, runs of four
-consume up to eight at genus 2 and seven at genus 3, so one run may
-keep 256 tables.  The rows of the generic compose are interned
-(``_row``), so the tables of signed pairs and longer runs share the rows
-they repeat.  A run's members are only read when the run composes.  The
-tables go with the program, and a regroup drops the pairs' tables with
-the pairs.  No result is cached: every call sweeps the blob through
-every sweep.
+edge, so a warm pass over any classes of one surface packs no table and
+composes no row, and a scan over algebras (4 algebras x 2 sign sums)
+fits even in a run that consumes fewer than three copairings.  At genus
+3 the first pair consumes five copairings; after the regroup, runs of
+four consume up to eight at genus 2 and seven at genus 3, so one run
+may keep 256 tables.  No store shares a member's packed table between
+the run's tensor sets, so a run packs its members again on each miss of
+its own store, and each of its composed tables holds its own copies.
+That is the price of one store per sweep: the extra packs come in the
+first passes over a reused program, and the copies stay held.  Five
+passes over the 84 gauge-shifted Clifford classes of genus 1 to 3
+(seed 31) make 1,898, 33, 0, 0 and 0 ``_pack`` calls, and tracemalloc,
+started before them, reads 3.16 MB held after them; a store per step
+as well would make 219, 0, 0, 0 and 0 and hold 1.70 MB.  A cold
+program, every Pachner checkpoint's, misses every store once either
+way: 100 F3 cylinder fuzz sessions make 1,776 calls both ways.  The
+rows of the generic compose are interned (``_row``), so the tables of
+signed pairs and longer runs share the rows they repeat.  A run's
+members are only read when the run builds a table.  The tables go with
+the program, and a regroup drops the first runs' tables with those
+runs.  No result is cached: every call sweeps the blob through every
+sweep.
 
 Each triangle step is one leg permutation and carries the Koszul sign
 of ``tensor``'s permutations: (-1)^(sum of |a||b| over its inverted
@@ -201,7 +215,7 @@ DEFAULT_MAX_OPEN_LEGS = 16
 DEFAULT_MAX_ENTRIES = 10**7
 BEAM_WIDTH = 32  # states the planner's beam search keeps per depth
 FUSED_TABLES_KEPT = 1024  # entries of each of the two table caches
-PACKED_TABLES_PER_STEP = 8  # packed tables each compiled step keeps
+TABLES_KEPT_PER_SWEEP = 8  # the fewest tables a sweep keeps
 RUN_STEPS = 4  # the most steps a sweep of a reused program takes
 
 
@@ -412,7 +426,7 @@ def contract_graph(graph: DiagramGraph, D: DerivedStructure,
 class _Step:
     """One triangle step of a compiled contraction (see ``_compile``)."""
     __slots__ = ("index", "eids", "matched", "rest", "free", "n_open",
-                 "shape", "graded", "packed")
+                 "shape", "graded")
 
     def __init__(self, index, matched, rest, used, free):
         eids = sorted(used)
@@ -432,33 +446,23 @@ class _Step:
                       tuple(tuple(used[eid]) for eid in eids),
                       tuple(tuple(used[eid].values()) for eid in eids))
         # graded: ((shape, table-part sign pairs), crossings), built on the
-        # first graded run (``_graded_tables``)
+        # first graded pack (``_graded_tables``)
         self.graded = None
-        # (characteristic, t's leg parities, interned entries of t and of
-        # the consumed copairings) -> (packed table, matched mask, signed)
-        # (``_pack``), for the PACKED_TABLES_PER_STEP tensor sets it used
-        # last
-        self.packed = {}
-
-    @property
-    def members(self):
-        """A step swept alone is its own group of one."""
-        return (self,)
 
 
 class _Run:
-    """Consecutive triangle steps swept as one (see ``_groups``)."""
+    """One sweep: one or more consecutive triangle steps (see ``_groups``)."""
     __slots__ = ("members", "eids", "kept", "tables")
 
     def __init__(self, members):
         self.members = tuple(members)
         self.eids = sum((step.eids for step in members), ())
-        # one table per sign pattern of its copairings, and at least as
-        # many as a step keeps (see the module docstring)
-        self.kept = max(PACKED_TABLES_PER_STEP, 1 << len(self.eids))
+        # one table per sign pattern of its copairings, and at least
+        # TABLES_KEPT_PER_SWEEP (see the module docstring)
+        self.kept = max(TABLES_KEPT_PER_SWEEP, 1 << len(self.eids))
         # (characteristic, t's leg parities, interned entries of t and of
-        # the members' copairings) -> (composed table, group mask, signed,
-        # compose) (``_run_table``), for the ``kept`` tensor sets used last
+        # the members' copairings) -> (table, group mask, signed, compose)
+        # (``_run_table``), for the ``kept`` tensor sets used last
         self.tables = {}
 
 
@@ -469,7 +473,7 @@ class _Program:
 
     def __init__(self, steps, groups, edges, slots, order):
         self.steps = steps  # the triangle steps, as ``_Step``
-        self.groups = groups  # the sweeps: a ``_Step`` or a ``_Run`` each
+        self.groups = groups  # the sweeps, as ``_Run``
         self.edges = edges  # edge ids in plan order
         self.slots = slots  # the final open legs' slots, ascending
         self.order = order  # final ``permute_out``, None if already in order
@@ -548,8 +552,8 @@ def _compile(tri: MarkedTriangulation, plan) -> _Program:
 
 
 def _groups(steps: list[_Step], longest: int) -> tuple:
-    """The steps cut into sweeps of one step or of a ``_Run`` of up to
-    ``longest`` consecutive ones, by a DP over the cut points that
+    """The steps cut into sweeps, each a ``_Run`` of one to ``longest``
+    consecutive steps, by a DP over the cut points that
     minimises the planner's symbolic score: a sweep pays 3^(open legs
     before it) for its visits plus 3^(the largest open-leg count after a
     member) for its output paths, and nothing for the blobs between its
@@ -569,7 +573,7 @@ def _groups(steps: list[_Step], longest: int) -> tuple:
     groups, j = [], len(steps)
     while j:
         k = size[j]
-        groups.append(steps[j - 1] if k == 1 else _Run(steps[j - k:j]))
+        groups.append(_Run(steps[j - k:j]))
         j -= k
     return tuple(groups[::-1])
 
@@ -584,21 +588,23 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
     values in t's field.  All bookkeeping comes from the compiled
     program (``_program``): kept in the memo of ``graph.tri`` for the
     memo's plan, whose wires depend on the triangulation alone, and built
-    afresh for any other plan.  This function only packs the tables its
-    steps lack, regroups the kept program on its second call, sweeps the
-    blob once per single step or run of steps (composing the run rows it
-    meets first), reduces and decodes.  The loop runs on plain ints, keys
-    included: over Q the tensors are scaled to integers and the product
-    of their scales divides every entry once at the end; over F_p each
-    sweep reduces its sums mod p once.
+    afresh for any other plan.  This function regroups the kept program
+    on its second call and sweeps the blob once per sweep, a run of one
+    or more steps: one store lookup per sweep gives its table, built on
+    a miss (``_run_table``), and a run of more than one step composes
+    the rows of the keys it meets first.  Then it reduces and decodes.
+    The loop runs on plain ints, keys included: over Q the tensors are
+    scaled to integers and the product of their scales divides every
+    entry once at the end; over F_p each sweep reduces its sums mod p
+    once.
 
-    A run's composed table is looked up on the run; a step's packed
-    table on the step, then its fused table in ``_fused_table``'s cache.
-    All are keyed on the characteristic, t's leg parities and the
-    interned entries of t and of the copairings the step or run
-    consumes, the fused one also on the step's shape.  No key holds a
-    tensor, so a tensor equal to an earlier one finds its tables, and
-    changing a tensor between calls is safe.
+    A sweep's table is looked up on the run, and on a miss its members'
+    fused tables in ``_fused_table``'s cache.  Both are keyed on the
+    characteristic, t's leg parities and the interned entries of t and
+    of the copairings the run or step consumes, the fused one also on
+    the step's shape.  No key holds a tensor, so a tensor equal to an
+    earlier one finds its tables, and changing a tensor between calls
+    is safe.
     """
     program = _program(graph, plan)
     if program.calls and not program.regrouped:  # reused: longer runs
@@ -626,20 +632,14 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
             denom *= content(copairings[eid])[1]
     blob: dict[int, int] = {0: 1}
     for group in program.groups:
-        members = group.members
-        for step in members:
+        for step in group.members:
             if step.n_open > max_open_legs:
                 raise BudgetExceeded(f"open legs {step.n_open} exceed bound "
                                      f"{max_open_legs} {_where(plan, step)}")
         tensors = (p, leg, tset,
                    *[content(copairings[eid])[0] for eid in group.eids])
-        if len(members) == 1:
-            table, mmask, signed = _packed(group, tensors, width)
-            compose = None  # a step's packed table holds all its rows
-        else:  # a run's table is composed row by row, on a miss
-            table, mmask, signed, compose = _lru(
-                group.tables, group.kept, tensors, _run_table, group,
-                tensors, width)
+        table, mmask, signed, compose = _lru(group.tables, group.kept, tensors,
+                                             _run_table, group, tensors, width)
         new_blob: dict[int, int] = {}
         get = new_blob.get
         if signed:
@@ -687,7 +687,7 @@ def contract_network(graph: DiagramGraph, plan, copairings, t: GradedTensor,
         if len(blob) > max_entries:
             raise BudgetExceeded(f"{len(blob)} stored coefficients exceed "
                                  f"budget {max_entries} "
-                                 f"{_where(plan, members[-1])}")
+                                 f"{_where(plan, group.members[-1])}")
     program.calls += 1
     values = blob.values()
     if not p:
@@ -853,19 +853,30 @@ def _graded_tables(step: _Step):
                                        else None)
 
 
-def _pack(step: _Step, fused, leg, width):
-    """(packed table, matched mask, signed) of one triangle step.
+def _pack(step: _Step, tensors, width):
+    """(packed table, matched mask, signed) of one triangle step for
+    ``tensors`` = (characteristic, t's leg parities, interned entries of t
+    and of its copairings).  Nothing here is stored: the sweep's store
+    keeps what its table needs (``_run_table``).
 
-    The packed table re-keys ``fused`` to the step's slots of ``width``
-    bits, each holding ``_encoding(leg)`` of its index: a blob key masked
-    with the matched mask finds its rows, and a row's free ends are the
-    bits it ors into the key once the matched legs are cleared.  For a
+    The packed table re-keys the step's ``_fused_table`` (for a graded
+    algebra on the shape that the step's first graded pack works out,
+    ``_graded_tables``) to the step's slots of ``width`` bits, each
+    holding ``_encoding(leg)`` of its index: a blob key masked with the
+    matched mask finds its rows, and a row's free ends are the bits it
+    ors into the key once the matched legs are cleared.  For a
     step with crossings (``_graded_tables``) each row also carries the
     XOR, over its odd matched and odd free-end indices, of the parity bits
     of the rest legs that leg crosses; ``signed`` is True unless all are
     0, and a hit is negated when the blob key has an odd number of them
     set.
     """
+    shape, leg = step.shape, tensors[1]
+    if any(leg):
+        if step.graded is None:
+            step.graded = _graded_tables(step)
+        shape = step.graded[0]
+    fused = _fused_table(shape, *tensors)
     enc = _encoding(leg)
     mshifts = [q * width for _, q in step.matched]
     mcodes = [[e << shift for e in enc] for shift in mshifts]
@@ -908,42 +919,30 @@ def _lru(store: dict, kept: int, key, build, *args):
     return got
 
 
-def _packed(step: _Step, tensors, width):
-    """The step's packed table for ``tensors`` = (characteristic, t's leg
-    parities, interned entries of t and of its copairings), from its
-    store or packed from ``_fused_table``."""
-    return _lru(step.packed, PACKED_TABLES_PER_STEP, tensors, _pack_step,
-                step, tensors, width)
-
-
-def _pack_step(step: _Step, tensors, width):
-    shape, leg = step.shape, tensors[1]
-    if any(leg):
-        if step.graded is None:
-            step.graded = _graded_tables(step)
-        shape = step.graded[0]
-    return _pack(step, _fused_table(shape, *tensors), leg, width)
-
-
 def _fields(slots, width) -> int:
     """The mask of the key fields of ``slots``, ``width`` bits each."""
     return sum(((1 << width) - 1) << q * width for q in slots)
 
 
 def _run_table(run: _Run, tensors, width):
-    """(composed table, group mask, signed, compose) of a run for
-    ``tensors``, the table still empty: ``compose(key)`` gives the rows of
-    a masked blob key.  The group mask is the members' matched legs that
-    no earlier member produced.  An unsigned run of two composes with
-    ``_compose_pair``, every other run with ``_compose`` (see the module
-    docstring for why)."""
+    """(table, group mask, signed, compose) of a run for ``tensors``,
+    built on a miss of the run's store from its members' packed tables
+    (``_pack``), packed afresh on every miss.  A run of one step returns
+    its member's packed table, which holds all its rows, with ``compose``
+    None.  A longer run returns its composed table still empty:
+    ``compose(key)`` gives the rows of a masked blob key.  The group mask
+    is the members' matched legs that no earlier member produced.  An
+    unsigned run of two composes with ``_compose_pair``, every other run
+    with ``_compose`` (see the module docstring for why)."""
     parts, at, gmask, made = [], 3, 0, 0
     for step in run.members:
         end = at + len(step.eids)
-        parts.append(_packed(step, tensors[:3] + tensors[at:end], width))
+        parts.append(_pack(step, tensors[:3] + tensors[at:end], width))
         gmask |= parts[-1][1] & ~made
         made |= _fields(step.free, width)
         at = end
+    if len(parts) == 1:
+        return (*parts[0], None)
     signed = any(part[2] for part in parts)
     if len(parts) == 2 and not signed:  # faster on cold unsigned pairs
         return {}, gmask, False, functools.partial(

@@ -112,6 +112,42 @@ def test_named_surface_needs_a_genus(runner, command):
     assert "sphere, torus or genus-G" in res.output
 
 
+@pytest.mark.parametrize("surface", ("cylinder", "pants"))
+@pytest.mark.parametrize("command", ("sign-scan", "classify"))
+def test_closed_surface_commands_reject_open_built_ins(runner, command,
+                                                       surface):
+    # at the parent the name was read as a file path
+    args = [command, "--surface", surface]
+    if command == "sign-scan":
+        args += ["--algebra", "clifford"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.output == (f"error: surface {surface!r} is open; this command "
+                          f"takes sphere, torus, genus-G or a closed surface "
+                          f"file\n")
+
+
+OUTPUT_COMMANDS = {
+    "validate-algebra": ["validate-algebra", "--builtin", "clifford"],
+    "amplitude": ["amplitude", "--algebra", "clifford", "--surface", "torus",
+                  "--spin", "NS+", "--raw"],
+    "classify": ["classify", "--surface", "torus"],
+    "pachner-fuzz": ["pachner-fuzz", "--algebra", "clifford", "--surface",
+                     "cylinder", "--spin", "NS+", "--moves", "4"],
+    "sign-scan": ["sign-scan", "--algebra", "clifford", "--surface", "torus"],
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_unwritable_output_exits_2(runner, tmp_path, command):
+    path = str(tmp_path / "missing" / "x.json")
+    res = runner.invoke(main, OUTPUT_COMMANDS[command] + ["--output", path])
+    assert res.exit_code == 2
+    assert type(res.exception) is SystemExit
+    assert res.output.startswith(f"error: cannot write output {path!r}: ")
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("surface", ("genus-\u0662", "genus-02"))
 def test_named_surface_genus_must_be_canonical(runner, surface):
     # an Arabic-Indic 2 and a leading zero passed str.isdecimal

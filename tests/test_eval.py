@@ -10,11 +10,11 @@ from spinsum.algebra import (BUILTIN_NAMES, GradedFrobeniusAlgebra,
                              builtin_by_name, builtin_clifford, derive,
                              passes_invariance_predicates)
 import spinsum.eval as engine
-from spinsum.eval import (FUSED_TABLES_KEPT, PACKED_TABLES_PER_STEP,
-                          RUN_STEPS, WireTarget, _program, boundary_legs,
-                          build_graph, contract_exhaustive, contract_graph,
-                          contract_network, evaluate, evaluate_raw,
-                          is_valid_schedule, plan_contraction)
+from spinsum.eval import (FUSED_TABLES_KEPT, RUN_STEPS,
+                          TABLES_KEPT_PER_SWEEP, WireTarget, _program,
+                          boundary_legs, build_graph, contract_exhaustive,
+                          contract_graph, contract_network, evaluate,
+                          evaluate_raw, is_valid_schedule, plan_contraction)
 from spinsum.fields import QQ, PrimeField
 from spinsum.pachner import random_pachner_move
 from spinsum.spin import (arf_invariant, classify_spin_structures,
@@ -664,21 +664,25 @@ def test_custom_plan_is_compiled_but_not_cached(clifford):
 
 def test_fused_table_store_stays_bounded():
     """1,200 calls, each with the copairings of every edge but those of the
-    first step scaled by its own factor, give the scaled contraction and
+    first sweep scaled by its own factor, give the scaled contraction and
     fill the table cache and the interned entry sets to
-    FUSED_TABLES_KEPT, never past it.  No compiled step keeps more than
-    PACKED_TABLES_PER_STEP packed tables.  The first step's tensors never
-    change, so it packs its table once and keeps it through the evictions
-    of the store.  Then the torus sign sums, whose tensors are rebuilt on
-    every call, build no table when called again."""
+    FUSED_TABLES_KEPT, never past it.  No sweep keeps more than its
+    ``kept`` tables, and that is at least TABLES_KEPT_PER_SWEEP.  The
+    first sweep's tensors never change, so it builds its table once and
+    keeps it through the evictions of the store.  Then the torus sign
+    sums, whose tensors are rebuilt on every call, build no table when
+    called again."""
     D = derive(builtin_by_name("clifford"))
     tri, signs, _ = tft.cylinder_spin("NS", 1)
     graph = build_graph(tri, signs)
     plan = plan_contraction(graph)
-    base = contract_network(graph, plan,
-                            {eid: D.c(s) for eid, s in signs.items()}, D.t)
-    steps = _program(graph, plan).steps
-    first = steps[0]
+    cops = {eid: D.c(s) for eid, s in signs.items()}
+    base = contract_network(graph, plan, cops, D.t)
+    # the second call regroups the kept program: read the sweeps after it
+    assert contract_network(graph, plan, cops, D.t) == base
+    groups = _program(graph, plan).groups
+    first = groups[0]
+    assert all(group.kept >= TABLES_KEPT_PER_SWEEP for group in groups)
     kept = {eid: D.c(signs[eid]) for eid in first.eids}
     scaled = len(signs) - len(kept)
     _clear()
@@ -688,14 +692,14 @@ def test_fused_table_store_stays_bounded():
         assert contract_network(graph, plan, cops, D.t) == \
             base.scale(Fraction(k) ** scaled), k
         assert max(_cache_sizes()) <= FUSED_TABLES_KEPT
-        assert max(len(step.packed) for step in steps) <= \
-            PACKED_TABLES_PER_STEP, k
+        assert all(len(group.tables) <= group.kept for group in groups), k
         if k == 1:
-            [hot] = first.packed.values()
+            [hot] = first.tables.values()
+    assert _program(graph, plan).groups is groups
     assert _cache_sizes() == (FUSED_TABLES_KEPT, FUSED_TABLES_KEPT)
-    assert all(len(step.packed) == PACKED_TABLES_PER_STEP
-               for step in steps[1:] if step.eids)
-    [table] = first.packed.values()
+    assert all(len(group.tables) == group.kept
+               for group in groups[1:] if group.eids)
+    [table] = first.tables.values()
     assert table is hot
     torus, _ = tft.torus_spin("NS", 1)
     A = builtin_by_name("clifford")
@@ -712,14 +716,14 @@ def test_fused_table_store_stays_bounded():
 def test_stores_keep_the_tensor_set_they_reuse():
     """Tensor sets cycle through the stores, one set reused between each
     two others; the stores drop the set used longest ago, so the reused
-    set is never packed or composed again.  First the first step's
-    copairings cycle through 9 sets while every other copairing is scaled
-    anew on every call, so every pair or run composes and reads its
-    members' packed tables: the first step keeps the reused set's table.
-    Then, on a fresh copy called twice so that it has regrouped into runs,
-    every copairing cycles through one set more than any sweep keeps, and
-    every sweep keeps the reused set's table, no row of it composed
-    again."""
+    set's table is never built or composed again.  Each part runs on a
+    fresh copy called twice, so that it has regrouped into runs.  First
+    the first sweep's copairings cycle through one set more than it keeps
+    while every other copairing is scaled anew on every call, so every
+    later sweep builds its table on every call: the first sweep keeps the
+    reused set's table.  Then every copairing cycles through one set more
+    than any sweep keeps, and every sweep keeps the reused set's table,
+    no row of it composed again."""
     D = derive(builtin_by_name("clifford"))
     tri, signs, _ = tft.cylinder_spin("NS", 1)
     graph = build_graph(tri, signs)
@@ -728,9 +732,9 @@ def test_stores_keep_the_tensor_set_they_reuse():
 
     def run(graph, factor, first_factor=None):
         """The contraction with every copairing scaled by ``factor``, but
-        those of the first step by ``first_factor`` when given."""
+        those of the first sweep by ``first_factor`` when given."""
         plan = plan_contraction(graph)
-        first = set(_program(graph, plan).steps[0].eids)
+        first = set(_program(graph, plan).groups[0].eids)
         scale = {eid: Fraction(first_factor if first_factor and eid in first
                                else factor) for eid in signs}
         got = contract_network(graph, plan, {eid: D.c(s).scale(scale[eid])
@@ -738,24 +742,27 @@ def test_stores_keep_the_tensor_set_they_reuse():
                                D.t)
         assert got == base.scale(math.prod(scale.values()))
 
-    graph = build_graph(_fresh(tri), signs)
-    first = _program(graph, plan_contraction(graph)).steps[0]
+    def regrouped():
+        """The sweeps of a fresh copy called twice."""
+        graph = build_graph(_fresh(tri), signs)
+        run(graph, 1)
+        run(graph, 1)  # the second call regroups: read the sweeps after it
+        return graph, _program(graph, plan_contraction(graph)).groups
+
+    graph, groups = regrouped()
+    first = groups[0]
     for call, k in enumerate(itertools.chain.from_iterable(
-            (1, k) for k in range(2, 10))):
+            (1, k) for k in range(2, first.kept + 2))):
         run(graph, 100 + call, k)
         if call == 0:
-            [hot] = first.packed.values()
-        assert any(table is hot for table in first.packed.values()), call
-    assert len(first.packed) == PACKED_TABLES_PER_STEP
+            [hot] = first.tables.values()
+        assert any(table is hot for table in first.tables.values()), call
+    assert len(first.tables) == first.kept
 
-    graph = build_graph(_fresh(tri), signs)
-    run(graph, 1)
-    run(graph, 1)  # the second call regroups: read the sweeps after it
-    groups = _program(graph, plan_contraction(graph)).groups
+    graph, groups = regrouped()
     assert any(len(group.members) > 2 for group in groups)
-    stores, kept = zip(*[
-        (group.tables, group.kept) if len(group.members) > 1
-        else (group.packed, PACKED_TABLES_PER_STEP) for group in groups])
+    stores = [group.tables for group in groups]
+    kept = tuple(group.kept for group in groups)
     hot = [next(iter(store.values())) for store in stores]
     sizes = [len(table) for table, *_ in hot]
     for k in range(2, max(kept) + 3):
@@ -778,15 +785,23 @@ def _gauge_shifted(tri, signs, rng):
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_classes_twice_in_shuffled_order_equal_closed_forms(name):
+def test_classes_twice_in_shuffled_order_equal_closed_forms(name,
+                                                            monkeypatch):
     """Gauge-shifted representatives of every spin class, at genus 1 to 3
     for clifford (84 classes) and at genus 2 for the other built-ins
     (16), evaluated twice in a shuffled order after one call of each
-    surface's program, equal their closed forms.  The second pass
-    composes no row and builds no fused table: every sweep of more than
-    one step keeps the same tables, none of them empty, at the same
-    sizes, and ``_fused_table`` has no new miss."""
+    surface's program, equal their closed forms.  The second pass packs
+    no table, composes no row and builds no fused table: it makes no
+    ``_pack`` call, every sweep of more than one step keeps the same
+    tables, none of them empty, at the same sizes, and ``_fused_table``
+    has no new miss."""
     A = builtin_by_name(name)
+    pack, packs = engine._pack, []
+
+    def counted(*args):
+        packs.append(args[0])
+        return pack(*args)
+    monkeypatch.setattr(engine, "_pack", counted)
     rng = random.Random(30)
     work, programs = [], []
     for g in (1, 2, 3) if name == "clifford" else (2,):
@@ -816,10 +831,12 @@ def test_classes_twice_in_shuffled_order_equal_closed_forms(name):
         return {(id(group), key): len(table) for group in runs
                 for key, (table, *_) in group.tables.items()}
     sweep()
-    composed, built = run_tables(), _count_builds()
+    assert packs
+    composed, built, packed = run_tables(), _count_builds(), len(packs)
     sweep()
     assert run_tables() == composed
     assert _count_builds() == built
+    assert len(packs) == packed
 
 
 def _longest_sweep(tri):
